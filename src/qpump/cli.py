@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .bathtub import (
     analytic_minimum,
     greedy_minimize,
@@ -76,11 +78,14 @@ def _build_parser() -> _Parser:
 def _cmd_analyze(args) -> int:
     config = ModelConfig.from_file(args.config)
     result = analyze(config)
+    # Format everything before opening a file, so a failure leaves none behind.
+    text = dumps(result.document)
+    csv_text = None if args.csv is None else result.csv_text
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(dumps(result.document))
-    if args.csv is not None:
+        handle.write(text)
+    if csv_text is not None:
         with open(args.csv, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(result.csv_text)
+            handle.write(csv_text)
     return 0
 
 
@@ -138,7 +143,10 @@ def _cmd_models(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Overflow and NaN surface as exit code 2 through the certification
+        # and serialization checks, not as numpy warnings on stderr.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"pump: config error: {exc}", file=sys.stderr)
         return 1

@@ -30,6 +30,9 @@ __all__ = [
     "HermitianMatrix",
     "CycleGrid",
     "unitarize",
+    "frobenius_norm",
+    "unitarity_defect",
+    "hermitian_part",
     "spectral_derivative",
     "periodic_integral",
     "central_derivative",
@@ -99,9 +102,6 @@ class ComplexMatrix:
     def dim(self) -> int:
         return self._array.shape[0]
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ComplexMatrix(dim={self.dim})"
-
 
 class UnitaryMatrix:
     """Square complex matrix certified unitary at construction.
@@ -115,8 +115,7 @@ class UnitaryMatrix:
 
     def __init__(self, array, tol: float | None = None):
         inner = array if isinstance(array, ComplexMatrix) else ComplexMatrix(array)
-        a = inner.array
-        defect = float(np.linalg.norm(a.conj().T @ a - np.eye(inner.dim)))
+        defect = float(unitarity_defect(inner.array))
         limit = DEFAULT_TOLERANCES.tol_unitary if tol is None else tol
         if defect > limit:
             raise NumericalFailure(
@@ -133,9 +132,6 @@ class UnitaryMatrix:
     def dim(self) -> int:
         return self.inner.dim
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"UnitaryMatrix(dim={self.dim}, defect={self.unitarity_defect:.2e})"
-
 
 class HermitianMatrix:
     """Hermitian matrix stored in exactly self-adjoint form.
@@ -149,11 +145,9 @@ class HermitianMatrix:
     __slots__ = ("_array", "hermiticity_defect")
 
     def __init__(self, array):
-        raw = ComplexMatrix(array).array
-        anti = raw - raw.conj().T
-        scale = float(np.linalg.norm(raw))
-        self.hermiticity_defect = float(np.linalg.norm(anti)) / scale if scale > 0.0 else 0.0
-        self._array = _frozen(0.5 * (raw + raw.conj().T))
+        herm, defect = hermitian_part(ComplexMatrix(array).array)
+        self.hermiticity_defect = float(defect)
+        self._array = _frozen(herm)
 
     @property
     def array(self) -> np.ndarray:
@@ -162,9 +156,6 @@ class HermitianMatrix:
     @property
     def dim(self) -> int:
         return self._array.shape[0]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"HermitianMatrix(dim={self.dim}, defect={self.hermiticity_defect:.2e})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,6 +189,33 @@ class CycleGrid:
         return self.period / self.samples
 
 
+def frobenius_norm(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norms over the last two axes of a matrix stack, each bit for
+    bit ``np.linalg.norm`` of its matrix: the same BLAS dot products of the
+    real and the imaginary parts, batched as row-by-column ``matmul``."""
+    flat = stack.reshape(stack.shape[:-2] + (-1,))
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
+    sq = sum((x[..., None, :] @ x[..., :, None])[..., 0, 0] for x in parts)
+    return np.sqrt(sq)
+
+
+def unitarity_defect(stack: np.ndarray) -> np.ndarray:
+    """``||S^dag S - I||_F`` of each matrix in a stack (nan where S is not finite)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return frobenius_norm(stack.conj().swapaxes(-1, -2) @ stack - np.eye(stack.shape[-1]))
+
+
+def hermitian_part(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exactly self-adjoint ``(M + M^dag)/2`` of each matrix in a stack, and
+    the relative size ``||M - M^dag||_F / ||M||_F`` of the discarded part
+    (0 for a zero matrix)."""
+    adj = raw.conj().swapaxes(-1, -2)
+    scale = frobenius_norm(raw)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        defect = np.where(scale > 0.0, frobenius_norm(raw - adj) / scale, 0.0)
+    return 0.5 * (raw + adj), defect
+
+
 def unitarize(m) -> UnitaryMatrix:
     """Project a nonsingular matrix onto the unitary group.
 
@@ -220,13 +238,8 @@ def unitarize(m) -> UnitaryMatrix:
 
 
 def _as_stack(samples, grid: CycleGrid) -> np.ndarray:
-    if isinstance(samples, np.ndarray):
-        stack = samples
-    else:
-        if len(samples) != grid.samples:
-            raise GridMismatch(
-                f"got {len(samples)} samples for a grid of {grid.samples} nodes"
-            )
+    stack = samples
+    if not isinstance(samples, np.ndarray):
         stack = np.stack([np.asarray(getattr(s, "array", s), dtype=np.complex128) for s in samples])
     if stack.shape[0] != grid.samples:
         raise GridMismatch(

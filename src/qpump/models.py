@@ -44,10 +44,11 @@ from .errors import (
     ConfigError,
     EnergyOutOfWindow,
     MissingParam,
+    NumericalFailure,
     UnknownModel,
     UnknownParam,
 )
-from .matcore import DEFAULT_TOLERANCES, Tolerances, UnitaryMatrix, unitarize
+from .matcore import DEFAULT_TOLERANCES, Tolerances, UnitaryMatrix, unitarity_defect, unitarize
 
 __all__ = [
     "SplitMix64",
@@ -124,10 +125,13 @@ def uniform_stream(seed: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PumpModel:
-    """Evaluatable family ``(t, E) -> UnitaryMatrix`` over one period.
+    """Evaluatable family ``(t, E) -> S`` over one period.
 
-    Instances are immutable and ``eval`` is pure, so models may be shared
-    freely between threads.
+    ``matrix_fn(times, E)`` maps a 1-D array of N times and one energy to
+    the ``(N, n, n)`` stack of scattering matrices; :meth:`sample`
+    certifies such a stack and :meth:`eval` is its one-time case.
+    Instances are immutable and evaluation is pure, so models may be
+    shared freely between threads.
     """
 
     name: str
@@ -135,17 +139,38 @@ class PumpModel:
     period: float
     energy_window: tuple[float, float]
     params: Mapping[str, float]
-    matrix_fn: Callable[[float, float], np.ndarray] = field(repr=False)
+    matrix_fn: Callable[[np.ndarray, float], np.ndarray] = field(repr=False)
     unitary_tol: float = DEFAULT_TOLERANCES.tol_unitary
 
-    def eval(self, t: float, energy: float) -> UnitaryMatrix:
-        """Frozen scattering matrix at time t and energy E (certified unitary)."""
+    def sample(self, times, energy: float) -> np.ndarray:
+        """Certified ``(N, n, n)`` stack of S at the given times and energy E;
+        raises :class:`NumericalFailure` at the first time whose matrix is
+        not finite or not unitary within ``unitary_tol``."""
         lo, hi = self.energy_window
         if not (lo <= energy <= hi):
             raise EnergyOutOfWindow(
                 f"energy {energy:g} outside window [{lo:g}, {hi:g}] of model '{self.name}'"
             )
-        return UnitaryMatrix(self.matrix_fn(float(t), float(energy)), tol=self.unitary_tol)
+        times = np.asarray(times, dtype=float)
+        stack = np.asarray(self.matrix_fn(times, float(energy)), dtype=np.complex128)
+        shape = (times.shape[0], self.n_channels, self.n_channels)
+        if stack.shape != shape:
+            raise ValueError(f"model '{self.name}' returned shape {stack.shape}, expected {shape}")
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        defect = unitarity_defect(stack)
+        bad = ~finite | (defect > self.unitary_tol)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NumericalFailure(
+                f"unitarity defect {defect[i]:.3e} exceeds tolerance {self.unitary_tol:g}"
+                if finite[i] else
+                f"model '{self.name}' has non-finite entries at t={times[i]:.6g}, E={energy:g}"
+            )
+        return stack
+
+    def eval(self, t: float, energy: float) -> UnitaryMatrix:
+        """Frozen scattering matrix at time t and energy E (certified unitary)."""
+        return UnitaryMatrix(self.sample([float(t)], energy)[0], tol=self.unitary_tol)
 
 
 def eval_s(model: PumpModel, t: float, energy: float) -> UnitaryMatrix:
@@ -186,11 +211,6 @@ def _reject_unknown(params: dict, allowed: set[str], model: str) -> None:
             raise UnknownParam(
                 f"params.{key}", f"model '{model}' does not understand parameter '{key}'"
             )
-
-
-def _rotation(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s], [s, c]])
 
 
 def _draw_hermitian(n: int, rng: SplitMix64, scale: float) -> np.ndarray:
@@ -237,10 +257,13 @@ def _build_flux_loop(params, period, window, mu):
 
     # Linear dispersion E = v*k with k(mu)*l = k_ell fixes l = k_ell*v/mu,
     # so the loop phase at energy E is k_ell*E/mu (independent of v).
-    def matrix(t, energy):
+    def matrix(times, energy):
         loop = k_ell * energy / mu
-        flux = _TWO_PI * w * t / period
-        return np.diag(np.exp(1j * np.array([loop + flux, loop - flux])))
+        flux = _TWO_PI * w * times / period
+        out = np.zeros((times.shape[0], 2, 2), dtype=complex)
+        out[:, 0, 0] = np.exp(1j * (loop + flux))
+        out[:, 1, 1] = np.exp(1j * (loop - flux))
+        return out
 
     return 2, matrix, {"k_ell": k_ell, "w": float(w), "v": v}
 
@@ -254,8 +277,11 @@ def _build_perturbed_flux_loop(params, period, window, mu):
     # The rotation multiplies from the left: a right factor commutes into
     # the diagonal of E and would leave every cycle charge exactly
     # quantized, defeating the point of the perturbation.
-    def matrix(t, energy):
-        return _rotation(delta * np.sin(_TWO_PI * t / period)) @ base(t, energy)
+    def matrix(times, energy):
+        angle = delta * np.sin(_TWO_PI * times / period)
+        c, s = np.cos(angle), np.sin(angle)
+        rotation = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+        return rotation @ base(times, energy)
 
     norm["delta"] = delta
     return n, matrix, norm
@@ -288,11 +314,14 @@ def _build_diagonal_times_constant(params, period, window, mu):
     s0 = np.eye(n, dtype=complex) if s0_seed == 0 else _draw_unitary(n, SplitMix64(s0_seed))
     modes = np.arange(1, _DTC_DEGREE + 1)
 
-    def matrix(t, energy):
-        arg = _TWO_PI * t / period
-        phases = windings * arg
-        phases = phases + cos_coef @ np.cos(modes * arg) + sin_coef @ np.sin(modes * arg)
-        return np.exp(1j * phases)[:, None] * s0
+    def matrix(times, energy):
+        # (n, degree) @ (N, degree, 1): the one-time form's matrix-vector product,
+        # once per time, so a stack matches one-time evaluation bit for bit
+        arg = _TWO_PI * times / period
+        waves = modes[:, None] * arg[:, None, None]
+        phases = windings * arg[:, None]
+        phases = phases + (cos_coef @ np.cos(waves))[:, :, 0] + (sin_coef @ np.sin(waves))[:, :, 0]
+        return np.exp(1j * phases)[:, :, None] * s0
 
     return n, matrix, norm
 
@@ -317,13 +346,13 @@ def _build_random_smooth_path(params, period, window, mu):
         sin_terms.append(_draw_hermitian(n, rng, amplitude / (1.0 + m)))
     s0 = _draw_unitary(n, rng)
 
-    def matrix(t, energy):
-        arg = _TWO_PI * t / period
-        h = const.copy()
+    def matrix(times, energy):
+        arg = _TWO_PI * times[:, None, None] / period
+        h = np.broadcast_to(const, (times.shape[0], n, n))
         for m in range(1, degree + 1):
-            h += cos_terms[m - 1] * np.cos(m * arg) + sin_terms[m - 1] * np.sin(m * arg)
+            h = h + (cos_terms[m - 1] * np.cos(m * arg) + sin_terms[m - 1] * np.sin(m * arg))
         vals, vecs = np.linalg.eigh(h)
-        return (vecs * np.exp(1j * vals)) @ vecs.conj().T @ s0
+        return (vecs * np.exp(1j * vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2) @ s0
 
     norm = {"n": float(n), "seed": float(seed), "degree": float(degree), "amplitude": amplitude}
     return n, matrix, norm
@@ -621,8 +650,8 @@ def reparameterized(model: PumpModel, amplitude: float = 0.1) -> PumpModel:
     """The same pump traversed along the warped time ``t -> f(t)``."""
     f, _ = time_warp(model.period, amplitude)
 
-    def matrix(t, energy):
-        return model.matrix_fn(f(t), energy)
+    def matrix(times, energy):
+        return model.matrix_fn(f(times), energy)
 
     return PumpModel(
         name=f"{model.name}+warp",

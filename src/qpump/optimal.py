@@ -9,11 +9,10 @@ diagonal unitary times a constant one.  This module measures all three.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .matcore import DEFAULT_TOLERANCES, CycleGrid, Tolerances, UnitaryMatrix
+from .matcore import DEFAULT_TOLERANCES, CycleGrid, Tolerances, UnitaryMatrix, frobenius_norm
 from .models import PumpModel
 from .shift import EnergyShift, energy_shift_cycle, sample_cycle
 from .transport import bound_residual, dissipation
@@ -30,18 +29,21 @@ __all__ = [
 MOTIONLESS_NORM = 1e-14
 
 
-def offdiag_ratio(e: EnergyShift) -> float:
+def offdiag_ratio(e: EnergyShift) -> float | np.ndarray:
     """Relative off-diagonal weight ``||offdiag(E)||_F / ||E||_F``.
 
     Scale free, so slow and fast cycles are judged alike.  A motionless
-    pump (vanishing energy shift) is vacuously optimal: ratio 0.
+    pump (vanishing energy shift) is vacuously optimal: ratio 0.  A float
+    at one time, an (N,) array over a stack.
     """
     m = e.array
-    total = float(np.linalg.norm(m))
-    if total < MOTIONLESS_NORM:
-        return 0.0
-    off = m - np.diag(np.diag(m))
-    return float(np.linalg.norm(off)) / total
+    total = frobenius_norm(m)
+    off = m.copy()
+    diag = np.arange(m.shape[-1])
+    off[..., diag, diag] = 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(total < MOTIONLESS_NORM, 0.0, frobenius_norm(off) / total)
+    return ratio if ratio.ndim else float(ratio)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,40 +77,41 @@ class OptimalityVerdict:
     decomposition: DiagonalDecomposition | None
 
 
-def _saturation_flags(shifts: Sequence[EnergyShift], tol: Tolerances) -> tuple[bool, ...]:
-    residuals = np.stack([bound_residual(e) for e in shifts])
-    totals = np.stack([dissipation(e).total for e in shifts])
-    worst = residuals.max(axis=0)
-    scale = totals.max(axis=0)
+def _saturation_flags(shifts: EnergyShift, tol: Tolerances) -> tuple[bool, ...]:
+    worst = bound_residual(shifts).max(axis=0)
+    scale = dissipation(shifts).total.max(axis=0)
     # tol_opt bounds the off-diagonal *ratio*; residuals scale with its
     # square.  The eps floor absorbs rounding in the subtraction.
-    threshold = max(DEFAULT_TOLERANCES.tol_opt**2, 64.0 * np.finfo(float).eps) * scale
-    threshold = np.maximum(threshold, tol.tol_opt**2 * scale)
-    return tuple(bool(w <= th) for w, th in zip(worst, threshold))
+    threshold = np.maximum(64.0 * np.finfo(float).eps * scale, tol.tol_opt**2 * scale)
+    return tuple(bool(b) for b in worst <= threshold)
 
 
 def optimality_verdict(model: PumpModel, mu: float, grid: CycleGrid,
                        tolerances: Tolerances | None = None,
-                       shifts: Sequence[EnergyShift] | None = None) -> OptimalityVerdict:
+                       shifts: EnergyShift | None = None,
+                       samples: np.ndarray | None = None) -> OptimalityVerdict:
     """Sweep the cycle and judge optimality.
 
-    Precomputed ``shifts`` may be passed to avoid resampling; they must
-    come from the same (model, mu, grid).
+    Precomputed ``samples`` (S(t, mu) on the grid) and ``shifts`` (their
+    energy-shift stack) may be passed to avoid resampling; they must come
+    from the same (model, mu, grid).
     """
     tol = tolerances or DEFAULT_TOLERANCES
     if shifts is None:
-        shifts = energy_shift_cycle(model, mu, grid, tol)
-    ratios = np.array([offdiag_ratio(e) for e in shifts])
+        if samples is None:
+            samples = sample_cycle(model, mu, grid)
+        shifts = energy_shift_cycle(model, mu, grid, tol, samples=samples)
+    ratios = offdiag_ratio(shifts)
     worst_index = int(np.argmax(ratios))
     max_ratio = float(ratios[worst_index])
     is_optimal = max_ratio < tol.tol_opt
     decomposition = None
     if is_optimal:
-        decomposition = diagonal_decomposition(model, mu, grid)
+        decomposition = diagonal_decomposition(model, mu, grid, samples=samples)
     return OptimalityVerdict(
         is_optimal=is_optimal,
         max_offdiag_ratio=max_ratio,
-        worst_time=float(shifts[worst_index].t),
+        worst_time=float(shifts.t[worst_index]),
         per_channel_saturation=_saturation_flags(shifts, tol),
         decomposition=decomposition,
     )
@@ -116,7 +119,8 @@ def optimality_verdict(model: PumpModel, mu: float, grid: CycleGrid,
 
 def diagonal_decomposition(model: PumpModel, mu: float, grid: CycleGrid,
                            offdiag_tol: float = 1e-8,
-                           recon_tol: float = 1e-8) -> DiagonalDecomposition | None:
+                           recon_tol: float = 1e-8,
+                           samples: np.ndarray | None = None) -> DiagonalDecomposition | None:
     """Try to factor the cycle as ``S(t) = U_d(t) S0``.
 
     Anchors ``S0 = S(t_0)`` (any fixed gauge works; the first node is
@@ -124,9 +128,10 @@ def diagonal_decomposition(model: PumpModel, mu: float, grid: CycleGrid,
     exists when every M is diagonal: then ``U_d = diag(M)`` up to
     rounding.  Absence is a value, not an error -- ``None`` is returned
     when any off-diagonal entry of M reaches ``offdiag_tol`` or the
-    reconstruction error reaches ``recon_tol``.
+    reconstruction error reaches ``recon_tol``.  ``samples`` may supply
+    S(t, mu) on the grid.
     """
-    s = sample_cycle(model, mu, grid)
+    s = sample_cycle(model, mu, grid) if samples is None else samples
     s0 = s[0]
     m = np.einsum("tij,kj->tik", s, s0.conj())
     off = m - m * np.eye(model.n_channels)[None, :, :]

@@ -9,20 +9,21 @@ byte-identical reports.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote  # what json.dumps does to a str
 
 import numpy as np
 
-from .errors import NumericalFailure
-from .matcore import CycleGrid, periodic_integral
+from .errors import ConfigError, NumericalFailure
+from .matcore import CycleGrid
 from .models import ModelConfig, build_model
 from .optimal import OptimalityVerdict, offdiag_ratio, optimality_verdict
-from .shift import delay_scale, energy_shift_at, energy_shift_cycle
+from .shift import delay_scale, energy_shift_at, energy_shift_cycle, sample_cycle
 from .transport import (
     CycleReport,
     InstantReport,
     cycle_charge,
+    cycle_integral,
     dissipation,
     instant_report,
     winding_charge,
@@ -45,36 +46,37 @@ ADIABATICITY_WARN = 0.1
 
 
 def format_float(value: float) -> str:
-    """17-significant-digit decimal form that parses back to the same double."""
+    """17-significant-digit decimal form that parses back to the same double.
+
+    Raises :class:`NumericalFailure` on NaN and +/-inf, which strict JSON
+    cannot carry.
+    """
     out = format(float(value), ".17g")
-    if not any(c in out for c in ".eE"):
+    if "." not in out and "e" not in out:
+        if out in ("nan", "inf", "-inf"):
+            raise NumericalFailure(f"non-finite value {out} in the report")
         out += ".0"
     return out
 
 
 def _emit(obj, indent: int, out: list) -> None:
     pad = "  " * indent
-    if isinstance(obj, dict):
+    if isinstance(obj, (dict, list, tuple)):
+        is_dict = isinstance(obj, dict)
+        brackets = "{}" if is_dict else "[]"
         if not obj:
-            out.append("{}")
+            out.append(brackets)
             return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append(f"{pad}  {json.dumps(str(key))}: ")
+        out.append(brackets[0] + "\n")
+        for i, (key, value) in enumerate(obj.items() if is_dict else enumerate(obj)):
+            out.append(f"{pad}  {_quote(str(key))}: " if is_dict else pad + "  ")
             _emit(value, indent + 1, out)
             out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(items):
-            out.append(pad + "  ")
-            _emit(value, indent + 1, out)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "]")
+        out.append(pad + brackets[1])
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f" and obj.size:
+        items = pad + "  "
+        out.append("[\n" + items + (",\n" + items).join(map(format_float, obj.tolist()))
+                   + "\n" + pad + "]")
     elif isinstance(obj, np.ndarray):
         _emit(obj.tolist(), indent, out)
     elif isinstance(obj, (bool, np.bool_)):
@@ -86,7 +88,7 @@ def _emit(obj, indent: int, out: list) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(format_float(float(obj)))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(_quote(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -99,19 +101,15 @@ def dumps(obj) -> str:
     return "".join(out)
 
 
-def _instant_entry(report: InstantReport, with_beta: bool) -> dict:
-    entry = {
-        "t": report.t,
-        "Qdot": report.qdot,
-        "D": report.total_dissipation,
-        "Xs": report.excess,
-        "r": report.residual,
-    }
-    if with_beta:
-        entry["Sdot"] = report.sdot
-        entry["Ndot"] = report.ndot
-    entry["regime_ok"] = report.regime_ok
-    return entry
+def _instant_entries(report: InstantReport) -> list[dict]:
+    """Document entries of a report, one per time (one for a one-time report)."""
+    columns = {"Qdot": report.qdot, "D": report.total_dissipation,
+               "Xs": report.excess, "r": report.residual}
+    if report.sdot is not None:
+        columns.update(Sdot=report.sdot, Ndot=report.ndot)
+    keys = ["t", *columns]
+    rows = zip(np.atleast_1d(report.t), *map(np.atleast_2d, columns.values()))
+    return [{**dict(zip(keys, row)), "regime_ok": report.regime_ok} for row in rows]
 
 
 def _verdict_entry(verdict: OptimalityVerdict) -> dict:
@@ -134,34 +132,31 @@ def _verdict_entry(verdict: OptimalityVerdict) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class AnalysisResult:
-    """Analysis outputs: the JSON document plus CSV text of the time series."""
+    """Analysis outputs: the JSON document, the stacked per-time report and
+    off-diagonal ratios behind its time series, and the cycle summary."""
 
     document: dict
-    csv_text: str
-    instants: list
+    instants: InstantReport
+    ratios: np.ndarray
     cycle: CycleReport
     verdict: OptimalityVerdict
 
-
-def _csv_text(instants, ratios, n: int, with_beta: bool) -> str:
-    columns = ["t"]
-    columns += [f"Qdot_{j + 1}" for j in range(n)]
-    columns += [f"D_{j + 1}" for j in range(n)]
-    if with_beta:
-        columns += [f"Sdot_{j + 1}" for j in range(n)]
-        columns += [f"Ndot_{j + 1}" for j in range(n)]
-    columns.append("rho")
-    lines = [",".join(columns)]
-    for report, rho in zip(instants, ratios):
-        row = [format_float(report.t)]
-        row += [format_float(x) for x in report.qdot]
-        row += [format_float(x) for x in report.total_dissipation]
-        if with_beta:
-            row += [format_float(x) for x in report.sdot]
-            row += [format_float(x) for x in report.ndot]
-        row.append(format_float(rho))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    @property
+    def csv_text(self) -> str:
+        """The time series as CSV: ``t, Qdot_1..n, D_1..n[, Sdot_1..n,
+        Ndot_1..n], rho``; formatted on demand."""
+        report = self.instants
+        blocks = [report.qdot, report.total_dissipation]
+        names = ["Qdot", "D"]
+        if report.sdot is not None:
+            blocks += [report.sdot, report.ndot]
+            names += ["Sdot", "Ndot"]
+        n = report.qdot.shape[1]
+        header = ["t"] + [f"{name}_{j + 1}" for name in names for j in range(n)] + ["rho"]
+        table = np.column_stack([report.t, *blocks, self.ratios])
+        lines = [",".join(header)]
+        lines += [",".join(map(format_float, row)) for row in table.tolist()]
+        return "\n".join(lines) + "\n"
 
 
 def analyze(config: ModelConfig) -> AnalysisResult:
@@ -169,22 +164,23 @@ def analyze(config: ModelConfig) -> AnalysisResult:
     model = build_model(config)
     grid = CycleGrid(config.period, config.samples)
     tol = config.tolerances
+    mu = config.mu
 
-    shifts = energy_shift_cycle(model, config.mu, grid, tol)
-    tau = delay_scale(model, config.mu, grid)
+    # S(t, mu) is sampled once; every stage below reuses it.
+    samples = sample_cycle(model, mu, grid)
+    shifts = energy_shift_cycle(model, mu, grid, tol, samples=samples)
+    tau = delay_scale(model, mu, grid, samples=samples)
     omega = 2.0 * np.pi / model.period
     epsilon = omega * tau
 
-    instants = [
-        instant_report(e, beta=config.beta, omega=omega, tau=tau) for e in shifts
-    ]
-    ratios = [offdiag_ratio(e) for e in shifts]
-    verdict = optimality_verdict(model, config.mu, grid, tol, shifts=shifts)
+    instants = instant_report(shifts, beta=config.beta, omega=omega, tau=tau)
+    ratios = offdiag_ratio(shifts)
+    verdict = optimality_verdict(model, mu, grid, tol, shifts=shifts, samples=samples)
 
-    charge = cycle_charge(model, config.mu, grid, tol, shifts=shifts)
+    charge = cycle_charge(model, mu, grid, tol, shifts=shifts)
     winding = None
     if verdict.is_optimal:
-        winding = winding_charge(model, config.mu, grid, tol)
+        winding = winding_charge(model, mu, grid, tol, samples=samples, shifts=shifts)
         gap = float(np.max(np.abs(charge - winding)))
         if gap >= tol.tol_charge:
             raise NumericalFailure(
@@ -192,10 +188,7 @@ def analyze(config: ModelConfig) -> AnalysisResult:
                 f"(tol_charge {tol.tol_charge:g})"
             )
 
-    rates = np.stack([dissipation(e).total for e in shifts])
-    dissipated = np.array([
-        periodic_integral(rates[:, j], grid).real for j in range(model.n_channels)
-    ])
+    dissipated = cycle_integral(dissipation(shifts).total, grid)
 
     cycle = CycleReport(
         charge=charge,
@@ -208,18 +201,18 @@ def analyze(config: ModelConfig) -> AnalysisResult:
     )
 
     warnings: list[str] = []
-    herm_notes = [e.warning for e in shifts if e.warning is not None]
-    if herm_notes:
+    flagged = np.flatnonzero(shifts.herm_defect >= tol.tol_herm)
+    if flagged.size:
         warnings.append(
-            f"elevated hermiticity defect on {len(herm_notes)} of {len(shifts)} samples; "
-            f"worst: {herm_notes[0]}"
+            f"elevated hermiticity defect on {flagged.size} of {len(shifts)} samples; "
+            f"worst: {shifts[flagged[0]].warning}"
         )
     if epsilon >= ADIABATICITY_WARN:
         warnings.append(
             f"adiabaticity parameter {epsilon:.6g} >= {ADIABATICITY_WARN}; "
             "the instantaneous description is questionable for this cycle"
         )
-    if config.beta is not None and instants and not instants[0].regime_ok:
+    if config.beta is not None and not instants.regime_ok:
         warnings.append(
             "entropy/noise regime check failed: need omega < 1/beta < 1/tau"
         )
@@ -227,7 +220,7 @@ def analyze(config: ModelConfig) -> AnalysisResult:
     document = {
         "config": config.raw,
         "adiabaticity": epsilon,
-        "instants": [_instant_entry(r, config.beta is not None) for r in instants],
+        "instants": _instant_entries(instants),
         "cycle": {
             "charge": charge,
             "winding": None if winding is None else [int(w) for w in winding],
@@ -248,17 +241,14 @@ def analyze(config: ModelConfig) -> AnalysisResult:
             },
         },
     }
-    csv_text = _csv_text(instants, ratios, model.n_channels, config.beta is not None)
     return AnalysisResult(
-        document=document, csv_text=csv_text, instants=instants,
+        document=document, instants=instants, ratios=ratios,
         cycle=cycle, verdict=verdict,
     )
 
 
 def instant_document(config: ModelConfig, t: float) -> dict:
     """Single-time report for ``pump instant`` (t in [0, period))."""
-    from .errors import ConfigError
-
     if not (0.0 <= t < config.period):
         raise ConfigError("t", f"must lie in [0, {config.period!r}), got {t!r}")
     model = build_model(config)
@@ -267,4 +257,4 @@ def instant_document(config: ModelConfig, t: float) -> dict:
     tau = delay_scale(model, config.mu, grid)
     omega = 2.0 * np.pi / model.period
     report = instant_report(e, beta=config.beta, omega=omega, tau=tau)
-    return _instant_entry(report, config.beta is not None)
+    return _instant_entries(report)[0]

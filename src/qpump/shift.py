@@ -22,6 +22,7 @@ from .matcore import (
     HermitianMatrix,
     Tolerances,
     central_derivative,
+    hermitian_part,
     spectral_derivative,
 )
 from .models import PumpModel
@@ -52,46 +53,58 @@ ENERGY_STEP_FRACTION = 1e-4
 
 @dataclass(frozen=True, eq=False)
 class EnergyShift:
-    """Energy shift at one cycle time (units of energy, hbar = 1).
+    """Energy shift at one cycle time or over N of them (units of energy, hbar = 1).
 
-    ``matrix`` is stored exactly Hermitian; ``herm_defect`` is the
-    relative anti-Hermitian residue of the raw product before
-    symmetrization, kept for diagnostics.  ``warning`` is set when the
-    defect exceeds the configured warning tolerance.
+    ``array`` is stored exactly Hermitian, shape (n, n) at one time and
+    (N, n, n) over N times; ``t`` and ``herm_defect`` -- the relative
+    anti-Hermitian residue of the raw product before symmetrization -- are
+    then scalars or (N,) arrays.  Indexing a stack gives the shift at one
+    time (a slice gives a shorter stack) and iterating it visits every
+    time.  ``warning`` is set where the defect reaches ``tol_herm``.
     """
 
-    matrix: HermitianMatrix
-    t: float
+    array: np.ndarray
+    t: float | np.ndarray
     mu: float
-    herm_defect: float
-    warning: str | None = None
+    herm_defect: float | np.ndarray
+    tol_herm: float = DEFAULT_TOLERANCES.tol_herm
+
+    def __len__(self) -> int:
+        return len(self.t)  # TypeError at one time, where t is a float
+
+    def __getitem__(self, index) -> "EnergyShift":
+        t, defect = self.t[index], self.herm_defect[index]
+        if not isinstance(index, slice):
+            t, defect = float(t), float(defect)
+        return EnergyShift(self.array[index], t, self.mu, defect, self.tol_herm)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
     @property
-    def array(self) -> np.ndarray:
-        return self.matrix.array
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.dim
+    def warning(self) -> str | None:
+        """Warning text at one time; None below ``tol_herm``."""
+        if not self.herm_defect >= self.tol_herm:
+            return None
+        return (
+            f"hermiticity defect {self.herm_defect:.3e} at t={self.t:.6g} exceeds "
+            f"{self.tol_herm:g}"
+        )
 
     @classmethod
     def from_matrix(cls, array, t: float = 0.0, mu: float = 0.0) -> "EnergyShift":
         """Wrap an explicit (near-)Hermitian matrix, e.g. for tests."""
         herm = HermitianMatrix(array)
-        return cls(herm, float(t), float(mu), herm.hermiticity_defect)
+        return cls(herm.array, float(t), float(mu), herm.hermiticity_defect)
 
 
 @dataclass(frozen=True, eq=False)
 class TimeDelay:
-    """Wigner time delay at one cycle time (units of time)."""
+    """Wigner time delay at one cycle time (units of time), stored exactly Hermitian."""
 
-    matrix: HermitianMatrix
+    array: np.ndarray
     t: float
     mu: float
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.matrix.array
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,43 +127,36 @@ def sample_cycle(model: PumpModel, mu: float, grid: CycleGrid) -> np.ndarray:
         raise GridMismatch(
             f"grid period {grid.period!r} differs from model period {model.period!r}"
         )
-    return np.stack([model.eval(t, mu).array for t in grid.times])
+    return model.sample(grid.times, mu)
 
 
-def _shift_at_node(s, ds, index, t, mu, tolerances) -> EnergyShift:
-    raw = 1j * (ds[index] @ s[index].conj().T)
-    herm = HermitianMatrix(raw)
-    defect = herm.hermiticity_defect
-    if defect > HARD_HERM_LIMIT:
+def _shift_stack(s, ds, times, mu, tolerances) -> EnergyShift:
+    """Symmetrized ``i dS/dt S^dag`` over a stack, certified against
+    ``HARD_HERM_LIMIT`` at every time."""
+    herm, defect = hermitian_part(1j * (ds @ s.conj().swapaxes(1, 2)))
+    over = defect > HARD_HERM_LIMIT
+    if over.any():
+        i = int(np.argmax(over))
         raise NumericalFailure(
-            f"hermiticity defect {defect:.3e} at t={t:.6g} exceeds {HARD_HERM_LIMIT:g}; "
+            f"hermiticity defect {defect[i]:.3e} at t={times[i]:.6g} exceeds {HARD_HERM_LIMIT:g}; "
             "the grid does not resolve the cycle"
         )
-    warning = None
-    if defect >= tolerances.tol_herm:
-        warning = (
-            f"hermiticity defect {defect:.3e} at t={t:.6g} exceeds "
-            f"{tolerances.tol_herm:g}"
-        )
-    return EnergyShift(herm, float(t), float(mu), defect, warning)
+    return EnergyShift(herm, times, float(mu), defect, tolerances.tol_herm)
 
 
 def energy_shift_cycle(model: PumpModel, mu: float, grid: CycleGrid,
-                       tolerances: Tolerances | None = None) -> list[EnergyShift]:
-    """Energy shift ``i dS/dt S^dag`` at every grid time.
+                       tolerances: Tolerances | None = None,
+                       samples: np.ndarray | None = None) -> EnergyShift:
+    """Energy shift ``i dS/dt S^dag`` at every grid time, as one stack.
 
-    The sampled matrices are differentiated entrywise by FFT and
-    multiplied by S^dag node by node, then symmetrized.  Raises
+    S(t, mu) -- sampled, or ``samples`` when at hand -- is differentiated
+    entrywise by FFT, multiplied by S^dag and symmetrized.  Raises
     :class:`NumericalFailure` when any pre-symmetrization defect exceeds
     ``HARD_HERM_LIMIT`` (an under-resolved grid).
     """
-    tol = tolerances or DEFAULT_TOLERANCES
-    s = sample_cycle(model, mu, grid)
-    ds = spectral_derivative(s, grid)
-    return [
-        _shift_at_node(s, ds, i, grid.times[i], mu, tol)
-        for i in range(grid.samples)
-    ]
+    s = sample_cycle(model, mu, grid) if samples is None else samples
+    return _shift_stack(s, spectral_derivative(s, grid), grid.times, mu,
+                        tolerances or DEFAULT_TOLERANCES)
 
 
 def energy_shift_at(model: PumpModel, t: float, mu: float, grid: CycleGrid,
@@ -160,10 +166,10 @@ def energy_shift_at(model: PumpModel, t: float, mu: float, grid: CycleGrid,
     Samples the cycle on the uniform grid offset so that ``t`` is its
     first node; FFT differentiation is insensitive to the origin shift.
     """
-    tol = tolerances or DEFAULT_TOLERANCES
-    s = np.stack([model.eval(t + ti, mu).array for ti in grid.times])
+    s = model.sample(t + grid.times, mu)
     ds = spectral_derivative(s, grid)
-    return _shift_at_node(s, ds, 0, t, mu, tol)
+    return _shift_stack(s[:1], ds[:1], np.array([float(t)]), mu,
+                        tolerances or DEFAULT_TOLERANCES)[0]
 
 
 def energy_shift_fd(model: PumpModel, t: float, mu: float, grid: CycleGrid,
@@ -174,21 +180,11 @@ def energy_shift_fd(model: PumpModel, t: float, mu: float, grid: CycleGrid,
     step ``T/(8N)`` instead of the FFT route; useful for validating the
     spectral pipeline on a new model.
     """
-    tol = tolerances or DEFAULT_TOLERANCES
     step = grid.period / (8.0 * grid.samples)
-    s = model.eval(t, mu).array
-    ds_dt = central_derivative(lambda u: model.eval(u, mu).array, t, step)
-    raw = 1j * (ds_dt @ s.conj().T)
-    herm = HermitianMatrix(raw)
-    if herm.hermiticity_defect > HARD_HERM_LIMIT:
-        raise NumericalFailure(
-            f"hermiticity defect {herm.hermiticity_defect:.3e} at t={t:.6g} "
-            f"exceeds {HARD_HERM_LIMIT:g}"
-        )
-    warning = None
-    if herm.hermiticity_defect >= tol.tol_herm:
-        warning = f"hermiticity defect {herm.hermiticity_defect:.3e} at t={t:.6g}"
-    return EnergyShift(herm, float(t), float(mu), herm.hermiticity_defect, warning)
+    times = np.array([float(t)])
+    ds_dt = central_derivative(lambda u: model.sample([u], mu), float(t), step)
+    return _shift_stack(model.sample(times, mu), ds_dt, times, mu,
+                        tolerances or DEFAULT_TOLERANCES)[0]
 
 
 def energy_shift_rows(model: PumpModel, mu: float, grid: CycleGrid) -> np.ndarray:
@@ -202,21 +198,17 @@ def energy_shift_rows(model: PumpModel, mu: float, grid: CycleGrid) -> np.ndarra
     """
     s = sample_cycle(model, mu, grid)
     ds = spectral_derivative(s, grid)
-    n = model.n_channels
-    out = np.empty_like(s)
-    for i in range(grid.samples):
-        for j in range(n):
-            for k in range(n):
-                out[i, j, k] = 1j * np.vdot(s[i, k, :], ds[i, j, :])
-    return out
+    return 1j * np.einsum("tki,tji->tjk", s.conj(), ds)
 
 
-def time_delay(model: PumpModel, t: float, mu: float, dE: float) -> TimeDelay:
-    """Wigner time delay ``-i dS/dE S^dag`` at (t, mu).
+def _delay_raw(model: PumpModel, times: np.ndarray, mu: float, dE: float,
+               samples: np.ndarray | None = None) -> np.ndarray:
+    """Unsymmetrized ``-i dS/dE S^dag`` at each time, (N, n, n).
 
     The energy derivative uses a fourth-order central difference with
     step ``dE``, whose stencil reaches mu +/- 2*dE; all five stencil
-    energies must lie inside the model's window.
+    energies must lie inside the model's window.  ``samples`` may supply
+    S(times, mu), leaving the four stencil energies to be sampled.
     """
     if dE <= 0:
         raise ValueError("dE must be positive")
@@ -226,24 +218,26 @@ def time_delay(model: PumpModel, t: float, mu: float, dE: float) -> TimeDelay:
             f"stencil [mu-2dE, mu+2dE] = [{mu - 2 * dE:g}, {mu + 2 * dE:g}] "
             f"exceeds window [{lo:g}, {hi:g}]"
         )
-    s = model.eval(t, mu).array
-    ds_de = central_derivative(lambda energy: model.eval(t, energy).array, mu, dE)
-    return TimeDelay(HermitianMatrix(-1j * (ds_de @ s.conj().T)), float(t), float(mu))
+    s = model.sample(times, mu) if samples is None else samples
+    ds_de = central_derivative(lambda energy: model.sample(times, energy), mu, dE)
+    return -1j * (ds_de @ s.conj().swapaxes(1, 2))
 
 
-def _default_de(model: PumpModel) -> float:
-    lo, hi = model.energy_window
-    return ENERGY_STEP_FRACTION * (hi - lo)
+def time_delay(model: PumpModel, t: float, mu: float, dE: float) -> TimeDelay:
+    """Wigner time delay ``-i dS/dE S^dag`` at (t, mu), by a fourth-order
+    central difference with step ``dE`` (see :func:`_delay_raw`)."""
+    delay, _ = hermitian_part(_delay_raw(model, np.array([float(t)]), mu, dE)[0])
+    return TimeDelay(delay, float(t), float(mu))
 
 
 def delay_scale(model: PumpModel, mu: float, grid: CycleGrid,
-                dE: float | None = None) -> float:
-    """Largest spectral norm of the time delay over the cycle (tau)."""
-    step = _default_de(model) if dE is None else dE
-    return max(
-        float(np.linalg.norm(time_delay(model, t, mu, step).array, ord=2))
-        for t in grid.times
-    )
+                dE: float | None = None, samples: np.ndarray | None = None) -> float:
+    """Largest spectral norm of the time delay over the cycle (tau); the
+    stencil centre reuses ``samples`` (S(t, mu) on the grid) if given."""
+    lo, hi = model.energy_window
+    step = ENERGY_STEP_FRACTION * (hi - lo) if dE is None else dE
+    delays, _ = hermitian_part(_delay_raw(model, grid.times, mu, step, samples))
+    return float(np.max(np.linalg.norm(delays, ord=2, axis=(1, 2))))
 
 
 def adiabaticity(model: PumpModel, mu: float, grid: CycleGrid,
@@ -265,6 +259,6 @@ def velocity_split(e: EnergyShift) -> VelocitySplit:
     (motion in projective space); their sum is the diagonal of E^2.
     """
     mags = np.abs(e.array) ** 2
-    fiber = np.diag(mags).copy()
-    base = mags.sum(axis=1) - fiber
+    fiber = np.diagonal(mags, axis1=-2, axis2=-1).copy()
+    base = mags.sum(axis=-1) - fiber
     return VelocitySplit(fiber=fiber, base=base)

@@ -40,6 +40,7 @@ __all__ = [
     "OutgoingSymbol",
     "outgoing_symbol",
     "dissipation_from_symbol",
+    "cycle_integral",
     "cycle_charge",
     "winding_charge",
     "dequantization_sweep",
@@ -52,21 +53,25 @@ _TWO_PI = 2.0 * np.pi
 _FOUR_PI = 4.0 * np.pi
 
 
+def _diagonal(m: np.ndarray) -> np.ndarray:
+    return np.diagonal(m, axis1=-2, axis2=-1)
+
+
 def _square_diagonal(e: EnergyShift) -> np.ndarray:
     """Diagonal of E^2 via the matrix product (real for Hermitian E)."""
     m = e.array
-    return np.real(np.einsum("jk,kj->j", m, m))
+    return np.real(np.einsum("...jk,...kj->...j", m, m))
 
 
 def _offdiagonal_weight(e: EnergyShift) -> np.ndarray:
     """Per-channel sum_{k != j} |E_jk|^2, summed entry by entry."""
     mags = np.abs(e.array) ** 2
-    return mags.sum(axis=1) - np.diag(mags)
+    return mags.sum(axis=-1) - _diagonal(mags)
 
 
 def instantaneous_current(e: EnergyShift) -> np.ndarray:
     """Net current into each reservoir: ``Qdot_j = E_jj / 2pi``."""
-    return np.real(np.diag(e.array)) / _TWO_PI
+    return np.real(_diagonal(e.array)) / _TWO_PI
 
 
 class Dissipation(NamedTuple):
@@ -148,7 +153,7 @@ class OutgoingSymbol:
 def outgoing_symbol(e: EnergyShift) -> OutgoingSymbol:
     """First two moments of the outgoing distribution around mu."""
     return OutgoingSymbol(
-        delta_weight=np.real(np.diag(e.array)).copy(),
+        delta_weight=np.real(_diagonal(e.array)).copy(),
         delta_prime_weight=-0.5 * _square_diagonal(e),
         mu=e.mu,
     )
@@ -166,9 +171,16 @@ def dissipation_from_symbol(symbol: OutgoingSymbol) -> np.ndarray:
     return -symbol.delta_prime_weight / _TWO_PI
 
 
+def cycle_integral(rates: np.ndarray, grid: CycleGrid) -> np.ndarray:
+    """Integral over one period of each column of an (N, n) rate table."""
+    return np.array([
+        periodic_integral(rates[:, j], grid).real for j in range(rates.shape[1])
+    ])
+
+
 def cycle_charge(model: PumpModel, mu: float, grid: CycleGrid,
                  tolerances: Tolerances | None = None,
-                 shifts: Sequence[EnergyShift] | None = None) -> np.ndarray:
+                 shifts: EnergyShift | None = None) -> np.ndarray:
     """Charge pumped into each reservoir over one cycle (units of e).
 
     Time integral of the instantaneous current; positive entries mean
@@ -176,14 +188,13 @@ def cycle_charge(model: PumpModel, mu: float, grid: CycleGrid,
     """
     if shifts is None:
         shifts = energy_shift_cycle(model, mu, grid, tolerances)
-    qdot = np.stack([instantaneous_current(e) for e in shifts])
-    return np.array([
-        periodic_integral(qdot[:, j], grid).real for j in range(qdot.shape[1])
-    ])
+    return cycle_integral(instantaneous_current(shifts), grid)
 
 
 def winding_charge(model: PumpModel, mu: float, grid: CycleGrid,
-                   tolerances: Tolerances | None = None) -> np.ndarray:
+                   tolerances: Tolerances | None = None,
+                   samples: np.ndarray | None = None,
+                   shifts: EnergyShift | None = None) -> np.ndarray:
     """Integer winding of each scattering-matrix row over the cycle.
 
     Tracks the phase of each row against its start and counts full turns;
@@ -196,44 +207,42 @@ def winding_charge(model: PumpModel, mu: float, grid: CycleGrid,
     Raises :class:`NotOptimal` when the off-diagonal ratio of the energy
     shift anywhere exceeds ``tol_opt``: for a non-optimal pump the rows
     change direction, not just phase, and no integer winding exists.
+    ``samples`` (S(t, mu) on the grid) and ``shifts`` (its energy shift)
+    may be passed to avoid recomputing them.
     """
     tol = tolerances or DEFAULT_TOLERANCES
     from .optimal import offdiag_ratio  # deferred: optimal depends on this module
 
-    shifts = energy_shift_cycle(model, mu, grid, tol)
-    worst = max(offdiag_ratio(e) for e in shifts)
+    s = sample_cycle(model, mu, grid) if samples is None else samples
+    if shifts is None:
+        shifts = energy_shift_cycle(model, mu, grid, tol, samples=s)
+    worst = float(np.max(offdiag_ratio(shifts)))
     if worst >= tol.tol_opt:
         raise NotOptimal(
             f"max off-diagonal ratio {worst:.3e} >= tol_opt {tol.tol_opt:g}; "
             "winding numbers are defined for optimal pumps only"
         )
 
-    s = sample_cycle(model, mu, grid)
-    half = 0.5 * grid.dt
-    mids = np.stack([model.eval(t + half, mu).array for t in grid.times])
-    n = model.n_channels
-    total = np.zeros(n)
-    for i in range(grid.samples):
-        a = s[i]
-        m = mids[i]
-        b = s[(i + 1) % grid.samples]
-        for j in range(n):
-            z1 = np.vdot(a[j], m[j])
-            z2 = np.vdot(m[j], b[j])
-            if min(abs(z1), abs(z2)) < 1e-12:
-                raise PhaseStepTooLarge(
-                    f"row {j + 1} overlap vanishes across one grid interval; refine the grid"
-                )
-            step = float(np.angle(z1) + np.angle(z2))
-            if abs(step) >= np.pi:
-                raise PhaseStepTooLarge(
-                    f"row {j + 1} advances {step:.3f} rad across one grid interval "
-                    f"(limit pi); refine the grid"
-                )
-            total[j] += step
+    # Row overlaps <row j at t_i | row j at t_i + dt/2> and on to t_{i+1}.
+    mids = model.sample(grid.times + 0.5 * grid.dt, mu)
+    z1 = np.einsum("tjk,tjk->tj", s.conj(), mids)
+    z2 = np.einsum("tjk,tjk->tj", mids.conj(), np.roll(s, -1, axis=0))
+    vanish = np.minimum(np.abs(z1), np.abs(z2)) < 1e-12
+    steps = np.angle(z1) + np.angle(z2)
+    bad = vanish | (np.abs(steps) >= np.pi)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        if vanish[i, j]:
+            raise PhaseStepTooLarge(
+                f"row {j + 1} overlap vanishes across one grid interval; refine the grid"
+            )
+        raise PhaseStepTooLarge(
+            f"row {j + 1} advances {steps[i, j]:.3f} rad across one grid interval "
+            f"(limit pi); refine the grid"
+        )
     # Phase advance and pumped charge carry opposite signs: a row whose
     # phase grows by 2*pi sends one unit of charge out of its reservoir.
-    return np.rint(-total / _TWO_PI).astype(int)
+    return np.rint(-steps.sum(axis=0) / _TWO_PI).astype(int)
 
 
 def dequantization_sweep(deltas: Sequence[float], mu: float, grid: CycleGrid,
@@ -261,7 +270,8 @@ def dequantization_sweep(deltas: Sequence[float], mu: float, grid: CycleGrid,
 
 @dataclass(frozen=True, eq=False)
 class InstantReport:
-    """Per-channel observables at one cycle time.
+    """Per-channel observables at one cycle time, or over N times (then
+    ``t`` is an (N,) array and every per-channel array is (N, n)).
 
     ``residual`` is the dissipation-bound slack (>= 0 up to rounding)
     and ``excess`` the off-diagonal dissipation; ``sdot``/``ndot`` are
@@ -269,7 +279,7 @@ class InstantReport:
     re-checks the defining identities.
     """
 
-    t: float
+    t: float | np.ndarray
     qdot: np.ndarray
     total_dissipation: np.ndarray
     excess: np.ndarray
@@ -294,9 +304,8 @@ class InstantReport:
 
 def instant_report(e: EnergyShift, beta: float | None = None,
                    omega: float = 0.0, tau: float = 0.0) -> InstantReport:
-    """Assemble the per-time report from one energy shift."""
+    """Assemble the report of an energy shift at one time or over a stack."""
     d = dissipation(e)
-    residual = bound_residual(e)
     sdot = ndot = None
     regime_ok = True
     if beta is not None:
@@ -307,7 +316,7 @@ def instant_report(e: EnergyShift, beta: float | None = None,
         qdot=instantaneous_current(e),
         total_dissipation=d.total,
         excess=d.excess,
-        residual=residual,
+        residual=d.total - d.joule,  # bound_residual(e), without recomputing d
         regime_ok=regime_ok,
         sdot=sdot,
         ndot=ndot,

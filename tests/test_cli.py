@@ -218,3 +218,53 @@ def test_bathtub_rejects_nk_zero(capsys):
     assert main(["bathtub", "--dispersion", "linear", "--kmax", "2", "--nk", "0",
                  "--mu", "1", "--trials", "1", "--seed", "0"]) == 1
     assert "nk" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- non-finite input
+
+
+def test_exit_2_non_finite_report_leaves_no_file(tmp_path, capsys):
+    # a vanishing period overflows the energy shift: the report would need inf/nan
+    doc = dict(BASE_CONFIG)
+    doc["cycle"] = {"period": 1e-300, "samples": 64}
+    cfg = write_config(tmp_path, doc)
+    out, csv = tmp_path / "r.json", tmp_path / "r.csv"
+    assert main(["analyze", "--config", cfg, "--out", str(out), "--csv", str(csv)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "non-finite" in err
+    assert "Traceback" not in err
+    assert not out.exists() and not csv.exists()
+    assert main(["instant", "--config", cfg, "--t", "0.0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-finite" in captured.err
+
+
+def test_exit_2_non_finite_model_samples(tmp_path, capsys):
+    # a huge period overflows the flux phase: the model itself returns nan
+    doc = dict(BASE_CONFIG)
+    doc["cycle"] = {"period": 1e308, "samples": 64}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "model 'flux-loop'" in err and "non-finite" in err and "t=" in err
+    assert not out.exists()
+
+
+def test_format_float_rejects_non_finite():
+    from qpump.errors import NumericalFailure
+
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(NumericalFailure):
+            format_float(value)
+        with pytest.raises(NumericalFailure):
+            dumps({"x": np.array([1.0, value])})
+
+
+def test_dumps_float_array_matches_list_form():
+    values = np.array([0.1, -2.5e-17, 3.0, np.pi, 1e300])
+    doc = {"a": values, "b": {"c": values[:2]}, "e": np.array([]), "m": np.eye(2)}
+    as_lists = {"a": values.tolist(), "b": {"c": values[:2].tolist()}, "e": [],
+                "m": np.eye(2).tolist()}
+    assert dumps(doc) == dumps(as_lists)

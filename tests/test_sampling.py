@@ -1,0 +1,92 @@
+"""Sampling budget: how often an analysis evaluates the model, and where.
+
+Each call of a model's batched ``matrix_fn(times, E)`` is recorded, so the
+tests count grid nodes, not Python calls.  ``analyze`` samples S(t, mu)
+once on the cycle grid and shares it; the time delay adds the four
+stencil energies mu +/- dE, mu +/- 2 dE, and the winding count of an
+optimal pump adds the half-step midpoints.
+"""
+
+import dataclasses
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import qpump.report as report
+from qpump.matcore import CycleGrid
+from qpump.models import ModelConfig
+from qpump.shift import ENERGY_STEP_FRACTION
+
+SAMPLES = 64
+MU = 1.0
+WINDOW = (0.5, 1.5)
+
+PUMPS = [
+    ("flux-loop", {"k_ell": 1.0, "w": 2}, 6),
+    ("diagonal-times-constant", {"n": 3, "w1": 1, "w2": -1, "a1_1": 0.2, "s0_seed": 4}, 6),
+    ("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.2}, 5),
+    ("random-smooth-path", {"n": 3, "seed": 5, "degree": 2}, 5),
+]
+
+
+def config(name, params):
+    return ModelConfig.from_dict({
+        "model": name,
+        "params": params,
+        "cycle": {"period": 1.0, "samples": SAMPLES},
+        "energy": {"mu": MU, "window": list(WINDOW), "samples": 16},
+        "beta": 20.0,
+    })
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Calls of the model's ``matrix_fn`` as (times, energy) pairs."""
+    calls = []
+    build = report.build_model
+
+    def counting_build(cfg):
+        model = build(cfg)
+
+        def matrix_fn(times, energy):
+            calls.append((np.array(times), energy))
+            return model.matrix_fn(times, energy)
+
+        return dataclasses.replace(model, matrix_fn=matrix_fn)
+
+    monkeypatch.setattr(report, "build_model", counting_build)
+    return calls
+
+
+def stencil_energies():
+    step = ENERGY_STEP_FRACTION * (WINDOW[1] - WINDOW[0])
+    return [MU, MU + step, MU - step, MU + 2.0 * step, MU - 2.0 * step]
+
+
+@pytest.mark.parametrize("name,params,per_node", PUMPS, ids=[p[0] for p in PUMPS])
+def test_analyze_eval_budget(recorded, name, params, per_node):
+    result = report.analyze(config(name, params))
+    assert result.verdict.is_optimal == (per_node == 6)
+    assert sum(len(times) for times, _ in recorded) == per_node * SAMPLES
+
+    grid = CycleGrid(1.0, SAMPLES)
+    on_grid = Counter(energy for times, energy in recorded
+                      if np.array_equal(times, grid.times))
+    # each stencil energy exactly once on the cycle grid, nothing else there
+    assert on_grid == Counter(stencil_energies())
+    off_grid = [(times, energy) for times, energy in recorded
+                if not np.array_equal(times, grid.times)]
+    if per_node == 6:
+        [(times, energy)] = off_grid  # the winding count's half-step midpoints
+        assert energy == MU
+        np.testing.assert_array_equal(times, grid.times + 0.5 * grid.dt)
+    else:
+        assert off_grid == []
+
+
+@pytest.mark.parametrize("name,params,per_node", PUMPS, ids=[p[0] for p in PUMPS])
+def test_instant_eval_budget(recorded, name, params, per_node):
+    report.instant_document(config(name, params), 0.3)
+    assert sum(len(times) for times, _ in recorded) == 6 * SAMPLES
+    assert len(recorded) == 6  # one batched call per stack
