@@ -25,9 +25,7 @@ from .matcore import (
     DEFAULT_TOLERANCES,
     PLANCK,
     R_K,
-    ComplexMatrix,
     CycleGrid,
-    HermitianMatrix,
     Tolerances,
     UnitaryMatrix,
     central_derivative,
@@ -42,13 +40,11 @@ from .models import (
     SplitMix64,
     build,
     build_model,
-    eval_s,
     reparameterized,
     time_warp,
 )
 from .shift import (
     EnergyShift,
-    TimeDelay,
     VelocitySplit,
     adiabaticity,
     delay_scale,
@@ -61,7 +57,6 @@ from .shift import (
     velocity_split,
 )
 from .transport import (
-    CycleReport,
     Dissipation,
     EntropyNoise,
     InstantReport,

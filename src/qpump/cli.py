@@ -110,7 +110,7 @@ def _cmd_bathtub(args) -> int:
         raise ConfigError(
             "mu", f"must lie in (0, eps(k_max)] = (0, {float(grid.eps[-1]):g}]"
         )
-    greedy = greedy_minimize(grid, args.mu / (2.0 * 3.141592653589793))
+    greedy = greedy_minimize(grid, args.mu / (2.0 * np.pi))
     _, edot_min = analytic_minimum(args.mu)
     check = verify_bound(grid, args.trials, args.seed, mu=args.mu)
     sys.stdout.write(dumps({

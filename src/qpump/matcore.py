@@ -1,7 +1,9 @@
 """Dense complex matrix numerics on periodic cycles.
 
-Certified unitary/Hermitian wrappers plus spectral differentiation and
-quadrature on uniform periodic time grids.  Natural units are used across
+Stack norms and defects (Frobenius, unitarity, Hermitian part), the
+certified :class:`UnitaryMatrix`, and spectral differentiation and
+quadrature on uniform periodic time grids.  Matrices travel as plain
+``(n, n)`` or ``(N, n, n)`` arrays.  Natural units are used across
 the whole package: hbar = e = 1, so Planck's constant is ``2*pi`` and the
 von Klitzing resistance quantum ``R_K = h/e**2 = 2*pi``.
 
@@ -25,9 +27,7 @@ __all__ = [
     "R_K",
     "Tolerances",
     "DEFAULT_TOLERANCES",
-    "ComplexMatrix",
     "UnitaryMatrix",
-    "HermitianMatrix",
     "CycleGrid",
     "unitarize",
     "frobenius_norm",
@@ -79,83 +79,41 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class ComplexMatrix:
-    """Immutable square complex matrix with certified finite entries."""
-
-    __slots__ = ("_array",)
-
-    def __init__(self, array):
-        a = np.array(getattr(array, "array", array), dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise ValueError("matrix dimension must be at least 1")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        self._array = _frozen(a)
-
-    @property
-    def array(self) -> np.ndarray:
-        return self._array
-
-    @property
-    def dim(self) -> int:
-        return self._array.shape[0]
+def _square_matrix(array) -> np.ndarray:
+    """Read-only complex copy of a square matrix (or of a value's ``array``);
+    :class:`ValueError` unless it is at least 1x1 with finite entries."""
+    a = np.array(getattr(array, "array", array), dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] < 1:
+        raise ValueError("matrix dimension must be at least 1")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    return _frozen(a)
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class UnitaryMatrix:
     """Square complex matrix certified unitary at construction.
 
     Construction fails with :class:`NumericalFailure` if the Frobenius
     defect ``||S^dag S - I||_F`` exceeds ``tol`` (default
-    ``Tolerances.tol_unitary``).
+    ``Tolerances.tol_unitary``).  ``array`` is stored read-only.
     """
 
-    __slots__ = ("inner", "unitarity_defect")
+    array: np.ndarray
+    unitarity_defect: float
 
     def __init__(self, array, tol: float | None = None):
-        inner = array if isinstance(array, ComplexMatrix) else ComplexMatrix(array)
-        defect = float(unitarity_defect(inner.array))
+        a = _square_matrix(array)
+        defect = float(unitarity_defect(a))
         limit = DEFAULT_TOLERANCES.tol_unitary if tol is None else tol
         if defect > limit:
             raise NumericalFailure(
                 f"unitarity defect {defect:.3e} exceeds tolerance {limit:g}"
             )
-        self.inner = inner
-        self.unitarity_defect = defect
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.inner.array
-
-    @property
-    def dim(self) -> int:
-        return self.inner.dim
-
-
-class HermitianMatrix:
-    """Hermitian matrix stored in exactly self-adjoint form.
-
-    The constructor replaces its input M by ``(M + M^dag)/2`` -- an
-    operation that is exactly self-adjoint in IEEE arithmetic -- and
-    records the relative size of the discarded anti-Hermitian part as
-    ``hermiticity_defect`` for diagnostics.
-    """
-
-    __slots__ = ("_array", "hermiticity_defect")
-
-    def __init__(self, array):
-        herm, defect = hermitian_part(ComplexMatrix(array).array)
-        self.hermiticity_defect = float(defect)
-        self._array = _frozen(herm)
-
-    @property
-    def array(self) -> np.ndarray:
-        return self._array
-
-    @property
-    def dim(self) -> int:
-        return self._array.shape[0]
+        object.__setattr__(self, "array", a)
+        object.__setattr__(self, "unitarity_defect", defect)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,8 +186,7 @@ def unitarize(m) -> UnitaryMatrix:
     SingularInput
         If the smallest singular value is at or below 1e-12.
     """
-    a = m.array if hasattr(m, "array") else ComplexMatrix(m).array
-    u, s, vh = np.linalg.svd(a)
+    u, s, vh = np.linalg.svd(_square_matrix(m))
     if s[-1] <= 1e-12:
         raise SingularInput(
             f"smallest singular value {s[-1]:.3e} <= 1e-12; no unitary polar factor"
@@ -237,39 +194,21 @@ def unitarize(m) -> UnitaryMatrix:
     return UnitaryMatrix(u @ vh)
 
 
-def _as_stack(samples, grid: CycleGrid) -> np.ndarray:
-    stack = samples
-    if not isinstance(samples, np.ndarray):
-        stack = np.stack([np.asarray(getattr(s, "array", s), dtype=np.complex128) for s in samples])
-    if stack.shape[0] != grid.samples:
-        raise GridMismatch(
-            f"got {stack.shape[0]} samples for a grid of {grid.samples} nodes"
-        )
-    return stack
-
-
-def spectral_derivative(samples, grid: CycleGrid):
-    """Differentiate a periodic sequence of matrices with respect to time.
+def spectral_derivative(samples: np.ndarray, grid: CycleGrid) -> np.ndarray:
+    """Differentiate an ``(N, ...)`` periodic array with respect to time.
 
     Entrywise Fourier differentiation on the cycle grid: exact for
     trigonometric polynomials of degree < N/2 sampled on N nodes.  The
     Nyquist coefficient (mode N/2) carries no derivative information for
     data sampled on N points and is dropped.
-
-    Accepts either an ``(N, ...)`` complex array (returned as an array) or
-    a sequence of matrices / matrix wrappers (returned as a list of
-    :class:`ComplexMatrix`).
     """
-    wrap = not isinstance(samples, np.ndarray)
-    stack = _as_stack(samples, grid)
     n = grid.samples
+    if samples.shape[0] != n:
+        raise GridMismatch(f"got {samples.shape[0]} samples for a grid of {n} nodes")
     freq = 2j * np.pi * np.fft.fftfreq(n, d=grid.dt)
     freq[n // 2] = 0.0
-    shape = (n,) + (1,) * (stack.ndim - 1)
-    out = np.fft.ifft(np.fft.fft(stack, axis=0) * freq.reshape(shape), axis=0)
-    if wrap:
-        return [ComplexMatrix(m) for m in out]
-    return out
+    shape = (n,) + (1,) * (samples.ndim - 1)
+    return np.fft.ifft(np.fft.fft(samples, axis=0) * freq.reshape(shape), axis=0)
 
 
 def periodic_integral(samples, grid: CycleGrid) -> complex:

@@ -60,7 +60,6 @@ __all__ = [
     "REGISTRY",
     "build",
     "build_model",
-    "eval_s",
     "time_warp",
     "reparameterized",
 ]
@@ -171,11 +170,6 @@ class PumpModel:
     def eval(self, t: float, energy: float) -> UnitaryMatrix:
         """Frozen scattering matrix at time t and energy E (certified unitary)."""
         return UnitaryMatrix(self.sample([float(t)], energy)[0], tol=self.unitary_tol)
-
-
-def eval_s(model: PumpModel, t: float, energy: float) -> UnitaryMatrix:
-    """Evaluate the frozen scattering matrix; alias for ``model.eval``."""
-    return model.eval(t, energy)
 
 
 # --------------------------------------------------------------------------
@@ -531,7 +525,6 @@ class ModelConfig:
     samples: int
     mu: float
     window: tuple[float, float]
-    energy_samples: int
     tolerances: Tolerances
     beta: float | None
     raw: dict = field(repr=False)
@@ -568,7 +561,7 @@ class ModelConfig:
         mu = _real(energy["mu"], "energy.mu")
         if not (lo <= mu <= hi):
             raise ConfigError("energy.mu", f"mu={mu!r} outside window [{lo!r}, {hi!r}]")
-        energy_samples = _power_of_two(energy["samples"], "energy.samples")
+        _power_of_two(energy["samples"], "energy.samples")  # reserved for energy sweeps; not read
 
         tolerances = DEFAULT_TOLERANCES
         if "tolerances" in doc:
@@ -593,7 +586,6 @@ class ModelConfig:
             samples=samples,
             mu=mu,
             window=(lo, hi),
-            energy_samples=energy_samples,
             tolerances=tolerances,
             beta=beta,
             raw=doc,

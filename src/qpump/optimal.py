@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import DEFAULT_TOLERANCES, CycleGrid, Tolerances, UnitaryMatrix, frobenius_norm
+from .matcore import DEFAULT_TOLERANCES, CycleGrid, Tolerances, frobenius_norm
 from .models import PumpModel
 from .shift import EnergyShift, energy_shift_cycle, sample_cycle
 from .transport import bound_residual, dissipation
@@ -51,11 +51,11 @@ class DiagonalDecomposition:
     """Factorization ``S(t_i) = diag(exp(i phases[i])) @ constant``.
 
     ``phases`` has shape (N, n) and is unwrapped along the cycle;
-    ``constant`` is the scattering matrix at the first grid node.
+    ``constant`` is the (n, n) scattering matrix at the first grid node.
     """
 
     phases: np.ndarray
-    constant: UnitaryMatrix
+    constant: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,4 +142,4 @@ def diagonal_decomposition(model: PumpModel, mu: float, grid: CycleGrid,
     recon_error = float(np.max(np.linalg.norm(rebuilt - s, axis=(1, 2))))
     if recon_error >= recon_tol:
         return None
-    return DiagonalDecomposition(phases=phases, constant=UnitaryMatrix(s0))
+    return DiagonalDecomposition(phases=phases, constant=s0.copy())

@@ -20,7 +20,6 @@ from .models import ModelConfig, build_model
 from .optimal import OptimalityVerdict, offdiag_ratio, optimality_verdict
 from .shift import delay_scale, energy_shift_at, energy_shift_cycle, sample_cycle
 from .transport import (
-    CycleReport,
     InstantReport,
     cycle_charge,
     cycle_integral,
@@ -115,7 +114,7 @@ def _instant_entries(report: InstantReport) -> list[dict]:
 def _verdict_entry(verdict: OptimalityVerdict) -> dict:
     decomposition = None
     if verdict.decomposition is not None:
-        s0 = verdict.decomposition.constant.array
+        s0 = verdict.decomposition.constant
         decomposition = {
             "phases": verdict.decomposition.phases,
             "constant_real": s0.real,
@@ -133,12 +132,11 @@ def _verdict_entry(verdict: OptimalityVerdict) -> dict:
 @dataclass(frozen=True, eq=False)
 class AnalysisResult:
     """Analysis outputs: the JSON document, the stacked per-time report and
-    off-diagonal ratios behind its time series, and the cycle summary."""
+    off-diagonal ratios behind its time series, and the optimality verdict."""
 
     document: dict
     instants: InstantReport
     ratios: np.ndarray
-    cycle: CycleReport
     verdict: OptimalityVerdict
 
     @property
@@ -190,16 +188,6 @@ def analyze(config: ModelConfig) -> AnalysisResult:
 
     dissipated = cycle_integral(dissipation(shifts).total, grid)
 
-    cycle = CycleReport(
-        charge=charge,
-        winding=winding,
-        dissipated=dissipated,
-        adiabaticity=epsilon,
-        optimality=verdict,
-        period=grid.period,
-        samples=grid.samples,
-    )
-
     warnings: list[str] = []
     flagged = np.flatnonzero(shifts.herm_defect >= tol.tol_herm)
     if flagged.size:
@@ -241,10 +229,7 @@ def analyze(config: ModelConfig) -> AnalysisResult:
             },
         },
     }
-    return AnalysisResult(
-        document=document, instants=instants, ratios=ratios,
-        cycle=cycle, verdict=verdict,
-    )
+    return AnalysisResult(document=document, instants=instants, ratios=ratios, verdict=verdict)
 
 
 def instant_document(config: ModelConfig, t: float) -> dict:

@@ -19,8 +19,9 @@ from .errors import EnergyOutOfWindow, GridMismatch, NumericalFailure
 from .matcore import (
     DEFAULT_TOLERANCES,
     CycleGrid,
-    HermitianMatrix,
     Tolerances,
+    _frozen,
+    _square_matrix,
     central_derivative,
     hermitian_part,
     spectral_derivative,
@@ -29,7 +30,6 @@ from .models import PumpModel
 
 __all__ = [
     "EnergyShift",
-    "TimeDelay",
     "VelocitySplit",
     "HARD_HERM_LIMIT",
     "ENERGY_STEP_FRACTION",
@@ -93,18 +93,10 @@ class EnergyShift:
 
     @classmethod
     def from_matrix(cls, array, t: float = 0.0, mu: float = 0.0) -> "EnergyShift":
-        """Wrap an explicit (near-)Hermitian matrix, e.g. for tests."""
-        herm = HermitianMatrix(array)
-        return cls(herm.array, float(t), float(mu), herm.hermiticity_defect)
-
-
-@dataclass(frozen=True, eq=False)
-class TimeDelay:
-    """Wigner time delay at one cycle time (units of time), stored exactly Hermitian."""
-
-    array: np.ndarray
-    t: float
-    mu: float
+        """Wrap an explicit (near-)Hermitian matrix, e.g. for tests: square,
+        finite input is stored read-only as ``(M + M^dag)/2``."""
+        herm, defect = hermitian_part(_square_matrix(array))
+        return cls(_frozen(herm), float(t), float(mu), float(defect))
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,11 +215,11 @@ def _delay_raw(model: PumpModel, times: np.ndarray, mu: float, dE: float,
     return -1j * (ds_de @ s.conj().swapaxes(1, 2))
 
 
-def time_delay(model: PumpModel, t: float, mu: float, dE: float) -> TimeDelay:
-    """Wigner time delay ``-i dS/dE S^dag`` at (t, mu), by a fourth-order
-    central difference with step ``dE`` (see :func:`_delay_raw`)."""
-    delay, _ = hermitian_part(_delay_raw(model, np.array([float(t)]), mu, dE)[0])
-    return TimeDelay(delay, float(t), float(mu))
+def time_delay(model: PumpModel, t: float, mu: float, dE: float) -> np.ndarray:
+    """Wigner time delay ``-i dS/dE S^dag`` at (t, mu) as an exactly Hermitian
+    (n, n) array (units of time), by a fourth-order central difference with
+    step ``dE`` (see :func:`_delay_raw`)."""
+    return hermitian_part(_delay_raw(model, np.array([float(t)]), mu, dE)[0])[0]
 
 
 def delay_scale(model: PumpModel, mu: float, grid: CycleGrid,

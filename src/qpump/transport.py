@@ -19,7 +19,6 @@ means net charge entering reservoir j.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -46,7 +45,6 @@ __all__ = [
     "dequantization_sweep",
     "InstantReport",
     "instant_report",
-    "CycleReport",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -321,28 +319,3 @@ def instant_report(e: EnergyShift, beta: float | None = None,
         sdot=sdot,
         ndot=ndot,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class CycleReport:
-    """Whole-cycle summary.
-
-    ``winding`` is present when the pump is optimal (charges are then
-    integers); ``dissipated`` is the time integral of the dissipation
-    rate over one cycle, a derived convenience.  ``optimality`` holds the
-    verdict object produced by :mod:`qpump.optimal`.
-    """
-
-    charge: np.ndarray
-    winding: np.ndarray | None
-    dissipated: np.ndarray
-    adiabaticity: float
-    optimality: object
-    period: float
-    samples: int
-
-    def __post_init__(self):
-        if self.winding is not None:
-            gap = float(np.max(np.abs(self.charge - self.winding)))
-            if not math.isfinite(gap):
-                raise NumericalFailure("non-finite cycle charge")

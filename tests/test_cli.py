@@ -268,3 +268,16 @@ def test_dumps_float_array_matches_list_form():
     as_lists = {"a": values.tolist(), "b": {"c": values[:2].tolist()}, "e": [],
                 "m": np.eye(2).tolist()}
     assert dumps(doc) == dumps(as_lists)
+
+
+def test_exit_2_charge_winding_gap(tmp_path, capsys):
+    # the flux loop's charge misses its winding integers by a few ulp, which
+    # a tol_charge far below rounding level must report as a numerical failure
+    doc = dict(BASE_CONFIG, tolerances={"tol_charge": 1e-300})
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "winding" in err and "tol_charge" in err
+    assert not out.exists()

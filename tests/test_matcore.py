@@ -1,4 +1,4 @@
-"""Matrix wrappers, spectral differentiation and periodic quadrature."""
+"""Matrix certification, spectral differentiation and periodic quadrature."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from qpump.errors import GridMismatch, NumericalFailure, SingularInput
 from qpump.matcore import (
     DEFAULT_TOLERANCES,
-    ComplexMatrix,
     CycleGrid,
-    HermitianMatrix,
     Tolerances,
     UnitaryMatrix,
     central_derivative,
@@ -18,22 +16,27 @@ from qpump.matcore import (
     spectral_derivative,
     unitarize,
 )
+from qpump.shift import EnergyShift
 
 
-# ---------------------------------------------------------------- wrappers
+# ---------------------------------------------------------------- certification
 
 
 def test_complex_matrix_validation():
-    with pytest.raises(ValueError):
-        ComplexMatrix(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        ComplexMatrix(np.array([[np.nan, 0], [0, 1]]))
-    with pytest.raises(ValueError):
-        ComplexMatrix(np.zeros((0, 0)))
-    m = ComplexMatrix([[1, 2], [3, 4]])
-    assert m.dim == 2
-    with pytest.raises(ValueError):
-        m.array[0, 0] = 5.0  # stored read-only
+    # the square/finite/read-only gate shared by every certified value
+    for make in (UnitaryMatrix, unitarize, EnergyShift.from_matrix):
+        with pytest.raises(ValueError):
+            make(np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            make(np.array([[np.nan, 0], [0, 1]]))
+        with pytest.raises(ValueError):
+            make(np.zeros((0, 0)))
+        m = make([[1, 0], [0, 1]])
+        assert m.array.shape == (2, 2)
+        with pytest.raises(ValueError):
+            m.array[0, 0] = 5.0  # stored read-only
+        with pytest.raises(AttributeError):
+            m.array = np.eye(2)  # and not rebindable
 
 
 def test_unitary_certification():
@@ -48,12 +51,12 @@ def test_unitary_certification():
 def test_hermitian_storage_is_exactly_self_adjoint():
     rng = np.random.default_rng(3)
     raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    h = HermitianMatrix(raw)
+    h = EnergyShift.from_matrix(raw)
     assert np.array_equal(h.array, h.array.conj().T)
     assert np.all(np.diag(h.array).imag == 0.0)
-    assert h.hermiticity_defect > 0.1  # raw input was far from Hermitian
+    assert h.herm_defect > 0.1  # raw input was far from Hermitian
     exact = raw + raw.conj().T
-    assert HermitianMatrix(exact).hermiticity_defect < 1e-15
+    assert EnergyShift.from_matrix(exact).herm_defect < 1e-15
 
 
 def test_tolerances_updated():
@@ -144,9 +147,9 @@ def _matrix_samples(fn, grid):
 
 def test_spectral_derivative_constant():
     grid = CycleGrid(1.0, 16)
-    samples = [ComplexMatrix(np.full((2, 2), 3.0 + 1.0j)) for _ in range(16)]
+    samples = np.full((16, 2, 2), 3.0 + 1.0j)
     for d in spectral_derivative(samples, grid):
-        assert np.max(np.abs(d.array)) < 1e-14
+        assert np.max(np.abs(d)) < 1e-14
 
 
 def test_spectral_derivative_exact_mode():
@@ -169,7 +172,7 @@ def test_spectral_derivative_grid_refinement():
 def test_spectral_derivative_mismatch():
     grid = CycleGrid(1.0, 16)
     with pytest.raises(GridMismatch):
-        spectral_derivative([ComplexMatrix(np.eye(2))] * 8, grid)
+        spectral_derivative(np.stack([np.eye(2, dtype=complex)] * 8), grid)
     with pytest.raises(GridMismatch):
         spectral_derivative(np.zeros((8, 2, 2), dtype=complex), grid)
 

@@ -20,7 +20,6 @@ from qpump.models import (
     SplitMix64,
     build,
     build_model,
-    eval_s,
     reparameterized,
     time_warp,
     uniform_stream,
@@ -104,7 +103,7 @@ def test_flux_loop_trivial_points():
     model = build("flux-loop", {"k_ell": 0.0})
     np.testing.assert_allclose(model.eval(0.0, 1.0).array, np.eye(2), atol=1e-15)
     # quarter cycle: flux phase pi/2
-    got = eval_s(model, 0.25, 1.0).array
+    got = model.eval(0.25, 1.0).array
     np.testing.assert_allclose(
         got, np.diag([np.exp(0.5j * np.pi), np.exp(-0.5j * np.pi)]), atol=1e-15
     )
@@ -219,11 +218,13 @@ def test_config_rejects_unknown_top_level_key():
 
 
 def test_config_rejects_bad_samples():
-    doc = good_config()
-    doc["cycle"]["samples"] = 100
-    with pytest.raises(ConfigError) as err:
-        ModelConfig.from_dict(doc)
-    assert err.value.field == "cycle.samples"
+    # energy.samples is unused by the analysis but still validated and echoed
+    for section in ("cycle", "energy"):
+        doc = good_config()
+        doc[section]["samples"] = 100
+        with pytest.raises(ConfigError) as err:
+            ModelConfig.from_dict(doc)
+        assert err.value.field == f"{section}.samples"
 
 
 def test_config_rejects_mu_outside_window():

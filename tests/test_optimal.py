@@ -99,7 +99,7 @@ def test_decomposition_of_built_form():
     )
     dec = diagonal_decomposition(model, 1.0, GRID)
     assert dec is not None
-    rebuilt = np.exp(1j * dec.phases)[:, :, None] * dec.constant.array[None]
+    rebuilt = np.exp(1j * dec.phases)[:, :, None] * dec.constant[None]
     sampled = np.stack([model.eval(t, 1.0).array for t in GRID.times])
     assert np.max(np.abs(rebuilt - sampled)) < 1e-10
 

@@ -132,20 +132,20 @@ def test_energy_shift_at_matches_cycle_nodes():
 
 def test_time_delay_energy_independent():
     td = time_delay(build("random-smooth-path", {"seed": 2}), 0.3, 1.0, 1e-4)
-    assert np.max(np.abs(td.array)) == 0.0
+    assert np.max(np.abs(td)) == 0.0
 
 
 def test_time_delay_flux_loop_traversal_time():
     # linear dispersion, k_ell = 2 at mu = 1 -> loop traversal time l/v = 2
     model = build("flux-loop", {"k_ell": 2.0})
     td = time_delay(model, 0.3, 1.0, 1e-4)
-    np.testing.assert_allclose(td.array, 2.0 * np.eye(2), atol=1e-9)
+    np.testing.assert_allclose(td, 2.0 * np.eye(2), atol=1e-9)
 
 
 def test_time_delay_step_convergence():
     model = build("flux-loop", {"k_ell": 2.0})
-    a = time_delay(model, 0.0, 1.0, 1e-4).array
-    b = time_delay(model, 0.0, 1.0, 5e-5).array
+    a = time_delay(model, 0.0, 1.0, 1e-4)
+    b = time_delay(model, 0.0, 1.0, 5e-5)
     assert np.max(np.abs(a - b)) < 1e-8
 
 
