@@ -66,6 +66,9 @@ __all__ = [
 
 _TWO_PI = 2.0 * np.pi
 
+#: Default energy-derivative step as a fraction of the energy window width.
+ENERGY_STEP_FRACTION = 1e-4
+
 
 # --------------------------------------------------------------------------
 # Deterministic pseudo-randomness.
@@ -559,8 +562,10 @@ class ModelConfig:
         if not lo < hi:
             raise ConfigError("energy.window", f"must satisfy 0 < lo < hi, got [{lo!r}, {hi!r}]")
         mu = _real(energy["mu"], "energy.mu")
-        if not (lo <= mu <= hi):
-            raise ConfigError("energy.mu", f"mu={mu!r} outside window [{lo!r}, {hi!r}]")
+        step = ENERGY_STEP_FRACTION * (hi - lo)  # the analysis' time-delay stencil
+        if mu - 2.0 * step < lo or mu + 2.0 * step > hi:
+            raise ConfigError("energy.mu", f"mu={mu!r} must lie inside window [{lo!r}, {hi!r}] "
+                              f"by the time-delay stencil's reach 2*dE = {2.0 * step:g}")
         _power_of_two(energy["samples"], "energy.samples")  # reserved for energy sweeps; not read
 
         tolerances = DEFAULT_TOLERANCES

@@ -4,7 +4,8 @@ Reports are plain JSON documents.  Serialization is deterministic: keys
 keep their insertion order, floats are written with 17 significant digits
 (enough to round-trip IEEE doubles exactly), and nothing time- or
 machine-dependent enters the document, so identical configurations yield
-byte-identical reports.
+byte-identical reports.  Float arrays and the per-time report are formatted
+in one pass per block, in the same bytes as their list form.
 """
 
 from __future__ import annotations
@@ -58,6 +59,52 @@ def format_float(value: float) -> str:
     return out
 
 
+def _format_block(x: np.ndarray) -> tuple[str, ...]:
+    """:func:`format_float` of every entry of a float array, in C order,
+    from one finiteness check and one formatting pass."""
+    flat = x.ravel()
+    finite = np.isfinite(flat)
+    if not finite.all():
+        bad = format(float(flat[~finite][0]), ".17g")
+        raise NumericalFailure(f"non-finite value {bad} in the report")
+    out = ("%.17g\n" * flat.size % tuple(flat.tolist())).split("\n")[:-1]
+    # exactly the values %.17g writes without "." or "e" (-0.0 among them)
+    for i in np.flatnonzero((flat == np.trunc(flat)) & (np.abs(flat) < 1e17)).tolist():
+        out[i] += ".0"
+    return tuple(out)
+
+
+def _layout(shape: tuple, pad: str, leaf: str = "%s") -> str:
+    """Template of the nested JSON arrays of ``shape`` at indent ``pad``, one
+    ``leaf`` per innermost entry, laid out as :func:`_emit` lays out lists."""
+    if not shape:
+        return leaf
+    if not shape[0]:
+        return "[]"
+    inner = pad + "  "
+    item = _layout(shape[1:], inner, leaf)
+    return "[\n" + inner + (",\n" + inner).join([item] * shape[0]) + "\n" + pad + "]"
+
+
+def _instants(report: InstantReport, pad: str) -> str:
+    """A stacked report as the JSON array of its per-time records, a
+    one-time report as one record: all its floats form one block."""
+    columns = {"Qdot": report.qdot, "D": report.total_dissipation,
+               "Xs": report.excess, "r": report.residual}
+    if report.sdot is not None:
+        columns.update(Sdot=report.sdot, Ndot=report.ndot)
+    stacked = np.ndim(report.t) == 1
+    record_pad = pad + "  " if stacked else pad
+    item = record_pad + "  "
+    leaves = _layout(report.qdot.shape[-1:], item)
+    fields = [item + '"t": %s', *(f"{item}{_quote(key)}: {leaves}" for key in columns),
+              f'{item}"regime_ok": {"true" if report.regime_ok else "false"}']
+    record = "{\n" + ",\n".join(fields) + "\n" + record_pad + "}"
+    block = np.column_stack([np.atleast_1d(report.t), *map(np.atleast_2d, columns.values())])
+    template = _layout(block.shape[:1], pad, record) if stacked else record
+    return template % _format_block(block)
+
+
 def _emit(obj, indent: int, out: list) -> None:
     pad = "  " * indent
     if isinstance(obj, (dict, list, tuple)):
@@ -72,10 +119,10 @@ def _emit(obj, indent: int, out: list) -> None:
             _emit(value, indent + 1, out)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + brackets[1])
-    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f" and obj.size:
-        items = pad + "  "
-        out.append("[\n" + items + (",\n" + items).join(map(format_float, obj.tolist()))
-                   + "\n" + pad + "]")
+    elif isinstance(obj, InstantReport):
+        out.append(_instants(obj, pad))
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        out.append(_layout(obj.shape, pad) % _format_block(obj))
     elif isinstance(obj, np.ndarray):
         _emit(obj.tolist(), indent, out)
     elif isinstance(obj, (bool, np.bool_)):
@@ -93,22 +140,12 @@ def _emit(obj, indent: int, out: list) -> None:
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON text (insertion-ordered keys, 17-digit floats)."""
+    """Deterministic JSON text (insertion-ordered keys, 17-digit floats); float
+    arrays and :class:`InstantReport` records are written as their list form."""
     out: list[str] = []
     _emit(obj, 0, out)
     out.append("\n")
     return "".join(out)
-
-
-def _instant_entries(report: InstantReport) -> list[dict]:
-    """Document entries of a report, one per time (one for a one-time report)."""
-    columns = {"Qdot": report.qdot, "D": report.total_dissipation,
-               "Xs": report.excess, "r": report.residual}
-    if report.sdot is not None:
-        columns.update(Sdot=report.sdot, Ndot=report.ndot)
-    keys = ["t", *columns]
-    rows = zip(np.atleast_1d(report.t), *map(np.atleast_2d, columns.values()))
-    return [{**dict(zip(keys, row)), "regime_ok": report.regime_ok} for row in rows]
 
 
 def _verdict_entry(verdict: OptimalityVerdict) -> dict:
@@ -131,8 +168,9 @@ def _verdict_entry(verdict: OptimalityVerdict) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class AnalysisResult:
-    """Analysis outputs: the JSON document, the stacked per-time report and
-    off-diagonal ratios behind its time series, and the optimality verdict."""
+    """Analysis outputs: the document :func:`dumps` writes (it holds the stacked
+    per-time report under "instants"), that report and the off-diagonal ratios
+    behind its time series, and the optimality verdict."""
 
     document: dict
     instants: InstantReport
@@ -152,9 +190,8 @@ class AnalysisResult:
         n = report.qdot.shape[1]
         header = ["t"] + [f"{name}_{j + 1}" for name in names for j in range(n)] + ["rho"]
         table = np.column_stack([report.t, *blocks, self.ratios])
-        lines = [",".join(header)]
-        lines += [",".join(map(format_float, row)) for row in table.tolist()]
-        return "\n".join(lines) + "\n"
+        row = ",".join(["%s"] * table.shape[1]) + "\n"
+        return ",".join(header) + "\n" + (row * len(table)) % _format_block(table)
 
 
 def analyze(config: ModelConfig) -> AnalysisResult:
@@ -208,7 +245,7 @@ def analyze(config: ModelConfig) -> AnalysisResult:
     document = {
         "config": config.raw,
         "adiabaticity": epsilon,
-        "instants": _instant_entries(instants),
+        "instants": instants,
         "cycle": {
             "charge": charge,
             "winding": None if winding is None else [int(w) for w in winding],
@@ -232,8 +269,9 @@ def analyze(config: ModelConfig) -> AnalysisResult:
     return AnalysisResult(document=document, instants=instants, ratios=ratios, verdict=verdict)
 
 
-def instant_document(config: ModelConfig, t: float) -> dict:
-    """Single-time report for ``pump instant`` (t in [0, period))."""
+def instant_document(config: ModelConfig, t: float) -> InstantReport:
+    """Single-time report for ``pump instant`` (t in [0, period)); :func:`dumps`
+    writes it as one JSON object."""
     if not (0.0 <= t < config.period):
         raise ConfigError("t", f"must lie in [0, {config.period!r}), got {t!r}")
     model = build_model(config)
@@ -241,5 +279,4 @@ def instant_document(config: ModelConfig, t: float) -> dict:
     e = energy_shift_at(model, t, config.mu, grid, config.tolerances)
     tau = delay_scale(model, config.mu, grid)
     omega = 2.0 * np.pi / model.period
-    report = instant_report(e, beta=config.beta, omega=omega, tau=tau)
-    return _instant_entries(report)[0]
+    return instant_report(e, beta=config.beta, omega=omega, tau=tau)

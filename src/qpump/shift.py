@@ -26,7 +26,7 @@ from .matcore import (
     hermitian_part,
     spectral_derivative,
 )
-from .models import PumpModel
+from .models import ENERGY_STEP_FRACTION, PumpModel
 
 __all__ = [
     "EnergyShift",
@@ -46,9 +46,6 @@ __all__ = [
 
 #: Relative non-Hermiticity beyond which the grid is considered under-resolved.
 HARD_HERM_LIMIT = 1e-3
-
-#: Default energy-derivative step as a fraction of the energy window width.
-ENERGY_STEP_FRACTION = 1e-4
 
 
 @dataclass(frozen=True, eq=False)

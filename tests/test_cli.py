@@ -1,12 +1,14 @@
 """Command-line interface: outputs, determinism and the exit-code contract."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from qpump.cli import main
-from qpump.report import dumps, format_float
+from qpump.models import ModelConfig
+from qpump.report import analyze, dumps, format_float, instant_document
 
 BASE_CONFIG = {
     "model": "flux-loop",
@@ -106,9 +108,24 @@ def test_analyze_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_analyze_report_reserializes_identically(tmp_path):
-    # parse(serialize(r)) == r, byte for byte
-    cfg = write_config(tmp_path, BASE_CONFIG)
+#: One configuration per built-in model; flux-loop is BASE_CONFIG's.
+MODEL_PARAMS = {
+    "flux-loop": {"k_ell": 1.0},
+    "perturbed-flux-loop": {"k_ell": 0.7, "delta": 0.3},
+    "diagonal-times-constant": {"n": 3, "s0_seed": 11, "w1": 1, "w2": -2, "a1_1": 0.15},
+    "random-smooth-path": {"n": 3, "seed": 17, "degree": 2, "amplitude": 0.6},
+}
+
+
+@pytest.mark.parametrize("beta", [True, False], ids=["beta", "nobeta"])
+@pytest.mark.parametrize("model", list(MODEL_PARAMS))
+def test_analyze_report_reserializes_identically(tmp_path, model, beta):
+    # parse(serialize(r)) == r, byte for byte: the parsed report holds plain
+    # lists, written value by value, against the array blocks of the original
+    doc = dict(BASE_CONFIG, model=model, params=MODEL_PARAMS[model])
+    if not beta:
+        del doc["beta"]
+    cfg = write_config(tmp_path, doc)
     out = tmp_path / "report.json"
     assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
     text = out.read_text()
@@ -255,19 +272,64 @@ def test_exit_2_non_finite_model_samples(tmp_path, capsys):
 def test_format_float_rejects_non_finite():
     from qpump.errors import NumericalFailure
 
+    report = analyze(ModelConfig.from_dict(dict(BASE_CONFIG, cycle={"period": 1.0,
+                                                                     "samples": 16}))).instants
     for value in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(NumericalFailure):
             format_float(value)
         with pytest.raises(NumericalFailure):
             dumps({"x": np.array([1.0, value])})
+        block = np.ones((4, 3))
+        block[2, 1] = value
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            dumps({"x": block})
+        sdot = report.sdot.copy()
+        sdot[5, 1] = value
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            dumps({"instants": dataclasses.replace(report, sdot=sdot)})
+
+
+def instant_records(report):
+    """The per-time records of an InstantReport as plain lists and floats."""
+    columns = {"Qdot": report.qdot, "D": report.total_dissipation,
+               "Xs": report.excess, "r": report.residual}
+    if report.sdot is not None:
+        columns.update(Sdot=report.sdot, Ndot=report.ndot)
+    rows = zip(np.atleast_1d(report.t).tolist(),
+               *(np.atleast_2d(column).tolist() for column in columns.values()))
+    return [{"t": t, **dict(zip(columns, values)), "regime_ok": bool(report.regime_ok)}
+            for t, *values in rows]
 
 
 def test_dumps_float_array_matches_list_form():
     values = np.array([0.1, -2.5e-17, 3.0, np.pi, 1e300])
+    # %.17g writes the integral ones below 1e17 without "." or "e"
+    edges = np.array([-0.0, 1.0, -3.0, 1e16, 99999999999999984.0, 1e17, 5e-324,
+                      1.7976931348623157e308])
+    phases = np.random.default_rng(3).normal(size=(16, 3))
+    phases[::4, 1] = 0.0
     doc = {"a": values, "b": {"c": values[:2]}, "e": np.array([]), "m": np.eye(2)}
     as_lists = {"a": values.tolist(), "b": {"c": values[:2].tolist()}, "e": [],
                 "m": np.eye(2).tolist()}
     assert dumps(doc) == dumps(as_lists)
+    arrays = {"edges": edges, "phases": phases, "s": np.arange(9.0).reshape(3, 3) - 4.5,
+              "empty_rows": np.zeros((2, 0))}
+    assert dumps(arrays) == dumps({key: value.tolist() for key, value in arrays.items()})
+
+    for model, params in [("flux-loop", {"k_ell": 1.0}),
+                          ("perturbed-flux-loop", {"k_ell": 0.7, "delta": 0.3})]:
+        for beta in (50.0, None):
+            doc = dict(BASE_CONFIG, model=model, params=params,
+                       cycle={"period": 1.0, "samples": 16})
+            if beta is None:
+                del doc["beta"]
+            config = ModelConfig.from_dict(doc)
+            stacked = analyze(config).instants
+            assert dumps({"x": {"instants": stacked}}) == \
+                dumps({"x": {"instants": instant_records(stacked)}})
+            one = instant_document(config, 0.25)
+            assert dumps(one) == dumps(instant_records(one)[0])
+            assert dumps([one]) == dumps(instant_records(one))
 
 
 def test_exit_2_charge_winding_gap(tmp_path, capsys):
@@ -281,3 +343,23 @@ def test_exit_2_charge_winding_gap(tmp_path, capsys):
     assert "Traceback" not in err
     assert "winding" in err and "tol_charge" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mu", [0.5, 0.5001, 1.4999, 1.5])
+def test_exit_1_mu_at_window_edge(tmp_path, capsys, mu):
+    # the time-delay stencil reaches mu +/- 2e-4*(hi - lo): config validation
+    # rejects a mu closer to the window edge and names the field
+    doc = dict(BASE_CONFIG, energy={"mu": mu, "window": [0.5, 1.5], "samples": 16})
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 1
+    assert "energy.mu" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["instant", "--config", cfg, "--t", "0.25"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "energy.mu" in captured.err
+    # a mu just farther from the edge than the stencil's reach runs
+    doc["energy"]["mu"] = 0.5 + 2.5e-4 if mu < 1.0 else 1.5 - 2.5e-4
+    cfg = write_config(tmp_path, doc)
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["instant", "--config", cfg, "--t", "0.25"]) == 0
