@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TargetInfeasible
-from .models import uniform_stream
+from .models import _uniform_rows
 
 __all__ = [
     "DispersionGrid",
@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
+
+#: Random occupations drawn per block of trials in ``verify_bound``.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,19 +128,46 @@ class Filling:
 
     @classmethod
     def from_occupation(cls, grid: DispersionGrid, occupation) -> "Filling":
-        n = np.asarray(occupation, dtype=float)
+        n = np.array(occupation, dtype=float)
         if n.shape != (grid.n_k,):
             raise ValueError(f"occupation must have shape ({grid.n_k},), got {n.shape}")
-        if np.any(n < -1e-12) or np.any(n > 1.0 + 1e-12):
-            raise ValueError("occupations must lie in [0, 1]")
-        n = np.clip(n, 0.0, 1.0)
+        qdot, edot = _clip_fluxes(grid, n[None])
         n.setflags(write=False)
-        return cls(
-            grid=grid,
-            occupation=n,
-            qdot=float(n @ grid.weights) / _TWO_PI,
-            edot=float((n * grid.eps) @ grid.weights) / _TWO_PI,
-        )
+        return cls(grid=grid, occupation=n, qdot=float(qdot[0]), edot=float(edot[0]))
+
+
+def _clip_fluxes(grid: DispersionGrid, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Check that the rows of occupations ``n`` lie in [0, 1] (up to
+    1e-12), clip them in place and return each row's ``(qdot, edot)``.
+
+    Each flux is its own ``row @ weights`` dot product: one matrix-vector
+    product over the block would sum in another order.
+    """
+    if n.min() < -1e-12 or n.max() > 1.0 + 1e-12:
+        raise ValueError("occupations must lie in [0, 1]")
+    np.clip(n, 0.0, 1.0, out=n)
+    w, eps = grid.weights, grid.eps
+    qdot = np.array([row @ w for row in n]) / _TWO_PI
+    edot = np.array([(row * eps) @ w for row in n]) / _TWO_PI
+    return qdot, edot
+
+
+def _sorted_modes(grid: DispersionGrid) -> tuple[np.ndarray, ...]:
+    """The bathtub order: modes by ascending energy (ties by ascending
+    index) as ``(order, weights, eps, cumsum(weights), cumsum(eps*weights))``."""
+    order = np.lexsort((np.arange(grid.n_k), grid.eps))
+    w, eps = grid.weights[order], grid.eps[order]
+    return order, w, eps, np.cumsum(w), np.cumsum(eps * w)
+
+
+def _greedy_edot(modes: tuple[np.ndarray, ...], budgets: np.ndarray) -> np.ndarray:
+    """Energy flux of the greedy filling at each charge budget ``2pi*Qdot``."""
+    _, w, eps, cum_w, cum_e = modes
+    m = np.minimum(np.searchsorted(cum_w, budgets, side="left"), len(cum_w) - 1)
+    filled_w = np.append(0.0, cum_w)[m]  # the modes below the marginal one
+    filled_e = np.append(0.0, cum_e)[m]
+    marginal = np.where(w[m] > 0.0, filled_e + (budgets - filled_w) * eps[m], filled_e)
+    return np.where(budgets >= cum_w[-1], cum_e[-1], marginal) / _TWO_PI
 
 
 def greedy_minimize(grid: DispersionGrid, target_qdot: float) -> Filling:
@@ -155,9 +185,7 @@ def greedy_minimize(grid: DispersionGrid, target_qdot: float) -> Filling:
         raise TargetInfeasible(
             f"target Qdot {target_qdot!r} outside feasible range [0, {total / _TWO_PI!r}]"
         )
-    order = np.lexsort((np.arange(grid.n_k), grid.eps))
-    w = grid.weights[order]
-    cum = np.cumsum(w)
+    order, w, _, cum, _ = _sorted_modes(grid)
     n_sorted = np.zeros(grid.n_k)
     if budget >= cum[-1]:
         n_sorted[:] = 1.0
@@ -211,53 +239,34 @@ def verify_bound(grid: DispersionGrid, trials: int, seed: int = 0,
     ``seed + trial`` and fills every mode uniformly in [0, 1).  The
     greedy minimizer is evaluated at each trial's own charge flux, and
     the thermal step at ``mu`` (default: half the band top) is checked
-    as the equality case.
+    as the equality case.  Trials are drawn, checked and reduced a block
+    of about ``_BLOCK`` occupations at a time, so memory does not grow
+    with ``trials``; the result is the same as one trial at a time.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= seed <= 2**64 - trials:
+        raise ValueError("seeds seed .. seed + trials - 1 must lie in [0, 2**64)")
     mu = 0.5 * float(grid.eps[-1]) if mu is None else mu
 
-    order = np.lexsort((np.arange(grid.n_k), grid.eps))
-    w_sorted = grid.weights[order]
-    eps_sorted = grid.eps[order]
-    cum_w = np.cumsum(w_sorted)
-    cum_e = np.cumsum(eps_sorted * w_sorted)
-
-    def greedy_edot(budget: float) -> float:
-        if budget >= cum_w[-1]:
-            return float(cum_e[-1]) / _TWO_PI
-        m = int(np.searchsorted(cum_w, budget, side="left"))
-        filled_w = cum_w[m - 1] if m > 0 else 0.0
-        filled_e = cum_e[m - 1] if m > 0 else 0.0
-        if w_sorted[m] > 0.0:
-            filled_e += (budget - filled_w) * eps_sorted[m]
-        return float(filled_e) / _TWO_PI
-
+    modes = _sorted_modes(grid)
     violations = 0
     max_violation = 0.0
     greedy_gap_max = 0.0
-    for trial in range(trials):
-        occ = uniform_stream(seed + trial, grid.n_k)
-        filling = Filling.from_occupation(grid, occ)
-        bound = np.pi * filling.qdot**2
-        gap = bound - filling.edot
-        if gap > 1e-12:
-            violations += 1
-            max_violation = max(max_violation, gap)
-        greedy_gap_max = max(
-            greedy_gap_max, greedy_edot(_TWO_PI * filling.qdot) - bound
-        )
+    for occ in _uniform_rows(seed, trials, grid.n_k, max(1, _BLOCK // grid.n_k)):
+        qdot, edot = _clip_fluxes(grid, occ)
+        bound = np.pi * qdot**2
+        gap = bound - edot
+        violated = gap[gap > 1e-12]
+        violations += violated.size
+        max_violation = max(max_violation, float(violated.max(initial=0.0)))
+        greedy_gap = float((_greedy_edot(modes, _TWO_PI * qdot) - bound).max())
+        greedy_gap_max = max(greedy_gap_max, greedy_gap)
 
     step = thermal_step(grid, mu)
-    step_gap = step.edot - np.pi * step.qdot**2
-    return BoundCheck(
-        trials=trials,
-        violations=violations,
-        max_violation=max_violation,
-        greedy_gap_max=greedy_gap_max,
-        step_gap=float(step_gap),
-        mu=float(mu),
-    )
+    step_gap = step.edot - np.pi * np.square(step.qdot)  # inf, not OverflowError, on a huge band
+    return BoundCheck(trials=trials, violations=violations, max_violation=max_violation,
+                      greedy_gap_max=greedy_gap_max, step_gap=float(step_gap), mu=float(mu))
 
 
 def two_sided_bound(mu_minus: float, source: Filling, grid: DispersionGrid) -> tuple[float, float]:

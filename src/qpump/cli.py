@@ -9,6 +9,7 @@ certified defect beyond its hard limit, or a verified bound violation),
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -98,12 +99,14 @@ def _cmd_instant(args) -> int:
 def _cmd_bathtub(args) -> int:
     if args.nk < 64:
         raise ConfigError("nk", f"must be >= 64, got {args.nk}")
-    if args.kmax <= 0:
-        raise ConfigError("kmax", "must be positive")
+    if not (math.isfinite(args.kmax) and args.kmax > 0):
+        raise ConfigError("kmax", "must be a positive finite real")
     if args.trials < 1:
         raise ConfigError("trials", "must be >= 1")
     if args.seed < 0:
         raise ConfigError("seed", "must be >= 0")
+    if args.seed > 2**64 - args.trials:
+        raise ConfigError("seed", f"must be <= 2**64 - trials, got {args.seed}")
     make = linear_dispersion if args.dispersion == "linear" else quadratic_dispersion
     grid = make(args.kmax, args.nk)
     if not 0 < args.mu <= float(grid.eps[-1]):

@@ -35,7 +35,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -111,13 +111,30 @@ class SplitMix64:
 def uniform_stream(seed: int, count: int) -> np.ndarray:
     """Vectorized SplitMix64 stream: the same numbers ``SplitMix64(seed)``
     would produce, computed statelessly for ``count`` draws in [0, 1)."""
-    with np.errstate(over="ignore"):
-        idx = np.arange(1, count + 1, dtype=np.uint64)
-        z = np.uint64(seed) + idx * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return next(_uniform_rows(seed, 1, count, 1))[0]
+
+
+def _uniform_rows(seed: int, streams: int, count: int, rows: int) -> Iterator[np.ndarray]:
+    """``uniform_stream(s, count)`` for s = seed .. seed + streams - 1 (all
+    below 2**64), ``rows`` streams at a time, each block a ``(rows, count)``
+    buffer that the next block overwrites.  Counter i of stream s is
+    ``s + i*gamma``; the mix runs in place."""
+    steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    z = np.empty((min(rows, streams), count), dtype=np.uint64)
+    t = np.empty_like(z)
+    for start in range(0, streams, rows):
+        k = min(rows, streams - start)
+        zk, tk = z[:k], t[:k]
+        seeds = np.uint64(seed + start) + np.arange(k, dtype=np.uint64)
+        np.add(seeds[:, None], steps, out=zk)
+        for shift, mult in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(zk, np.uint64(shift), out=tk)
+            zk ^= tk
+            zk *= np.uint64(mult)
+        np.right_shift(zk, np.uint64(31), out=tk)
+        zk ^= tk
+        zk >>= np.uint64(11)
+        yield np.multiply(zk, 2.0**-53, out=tk.view(np.float64))
 
 
 # --------------------------------------------------------------------------
@@ -433,6 +450,15 @@ REGISTRY: dict[str, ModelInfo] = {
 }
 
 
+def _check_mu(mu: float, lo: float, hi: float) -> None:
+    """Reject a ``mu`` whose time-delay stencil ``mu +/- 2*dE`` leaves the
+    window, ``dE = ENERGY_STEP_FRACTION * (hi - lo)`` (the analysis' step)."""
+    reach = 2.0 * ENERGY_STEP_FRACTION * (hi - lo)
+    if not (lo <= mu - reach and mu + reach <= hi):
+        raise ConfigError("energy.mu", f"mu={mu!r} must lie inside window [{lo!r}, {hi!r}] "
+                          f"by the time-delay stencil's reach 2*dE = {reach:g}")
+
+
 def build(name: str, params: Mapping[str, float] | None = None, *,
           period: float = 1.0, energy_window: tuple[float, float] = (0.5, 1.5),
           mu: float = 1.0, unitary_tol: float | None = None) -> PumpModel:
@@ -447,8 +473,7 @@ def build(name: str, params: Mapping[str, float] | None = None, *,
     lo, hi = energy_window
     if not (0 < lo < hi):
         raise ConfigError("energy.window", f"window must satisfy 0 < lo < hi, got [{lo!r}, {hi!r}]")
-    if not (lo <= mu <= hi):
-        raise ConfigError("energy.mu", f"mu={mu!r} outside window [{lo!r}, {hi!r}]")
+    _check_mu(mu, lo, hi)
     info = REGISTRY.get(name)
     if info is None:
         known = ", ".join(sorted(REGISTRY))
@@ -562,10 +587,7 @@ class ModelConfig:
         if not lo < hi:
             raise ConfigError("energy.window", f"must satisfy 0 < lo < hi, got [{lo!r}, {hi!r}]")
         mu = _real(energy["mu"], "energy.mu")
-        step = ENERGY_STEP_FRACTION * (hi - lo)  # the analysis' time-delay stencil
-        if mu - 2.0 * step < lo or mu + 2.0 * step > hi:
-            raise ConfigError("energy.mu", f"mu={mu!r} must lie inside window [{lo!r}, {hi!r}] "
-                              f"by the time-delay stencil's reach 2*dE = {2.0 * step:g}")
+        _check_mu(mu, lo, hi)
         _power_of_two(energy["samples"], "energy.samples")  # reserved for energy sweeps; not read
 
         tolerances = DEFAULT_TOLERANCES

@@ -1,10 +1,17 @@
 """Discrete fillings, the greedy minimizer and the dissipation bound."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qpump.bathtub import (
+    _BLOCK,
+    BoundCheck,
+    DispersionGrid,
     Filling,
+    _greedy_edot,
+    _sorted_modes,
     analytic_minimum,
     greedy_minimize,
     linear_dispersion,
@@ -51,6 +58,16 @@ def test_filling_fluxes():
         Filling.from_occupation(grid, np.full(64, 1.5))
     with pytest.raises(ValueError):
         Filling.from_occupation(grid, np.ones(32))
+
+
+def test_filling_clips_a_copy():
+    # rounding slack of 1e-12 is clipped in the filling, not in the caller's array
+    grid = linear_dispersion(2.0, 64)
+    occ = np.linspace(-5e-13, 1.0 + 5e-13, 64)
+    filling = Filling.from_occupation(grid, occ)
+    assert occ[0] == -5e-13 and occ[-1] == 1.0 + 5e-13
+    assert filling.occupation[0] == 0.0 and filling.occupation[-1] == 1.0
+    assert not filling.occupation.flags.writeable
 
 
 # ---------------------------------------------------------------- greedy
@@ -158,6 +175,116 @@ def test_verify_bound_deterministic():
     a = verify_bound(linear_dispersion(2.0, 256), 50, seed=9, mu=1.0)
     b = verify_bound(linear_dispersion(2.0, 256), 50, seed=9, mu=1.0)
     assert a == b
+
+
+def reference_greedy_edot(grid):
+    """The greedy filling's energy flux at one charge budget ``2pi*Qdot``,
+    one scalar ``searchsorted`` per call."""
+    order = np.lexsort((np.arange(grid.n_k), grid.eps))
+    w_sorted = grid.weights[order]
+    eps_sorted = grid.eps[order]
+    cum_w = np.cumsum(w_sorted)
+    cum_e = np.cumsum(eps_sorted * w_sorted)
+
+    def greedy_edot(budget):
+        if budget >= cum_w[-1]:
+            return float(cum_e[-1]) / TWO_PI
+        m = int(np.searchsorted(cum_w, budget, side="left"))
+        filled_w = cum_w[m - 1] if m > 0 else 0.0
+        filled_e = cum_e[m - 1] if m > 0 else 0.0
+        if w_sorted[m] > 0.0:
+            filled_e += (budget - filled_w) * eps_sorted[m]
+        return float(filled_e) / TWO_PI
+
+    return greedy_edot
+
+
+def reference_verify_bound(grid, trials, seed, mu):
+    """``verify_bound`` one trial at a time: one stream, one ``Filling`` and
+    one scalar greedy evaluation per trial."""
+    greedy_edot = reference_greedy_edot(grid)
+    violations, max_violation, greedy_gap_max = 0, 0.0, 0.0
+    for trial in range(trials):
+        filling = Filling.from_occupation(grid, uniform_stream(seed + trial, grid.n_k))
+        bound = PI * filling.qdot**2
+        gap = bound - filling.edot
+        if gap > 1e-12:
+            violations += 1
+            max_violation = max(max_violation, gap)
+        greedy_gap_max = max(greedy_gap_max, greedy_edot(TWO_PI * filling.qdot) - bound)
+    step = thermal_step(grid, mu)
+    return BoundCheck(trials=trials, violations=violations, max_violation=max_violation,
+                      greedy_gap_max=greedy_gap_max,
+                      step_gap=float(step.edot - PI * step.qdot**2), mu=float(mu))
+
+
+def understated_energies(k_max, n_k):
+    """A linear grid whose energies are half of ``v*k`` while the weights
+    keep ``eps' = 1``: the bound's hypothesis fails, so about half of the
+    random fillings violate it and every reduction of the check is used."""
+    grid = linear_dispersion(k_max, n_k)
+    return DispersionGrid(kind="understated", k_max=grid.k_max, n_k=grid.n_k,
+                          nodes=grid.nodes, eps=0.5 * grid.eps, deps=grid.deps,
+                          weights=grid.weights)
+
+
+GRIDS = {"linear": linear_dispersion, "quadratic": quadratic_dispersion,
+         "understated": understated_energies}
+
+
+@pytest.mark.parametrize("kind", list(GRIDS))
+@pytest.mark.parametrize("n_k", [64, 100, 4096])
+def test_verify_bound_equals_per_trial_reference(kind, n_k):
+    grid = GRIDS[kind](2.3, n_k)
+    rows = max(1, _BLOCK // n_k)
+    for trials in sorted({1, max(1, rows - 1), rows, rows + 1, 3 * rows + 7}):
+        check = verify_bound(grid, trials, seed=31 * trials, mu=0.7)
+        assert check == reference_verify_bound(grid, trials, 31 * trials, 0.7)
+    if kind == "understated":
+        assert 0 < check.violations < check.trials and check.max_violation > 0.0
+
+
+def test_greedy_edot_matches_scalar_formula():
+    # budgets at and between the cumulative weights, at zero and beyond the
+    # band, on grids with and without zero-weight modes
+    grid = quadratic_dispersion(2.0, 100)
+    flat = DispersionGrid(kind="flat", k_max=2.0, n_k=100, nodes=grid.nodes,
+                          eps=np.repeat(grid.eps[::4], 4), deps=grid.deps,
+                          weights=np.where(np.arange(100) % 3 == 0, 0.0, grid.weights))
+    for g in (grid, flat, linear_dispersion(2.0, 64)):
+        modes = _sorted_modes(g)
+        cum = modes[3]
+        budgets = np.array([0.0, 0.5 * cum[0], cum[0], cum[5], 0.5 * (cum[5] + cum[6]),
+                            np.nextafter(cum[-1], 0.0), cum[-1], 1.5 * cum[-1]])
+        expected = [reference_greedy_edot(g)(b) for b in budgets]
+        assert _greedy_edot(modes, budgets).tolist() == expected
+
+
+def test_verify_bound_seeds_up_to_two_to_the_64():
+    for kind in ("linear", "understated"):
+        grid = GRIDS[kind](2.0, 100)
+        trials = _BLOCK // 100 + 3
+        for seed in (2**64 - trials, 2**63 - 2):
+            assert verify_bound(grid, trials, seed) == reference_verify_bound(
+                grid, trials, seed, 0.5 * float(grid.eps[-1]))
+    grid = linear_dispersion(2.0, 64)
+    assert verify_bound(grid, 1, 2**64 - 1) == reference_verify_bound(grid, 1, 2**64 - 1, 1.0)
+    for trials, seed in ((2, 2**64 - 1), (1, 2**64), (1, -1)):
+        with pytest.raises(ValueError):
+            verify_bound(grid, trials, seed)
+
+
+def test_verify_bound_memory_is_per_block():
+    # 2000 trials of 4096 modes are 62.5 MiB of occupations; only one
+    # block of them (and its scratch) may be alive at a time
+    grid = linear_dispersion(2.0, 4096)
+    tracemalloc.start()
+    try:
+        verify_bound(grid, trials=2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_full_band_is_strictly_above_bound():

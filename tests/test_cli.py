@@ -1,10 +1,14 @@
 """Command-line interface: outputs, determinism and the exit-code contract."""
 
+import contextlib
 import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpump.cli import main
 from qpump.models import ModelConfig
@@ -235,6 +239,61 @@ def test_bathtub_rejects_nk_zero(capsys):
     assert main(["bathtub", "--dispersion", "linear", "--kmax", "2", "--nk", "0",
                  "--mu", "1", "--trials", "1", "--seed", "0"]) == 1
     assert "nk" in capsys.readouterr().err
+
+
+def bathtub_argv(**flags):
+    args = {"dispersion": "linear", "kmax": "2", "nk": "100", "mu": "1", "trials": "3",
+            "seed": "0", **flags}
+    # --flag=value, so that argparse reads "-inf" or "-1e-05" as a value, not a flag
+    return ["bathtub"] + [f"--{key}={value}" for key, value in args.items()]
+
+
+# with trials = 3, the streams seed .. seed + 2 must all lie below 2**64
+@pytest.mark.parametrize("flag,value", [("kmax", "nan"), ("kmax", "inf"), ("kmax", "-inf"),
+                                        ("seed", str(2**64 - 2)), ("seed", str(2**64)),
+                                        ("seed", str(2**70))])
+def test_bathtub_rejects_kmax_and_seed_out_of_range(capsys, flag, value):
+    assert main(bathtub_argv(**{flag: value})) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"config error: {flag}" in captured.err
+
+
+def test_bathtub_seeds_up_to_two_to_the_64_run(capsys):
+    outputs = []
+    for seed in (2**63, 2**64 - 3):
+        assert main(bathtub_argv(seed=str(seed))) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert outputs[0]["violations"] == outputs[1]["violations"] == 0
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+REALS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                  st.floats(min_value=-4.0, max_value=40.0))
+
+
+@given(dispersion=st.sampled_from(["linear", "quadratic", "cubic"]),
+       kmax=REALS, nk=st.integers(-8, 512), mu=REALS, trials=st.integers(-2, 64),
+       seed=st.integers(-10, 2**70))
+@settings(max_examples=150, deadline=None)
+def test_bathtub_fuzz_keeps_the_exit_code_contract(dispersion, kmax, nk, mu, trials, seed):
+    argv = bathtub_argv(dispersion=dispersion, kmax=repr(kmax), nk=str(nk), mu=repr(mu),
+                        trials=str(trials), seed=str(seed))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        doc = strict_json(out.getvalue())
+        assert doc["violations"] == 0
 
 
 # ---------------------------------------------------------------- non-finite input

@@ -1,8 +1,10 @@
-"""Golden reports: ``pump analyze`` and ``pump instant`` output, byte for byte.
+"""Golden reports: ``pump analyze``, ``pump instant`` and ``pump bathtub``
+output, byte for byte.
 
 The fixtures under ``tests/data/golden/`` hold the JSON report, the CSV
 series and one ``pump instant`` document for each built-in model, with
-and without an inverse temperature.  Any change to the numerics or the
+and without an inverse temperature, and the standard output of a few
+``pump bathtub`` calls on both dispersions.  Any change to the numerics or the
 serializer that moves a single byte of a report fails here.  After an
 intended change of the report format, regenerate the fixtures with
 
@@ -53,6 +55,15 @@ def config(name: str, beta: bool) -> dict:
     return doc
 
 
+#: ``pump bathtub`` calls: dispersion, kmax, nk, mu, trials, seed.  No
+#: mode count is a power of two.
+BATHTUB = {
+    "linear": ("linear", 2.0, 1000, 1.0, 300, 7),
+    "quadratic": ("quadratic", 3.0, 700, 2.0, 257, 123),
+    "linear-small": ("linear", 1.5, 97, 0.4, 64, 0),
+    "quadratic-large": ("quadratic", 2.5, 4100, 3.0, 45, 2**62 + 11),
+}
+
 CASES = [(name, beta) for name in MODELS for beta in (True, False)]
 
 
@@ -78,6 +89,16 @@ def run_instant(workdir: Path, name: str) -> str:
     return out.getvalue()
 
 
+def run_bathtub(name: str) -> str:
+    dispersion, kmax, nk, mu, trials, seed = BATHTUB[name]
+    argv = ["bathtub", "--dispersion", dispersion, "--kmax", repr(kmax), "--nk", str(nk),
+            "--mu", repr(mu), "--trials", str(trials), "--seed", str(seed)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("name,beta", CASES, ids=[case_id(*c) for c in CASES])
 def test_analyze_matches_golden(tmp_path, name, beta):
     report, series = run_analyze(tmp_path, name, beta)
@@ -91,6 +112,11 @@ def test_instant_matches_golden(tmp_path, name):
     assert run_instant(tmp_path, name) == (GOLDEN / f"{name}.instant.json").read_text()
 
 
+@pytest.mark.parametrize("name", list(BATHTUB))
+def test_bathtub_matches_golden(name):
+    assert run_bathtub(name) == (GOLDEN / f"bathtub-{name}.json").read_text()
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -102,6 +128,8 @@ def regenerate() -> None:
             stem.with_suffix(".csv").write_text(series)
         for name in MODELS:
             (GOLDEN / f"{name}.instant.json").write_text(run_instant(workdir, name))
+    for name in BATHTUB:
+        (GOLDEN / f"bathtub-{name}.json").write_text(run_bathtub(name))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Built-in models, seeded randomness and configuration parsing."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qpump.models import (
     REGISTRY,
     ModelConfig,
     SplitMix64,
+    _uniform_rows,
     build,
     build_model,
     reparameterized,
@@ -52,6 +54,16 @@ def test_uniform_stream_matches_scalar_generator():
     scalar = np.array([rng.uniform() for _ in range(64)])
     np.testing.assert_array_equal(scalar, uniform_stream(987654321, 64))
     assert np.all(scalar >= 0.0) and np.all(scalar < 1.0)
+
+
+@pytest.mark.parametrize("seed", [0, 987654321, 2**63 - 5, 2**64 - 23])
+def test_uniform_rows_are_scalar_streams(seed):
+    # 23 streams, 8 at a time: blocks of 8, 8 and 7 rows
+    blocks = [block.copy() for block in _uniform_rows(seed, 23, 100, 8)]
+    assert [b.shape for b in blocks] == [(8, 100), (8, 100), (7, 100)]
+    for row, stream in zip(np.concatenate(blocks), range(seed, seed + 23)):
+        rng = SplitMix64(stream)
+        np.testing.assert_array_equal(row, [rng.uniform() for _ in range(100)])
 
 
 # ---------------------------------------------------------------- building
@@ -233,6 +245,27 @@ def test_config_rejects_mu_outside_window():
     with pytest.raises(ConfigError) as err:
         ModelConfig.from_dict(doc)
     assert err.value.field == "energy.mu"
+
+
+@pytest.mark.parametrize("mu", [0.5, 0.5001, 1.4999, 1.5, float("nan")])
+def test_config_and_build_share_the_mu_margin(mu):
+    # the time-delay stencil reaches mu +/- 2e-4 * (hi - lo); both entry
+    # points reject a mu closer to the window edge with the same error
+    doc = good_config()
+    doc["energy"]["mu"] = mu
+    errors = []
+    for make in (lambda: ModelConfig.from_dict(doc),
+                 lambda: build("flux-loop", {"k_ell": 1.0}, energy_window=(0.5, 1.5), mu=mu)):
+        with pytest.raises(ConfigError) as err:
+            make()
+        errors.append(err.value)
+    if not math.isnan(mu):  # a config rejects NaN first, as a non-finite real
+        assert str(errors[0]) == str(errors[1])
+    assert [e.field for e in errors] == ["energy.mu", "energy.mu"]
+    for inside in (0.5 + 2.5e-4, 1.5 - 2.5e-4):
+        doc["energy"]["mu"] = inside
+        ModelConfig.from_dict(doc)
+        build("flux-loop", {"k_ell": 1.0}, energy_window=(0.5, 1.5), mu=inside)
 
 
 def test_config_rejects_missing_section_field():
