@@ -150,10 +150,7 @@ def main(argv=None) -> int:
         # and serialization checks, not as numpy warnings on stderr.
         with np.errstate(all="ignore"):
             return args.func(args)
-    except ConfigError as exc:
-        print(f"pump: config error: {exc}", file=sys.stderr)
-        return 1
-    except EnergyOutOfWindow as exc:
+    except (ConfigError, EnergyOutOfWindow) as exc:
         print(f"pump: config error: {exc}", file=sys.stderr)
         return 1
     except (NumericalFailure, PhaseStepTooLarge) as exc:

@@ -130,13 +130,13 @@ class CycleGrid:
     times: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (isinstance(self.period, (int, float)) and np.isfinite(self.period) and self.period > 0):
-            raise ValueError("period must be a positive finite real")
         n = self.samples
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
             raise ValueError("samples must be an integer")
         if n < 8 or n & (n - 1):
             raise ValueError(f"samples must be a power of two >= 8, got {n}")
+        if not (isinstance(self.period, (int, float)) and np.isfinite(self.period) and self.period / n > 0):
+            raise ValueError("period must be a positive finite real whose step period/samples is not 0")
         object.__setattr__(self, "period", float(self.period))
         object.__setattr__(self, "samples", int(n))
         times = np.arange(self.samples) * (self.period / self.samples)

@@ -160,6 +160,7 @@ class PumpModel:
     params: Mapping[str, float]
     matrix_fn: Callable[[np.ndarray, float], np.ndarray] = field(repr=False)
     unitary_tol: float = DEFAULT_TOLERANCES.tol_unitary
+    energy_independent: bool = False  # declared dS/dE = 0: a zero time delay, never sampled
 
     def sample(self, times, energy: float) -> np.ndarray:
         """Certified ``(N, n, n)`` stack of S at the given times and energy E;
@@ -198,7 +199,7 @@ class PumpModel:
 
 
 def _param(params: dict, key: str, model: str, default=None, *, required=False,
-           minimum=None, positive=False, integer=False) -> float:
+           minimum=None, maximum=math.inf, positive=False, integer=False) -> float:
     if key not in params:
         if required:
             raise MissingParam(f"params.{key}", f"model '{model}' requires parameter '{key}'")
@@ -216,6 +217,8 @@ def _param(params: dict, key: str, model: str, default=None, *, required=False,
         raise BadParamRange(f"params.{key}", f"must be positive, got {value!r}")
     if minimum is not None and value < minimum:
         raise BadParamRange(f"params.{key}", f"must be >= {minimum}, got {value!r}")
+    if value > maximum:
+        raise BadParamRange(f"params.{key}", f"must be <= {maximum}, got {value!r}")
     return value
 
 
@@ -302,11 +305,12 @@ def _build_perturbed_flux_loop(params, period, window, mu):
 
 
 _DTC_DEGREE = 2  # trig-polynomial degree of the per-channel phases
+_MAX_SIZE = 64  # cap on channel counts and degrees: the stacks and draws grow with them
 
 
 def _build_diagonal_times_constant(params, period, window, mu):
     name = "diagonal-times-constant"
-    n = int(_param(params, "n", name, default=2, integer=True, minimum=1))
+    n = int(_param(params, "n", name, default=2, integer=True, minimum=1, maximum=_MAX_SIZE))
     s0_seed = int(_param(params, "s0_seed", name, default=0, integer=True, minimum=0))
     allowed = {"n", "s0_seed"}
     windings = np.zeros(n)
@@ -342,9 +346,10 @@ def _build_diagonal_times_constant(params, period, window, mu):
 
 def _build_random_smooth_path(params, period, window, mu):
     name = "random-smooth-path"
-    n = int(_param(params, "n", name, default=2, integer=True, minimum=1))
+    n = int(_param(params, "n", name, default=2, integer=True, minimum=1, maximum=_MAX_SIZE))
     seed = int(_param(params, "seed", name, default=0, integer=True, minimum=0))
-    degree = int(_param(params, "degree", name, default=3, integer=True, minimum=0))
+    degree = int(_param(params, "degree", name, default=3, integer=True, minimum=0,
+                        maximum=_MAX_SIZE))
     amplitude = _param(params, "amplitude", name, default=1.0, minimum=0.0)
     _reject_unknown(params, {"n", "seed", "degree", "amplitude"}, name)
 
@@ -386,6 +391,7 @@ class ModelInfo:
     n_channels: str
     params: tuple[ParamInfo, ...]
     builder: Callable = field(repr=False)
+    energy_independent: bool = False
 
 
 REGISTRY: dict[str, ModelInfo] = {
@@ -425,13 +431,14 @@ REGISTRY: dict[str, ModelInfo] = {
             "Energy independent.",
             n_channels="n",
             params=(
-                ParamInfo("n", 2.0, "number of channels, integer >= 1"),
+                ParamInfo("n", 2.0, "number of channels, integer in 1..64"),
                 ParamInfo("s0_seed", 0.0, "seed for the constant unitary; 0 keeps identity"),
                 ParamInfo("w<j>", 0.0, "integer winding of channel j (1-based)"),
                 ParamInfo("a<j>_<m>", 0.0, "cosine coefficient of channel j, mode m"),
                 ParamInfo("b<j>_<m>", 0.0, "sine coefficient of channel j, mode m"),
             ),
             builder=_build_diagonal_times_constant,
+            energy_independent=True,
         ),
         ModelInfo(
             name="random-smooth-path",
@@ -439,12 +446,13 @@ REGISTRY: dict[str, ModelInfo] = {
             "trigonometric polynomial; energy independent.",
             n_channels="n",
             params=(
-                ParamInfo("n", 2.0, "number of channels, integer >= 1"),
+                ParamInfo("n", 2.0, "number of channels, integer in 1..64"),
                 ParamInfo("seed", 0.0, "SplitMix64 seed, integer >= 0"),
-                ParamInfo("degree", 3.0, "trig-polynomial degree, integer >= 0"),
+                ParamInfo("degree", 3.0, "trig-polynomial degree, integer in 0..64"),
                 ParamInfo("amplitude", 1.0, "coefficient scale, >= 0"),
             ),
             builder=_build_random_smooth_path,
+            energy_independent=True,
         ),
     ]
 }
@@ -487,6 +495,7 @@ def build(name: str, params: Mapping[str, float] | None = None, *,
         params=MappingProxyType(norm),
         matrix_fn=matrix_fn,
         unitary_tol=DEFAULT_TOLERANCES.tol_unitary if unitary_tol is None else unitary_tol,
+        energy_independent=info.energy_independent,
     )
 
 
@@ -577,6 +586,8 @@ class ModelConfig:
         cycle = _section(doc, "cycle", ("period", "samples"))
         period = _real(cycle["period"], "cycle.period", positive=True)
         samples = _power_of_two(cycle["samples"], "cycle.samples", minimum=8)
+        if not period / samples > 0:
+            raise ConfigError("cycle.period", f"{period!r} / {samples} samples underflows to zero")
 
         energy = _section(doc, "energy", ("mu", "window", "samples"))
         window = energy["window"]
@@ -666,7 +677,7 @@ def time_warp(period: float, amplitude: float = 0.1):
 
 
 def reparameterized(model: PumpModel, amplitude: float = 0.1) -> PumpModel:
-    """The same pump traversed along the warped time ``t -> f(t)``."""
+    """The same pump along the warped time ``t -> f(t)``; keeps ``energy_independent``."""
     f, _ = time_warp(model.period, amplitude)
 
     def matrix(times, energy):
@@ -680,4 +691,5 @@ def reparameterized(model: PumpModel, amplitude: float = 0.1) -> PumpModel:
         params=model.params,
         matrix_fn=matrix,
         unitary_tol=model.unitary_tol,
+        energy_independent=model.energy_independent,
     )

@@ -197,7 +197,8 @@ def _delay_raw(model: PumpModel, times: np.ndarray, mu: float, dE: float,
     The energy derivative uses a fourth-order central difference with
     step ``dE``, whose stencil reaches mu +/- 2*dE; all five stencil
     energies must lie inside the model's window.  ``samples`` may supply
-    S(times, mu), leaving the four stencil energies to be sampled.
+    S(times, mu), leaving the four stencil energies to be sampled.  An
+    energy-independent model samples nothing: its delay is exactly zero.
     """
     if dE <= 0:
         raise ValueError("dE must be positive")
@@ -207,6 +208,8 @@ def _delay_raw(model: PumpModel, times: np.ndarray, mu: float, dE: float,
             f"stencil [mu-2dE, mu+2dE] = [{mu - 2 * dE:g}, {mu + 2 * dE:g}] "
             f"exceeds window [{lo:g}, {hi:g}]"
         )
+    if model.energy_independent:
+        return np.zeros((len(times), model.n_channels, model.n_channels), dtype=complex)
     s = model.sample(times, mu) if samples is None else samples
     ds_de = central_derivative(lambda energy: model.sample(times, energy), mu, dE)
     return -1j * (ds_de @ s.conj().swapaxes(1, 2))
@@ -225,8 +228,10 @@ def delay_scale(model: PumpModel, mu: float, grid: CycleGrid,
     stencil centre reuses ``samples`` (S(t, mu) on the grid) if given."""
     lo, hi = model.energy_window
     step = ENERGY_STEP_FRACTION * (hi - lo) if dE is None else dE
-    delays, _ = hermitian_part(_delay_raw(model, grid.times, mu, step, samples))
-    return float(np.max(np.linalg.norm(delays, ord=2, axis=(1, 2))))
+    raw = _delay_raw(model, grid.times, mu, step, samples)
+    if model.energy_independent:  # raw is exactly zero: skip the per-node SVD
+        return 0.0
+    return float(np.max(np.linalg.norm(hermitian_part(raw)[0], ord=2, axis=(1, 2))))
 
 
 def adiabaticity(model: PumpModel, mu: float, grid: CycleGrid,

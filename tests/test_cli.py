@@ -4,10 +4,12 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpump.cli import main
@@ -422,3 +424,92 @@ def test_exit_1_mu_at_window_edge(tmp_path, capsys, mu):
     cfg = write_config(tmp_path, doc)
     assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
     assert main(["instant", "--config", cfg, "--t", "0.25"]) == 0
+
+
+# ---------------------------------------------------------------- config fuzz
+
+# every key a model reads, plus one none understands
+MODEL_KEYS = {
+    "flux-loop": ["k_ell", "w", "v"],
+    "perturbed-flux-loop": ["k_ell", "delta", "w", "v"],
+    "diagonal-times-constant": ["n", "s0_seed", "w1", "w2", "w3", "a1_1", "b2_2", "a3_1"],
+    "random-smooth-path": ["n", "seed", "degree", "amplitude"],
+}
+HOSTILE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -1.0, 0.5, 64.0, 65.0, 1e-300, 5e-324, 1e6, 1e300, 1e308, 2.0**63]),
+    st.integers(-8, 300),
+    st.integers(0, 2**70),
+)
+PARAM_VALUE = st.one_of(HOSTILE, st.booleans(), st.none(), st.text(max_size=2))
+# hostile grid sizes stay at most 256 nodes
+SAMPLES_VALUE = st.one_of(st.integers(-8, 256), st.floats(allow_nan=True, allow_infinity=True),
+                          st.booleans(), st.none(), st.text(max_size=2))
+
+
+def pick(draw, benign, hostile=PARAM_VALUE, odds=10):
+    """A draw from ``benign``, or about one time in ``odds`` from ``hostile``."""
+    return draw(hostile if draw(st.integers(1, odds)) == odds else benign)
+
+
+@st.composite
+def config_docs(draw):
+    """ModelConfig dicts with hostile params, period, beta, mu, window and
+    tolerances mixed into well-formed ones; cycle.samples at most 256."""
+    model = pick(draw, st.sampled_from(sorted(MODEL_KEYS)))
+    keys = MODEL_KEYS.get(model, ["k_ell"]) + ["zz"]
+    params = {k: v for k, v in {"k_ell": 1.0, "delta": 0.2}.items() if k in keys}
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3)):
+        params[key] = pick(draw, st.integers(0, 4) | st.floats(-2.0, 2.0), odds=3)
+    doc = {
+        "model": model,
+        "params": params,
+        "cycle": {"period": pick(draw, st.floats(0.5, 2.0)),
+                  "samples": pick(draw, st.sampled_from([8, 16, 64, 256]), SAMPLES_VALUE)},
+        "energy": {"mu": pick(draw, st.floats(0.8, 1.2)),
+                   "window": pick(draw, st.just([0.5, 1.5]), st.lists(HOSTILE, max_size=3)),
+                   "samples": 16},
+    }
+    if draw(st.booleans()):
+        doc["beta"] = pick(draw, st.floats(1.0, 50.0))
+    if draw(st.booleans()):
+        names = ["tol_unitary", "tol_herm", "tol_opt", "tol_charge", "tol_x"]
+        doc["tolerances"] = {name: pick(draw, st.floats(1e-12, 1e-2))
+                             for name in draw(st.lists(st.sampled_from(names), max_size=2))}
+    return doc
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(doc=config_docs(), t=st.one_of(st.floats(0.0, 0.5), HOSTILE))
+@example(doc=dict(BASE_CONFIG, model="random-smooth-path", params={"n": 2**70}), t=0.2)
+@example(doc=dict(BASE_CONFIG, model="diagonal-times-constant", params={"n": 1e308}), t=0.2)
+@example(doc=dict(BASE_CONFIG, cycle={"period": 5e-324, "samples": 8}), t=0.0)
+@settings(max_examples=200, deadline=None)
+def test_config_fuzz_keeps_the_exit_code_contract(doc, t):
+    with tempfile.TemporaryDirectory() as work:
+        cfg = os.path.join(work, "config.json")
+        with open(cfg, "w") as handle:
+            json.dump(doc, handle)  # NaN and inf as the JSON extensions json.loads reads
+        out, csv = os.path.join(work, "r.json"), os.path.join(work, "r.csv")
+        code, _, err = run_cli(["analyze", "--config", cfg, "--out", out, "--csv", csv])
+        assert code in (0, 1, 2, 3) and "Traceback" not in err
+        if code == 0:
+            with open(out) as handle:
+                strict_json(handle.read())
+        else:
+            assert not os.path.exists(out) and not os.path.exists(csv)
+        code, text, err = run_cli(["instant", "--config", cfg, f"--t={t!r}"])
+        assert code in (0, 1, 2, 3) and "Traceback" not in err
+        if code == 0:
+            strict_json(text)
+        else:
+            assert text == ""

@@ -134,6 +134,8 @@ def test_cycle_grid_validation():
             CycleGrid(1.0, bad)
     with pytest.raises(ValueError):
         CycleGrid(-1.0, 16)
+    with pytest.raises(ValueError, match="period/samples"):
+        CycleGrid(5e-324, 8)  # the time step underflows to zero
     with pytest.raises(ValueError):
         CycleGrid(1.0, 16.0)  # must be an integer, not a float
 

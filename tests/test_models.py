@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpump.errors import (
     BadParamRange,
@@ -16,6 +18,7 @@ from qpump.errors import (
 )
 from qpump.matcore import CycleGrid
 from qpump.models import (
+    ENERGY_STEP_FRACTION,
     REGISTRY,
     ModelConfig,
     SplitMix64,
@@ -100,6 +103,18 @@ def test_bad_param_ranges():
         build("flux-loop", {"k_ell": 1.0, "w": 0.5})
     with pytest.raises(BadParamRange):
         build("random-smooth-path", {"n": 0})
+
+
+@pytest.mark.parametrize("name,key,value", [
+    ("diagonal-times-constant", "n", 65), ("diagonal-times-constant", "n", 1e308),
+    ("random-smooth-path", "n", 2**70), ("random-smooth-path", "degree", 65),
+    ("random-smooth-path", "degree", 1e300),
+])
+def test_sizes_are_capped(name, key, value):
+    # an unbounded channel count or degree exhausted memory or never returned
+    with pytest.raises(BadParamRange, match=f"params.{key}: must be <= 64"):
+        build(name, {key: value})
+    assert build(name, {key: 64}).params[key] == 64.0
 
 
 def test_perturbed_unitary_on_grid():
@@ -198,6 +213,71 @@ def test_registry_lists_all_builtins():
     }
     winding = {p.name: p.default for p in REGISTRY["flux-loop"].params}
     assert winding["w"] == 1.0
+
+
+# ---------------------------------------------------------------- energy independence
+
+ENERGY_INDEPENDENT = {"diagonal-times-constant", "random-smooth-path"}
+STENCIL_GRID = CycleGrid(1.0, 32)
+
+
+def stencil_stacks(model, mu=1.0):
+    """``matrix_fn`` on a cycle grid at mu and at the time delay's four
+    stencil energies mu +/- dE, mu +/- 2 dE, as raw bytes."""
+    lo, hi = model.energy_window
+    step = ENERGY_STEP_FRACTION * (hi - lo)
+    energies = [mu, mu + step, mu - step, mu + 2.0 * step, mu - 2.0 * step]
+    return [np.asarray(model.matrix_fn(STENCIL_GRID.times, e), dtype=complex).tobytes()
+            for e in energies]
+
+
+def test_registry_declares_exactly_the_energy_independent_families():
+    assert {name for name, info in REGISTRY.items() if info.energy_independent} \
+        == ENERGY_INDEPENDENT
+    for name, params in ALL_BUILTINS:
+        model = build(name, params)
+        assert model.energy_independent == (name in ENERGY_INDEPENDENT), name
+        assert reparameterized(model, 0.3).energy_independent == model.energy_independent
+
+
+@pytest.mark.parametrize("name,params", [
+    ("flux-loop", {"k_ell": 1.0}),
+    ("flux-loop", {"k_ell": 0.01, "w": 3, "v": 2.0}),
+    ("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.3}),
+    ("perturbed-flux-loop", {"k_ell": 2.5, "delta": -1.0, "w": -2}),
+])
+def test_flux_families_are_not_declared_energy_independent(name, params):
+    # a wrong flag here would zero a genuinely nonzero time delay
+    model = build(name, params)
+    assert not model.energy_independent
+    centre, *stencil = stencil_stacks(model)
+    assert all(stack != centre for stack in stencil)
+
+
+_coef = st.floats(-1.0, 1.0, allow_nan=False)
+_dtc_params = st.integers(1, 4).flatmap(lambda n: st.fixed_dictionaries(
+    {"n": st.just(n), "s0_seed": st.integers(0, 2**31)},
+    optional={**{f"w{j}": st.integers(-3, 3) for j in range(1, n + 1)},
+              **{f"{ab}{j}_{m}": _coef for ab in "ab" for j in range(1, n + 1)
+                 for m in (1, 2)}}))
+_rsp_params = st.fixed_dictionaries({
+    "n": st.integers(1, 4), "seed": st.integers(0, 2**31),
+    "degree": st.integers(0, 4), "amplitude": st.floats(0.0, 2.0)})
+_flagged = st.one_of(st.tuples(st.just("diagonal-times-constant"), _dtc_params),
+                     st.tuples(st.just("random-smooth-path"), _rsp_params))
+
+
+@given(model=_flagged, warp=st.one_of(st.none(), st.floats(-0.9, 0.9)),
+       period=st.floats(0.1, 10.0), mu=st.floats(0.75, 1.25))
+@settings(max_examples=60, deadline=None)
+def test_flagged_models_do_not_depend_on_energy(model, warp, period, mu):
+    name, params = model
+    built = build(name, params, period=period, mu=mu)
+    if warp is not None:
+        built = reparameterized(built, warp)
+    assert built.energy_independent
+    centre, *stencil = stencil_stacks(built, mu)
+    assert all(stack == centre for stack in stencil)  # bit for bit
 
 
 # ---------------------------------------------------------------- config

@@ -3,8 +3,9 @@
 Each call of a model's batched ``matrix_fn(times, E)`` is recorded, so the
 tests count grid nodes, not Python calls.  ``analyze`` samples S(t, mu)
 once on the cycle grid and shares it; the time delay adds the four
-stencil energies mu +/- dE, mu +/- 2 dE, and the winding count of an
-optimal pump adds the half-step midpoints.
+stencil energies mu +/- dE, mu +/- 2 dE unless the model is declared
+energy independent (its delay is exactly zero), and the winding count of
+an optimal pump adds the half-step midpoints.
 """
 
 import dataclasses
@@ -17,16 +18,18 @@ import qpump.report as report
 from qpump.matcore import CycleGrid
 from qpump.models import ModelConfig
 from qpump.shift import ENERGY_STEP_FRACTION
+from test_models import ENERGY_INDEPENDENT
 
 SAMPLES = 64
 MU = 1.0
 WINDOW = (0.5, 1.5)
 
+# (model, params, evaluations per node of analyze, optimal?)
 PUMPS = [
-    ("flux-loop", {"k_ell": 1.0, "w": 2}, 6),
-    ("diagonal-times-constant", {"n": 3, "w1": 1, "w2": -1, "a1_1": 0.2, "s0_seed": 4}, 6),
-    ("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.2}, 5),
-    ("random-smooth-path", {"n": 3, "seed": 5, "degree": 2}, 5),
+    ("flux-loop", {"k_ell": 1.0, "w": 2}, 6, True),
+    ("diagonal-times-constant", {"n": 3, "w1": 1, "w2": -1, "a1_1": 0.2, "s0_seed": 4}, 2, True),
+    ("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.2}, 5, False),
+    ("random-smooth-path", {"n": 3, "seed": 5, "degree": 2}, 1, False),
 ]
 
 
@@ -64,20 +67,22 @@ def stencil_energies():
     return [MU, MU + step, MU - step, MU + 2.0 * step, MU - 2.0 * step]
 
 
-@pytest.mark.parametrize("name,params,per_node", PUMPS, ids=[p[0] for p in PUMPS])
-def test_analyze_eval_budget(recorded, name, params, per_node):
+@pytest.mark.parametrize("name,params,per_node,optimal", PUMPS, ids=[p[0] for p in PUMPS])
+def test_analyze_eval_budget(recorded, name, params, per_node, optimal):
     result = report.analyze(config(name, params))
-    assert result.verdict.is_optimal == (per_node == 6)
+    assert result.verdict.is_optimal == optimal
     assert sum(len(times) for times, _ in recorded) == per_node * SAMPLES
 
     grid = CycleGrid(1.0, SAMPLES)
     on_grid = Counter(energy for times, energy in recorded
                       if np.array_equal(times, grid.times))
-    # each stencil energy exactly once on the cycle grid, nothing else there
-    assert on_grid == Counter(stencil_energies())
+    # each stencil energy exactly once on the cycle grid, nothing else there;
+    # an energy-independent model is sampled there at mu alone
+    expected = [MU] if name in ENERGY_INDEPENDENT else stencil_energies()
+    assert on_grid == Counter(expected)
     off_grid = [(times, energy) for times, energy in recorded
                 if not np.array_equal(times, grid.times)]
-    if per_node == 6:
+    if optimal:
         [(times, energy)] = off_grid  # the winding count's half-step midpoints
         assert energy == MU
         np.testing.assert_array_equal(times, grid.times + 0.5 * grid.dt)
@@ -85,8 +90,11 @@ def test_analyze_eval_budget(recorded, name, params, per_node):
         assert off_grid == []
 
 
-@pytest.mark.parametrize("name,params,per_node", PUMPS, ids=[p[0] for p in PUMPS])
-def test_instant_eval_budget(recorded, name, params, per_node):
+@pytest.mark.parametrize("name,params,per_node,optimal", PUMPS, ids=[p[0] for p in PUMPS])
+def test_instant_eval_budget(recorded, name, params, per_node, optimal):
     report.instant_document(config(name, params), 0.3)
-    assert sum(len(times) for times, _ in recorded) == 6 * SAMPLES
-    assert len(recorded) == 6  # one batched call per stack
+    # the offset grid for the energy shift, then the delay's five energies
+    # on the cycle grid unless the model is energy independent
+    calls = 1 if name in ENERGY_INDEPENDENT else 6
+    assert sum(len(times) for times, _ in recorded) == calls * SAMPLES
+    assert len(recorded) == calls  # one batched call per stack

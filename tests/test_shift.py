@@ -1,5 +1,7 @@
 """Energy shift, time delay, adiabaticity and the velocity split."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -149,12 +151,29 @@ def test_time_delay_step_convergence():
     assert np.max(np.abs(a - b)) < 1e-8
 
 
-def test_time_delay_stencil_window_guard():
-    model = build("flux-loop", {"k_ell": 1.0}, energy_window=(0.5, 1.5))
-    with pytest.raises(EnergyOutOfWindow):
+@pytest.mark.parametrize("name,params", [("flux-loop", {"k_ell": 1.0}),
+                                         ("random-smooth-path", {"seed": 2})],
+                         ids=["flux-loop", "random-smooth-path"])
+def test_time_delay_stencil_window_guard(name, params):
+    # an energy-independent model skips the stencil, not its guards
+    model = build(name, params, energy_window=(0.5, 1.5))
+    with pytest.raises(EnergyOutOfWindow, match=r"stencil \[mu-2dE, mu\+2dE\]"):
         time_delay(model, 0.0, 1.49, 0.01)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dE must be positive"):
         time_delay(model, 0.0, 1.0, -1e-4)
+    with pytest.raises(EnergyOutOfWindow, match=r"stencil \[mu-2dE, mu\+2dE\]"):
+        delay_scale(model, 1.49, GRID, 0.01)
+    with pytest.raises(ValueError, match="dE must be positive"):
+        delay_scale(model, 1.0, GRID, -1e-4)
+
+
+def test_energy_independent_delay_samples_nothing():
+    model = dataclasses.replace(build("diagonal-times-constant", {"w1": 1, "s0_seed": 3}),
+                                matrix_fn=None)  # any evaluation would raise
+    assert model.energy_independent
+    td = time_delay(model, 0.3, 1.0, 1e-4)
+    np.testing.assert_array_equal(td, np.zeros((2, 2)))
+    assert delay_scale(model, 1.0, GRID) == 0.0
 
 
 # ---------------------------------------------------------------- adiabaticity
