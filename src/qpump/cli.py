@@ -33,6 +33,9 @@ from .report import analyze, dumps, instant_document
 
 __all__ = ["main"]
 
+#: Largest ``--nk``: each dispersion array and oracle row holds nk floats.
+MAX_NK = 2**20
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems with exit code 1."""
@@ -97,8 +100,8 @@ def _cmd_instant(args) -> int:
 
 
 def _cmd_bathtub(args) -> int:
-    if args.nk < 64:
-        raise ConfigError("nk", f"must be >= 64, got {args.nk}")
+    if not 64 <= args.nk <= MAX_NK:
+        raise ConfigError("nk", f"must lie in [64, {MAX_NK}], got {args.nk}")
     if not (math.isfinite(args.kmax) and args.kmax > 0):
         raise ConfigError("kmax", "must be a positive finite real")
     if args.trials < 1:

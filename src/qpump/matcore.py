@@ -1,9 +1,9 @@
 """Dense complex matrix numerics on periodic cycles.
 
 Stack norms and defects (Frobenius, unitarity, Hermitian part), the
-certified :class:`UnitaryMatrix`, and spectral differentiation and
-quadrature on uniform periodic time grids.  Matrices travel as plain
-``(n, n)`` or ``(N, n, n)`` arrays.  Natural units are used across
+unitary polar factor, and spectral differentiation and quadrature on
+uniform periodic time grids.  Matrices travel as plain ``(n, n)`` or
+``(N, n, n)`` arrays.  Natural units are used across
 the whole package: hbar = e = 1, so Planck's constant is ``2*pi`` and the
 von Klitzing resistance quantum ``R_K = h/e**2 = 2*pi``.
 
@@ -27,7 +27,6 @@ __all__ = [
     "R_K",
     "Tolerances",
     "DEFAULT_TOLERANCES",
-    "UnitaryMatrix",
     "CycleGrid",
     "unitarize",
     "frobenius_norm",
@@ -80,9 +79,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _square_matrix(array) -> np.ndarray:
-    """Read-only complex copy of a square matrix (or of a value's ``array``);
-    :class:`ValueError` unless it is at least 1x1 with finite entries."""
-    a = np.array(getattr(array, "array", array), dtype=np.complex128)
+    """Read-only complex copy of a square matrix; :class:`ValueError`
+    unless it is at least 1x1 with finite entries."""
+    a = np.array(array, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
@@ -90,30 +89,6 @@ def _square_matrix(array) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return _frozen(a)
-
-
-@dataclass(frozen=True, eq=False, init=False)
-class UnitaryMatrix:
-    """Square complex matrix certified unitary at construction.
-
-    Construction fails with :class:`NumericalFailure` if the Frobenius
-    defect ``||S^dag S - I||_F`` exceeds ``tol`` (default
-    ``Tolerances.tol_unitary``).  ``array`` is stored read-only.
-    """
-
-    array: np.ndarray
-    unitarity_defect: float
-
-    def __init__(self, array, tol: float | None = None):
-        a = _square_matrix(array)
-        defect = float(unitarity_defect(a))
-        limit = DEFAULT_TOLERANCES.tol_unitary if tol is None else tol
-        if defect > limit:
-            raise NumericalFailure(
-                f"unitarity defect {defect:.3e} exceeds tolerance {limit:g}"
-            )
-        object.__setattr__(self, "array", a)
-        object.__setattr__(self, "unitarity_defect", defect)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,24 +149,30 @@ def hermitian_part(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (raw + adj), defect
 
 
-def unitarize(m) -> UnitaryMatrix:
+def unitarize(m) -> np.ndarray:
     """Project a nonsingular matrix onto the unitary group.
 
     Returns the unitary polar factor U V^dag from the singular value
-    decomposition ``m = U diag(s) V^dag``; an already-unitary input is
-    returned unchanged up to rounding.
+    decomposition ``m = U diag(s) V^dag`` as a read-only ``(n, n)`` array;
+    an already-unitary input is returned unchanged up to rounding.
 
     Raises
     ------
     SingularInput
         If the smallest singular value is at or below 1e-12.
+    NumericalFailure
+        If the factor's unitarity defect exceeds ``Tolerances.tol_unitary``.
     """
     u, s, vh = np.linalg.svd(_square_matrix(m))
     if s[-1] <= 1e-12:
         raise SingularInput(
             f"smallest singular value {s[-1]:.3e} <= 1e-12; no unitary polar factor"
         )
-    return UnitaryMatrix(u @ vh)
+    factor, limit = u @ vh, DEFAULT_TOLERANCES.tol_unitary
+    defect = float(unitarity_defect(factor))
+    if defect > limit:
+        raise NumericalFailure(f"unitarity defect {defect:.3e} exceeds tolerance {limit:g}")
+    return _frozen(factor)
 
 
 def spectral_derivative(samples: np.ndarray, grid: CycleGrid) -> np.ndarray:

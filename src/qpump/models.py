@@ -48,7 +48,7 @@ from .errors import (
     UnknownModel,
     UnknownParam,
 )
-from .matcore import DEFAULT_TOLERANCES, Tolerances, UnitaryMatrix, unitarity_defect, unitarize
+from .matcore import DEFAULT_TOLERANCES, Tolerances, _frozen, unitarity_defect, unitarize
 
 __all__ = [
     "SplitMix64",
@@ -188,9 +188,10 @@ class PumpModel:
             )
         return stack
 
-    def eval(self, t: float, energy: float) -> UnitaryMatrix:
-        """Frozen scattering matrix at time t and energy E (certified unitary)."""
-        return UnitaryMatrix(self.sample([float(t)], energy)[0], tol=self.unitary_tol)
+    def eval(self, t: float, energy: float) -> np.ndarray:
+        """Frozen scattering matrix at time t and energy E: the read-only
+        ``(n, n)`` array of a one-time :meth:`sample`, certified there."""
+        return _frozen(self.sample([float(t)], energy)[0])
 
 
 # --------------------------------------------------------------------------
@@ -257,7 +258,7 @@ def _draw_unitary(n: int, rng: SplitMix64) -> np.ndarray:
             re = rng.uniform(-1.0, 1.0)
             im = rng.uniform(-1.0, 1.0)
             m[j, k] = re + 1j * im
-    return unitarize(m).array
+    return unitarize(m)
 
 
 # --------------------------------------------------------------------------
@@ -503,6 +504,9 @@ def build(name: str, params: Mapping[str, float] | None = None, *,
 # Configuration files.
 # --------------------------------------------------------------------------
 
+#: Cap on ``cycle.samples * n_channels**2``, the entries of one (N, n, n) stack (64 MiB).
+MAX_STACK_ENTRIES = 2**22
+
 _TOP_KEYS = ("model", "params", "cycle", "energy", "tolerances", "beta")
 _REQUIRED_TOP = ("model", "params", "cycle", "energy")
 _TOLERANCE_KEYS = ("tol_unitary", "tol_herm", "tol_opt", "tol_charge")
@@ -632,17 +636,21 @@ class ModelConfig:
     @classmethod
     def from_file(cls, path) -> "ModelConfig":
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("config", f"invalid JSON: {exc}") from exc
+            try:
+                doc = json.loads(handle.read())
+            except UnicodeDecodeError as exc:
+                raise ConfigError("config", f"not UTF-8 text: {exc}") from exc
+            except json.JSONDecodeError as exc:
+                raise ConfigError("config", f"invalid JSON: {exc}") from exc
+            except RecursionError as exc:
+                raise ConfigError("config", "JSON nested too deeply to parse") from exc
         return cls.from_dict(doc)
 
 
 def build_model(config: ModelConfig) -> PumpModel:
-    """Build the model a configuration refers to."""
-    return build(
+    """Build the model a configuration refers to; :class:`ConfigError` on
+    ``cycle.samples`` if one (N, n, n) stack exceeds ``MAX_STACK_ENTRIES``."""
+    model = build(
         config.model,
         config.params,
         period=config.period,
@@ -650,6 +658,10 @@ def build_model(config: ModelConfig) -> PumpModel:
         mu=config.mu,
         unitary_tol=config.tolerances.tol_unitary,
     )
+    if config.samples * model.n_channels**2 > MAX_STACK_ENTRIES:
+        raise ConfigError("cycle.samples", f"{config.samples} samples of {model.n_channels} "
+                          f"channels exceed the {MAX_STACK_ENTRIES}-entry stack cap")
+    return model
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 from .matcore import DEFAULT_TOLERANCES, CycleGrid, Tolerances, frobenius_norm
 from .models import PumpModel
 from .shift import EnergyShift, energy_shift_cycle, sample_cycle
-from .transport import bound_residual, dissipation
+from .transport import dissipation
 
 __all__ = [
     "offdiag_ratio",
@@ -27,6 +27,9 @@ __all__ = [
 
 #: Energy shifts with Frobenius norm below this are treated as motionless.
 MOTIONLESS_NORM = 1e-14
+
+#: Exclusive limit of :func:`diagonal_decomposition`'s off-diagonal and reconstruction errors.
+DECOMPOSITION_TOL = 1e-8
 
 
 def offdiag_ratio(e: EnergyShift) -> float | np.ndarray:
@@ -78,8 +81,9 @@ class OptimalityVerdict:
 
 
 def _saturation_flags(shifts: EnergyShift, tol: Tolerances) -> tuple[bool, ...]:
-    worst = bound_residual(shifts).max(axis=0)
-    scale = dissipation(shifts).total.max(axis=0)
+    d = dissipation(shifts)
+    worst = (d.total - d.joule).max(axis=0)  # bound_residual(shifts), from the same d
+    scale = d.total.max(axis=0)
     # tol_opt bounds the off-diagonal *ratio*; residuals scale with its
     # square.  The eps floor absorbs rounding in the subtraction.
     threshold = np.maximum(64.0 * np.finfo(float).eps * scale, tol.tol_opt**2 * scale)
@@ -118,8 +122,6 @@ def optimality_verdict(model: PumpModel, mu: float, grid: CycleGrid,
 
 
 def diagonal_decomposition(model: PumpModel, mu: float, grid: CycleGrid,
-                           offdiag_tol: float = 1e-8,
-                           recon_tol: float = 1e-8,
                            samples: np.ndarray | None = None) -> DiagonalDecomposition | None:
     """Try to factor the cycle as ``S(t) = U_d(t) S0``.
 
@@ -127,19 +129,18 @@ def diagonal_decomposition(model: PumpModel, mu: float, grid: CycleGrid,
     canonical) and forms ``M(t_i) = S(t_i) S0^dag``.  The factorization
     exists when every M is diagonal: then ``U_d = diag(M)`` up to
     rounding.  Absence is a value, not an error -- ``None`` is returned
-    when any off-diagonal entry of M reaches ``offdiag_tol`` or the
-    reconstruction error reaches ``recon_tol``.  ``samples`` may supply
-    S(t, mu) on the grid.
+    when any off-diagonal entry of M, or the reconstruction error, reaches
+    ``DECOMPOSITION_TOL``.  ``samples`` may supply S(t, mu) on the grid.
     """
     s = sample_cycle(model, mu, grid) if samples is None else samples
     s0 = s[0]
     m = np.einsum("tij,kj->tik", s, s0.conj())
     off = m - m * np.eye(model.n_channels)[None, :, :]
-    if float(np.max(np.abs(off))) >= offdiag_tol:
+    if float(np.max(np.abs(off))) >= DECOMPOSITION_TOL:
         return None
     phases = np.unwrap(np.angle(np.einsum("tjj->tj", m)), axis=0)
     rebuilt = np.exp(1j * phases)[:, :, None] * s0[None, :, :]
     recon_error = float(np.max(np.linalg.norm(rebuilt - s, axis=(1, 2))))
-    if recon_error >= recon_tol:
+    if recon_error >= DECOMPOSITION_TOL:
         return None
     return DiagonalDecomposition(phases=phases, constant=s0.copy())

@@ -20,14 +20,7 @@ from .matcore import CycleGrid
 from .models import ModelConfig, build_model
 from .optimal import OptimalityVerdict, offdiag_ratio, optimality_verdict
 from .shift import delay_scale, energy_shift_at, energy_shift_cycle, sample_cycle
-from .transport import (
-    InstantReport,
-    cycle_charge,
-    cycle_integral,
-    dissipation,
-    instant_report,
-    winding_charge,
-)
+from .transport import InstantReport, cycle_integral, instant_report, winding_charge
 
 __all__ = [
     "SPEC_VERSION",
@@ -212,7 +205,7 @@ def analyze(config: ModelConfig) -> AnalysisResult:
     ratios = offdiag_ratio(shifts)
     verdict = optimality_verdict(model, mu, grid, tol, shifts=shifts, samples=samples)
 
-    charge = cycle_charge(model, mu, grid, tol, shifts=shifts)
+    charge = cycle_integral(instants.qdot, grid)
     winding = None
     if verdict.is_optimal:
         winding = winding_charge(model, mu, grid, tol, samples=samples, shifts=shifts)
@@ -223,7 +216,7 @@ def analyze(config: ModelConfig) -> AnalysisResult:
                 f"(tol_charge {tol.tol_charge:g})"
             )
 
-    dissipated = cycle_integral(dissipation(shifts).total, grid)
+    dissipated = cycle_integral(instants.total_dissipation, grid)
 
     warnings: list[str] = []
     flagged = np.flatnonzero(shifts.herm_defect >= tol.tol_herm)

@@ -177,15 +177,13 @@ def cycle_integral(rates: np.ndarray, grid: CycleGrid) -> np.ndarray:
 
 
 def cycle_charge(model: PumpModel, mu: float, grid: CycleGrid,
-                 tolerances: Tolerances | None = None,
-                 shifts: EnergyShift | None = None) -> np.ndarray:
+                 tolerances: Tolerances | None = None) -> np.ndarray:
     """Charge pumped into each reservoir over one cycle (units of e).
 
     Time integral of the instantaneous current; positive entries mean
     net charge delivered to that reservoir.
     """
-    if shifts is None:
-        shifts = energy_shift_cycle(model, mu, grid, tolerances)
+    shifts = energy_shift_cycle(model, mu, grid, tolerances)
     return cycle_integral(instantaneous_current(shifts), grid)
 
 

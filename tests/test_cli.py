@@ -164,11 +164,13 @@ def test_instant_nonzero_entropy_for_perturbed(tmp_path, capsys):
 
 
 def test_exit_1_bad_samples(tmp_path, capsys):
-    doc = dict(BASE_CONFIG)
-    doc["cycle"] = {"period": 1.0, "samples": 100}
-    cfg = write_config(tmp_path, doc)
-    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 1
-    assert "cycle.samples" in capsys.readouterr().err
+    # not a power of two; a power of two whose (N, 2, 2) stack would take 16 GiB
+    for samples in (100, 2**30):
+        doc = dict(BASE_CONFIG)
+        doc["cycle"] = {"period": 1.0, "samples": samples}
+        cfg = write_config(tmp_path, doc)
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 1
+        assert "cycle.samples" in capsys.readouterr().err
 
 
 def test_exit_1_mu_outside_window(tmp_path, capsys):
@@ -253,7 +255,7 @@ def bathtub_argv(**flags):
 # with trials = 3, the streams seed .. seed + 2 must all lie below 2**64
 @pytest.mark.parametrize("flag,value", [("kmax", "nan"), ("kmax", "inf"), ("kmax", "-inf"),
                                         ("seed", str(2**64 - 2)), ("seed", str(2**64)),
-                                        ("seed", str(2**70))])
+                                        ("seed", str(2**70)), ("nk", str(10**13))])
 def test_bathtub_rejects_kmax_and_seed_out_of_range(capsys, flag, value):
     assert main(bathtub_argv(**{flag: value})) == 1
     captured = capsys.readouterr()
@@ -487,6 +489,18 @@ def run_cli(argv):
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["analyze", "instant"])
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 200000 + b"]" * 200000],
+                         ids=["not-utf8", "nested-200000"])
+def test_exit_1_hostile_config_file(tmp_path, command, content):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(content)
+    extra = ["--out", str(tmp_path / "r.json")] if command == "analyze" else ["--t", "0.0"]
+    code, out, err = run_cli([command, "--config", str(cfg), *extra])
+    assert code == 1 and out == "" and "config" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
 
 
 @given(doc=config_docs(), t=st.one_of(st.floats(0.0, 0.5), HOSTILE))

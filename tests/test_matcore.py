@@ -1,5 +1,7 @@
 """Matrix certification, spectral differentiation and periodic quadrature."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,12 +12,13 @@ from qpump.matcore import (
     DEFAULT_TOLERANCES,
     CycleGrid,
     Tolerances,
-    UnitaryMatrix,
     central_derivative,
     periodic_integral,
     spectral_derivative,
+    unitarity_defect,
     unitarize,
 )
+from qpump.models import build
 from qpump.shift import EnergyShift
 
 
@@ -24,26 +27,33 @@ from qpump.shift import EnergyShift
 
 def test_complex_matrix_validation():
     # the square/finite/read-only gate shared by every certified value
-    for make in (UnitaryMatrix, unitarize, EnergyShift.from_matrix):
+    for make in (unitarize, EnergyShift.from_matrix):
         with pytest.raises(ValueError):
             make(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             make(np.array([[np.nan, 0], [0, 1]]))
         with pytest.raises(ValueError):
             make(np.zeros((0, 0)))
-        m = make([[1, 0], [0, 1]])
-        assert m.array.shape == (2, 2)
+    m = EnergyShift.from_matrix([[1, 0], [0, 1]])
+    with pytest.raises(AttributeError):
+        m.array = np.eye(2)  # not rebindable
+    for array in (m.array, unitarize([[1, 0], [0, 1]])):
+        assert array.shape == (2, 2)
         with pytest.raises(ValueError):
-            m.array[0, 0] = 5.0  # stored read-only
-        with pytest.raises(AttributeError):
-            m.array = np.eye(2)  # and not rebindable
+            array[0, 0] = 5.0  # stored read-only
 
 
 def test_unitary_certification():
-    u = UnitaryMatrix(np.eye(3))
-    assert u.unitarity_defect == 0.0
-    with pytest.raises(NumericalFailure):
-        UnitaryMatrix(np.diag([1.0, 0.999]))
+    assert unitarity_defect(np.eye(3)) == 0.0
+    # a non-unitary matrix is rejected where stacks are certified, PumpModel.sample
+    model = dataclasses.replace(
+        build("flux-loop", {"k_ell": 1.0}),
+        matrix_fn=lambda times, energy: np.broadcast_to(np.diag([1.0, 0.999]), (len(times), 2, 2)),
+    )
+    with pytest.raises(NumericalFailure, match="unitarity defect"):
+        model.sample([0.0, 0.5], 1.0)
+    with pytest.raises(NumericalFailure, match="unitarity defect"):
+        model.eval(0.0, 1.0)
     # the global default gate
     assert DEFAULT_TOLERANCES.tol_unitary == 1e-10
 
@@ -70,13 +80,13 @@ def test_tolerances_updated():
 
 def test_unitarize_identity():
     u = unitarize(np.eye(2))
-    np.testing.assert_allclose(u.array, np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(u, np.eye(2), atol=1e-15)
 
 
 def test_unitarize_diagonal_phase():
     # polar factor of a diagonal matrix is its phase
     u = unitarize(np.diag([2.0, 2.0j]))
-    np.testing.assert_allclose(u.array, np.diag([1.0, 1.0j]), atol=1e-15)
+    np.testing.assert_allclose(u, np.diag([1.0, 1.0j]), atol=1e-15)
 
 
 def test_unitarize_random_well_conditioned():
@@ -84,25 +94,25 @@ def test_unitarize_random_well_conditioned():
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
     assert np.linalg.cond(m) < 10
     u = unitarize(m)
-    assert np.linalg.norm(u.array.conj().T @ u.array - np.eye(3)) < 1e-12
+    assert np.linalg.norm(u.conj().T @ u - np.eye(3)) < 1e-12
     # oracle: scipy's polar decomposition
     from scipy.linalg import polar
 
     expected, _ = polar(m)
-    np.testing.assert_allclose(u.array, expected, atol=1e-12)
+    np.testing.assert_allclose(u, expected, atol=1e-12)
 
 
 def test_unitarize_keeps_unitary_input():
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    np.testing.assert_allclose(unitarize(q).array, q, atol=1e-14)
+    np.testing.assert_allclose(unitarize(q), q, atol=1e-14)
 
 
 def test_unitarize_idempotent():
     rng = np.random.default_rng(7)
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
-    once = unitarize(m).array
-    twice = unitarize(once).array
+    once = unitarize(m)
+    twice = unitarize(once)
     assert np.max(np.abs(once - twice)) < 1e-13
 
 
@@ -118,8 +128,8 @@ def test_unitarize_property(seed):
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     assume(np.linalg.svd(m, compute_uv=False)[-1] > 1e-6)
     u = unitarize(m)
-    assert u.unitarity_defect < 1e-12
-    assert np.max(np.abs(unitarize(u.array).array - u.array)) < 1e-13
+    assert unitarity_defect(u) < 1e-12
+    assert np.max(np.abs(unitarize(u) - u)) < 1e-13
 
 
 # ---------------------------------------------------------------- grid

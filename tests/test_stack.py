@@ -28,7 +28,7 @@ def test_sample_equals_one_time_evals():
     for name, params in ALL_BUILTINS:
         model = build(name, params)
         times = GRID.times + 0.01
-        looped = np.stack([model.eval(t, 1.1).array for t in times])
+        looped = np.stack([model.eval(t, 1.1) for t in times])
         np.testing.assert_array_equal(model.sample(times, 1.1), looped, err_msg=name)
 
 
