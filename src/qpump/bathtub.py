@@ -70,7 +70,7 @@ class DispersionGrid:
         if not (math.isfinite(self.k_max) and self.k_max > 0):
             raise ValueError("k_max must be a positive finite real")
         # Hypotheses of the bound: eps(0) = 0 and k * eps'(k) >= 0.
-        if np.any(self.nodes * self.deps < 0.0) or np.any(self.weights < 0.0):
+        if not (np.all(self.nodes * self.deps >= 0.0) and np.all(self.weights >= 0.0)):
             raise ValueError("dispersion must satisfy k * eps'(k) >= 0 on all nodes")
         for a in (self.nodes, self.eps, self.deps, self.weights):
             a.setflags(write=False)
@@ -89,21 +89,19 @@ def _nodes(k_max: float, n_k: int) -> np.ndarray:
     return (np.arange(int(n_k)) + 1.0) * (k_max / int(n_k))
 
 
-def linear_dispersion(k_max: float, n_k: int, velocity: float = 1.0) -> DispersionGrid:
-    """``eps(k) = v*k`` (constant weight per cell)."""
-    if velocity <= 0:
-        raise ValueError("velocity must be positive")
+def linear_dispersion(k_max: float, n_k: int) -> DispersionGrid:
+    """``eps(k) = k`` (constant weight per cell)."""
     k = _nodes(k_max, n_k)
-    deps = np.full_like(k, float(velocity))
+    deps = np.ones_like(k)
     return DispersionGrid(
         kind="linear", k_max=float(k_max), n_k=int(n_k),
-        nodes=k, eps=velocity * k, deps=deps, weights=deps * (k_max / n_k),
+        nodes=k, eps=k, deps=deps, weights=deps * (k_max / n_k),
     )
 
 
 def quadratic_dispersion(k_max: float, n_k: int, mass: float = 1.0) -> DispersionGrid:
     """``eps(k) = k^2 / 2m``."""
-    if mass <= 0:
+    if not mass > 0:
         raise ValueError("mass must be positive")
     k = _nodes(k_max, n_k)
     deps = k / mass
@@ -143,7 +141,7 @@ def _clip_fluxes(grid: DispersionGrid, n: np.ndarray) -> tuple[np.ndarray, np.nd
     Each flux is its own ``row @ weights`` dot product: one matrix-vector
     product over the block would sum in another order.
     """
-    if n.min() < -1e-12 or n.max() > 1.0 + 1e-12:
+    if not (n.min() >= -1e-12 and n.max() <= 1.0 + 1e-12):
         raise ValueError("occupations must lie in [0, 1]")
     np.clip(n, 0.0, 1.0, out=n)
     w, eps = grid.weights, grid.eps

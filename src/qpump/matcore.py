@@ -23,7 +23,6 @@ import numpy as np
 from .errors import GridMismatch, NumericalFailure, SingularInput
 
 __all__ = [
-    "PLANCK",
     "R_K",
     "Tolerances",
     "DEFAULT_TOLERANCES",
@@ -37,8 +36,7 @@ __all__ = [
     "central_derivative",
 ]
 
-PLANCK = 2.0 * np.pi  #: h in natural units (hbar = 1)
-R_K = 2.0 * np.pi     #: von Klitzing resistance h/e**2 in natural units
+R_K = 2.0 * np.pi  #: von Klitzing resistance h/e**2 in natural units
 
 
 @dataclass(frozen=True)

@@ -262,12 +262,12 @@ def _draw_unitary(n: int, rng: SplitMix64) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Built-in model builders.  Each returns (n_channels, matrix_fn, params).
+# Built-in model builders.  Each takes the registry name, which its error
+# messages cite, and returns (n_channels, matrix_fn, params).
 # --------------------------------------------------------------------------
 
 
-def _build_flux_loop(params, period, window, mu):
-    name = "flux-loop"
+def _build_flux_loop(name, params, period, window, mu):
     k_ell = _param(params, "k_ell", name, required=True, minimum=0.0)
     w = int(_param(params, "w", name, default=1, integer=True))
     v = _param(params, "v", name, default=1.0, positive=True)
@@ -286,11 +286,10 @@ def _build_flux_loop(params, period, window, mu):
     return 2, matrix, {"k_ell": k_ell, "w": float(w), "v": v}
 
 
-def _build_perturbed_flux_loop(params, period, window, mu):
-    name = "perturbed-flux-loop"
+def _build_perturbed_flux_loop(name, params, period, window, mu):
     delta = _param(params, "delta", name, required=True)
     base_params = {k: v for k, v in params.items() if k != "delta"}
-    n, base, norm = _build_flux_loop(base_params, period, window, mu)
+    n, base, norm = _build_flux_loop(name, base_params, period, window, mu)
 
     # The rotation multiplies from the left: a right factor commutes into
     # the diagonal of E and would leave every cycle charge exactly
@@ -309,8 +308,7 @@ _DTC_DEGREE = 2  # trig-polynomial degree of the per-channel phases
 _MAX_SIZE = 64  # cap on channel counts and degrees: the stacks and draws grow with them
 
 
-def _build_diagonal_times_constant(params, period, window, mu):
-    name = "diagonal-times-constant"
+def _build_diagonal_times_constant(name, params, period, window, mu):
     n = int(_param(params, "n", name, default=2, integer=True, minimum=1, maximum=_MAX_SIZE))
     s0_seed = int(_param(params, "s0_seed", name, default=0, integer=True, minimum=0))
     allowed = {"n", "s0_seed"}
@@ -345,8 +343,7 @@ def _build_diagonal_times_constant(params, period, window, mu):
     return n, matrix, norm
 
 
-def _build_random_smooth_path(params, period, window, mu):
-    name = "random-smooth-path"
+def _build_random_smooth_path(name, params, period, window, mu):
     n = int(_param(params, "n", name, default=2, integer=True, minimum=1, maximum=_MAX_SIZE))
     seed = int(_param(params, "seed", name, default=0, integer=True, minimum=0))
     degree = int(_param(params, "degree", name, default=3, integer=True, minimum=0,
@@ -487,7 +484,8 @@ def build(name: str, params: Mapping[str, float] | None = None, *,
     if info is None:
         known = ", ".join(sorted(REGISTRY))
         raise UnknownModel("model", f"unknown model '{name}'; built-ins: {known}")
-    n, matrix_fn, norm = info.builder(dict(params or {}), float(period), (float(lo), float(hi)), float(mu))
+    n, matrix_fn, norm = info.builder(name, dict(params or {}), float(period),
+                                      (float(lo), float(hi)), float(mu))
     return PumpModel(
         name=name,
         n_channels=n,

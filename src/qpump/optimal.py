@@ -91,7 +91,7 @@ def _saturation_flags(shifts: EnergyShift, tol: Tolerances) -> tuple[bool, ...]:
 
 
 def optimality_verdict(model: PumpModel, mu: float, grid: CycleGrid,
-                       tolerances: Tolerances | None = None,
+                       tolerances: Tolerances = DEFAULT_TOLERANCES,
                        shifts: EnergyShift | None = None,
                        samples: np.ndarray | None = None) -> OptimalityVerdict:
     """Sweep the cycle and judge optimality.
@@ -100,15 +100,14 @@ def optimality_verdict(model: PumpModel, mu: float, grid: CycleGrid,
     energy-shift stack) may be passed to avoid resampling; they must come
     from the same (model, mu, grid).
     """
-    tol = tolerances or DEFAULT_TOLERANCES
     if shifts is None:
         if samples is None:
             samples = sample_cycle(model, mu, grid)
-        shifts = energy_shift_cycle(model, mu, grid, tol, samples=samples)
+        shifts = energy_shift_cycle(model, mu, grid, samples=samples)
     ratios = offdiag_ratio(shifts)
     worst_index = int(np.argmax(ratios))
     max_ratio = float(ratios[worst_index])
-    is_optimal = max_ratio < tol.tol_opt
+    is_optimal = max_ratio < tolerances.tol_opt
     decomposition = None
     if is_optimal:
         decomposition = diagonal_decomposition(model, mu, grid, samples=samples)
@@ -116,7 +115,7 @@ def optimality_verdict(model: PumpModel, mu: float, grid: CycleGrid,
         is_optimal=is_optimal,
         max_offdiag_ratio=max_ratio,
         worst_time=float(shifts.t[worst_index]),
-        per_channel_saturation=_saturation_flags(shifts, tol),
+        per_channel_saturation=_saturation_flags(shifts, tolerances),
         decomposition=decomposition,
     )
 

@@ -116,8 +116,6 @@ def _emit(obj, indent: int, out: list) -> None:
         out.append(_instants(obj, pad))
     elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
         out.append(_layout(obj.shape, pad) % _format_block(obj))
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), indent, out)
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
     elif obj is None:
@@ -196,7 +194,7 @@ def analyze(config: ModelConfig) -> AnalysisResult:
 
     # S(t, mu) is sampled once; every stage below reuses it.
     samples = sample_cycle(model, mu, grid)
-    shifts = energy_shift_cycle(model, mu, grid, tol, samples=samples)
+    shifts = energy_shift_cycle(model, mu, grid, samples=samples)
     tau = delay_scale(model, mu, grid, samples=samples)
     omega = 2.0 * np.pi / model.period
     epsilon = omega * tau
@@ -221,9 +219,11 @@ def analyze(config: ModelConfig) -> AnalysisResult:
     warnings: list[str] = []
     flagged = np.flatnonzero(shifts.herm_defect >= tol.tol_herm)
     if flagged.size:
+        first = flagged[0]
         warnings.append(
             f"elevated hermiticity defect on {flagged.size} of {len(shifts)} samples; "
-            f"worst: {shifts[flagged[0]].warning}"
+            f"worst: hermiticity defect {shifts.herm_defect[first]:.3e} at "
+            f"t={shifts.t[first]:.6g} exceeds {tol.tol_herm:g}"
         )
     if epsilon >= ADIABATICITY_WARN:
         warnings.append(
@@ -269,7 +269,7 @@ def instant_document(config: ModelConfig, t: float) -> InstantReport:
         raise ConfigError("t", f"must lie in [0, {config.period!r}), got {t!r}")
     model = build_model(config)
     grid = CycleGrid(config.period, config.samples)
-    e = energy_shift_at(model, t, config.mu, grid, config.tolerances)
+    e = energy_shift_at(model, t, config.mu, grid)
     tau = delay_scale(model, config.mu, grid)
     omega = 2.0 * np.pi / model.period
     return instant_report(e, beta=config.beta, omega=omega, tau=tau)

@@ -17,9 +17,7 @@ import numpy as np
 
 from .errors import EnergyOutOfWindow, GridMismatch, NumericalFailure
 from .matcore import (
-    DEFAULT_TOLERANCES,
     CycleGrid,
-    Tolerances,
     _frozen,
     _square_matrix,
     central_derivative,
@@ -57,14 +55,13 @@ class EnergyShift:
     anti-Hermitian residue of the raw product before symmetrization -- are
     then scalars or (N,) arrays.  Indexing a stack gives the shift at one
     time (a slice gives a shorter stack) and iterating it visits every
-    time.  ``warning`` is set where the defect reaches ``tol_herm``.
+    time.
     """
 
     array: np.ndarray
     t: float | np.ndarray
     mu: float
     herm_defect: float | np.ndarray
-    tol_herm: float = DEFAULT_TOLERANCES.tol_herm
 
     def __len__(self) -> int:
         return len(self.t)  # TypeError at one time, where t is a float
@@ -73,27 +70,17 @@ class EnergyShift:
         t, defect = self.t[index], self.herm_defect[index]
         if not isinstance(index, slice):
             t, defect = float(t), float(defect)
-        return EnergyShift(self.array[index], t, self.mu, defect, self.tol_herm)
+        return EnergyShift(self.array[index], t, self.mu, defect)
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
-    @property
-    def warning(self) -> str | None:
-        """Warning text at one time; None below ``tol_herm``."""
-        if not self.herm_defect >= self.tol_herm:
-            return None
-        return (
-            f"hermiticity defect {self.herm_defect:.3e} at t={self.t:.6g} exceeds "
-            f"{self.tol_herm:g}"
-        )
-
     @classmethod
-    def from_matrix(cls, array, t: float = 0.0, mu: float = 0.0) -> "EnergyShift":
-        """Wrap an explicit (near-)Hermitian matrix, e.g. for tests: square,
-        finite input is stored read-only as ``(M + M^dag)/2``."""
+    def from_matrix(cls, array, mu: float = 0.0) -> "EnergyShift":
+        """Wrap an explicit (near-)Hermitian matrix at t = 0, e.g. for tests:
+        square, finite input is stored read-only as ``(M + M^dag)/2``."""
         herm, defect = hermitian_part(_square_matrix(array))
-        return cls(_frozen(herm), float(t), float(mu), float(defect))
+        return cls(_frozen(herm), 0.0, float(mu), float(defect))
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +106,7 @@ def sample_cycle(model: PumpModel, mu: float, grid: CycleGrid) -> np.ndarray:
     return model.sample(grid.times, mu)
 
 
-def _shift_stack(s, ds, times, mu, tolerances) -> EnergyShift:
+def _shift_stack(s, ds, times, mu) -> EnergyShift:
     """Symmetrized ``i dS/dt S^dag`` over a stack, certified against
     ``HARD_HERM_LIMIT`` at every time."""
     herm, defect = hermitian_part(1j * (ds @ s.conj().swapaxes(1, 2)))
@@ -130,11 +117,10 @@ def _shift_stack(s, ds, times, mu, tolerances) -> EnergyShift:
             f"hermiticity defect {defect[i]:.3e} at t={times[i]:.6g} exceeds {HARD_HERM_LIMIT:g}; "
             "the grid does not resolve the cycle"
         )
-    return EnergyShift(herm, times, float(mu), defect, tolerances.tol_herm)
+    return EnergyShift(herm, times, float(mu), defect)
 
 
 def energy_shift_cycle(model: PumpModel, mu: float, grid: CycleGrid,
-                       tolerances: Tolerances | None = None,
                        samples: np.ndarray | None = None) -> EnergyShift:
     """Energy shift ``i dS/dt S^dag`` at every grid time, as one stack.
 
@@ -144,12 +130,10 @@ def energy_shift_cycle(model: PumpModel, mu: float, grid: CycleGrid,
     ``HARD_HERM_LIMIT`` (an under-resolved grid).
     """
     s = sample_cycle(model, mu, grid) if samples is None else samples
-    return _shift_stack(s, spectral_derivative(s, grid), grid.times, mu,
-                        tolerances or DEFAULT_TOLERANCES)
+    return _shift_stack(s, spectral_derivative(s, grid), grid.times, mu)
 
 
-def energy_shift_at(model: PumpModel, t: float, mu: float, grid: CycleGrid,
-                    tolerances: Tolerances | None = None) -> EnergyShift:
+def energy_shift_at(model: PumpModel, t: float, mu: float, grid: CycleGrid) -> EnergyShift:
     """Energy shift at one arbitrary time.
 
     Samples the cycle on the uniform grid offset so that ``t`` is its
@@ -157,12 +141,10 @@ def energy_shift_at(model: PumpModel, t: float, mu: float, grid: CycleGrid,
     """
     s = model.sample(t + grid.times, mu)
     ds = spectral_derivative(s, grid)
-    return _shift_stack(s[:1], ds[:1], np.array([float(t)]), mu,
-                        tolerances or DEFAULT_TOLERANCES)[0]
+    return _shift_stack(s[:1], ds[:1], np.array([float(t)]), mu)[0]
 
 
-def energy_shift_fd(model: PumpModel, t: float, mu: float, grid: CycleGrid,
-                    tolerances: Tolerances | None = None) -> EnergyShift:
+def energy_shift_fd(model: PumpModel, t: float, mu: float, grid: CycleGrid) -> EnergyShift:
     """Finite-difference cross-check of the spectral energy shift.
 
     Differentiates S in time by a fourth-order central difference with
@@ -172,8 +154,7 @@ def energy_shift_fd(model: PumpModel, t: float, mu: float, grid: CycleGrid,
     step = grid.period / (8.0 * grid.samples)
     times = np.array([float(t)])
     ds_dt = central_derivative(lambda u: model.sample([u], mu), float(t), step)
-    return _shift_stack(model.sample(times, mu), ds_dt, times, mu,
-                        tolerances or DEFAULT_TOLERANCES)[0]
+    return _shift_stack(model.sample(times, mu), ds_dt, times, mu)[0]
 
 
 def energy_shift_rows(model: PumpModel, mu: float, grid: CycleGrid) -> np.ndarray:
@@ -223,19 +204,18 @@ def time_delay(model: PumpModel, t: float, mu: float, dE: float) -> np.ndarray:
 
 
 def delay_scale(model: PumpModel, mu: float, grid: CycleGrid,
-                dE: float | None = None, samples: np.ndarray | None = None) -> float:
-    """Largest spectral norm of the time delay over the cycle (tau); the
-    stencil centre reuses ``samples`` (S(t, mu) on the grid) if given."""
+                samples: np.ndarray | None = None) -> float:
+    """Largest spectral norm of the time delay over the cycle (tau), with
+    step ``dE = ENERGY_STEP_FRACTION * (hi - lo)`` over the energy window;
+    the stencil centre reuses ``samples`` (S(t, mu) on the grid) if given."""
     lo, hi = model.energy_window
-    step = ENERGY_STEP_FRACTION * (hi - lo) if dE is None else dE
-    raw = _delay_raw(model, grid.times, mu, step, samples)
+    raw = _delay_raw(model, grid.times, mu, ENERGY_STEP_FRACTION * (hi - lo), samples)
     if model.energy_independent:  # raw is exactly zero: skip the per-node SVD
         return 0.0
     return float(np.max(np.linalg.norm(hermitian_part(raw)[0], ord=2, axis=(1, 2))))
 
 
-def adiabaticity(model: PumpModel, mu: float, grid: CycleGrid,
-                 dE: float | None = None) -> float:
+def adiabaticity(model: PumpModel, mu: float, grid: CycleGrid) -> float:
     """Adiabaticity parameter ``epsilon = omega * tau``.
 
     ``omega = 2*pi/T`` and tau is the conservative choice
@@ -243,7 +223,7 @@ def adiabaticity(model: PumpModel, mu: float, grid: CycleGrid,
     The pump formulas assume epsilon << 1; the value is reported with
     every analysis so out-of-regime parameter choices are visible.
     """
-    return (2.0 * np.pi / model.period) * delay_scale(model, mu, grid, dE)
+    return (2.0 * np.pi / model.period) * delay_scale(model, mu, grid)
 
 
 def velocity_split(e: EnergyShift) -> VelocitySplit:

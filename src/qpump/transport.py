@@ -176,19 +176,18 @@ def cycle_integral(rates: np.ndarray, grid: CycleGrid) -> np.ndarray:
     ])
 
 
-def cycle_charge(model: PumpModel, mu: float, grid: CycleGrid,
-                 tolerances: Tolerances | None = None) -> np.ndarray:
+def cycle_charge(model: PumpModel, mu: float, grid: CycleGrid) -> np.ndarray:
     """Charge pumped into each reservoir over one cycle (units of e).
 
     Time integral of the instantaneous current; positive entries mean
     net charge delivered to that reservoir.
     """
-    shifts = energy_shift_cycle(model, mu, grid, tolerances)
+    shifts = energy_shift_cycle(model, mu, grid)
     return cycle_integral(instantaneous_current(shifts), grid)
 
 
 def winding_charge(model: PumpModel, mu: float, grid: CycleGrid,
-                   tolerances: Tolerances | None = None,
+                   tolerances: Tolerances = DEFAULT_TOLERANCES,
                    samples: np.ndarray | None = None,
                    shifts: EnergyShift | None = None) -> np.ndarray:
     """Integer winding of each scattering-matrix row over the cycle.
@@ -206,16 +205,15 @@ def winding_charge(model: PumpModel, mu: float, grid: CycleGrid,
     ``samples`` (S(t, mu) on the grid) and ``shifts`` (its energy shift)
     may be passed to avoid recomputing them.
     """
-    tol = tolerances or DEFAULT_TOLERANCES
     from .optimal import offdiag_ratio  # deferred: optimal depends on this module
 
     s = sample_cycle(model, mu, grid) if samples is None else samples
     if shifts is None:
-        shifts = energy_shift_cycle(model, mu, grid, tol, samples=s)
+        shifts = energy_shift_cycle(model, mu, grid, samples=s)
     worst = float(np.max(offdiag_ratio(shifts)))
-    if worst >= tol.tol_opt:
+    if worst >= tolerances.tol_opt:
         raise NotOptimal(
-            f"max off-diagonal ratio {worst:.3e} >= tol_opt {tol.tol_opt:g}; "
+            f"max off-diagonal ratio {worst:.3e} >= tol_opt {tolerances.tol_opt:g}; "
             "winding numbers are defined for optimal pumps only"
         )
 
@@ -241,11 +239,9 @@ def winding_charge(model: PumpModel, mu: float, grid: CycleGrid,
     return np.rint(-steps.sum(axis=0) / _TWO_PI).astype(int)
 
 
-def dequantization_sweep(deltas: Sequence[float], mu: float, grid: CycleGrid,
-                         base_params: dict | None = None,
-                         period: float | None = None,
-                         energy_window: tuple[float, float] = (0.5, 1.5)):
-    """Cycle charges of the perturbed flux loop across mixing amplitudes.
+def dequantization_sweep(deltas: Sequence[float], mu: float, grid: CycleGrid):
+    """Cycle charges of the perturbed flux loop (k_ell = 1, the grid's
+    period, the default energy window) across mixing amplitudes.
 
     ``deltas`` must include 0 (the quantized reference point).  Returns
     ``[(delta, charges), ...]`` in input order; the charges leave the
@@ -253,13 +249,10 @@ def dequantization_sweep(deltas: Sequence[float], mu: float, grid: CycleGrid,
     """
     if not any(d == 0 for d in deltas):
         raise ValueError("deltas must include 0 as the quantized reference")
-    period = grid.period if period is None else period
     out = []
     for delta in deltas:
-        params = dict(base_params or {"k_ell": 1.0})
-        params["delta"] = float(delta)
-        model = build("perturbed-flux-loop", params, period=period,
-                      energy_window=energy_window, mu=mu)
+        model = build("perturbed-flux-loop", {"k_ell": 1.0, "delta": float(delta)},
+                      period=grid.period, mu=mu)
         out.append((float(delta), cycle_charge(model, mu, grid)))
     return out
 

@@ -60,6 +60,25 @@ def test_filling_fluxes():
         Filling.from_occupation(grid, np.ones(32))
 
 
+def test_nan_inputs_are_rejected():
+    # NaN fails every range check instead of flowing into the fluxes
+    grid = linear_dispersion(2.0, 64)
+    occ = np.full(64, 0.5)
+    occ[7] = np.nan
+    with pytest.raises(ValueError, match=r"occupations must lie in \[0, 1\]"):
+        Filling.from_occupation(grid, occ)
+    with pytest.raises(ValueError, match=r"occupations must lie in \[0, 1\]"):
+        project_to_qdot(grid, occ, 0.1)
+    with pytest.raises(ValueError, match="mass must be positive"):
+        quadratic_dispersion(2.0, 64, mass=np.nan)
+    for field in ("deps", "weights"):
+        bad = np.full(64, np.nan)
+        fields = {"nodes": grid.nodes, "eps": grid.eps, "deps": grid.deps,
+                  "weights": grid.weights, field: bad}
+        with pytest.raises(ValueError, match="k \\* eps'\\(k\\) >= 0"):
+            DispersionGrid(kind="nan", k_max=2.0, n_k=64, **fields)
+
+
 def test_filling_clips_a_copy():
     # rounding slack of 1e-12 is clipped in the filling, not in the caller's array
     grid = linear_dispersion(2.0, 64)
@@ -219,7 +238,7 @@ def reference_verify_bound(grid, trials, seed, mu):
 
 
 def understated_energies(k_max, n_k):
-    """A linear grid whose energies are half of ``v*k`` while the weights
+    """A linear grid whose energies are half of ``k`` while the weights
     keep ``eps' = 1``: the bound's hypothesis fails, so about half of the
     random fillings violate it and every reduction of the check is used."""
     grid = linear_dispersion(k_max, n_k)

@@ -86,6 +86,34 @@ def test_missing_param_names_key():
         build("perturbed-flux-loop", {"k_ell": 1.0})
 
 
+def test_perturbed_errors_name_their_model():
+    # the perturbed builder delegates to the flux-loop one, under its own name
+    with pytest.raises(MissingParam, match="model 'perturbed-flux-loop' requires parameter 'k_ell'"):
+        build("perturbed-flux-loop", {"delta": 0.1})
+    with pytest.raises(UnknownParam,
+                       match="model 'perturbed-flux-loop' does not understand parameter 'zz'"):
+        build("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.1, "zz": 1.0})
+
+
+REQUIRED_VALUES = {"k_ell": 1.0, "delta": 0.1}
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_registry_defaults_are_what_build_fills_in(name):
+    # ``pump models`` lists ParamInfo.default and required; build must agree.
+    # Patterned names (w<j>, a<j>_<m>, b<j>_<m>) are checked at j = m = 1.
+    infos = REGISTRY[name].params
+    required = {p.name: REQUIRED_VALUES[p.name] for p in infos if p.default is None}
+    model = build(name, required)
+    for p in infos:
+        if p.default is not None:
+            key = p.name.replace("<j>", "1").replace("<m>", "1")
+            assert model.params[key] == p.default, key
+    for key in required:
+        with pytest.raises(MissingParam, match=f"model '{name}' requires parameter '{key}'"):
+            build(name, {k: v for k, v in required.items() if k != key})
+
+
 def test_unknown_model_and_param():
     with pytest.raises(UnknownModel):
         build("no-such-pump", {})

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qpump.errors import EnergyOutOfWindow, GridMismatch, NumericalFailure
-from qpump.matcore import DEFAULT_TOLERANCES, CycleGrid
+from qpump.matcore import CycleGrid
 from qpump.models import build, reparameterized, time_warp
 from qpump.shift import (
     EnergyShift,
@@ -90,13 +90,6 @@ def test_hermiticity_defect_small_on_builtins():
     for name, params in ALL_BUILTINS:
         for e in energy_shift_cycle(build(name, params), 1.0, GRID):
             assert e.herm_defect < 1e-8, name
-            assert e.warning is None
-
-
-def test_hermiticity_warning_carried_in_value():
-    tol = DEFAULT_TOLERANCES.updated(tol_herm=1e-30)
-    shifts = energy_shift_cycle(build("random-smooth-path", {"seed": 1}), 1.0, GRID, tol)
-    assert any(e.warning is not None for e in shifts)
 
 
 def test_under_resolved_grid_fails_hard():
@@ -162,9 +155,7 @@ def test_time_delay_stencil_window_guard(name, params):
     with pytest.raises(ValueError, match="dE must be positive"):
         time_delay(model, 0.0, 1.0, -1e-4)
     with pytest.raises(EnergyOutOfWindow, match=r"stencil \[mu-2dE, mu\+2dE\]"):
-        delay_scale(model, 1.49, GRID, 0.01)
-    with pytest.raises(ValueError, match="dE must be positive"):
-        delay_scale(model, 1.0, GRID, -1e-4)
+        delay_scale(model, 1.49999, GRID)  # dE = 1e-4 * (hi - lo)
 
 
 def test_energy_independent_delay_samples_nothing():
