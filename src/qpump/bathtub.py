@@ -179,7 +179,7 @@ def greedy_minimize(grid: DispersionGrid, target_qdot: float) -> Filling:
     """
     budget = _TWO_PI * target_qdot  # occupied share of the energy measure
     total = float(grid.weights.sum())
-    if target_qdot < 0 or budget > total * (1.0 + 1e-12):
+    if not (target_qdot >= 0 and budget <= total * (1.0 + 1e-12)):
         raise TargetInfeasible(
             f"target Qdot {target_qdot!r} outside feasible range [0, {total / _TWO_PI!r}]"
         )
@@ -205,7 +205,9 @@ def analytic_minimum(mu: float) -> tuple[float, float]:
 
 
 def thermal_step(grid: DispersionGrid, mu: float) -> Filling:
-    """Zero-temperature Fermi step ``n_i = 1[eps_i < mu]``."""
+    """Zero-temperature Fermi step ``n_i = 1[eps_i < mu]`` (``mu >= 0``)."""
+    if not mu >= 0:
+        raise ValueError("mu must be >= 0")
     return Filling.from_occupation(grid, (grid.eps < mu).astype(float))
 
 
@@ -246,6 +248,7 @@ def verify_bound(grid: DispersionGrid, trials: int, seed: int = 0,
     if not 0 <= seed <= 2**64 - trials:
         raise ValueError("seeds seed .. seed + trials - 1 must lie in [0, 2**64)")
     mu = 0.5 * float(grid.eps[-1]) if mu is None else mu
+    step = thermal_step(grid, mu)
 
     modes = _sorted_modes(grid)
     violations = 0
@@ -261,7 +264,6 @@ def verify_bound(grid: DispersionGrid, trials: int, seed: int = 0,
         greedy_gap = float((_greedy_edot(modes, _TWO_PI * qdot) - bound).max())
         greedy_gap_max = max(greedy_gap_max, greedy_gap)
 
-    step = thermal_step(grid, mu)
     step_gap = step.edot - np.pi * np.square(step.qdot)  # inf, not OverflowError, on a huge band
     return BoundCheck(trials=trials, violations=violations, max_violation=max_violation,
                       greedy_gap_max=greedy_gap_max, step_gap=float(step_gap), mu=float(mu))
@@ -278,7 +280,7 @@ def two_sided_bound(mu_minus: float, source: Filling, grid: DispersionGrid) -> t
     the bound says lhs >= rhs, with equality when the source is itself a
     Fermi sea (up to the O(dk) discretization of the source).
     """
-    if mu_minus < 0:
+    if not mu_minus >= 0:
         raise ValueError("mu_minus must be >= 0")
     if source.grid is not grid:
         raise ValueError("source filling was built on a different grid")
@@ -303,7 +305,7 @@ def project_to_qdot(grid: DispersionGrid, occupation, target_qdot: float) -> Fil
         raise ValueError(f"occupation must have shape ({grid.n_k},)")
     budget = _TWO_PI * target_qdot
     total = float(grid.weights.sum())
-    if target_qdot < 0 or budget > total * (1.0 + 1e-12):
+    if not (target_qdot >= 0 and budget <= total * (1.0 + 1e-12)):
         raise TargetInfeasible(f"target Qdot {target_qdot!r} infeasible")
 
     def flux(shift: float) -> float:

@@ -15,7 +15,7 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -41,7 +41,8 @@ R_K = 2.0 * np.pi  #: von Klitzing resistance h/e**2 in natural units
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Central numerical tolerances.
+    """Central numerical tolerances: in field order, the configuration's
+    ``tolerances`` keys and the report's ``versions.tolerances`` echo.
 
     Attributes
     ----------
@@ -49,8 +50,8 @@ class Tolerances:
         Frobenius norm allowed in ``S^dag S - I`` when certifying a
         unitary matrix.
     tol_herm : float
-        Relative non-Hermiticity of a computed energy shift above which a
-        warning is attached to the value.
+        Relative non-Hermiticity of a computed energy shift at or above
+        which the analysis report carries a warning.
     tol_opt : float
         Off-diagonal ratio of the energy shift below which a pump counts
         as optimal.  Chosen far above the ~1e-11 noise floor of spectral
@@ -63,9 +64,6 @@ class Tolerances:
     tol_herm: float = 1e-6
     tol_opt: float = 1e-8
     tol_charge: float = 1e-8
-
-    def updated(self, **overrides: float) -> "Tolerances":
-        return replace(self, **overrides)
 
 
 DEFAULT_TOLERANCES = Tolerances()

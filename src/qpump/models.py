@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
@@ -89,7 +89,7 @@ _MIX2 = 0x94D049BB133111EB
 
 
 class SplitMix64:
-    """Seeded 64-bit generator with documented constants."""
+    """Seeded 64-bit generator with documented constants: the scalar reference."""
 
     __slots__ = ("_state",)
 
@@ -231,34 +231,32 @@ def _reject_unknown(params: dict, allowed: set[str], model: str) -> None:
             )
 
 
-def _draw_hermitian(n: int, rng: SplitMix64, scale: float) -> np.ndarray:
-    """Hermitian matrix with entries uniform in [-scale, scale).
+def _uniform(seed: int, hi: np.ndarray) -> np.ndarray:
+    """Draw i of ``SplitMix64(seed)`` in ``[-hi[i], hi[i])``, for every i in one
+    ``uniform_stream`` pass with :meth:`SplitMix64.uniform`'s arithmetic."""
+    lo = -hi
+    return lo + (hi - lo) * uniform_stream(seed & _MASK64, hi.size)
 
-    Draw order (documented for reproducibility): for each row j, the real
-    diagonal entry, then for k > j the real and imaginary parts of the
-    upper off-diagonal entry.
-    """
-    h = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        h[j, j] = rng.uniform(-scale, scale)
-        for k in range(j + 1, n):
-            re = rng.uniform(-scale, scale)
-            im = rng.uniform(-scale, scale)
-            h[j, k] = re + 1j * im
-            h[k, j] = re - 1j * im
+
+def _hermitian_stack(draws: np.ndarray, n: int) -> np.ndarray:
+    """Hermitian matrices from consecutive blocks of n*n draws, each drawn row
+    by row (documented for reproducibility): the real diagonal entry, then
+    for k > j the real and imaginary parts of entry (j, k)."""
+    rows = draws.reshape(-1, n * n)
+    h = np.zeros((rows.shape[0], n, n), dtype=complex)
+    for j in range(n):  # rows 0..j-1 hold 2n-1, 2n-3, ... draws: row j starts at j(2n-j)
+        row = rows[:, j * (2 * n - j):(j + 1) * (2 * n - j - 1)]
+        h[:, j, j] = row[:, 0]
+        h[:, j, j + 1:] = row[:, 1::2] + 1j * row[:, 2::2]
+        h[:, j + 1:, j] = row[:, 1::2] - 1j * row[:, 2::2]
     return h
 
 
-def _draw_unitary(n: int, rng: SplitMix64) -> np.ndarray:
-    """Unitary polar factor of a random complex matrix (row-major draws,
+def _unitary(draws: np.ndarray, n: int) -> np.ndarray:
+    """Unitary polar factor of the complex matrix of 2*n*n draws (row-major,
     real part before imaginary part)."""
-    m = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            re = rng.uniform(-1.0, 1.0)
-            im = rng.uniform(-1.0, 1.0)
-            m[j, k] = re + 1j * im
-    return unitarize(m)
+    pairs = draws.reshape(n, n, 2)
+    return unitarize(pairs[..., 0] + 1j * pairs[..., 1])
 
 
 # --------------------------------------------------------------------------
@@ -328,7 +326,8 @@ def _build_diagonal_times_constant(name, params, period, window, mu):
             norm[f"b{j}_{m}"] = sin_coef[j - 1, m - 1]
     _reject_unknown(params, allowed, name)
 
-    s0 = np.eye(n, dtype=complex) if s0_seed == 0 else _draw_unitary(n, SplitMix64(s0_seed))
+    s0 = (np.eye(n, dtype=complex) if s0_seed == 0
+          else _unitary(_uniform(s0_seed, np.ones(2 * n * n)), n))
     modes = np.arange(1, _DTC_DEGREE + 1)
 
     def matrix(times, energy):
@@ -351,17 +350,14 @@ def _build_random_smooth_path(name, params, period, window, mu):
     amplitude = _param(params, "amplitude", name, default=1.0, minimum=0.0)
     _reject_unknown(params, {"n", "seed", "degree", "amplitude"}, name)
 
-    rng = SplitMix64(seed)
-    # Draw order: constant Hermitian term, then (cos, sin) pairs for each
-    # mode 1..degree, then the constant unitary S0.  Mode amplitudes decay
-    # like 1/(1+m) so the path is comfortably band limited.
-    const = _draw_hermitian(n, rng, amplitude)
-    cos_terms = []
-    sin_terms = []
-    for m in range(1, degree + 1):
-        cos_terms.append(_draw_hermitian(n, rng, amplitude / (1.0 + m)))
-        sin_terms.append(_draw_hermitian(n, rng, amplitude / (1.0 + m)))
-    s0 = _draw_unitary(n, rng)
+    # One SplitMix64(seed) stream draws the constant Hermitian term, a (cos, sin)
+    # pair per mode 1..degree, then S0 in [-1, 1) (two blocks of n*n).  Mode
+    # amplitudes decay like 1/(1+m) so the path is comfortably band limited.
+    modes = np.repeat(np.arange(degree + 1), [1] + [2] * degree)
+    draws = _uniform(seed, np.repeat(np.append(amplitude / (1.0 + modes), [1.0, 1.0]), n * n))
+    terms = _hermitian_stack(draws[:-2 * n * n], n)
+    const, cos_terms, sin_terms = terms[0], terms[1::2], terms[2::2]
+    s0 = _unitary(draws[-2 * n * n:], n)
 
     def matrix(times, energy):
         arg = _TWO_PI * times[:, None, None] / period
@@ -507,7 +503,6 @@ MAX_STACK_ENTRIES = 2**22
 
 _TOP_KEYS = ("model", "params", "cycle", "energy", "tolerances", "beta")
 _REQUIRED_TOP = ("model", "params", "cycle", "energy")
-_TOLERANCE_KEYS = ("tol_unitary", "tol_herm", "tol_opt", "tol_charge")
 
 
 def _real(value, fieldname: str, *, positive=False) -> float:
@@ -553,8 +548,8 @@ class ModelConfig:
 
     Top-level fields: ``model`` (registry name), ``params`` (name -> real),
     ``cycle`` = {period, samples}, ``energy`` = {mu, window, samples},
-    optional ``tolerances`` (subset of tol_unitary/tol_herm/tol_opt/
-    tol_charge) and optional ``beta`` (inverse temperature).  Unknown keys
+    optional ``tolerances`` (any subset of the :class:`Tolerances` fields)
+    and optional ``beta`` (inverse temperature).  Unknown keys
     anywhere are an error.
     """
 
@@ -610,10 +605,10 @@ class ModelConfig:
                 raise ConfigError("tolerances", "must be an object")
             overrides = {}
             for k, v in tol.items():
-                if k not in _TOLERANCE_KEYS:
+                if k not in {f.name for f in fields(Tolerances)}:
                     raise ConfigError(f"tolerances.{k}", "unknown tolerance")
                 overrides[k] = _real(v, f"tolerances.{k}", positive=True)
-            tolerances = tolerances.updated(**overrides)
+            tolerances = replace(tolerances, **overrides)
 
         beta = None
         if "beta" in doc:

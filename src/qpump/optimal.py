@@ -82,7 +82,7 @@ class OptimalityVerdict:
 
 def _saturation_flags(shifts: EnergyShift, tol: Tolerances) -> tuple[bool, ...]:
     d = dissipation(shifts)
-    worst = (d.total - d.joule).max(axis=0)  # bound_residual(shifts), from the same d
+    worst = d.residual.max(axis=0)
     scale = d.total.max(axis=0)
     # tol_opt bounds the off-diagonal *ratio*; residuals scale with its
     # square.  The eps floor absorbs rounding in the subtraction.

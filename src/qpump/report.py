@@ -10,7 +10,7 @@ in one pass per block, in the same bytes as their list form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii as _quote  # what json.dumps does to a str
 
 import numpy as np
@@ -44,17 +44,12 @@ def format_float(value: float) -> str:
     Raises :class:`NumericalFailure` on NaN and +/-inf, which strict JSON
     cannot carry.
     """
-    out = format(float(value), ".17g")
-    if "." not in out and "e" not in out:
-        if out in ("nan", "inf", "-inf"):
-            raise NumericalFailure(f"non-finite value {out} in the report")
-        out += ".0"
-    return out
+    return _format_block(np.array([float(value)]))[0]
 
 
 def _format_block(x: np.ndarray) -> tuple[str, ...]:
-    """:func:`format_float` of every entry of a float array, in C order,
-    from one finiteness check and one formatting pass."""
+    """Every entry of a float array in C order as ``%.17g``, plus ".0" where
+    that reads as an integer: one finiteness check, one formatting pass."""
     flat = x.ravel()
     finite = np.isfinite(flat)
     if not finite.all():
@@ -251,12 +246,7 @@ def analyze(config: ModelConfig) -> AnalysisResult:
         "warnings": warnings,
         "versions": {
             "spec_version": SPEC_VERSION,
-            "tolerances": {
-                "tol_unitary": tol.tol_unitary,
-                "tol_herm": tol.tol_herm,
-                "tol_opt": tol.tol_opt,
-                "tol_charge": tol.tol_charge,
-            },
+            "tolerances": asdict(tol),
         },
     }
     return AnalysisResult(document=document, instants=instants, ratios=ratios, verdict=verdict)

@@ -60,7 +60,6 @@ class EnergyShift:
 
     array: np.ndarray
     t: float | np.ndarray
-    mu: float
     herm_defect: float | np.ndarray
 
     def __len__(self) -> int:
@@ -70,17 +69,17 @@ class EnergyShift:
         t, defect = self.t[index], self.herm_defect[index]
         if not isinstance(index, slice):
             t, defect = float(t), float(defect)
-        return EnergyShift(self.array[index], t, self.mu, defect)
+        return EnergyShift(self.array[index], t, defect)
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
     @classmethod
-    def from_matrix(cls, array, mu: float = 0.0) -> "EnergyShift":
+    def from_matrix(cls, array) -> "EnergyShift":
         """Wrap an explicit (near-)Hermitian matrix at t = 0, e.g. for tests:
         square, finite input is stored read-only as ``(M + M^dag)/2``."""
         herm, defect = hermitian_part(_square_matrix(array))
-        return cls(_frozen(herm), 0.0, float(mu), float(defect))
+        return cls(_frozen(herm), 0.0, float(defect))
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +105,7 @@ def sample_cycle(model: PumpModel, mu: float, grid: CycleGrid) -> np.ndarray:
     return model.sample(grid.times, mu)
 
 
-def _shift_stack(s, ds, times, mu) -> EnergyShift:
+def _shift_stack(s, ds, times) -> EnergyShift:
     """Symmetrized ``i dS/dt S^dag`` over a stack, certified against
     ``HARD_HERM_LIMIT`` at every time."""
     herm, defect = hermitian_part(1j * (ds @ s.conj().swapaxes(1, 2)))
@@ -117,7 +116,7 @@ def _shift_stack(s, ds, times, mu) -> EnergyShift:
             f"hermiticity defect {defect[i]:.3e} at t={times[i]:.6g} exceeds {HARD_HERM_LIMIT:g}; "
             "the grid does not resolve the cycle"
         )
-    return EnergyShift(herm, times, float(mu), defect)
+    return EnergyShift(herm, times, defect)
 
 
 def energy_shift_cycle(model: PumpModel, mu: float, grid: CycleGrid,
@@ -130,7 +129,7 @@ def energy_shift_cycle(model: PumpModel, mu: float, grid: CycleGrid,
     ``HARD_HERM_LIMIT`` (an under-resolved grid).
     """
     s = sample_cycle(model, mu, grid) if samples is None else samples
-    return _shift_stack(s, spectral_derivative(s, grid), grid.times, mu)
+    return _shift_stack(s, spectral_derivative(s, grid), grid.times)
 
 
 def energy_shift_at(model: PumpModel, t: float, mu: float, grid: CycleGrid) -> EnergyShift:
@@ -141,7 +140,7 @@ def energy_shift_at(model: PumpModel, t: float, mu: float, grid: CycleGrid) -> E
     """
     s = model.sample(t + grid.times, mu)
     ds = spectral_derivative(s, grid)
-    return _shift_stack(s[:1], ds[:1], np.array([float(t)]), mu)[0]
+    return _shift_stack(s[:1], ds[:1], np.array([float(t)]))[0]
 
 
 def energy_shift_fd(model: PumpModel, t: float, mu: float, grid: CycleGrid) -> EnergyShift:
@@ -154,7 +153,7 @@ def energy_shift_fd(model: PumpModel, t: float, mu: float, grid: CycleGrid) -> E
     step = grid.period / (8.0 * grid.samples)
     times = np.array([float(t)])
     ds_dt = central_derivative(lambda u: model.sample([u], mu), float(t), step)
-    return _shift_stack(model.sample(times, mu), ds_dt, times, mu)[0]
+    return _shift_stack(model.sample(times, mu), ds_dt, times)[0]
 
 
 def energy_shift_rows(model: PumpModel, mu: float, grid: CycleGrid) -> np.ndarray:

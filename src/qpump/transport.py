@@ -33,7 +33,6 @@ __all__ = [
     "instantaneous_current",
     "Dissipation",
     "dissipation",
-    "bound_residual",
     "EntropyNoise",
     "entropy_noise",
     "OutgoingSymbol",
@@ -84,6 +83,12 @@ class Dissipation(NamedTuple):
     joule: np.ndarray
     excess: np.ndarray
 
+    @property
+    def residual(self) -> np.ndarray:
+        """Bound slack ``D_j - (R_K/2) Qdot_j^2``, by subtraction rather than the
+        closed form ``excess >= 0`` it equals, so the inequality is exercised."""
+        return self.total - self.joule
+
 
 def dissipation(e: EnergyShift) -> Dissipation:
     """Dissipated power per channel, ``D_j = (E^2)_jj / 4pi``."""
@@ -92,17 +97,6 @@ def dissipation(e: EnergyShift) -> Dissipation:
     joule = 0.5 * R_K * qdot**2
     excess = _offdiagonal_weight(e) / _FOUR_PI
     return Dissipation(total=total, joule=joule, excess=excess)
-
-
-def bound_residual(e: EnergyShift) -> np.ndarray:
-    """Slack in the dissipation bound, ``D_j - (R_K/2) Qdot_j^2``.
-
-    Computed by actual subtraction of the two sides (not from the
-    off-diagonal closed form) so the inequality is genuinely exercised;
-    algebraically it equals ``sum_{k != j} |E_jk|^2 / 4pi >= 0``.
-    """
-    d = dissipation(e)
-    return d.total - d.joule
 
 
 class EntropyNoise(NamedTuple):
@@ -141,7 +135,6 @@ class OutgoingSymbol:
 
     delta_weight: np.ndarray
     delta_prime_weight: np.ndarray
-    mu: float
 
     def __post_init__(self):
         if np.any(self.delta_prime_weight > 0.0):
@@ -153,7 +146,6 @@ def outgoing_symbol(e: EnergyShift) -> OutgoingSymbol:
     return OutgoingSymbol(
         delta_weight=np.real(_diagonal(e.array)).copy(),
         delta_prime_weight=-0.5 * _square_diagonal(e),
-        mu=e.mu,
     )
 
 
@@ -305,7 +297,7 @@ def instant_report(e: EnergyShift, beta: float | None = None,
         qdot=instantaneous_current(e),
         total_dissipation=d.total,
         excess=d.excess,
-        residual=d.total - d.joule,  # bound_residual(e), without recomputing d
+        residual=d.residual,
         regime_ok=regime_ok,
         sdot=sdot,
         ndot=ndot,

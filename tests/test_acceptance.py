@@ -17,7 +17,6 @@ from qpump.optimal import diagonal_decomposition, optimality_verdict
 from qpump.bathtub import Filling, analytic_minimum, greedy_minimize, linear_dispersion
 from qpump.shift import EnergyShift, energy_shift_cycle, energy_shift_rows
 from qpump.transport import (
-    bound_residual,
     cycle_charge,
     dequantization_sweep,
     dissipation,
@@ -54,7 +53,7 @@ def test_criterion_01_flux_loop_charge_quantization():
 def test_criterion_02_bound_saturation_on_optimal_pump():
     model = build("flux-loop", {"k_ell": 1.0})
     worst = max(
-        float(np.max(bound_residual(e))) for e in energy_shift_cycle(model, MU, GRID)
+        float(np.max(dissipation(e).residual)) for e in energy_shift_cycle(model, MU, GRID)
     )
     ok = worst < 1e-12
     assert check(2, "bound saturated at every sample", ok, f"max residual {worst:.2e}")
@@ -67,7 +66,7 @@ def test_criterion_03_bound_inequality_random_shifts():
     for n in (2, 3, 4):
         for _ in range(200):
             a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            residual = bound_residual(EnergyShift.from_matrix(a + a.conj().T))
+            residual = dissipation(EnergyShift.from_matrix(a + a.conj().T)).residual
             worst = min(worst, float(residual.min()))
             count += 1
     ok = worst >= -1e-12 and count >= 500

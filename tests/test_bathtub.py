@@ -71,6 +71,16 @@ def test_nan_inputs_are_rejected():
         project_to_qdot(grid, occ, 0.1)
     with pytest.raises(ValueError, match="mass must be positive"):
         quadratic_dispersion(2.0, 64, mass=np.nan)
+    with pytest.raises(TargetInfeasible):
+        greedy_minimize(grid, np.nan)
+    with pytest.raises(TargetInfeasible):
+        project_to_qdot(grid, np.full(64, 0.5), np.nan)
+    with pytest.raises(ValueError, match="mu_minus must be >= 0"):
+        two_sided_bound(np.nan, thermal_step(grid, 1.0), grid)
+    with pytest.raises(ValueError, match="mu must be >= 0"):
+        thermal_step(grid, np.nan)
+    with pytest.raises(ValueError, match="mu must be >= 0"):
+        verify_bound(grid, 1, mu=np.nan)
     for field in ("deps", "weights"):
         bad = np.full(64, np.nan)
         fields = {"nodes": grid.nodes, "eps": grid.eps, "deps": grid.deps,

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpump.cli import main
+from qpump.matcore import DEFAULT_TOLERANCES, Tolerances
 from qpump.models import ModelConfig
 from qpump.report import analyze, dumps, format_float, instant_document
 
@@ -32,6 +33,13 @@ def write_config(tmp_path, doc, name="config.json"):
 
 
 # ---------------------------------------------------------------- serialization
+
+
+def reference_float(value):
+    """The float rule written out for one value: ``%.17g``, plus ".0" when the
+    text has neither "." nor "e" (it would read back as an integer)."""
+    text = format(value, ".17g")
+    return text if "." in text or "e" in text else text + ".0"
 
 
 def test_format_float_round_trips():
@@ -91,6 +99,22 @@ def test_analyze_flux_loop(tmp_path, capsys):
     lines = csv.read_text().splitlines()
     assert lines[0] == "t,Qdot_1,Qdot_2,D_1,D_2,Sdot_1,Sdot_2,Ndot_1,Ndot_2,rho"
     assert len(lines) == 257
+
+
+def test_every_tolerance_is_read_and_echoed(tmp_path, capsys):
+    # each Tolerances field is a config key and is echoed in field order,
+    # whatever order the config lists them in
+    names = [f.name for f in dataclasses.fields(Tolerances)]
+    given_values = {name: 2.0 * getattr(DEFAULT_TOLERANCES, name) for name in reversed(names)}
+    cfg = write_config(tmp_path, dict(BASE_CONFIG, tolerances=given_values))
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+    echo = json.loads(out.read_text())["versions"]["tolerances"]
+    assert list(echo) == names
+    assert echo == given_values
+    bad = write_config(tmp_path, dict(BASE_CONFIG, tolerances={"tol_opt": 1e-8, "tol_x": 1.0}))
+    assert main(["analyze", "--config", bad, "--out", str(tmp_path / "bad.json")]) == 1
+    assert "tolerances.tol_x" in capsys.readouterr().err
 
 
 def test_analyze_without_beta_drops_entropy_columns(tmp_path):
@@ -338,9 +362,10 @@ def test_format_float_rejects_non_finite():
     report = analyze(ModelConfig.from_dict(dict(BASE_CONFIG, cycle={"period": 1.0,
                                                                      "samples": 16}))).instants
     for value in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(NumericalFailure):
+        message = f"non-finite value {format(value, '.17g')} in the report"
+        with pytest.raises(NumericalFailure, match=f"^{message}$"):
             format_float(value)
-        with pytest.raises(NumericalFailure):
+        with pytest.raises(NumericalFailure, match=f"^{message}$"):
             dumps({"x": np.array([1.0, value])})
         block = np.ones((4, 3))
         block[2, 1] = value
@@ -369,6 +394,8 @@ def test_dumps_float_array_matches_list_form():
     # %.17g writes the integral ones below 1e17 without "." or "e"
     edges = np.array([-0.0, 1.0, -3.0, 1e16, 99999999999999984.0, 1e17, 5e-324,
                       1.7976931348623157e308])
+    for v in [*values.tolist(), *edges.tolist()]:
+        assert format_float(v) == reference_float(v)
     phases = np.random.default_rng(3).normal(size=(16, 3))
     phases[::4, 1] = 0.0
     doc = {"a": values, "b": {"c": values[:2]}, "e": np.array([]), "m": np.eye(2)}
@@ -393,6 +420,15 @@ def test_dumps_float_array_matches_list_form():
             one = instant_document(config, 0.25)
             assert dumps(one) == dumps(instant_records(one)[0])
             assert dumps([one]) == dumps(instant_records(one))
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(1e17 - 16.0)
+@settings(max_examples=300, deadline=None)
+def test_format_float_matches_scalar_rule(value):
+    assert format_float(value) == reference_float(value)
+    assert float(format_float(value)) == value
 
 
 def test_exit_2_charge_winding_gap(tmp_path, capsys):

@@ -11,7 +11,6 @@ from qpump.errors import GridMismatch, NumericalFailure, SingularInput
 from qpump.matcore import (
     DEFAULT_TOLERANCES,
     CycleGrid,
-    Tolerances,
     central_derivative,
     periodic_integral,
     spectral_derivative,
@@ -67,12 +66,6 @@ def test_hermitian_storage_is_exactly_self_adjoint():
     assert h.herm_defect > 0.1  # raw input was far from Hermitian
     exact = raw + raw.conj().T
     assert EnergyShift.from_matrix(exact).herm_defect < 1e-15
-
-
-def test_tolerances_updated():
-    tol = Tolerances().updated(tol_opt=1e-5)
-    assert tol.tol_opt == 1e-5
-    assert tol.tol_unitary == DEFAULT_TOLERANCES.tol_unitary
 
 
 # ---------------------------------------------------------------- unitarize

@@ -16,7 +16,7 @@ from qpump.errors import (
     UnknownModel,
     UnknownParam,
 )
-from qpump.matcore import CycleGrid, unitarity_defect
+from qpump.matcore import CycleGrid, unitarity_defect, unitarize
 from qpump.models import (
     ENERGY_STEP_FRACTION,
     REGISTRY,
@@ -67,6 +67,59 @@ def test_uniform_rows_are_scalar_streams(seed):
     for row, stream in zip(np.concatenate(blocks), range(seed, seed + 23)):
         rng = SplitMix64(stream)
         np.testing.assert_array_equal(row, [rng.uniform() for _ in range(100)])
+
+
+def scalar_hermitian(n, rng, scale):
+    """Reference Hermitian draw, one scalar at a time: per row j the real
+    diagonal entry, then for k > j the real and imaginary parts of (j, k)."""
+    h = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        h[j, j] = rng.uniform(-scale, scale)
+        for k in range(j + 1, n):
+            re = rng.uniform(-scale, scale)
+            im = rng.uniform(-scale, scale)
+            h[j, k] = re + 1j * im
+            h[k, j] = re - 1j * im
+    return h
+
+
+def scalar_unitary(n, rng):
+    """Reference unitary draw: row-major, real part before imaginary part."""
+    m = np.empty((n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            re = rng.uniform(-1.0, 1.0)
+            im = rng.uniform(-1.0, 1.0)
+            m[j, k] = re + 1j * im
+    return unitarize(m)
+
+
+def drawn(model):
+    """What a built model's matrix function closes over, by name."""
+    fn = model.matrix_fn
+    return dict(zip(fn.__code__.co_freevars, (cell.cell_contents for cell in fn.__closure__)))
+
+
+@given(st.integers(1, 8), st.integers(0, 4), st.integers(0, 2**53), st.floats(0.0, 10.0))
+@settings(max_examples=150, deadline=None)
+def test_model_draws_match_scalar_generator(n, degree, seed, amplitude):
+    # random-smooth-path draws its constant term, (cos, sin) per mode, then S0
+    # from one stream; diagonal-times-constant draws S0 alone.  Bit for bit.
+    rsp = drawn(build("random-smooth-path",
+                      {"n": n, "degree": degree, "seed": seed, "amplitude": amplitude}))
+    rng = SplitMix64(seed)
+    const = scalar_hermitian(n, rng, amplitude)
+    modes = [[scalar_hermitian(n, rng, amplitude / (1.0 + m)) for _ in "cs"]
+             for m in range(1, degree + 1)]
+    cos_terms, sin_terms = (np.array([pair[i] for pair in modes]).reshape(-1, n, n)
+                            for i in (0, 1))
+    assert rsp["const"].tobytes() == const.tobytes()
+    assert rsp["cos_terms"].tobytes() == cos_terms.tobytes()
+    assert rsp["sin_terms"].tobytes() == sin_terms.tobytes()
+    assert rsp["s0"].tobytes() == scalar_unitary(n, rng).tobytes()
+    s0 = drawn(build("diagonal-times-constant", {"n": n, "s0_seed": seed}))["s0"]
+    expected = np.eye(n, dtype=complex) if seed == 0 else scalar_unitary(n, SplitMix64(seed))
+    assert s0.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------- building

@@ -12,7 +12,6 @@ from qpump.models import build
 from qpump.optimal import offdiag_ratio
 from qpump.shift import energy_shift_cycle, sample_cycle, velocity_split
 from qpump.transport import (
-    bound_residual,
     dissipation,
     entropy_noise,
     instant_report,
@@ -46,7 +45,7 @@ def test_stack_views_and_observables_match_loop():
             for field in ("qdot", "total_dissipation", "excess", "residual", "sdot", "ndot"):
                 np.testing.assert_array_equal(getattr(stacked, field)[i], getattr(one, field))
             assert ratios[i] == offdiag_ratio(e)
-            np.testing.assert_array_equal(bound_residual(shifts)[i], bound_residual(e))
+            np.testing.assert_array_equal(dissipation(shifts).residual[i], dissipation(e).residual)
             np.testing.assert_array_equal(dissipation(shifts).joule[i], dissipation(e).joule)
             np.testing.assert_array_equal(instantaneous_current(shifts)[i],
                                           instantaneous_current(e))

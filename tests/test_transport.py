@@ -11,7 +11,6 @@ from qpump.models import build, reparameterized
 from qpump.shift import EnergyShift, energy_shift_cycle
 from qpump.transport import (
     InstantReport,
-    bound_residual,
     cycle_charge,
     dequantization_sweep,
     dissipation,
@@ -101,13 +100,13 @@ def test_square_identity_on_builtins():
 
 def test_residual_diagonal_is_zero():
     e = EnergyShift.from_matrix(np.diag([2.0, -1.0, 0.5]))
-    assert np.max(np.abs(bound_residual(e))) < 1e-14
+    assert np.max(np.abs(dissipation(e).residual)) < 1e-14
 
 
 def test_residual_hand_value():
     # E = [[1,1],[1,-1]]: E^2 = 2 I, D = 1/2pi, joule = 1/4pi each channel
     e = EnergyShift.from_matrix([[1.0, 1.0], [1.0, -1.0]])
-    np.testing.assert_allclose(bound_residual(e), [1 / (4 * PI)] * 2, atol=1e-15)
+    np.testing.assert_allclose(dissipation(e).residual, [1 / (4 * PI)] * 2, atol=1e-15)
 
 
 def test_residual_nonnegative_sweep():
@@ -115,7 +114,7 @@ def test_residual_nonnegative_sweep():
     worst = 0.0
     for _ in range(100):
         e = random_hermitian_shift(rng, 4)
-        r = bound_residual(e)
+        r = dissipation(e).residual
         closed_form = dissipation(e).excess
         np.testing.assert_allclose(r, closed_form, atol=1e-12)
         worst = min(worst, r.min())
@@ -126,7 +125,7 @@ def test_residual_nonnegative_sweep():
 @settings(max_examples=60, deadline=None)
 def test_residual_nonnegative_property(seed, n):
     e = random_hermitian_shift(np.random.default_rng(seed), n)
-    assert bound_residual(e).min() >= -1e-12
+    assert dissipation(e).residual.min() >= -1e-12
 
 
 def test_charge_conservation_is_trace():
@@ -168,7 +167,7 @@ def test_entropy_noise_regime_flags():
 
 
 def test_symbol_zero_shift_is_fermi_sea():
-    sym = outgoing_symbol(EnergyShift.from_matrix(np.zeros((2, 2)), mu=1.0))
+    sym = outgoing_symbol(EnergyShift.from_matrix(np.zeros((2, 2))))
     assert np.all(sym.delta_weight == 0.0) and np.all(sym.delta_prime_weight == 0.0)
 
 
