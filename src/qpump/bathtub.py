@@ -168,6 +168,18 @@ def _greedy_edot(modes: tuple[np.ndarray, ...], budgets: np.ndarray) -> np.ndarr
     return np.where(budgets >= cum_w[-1], cum_e[-1], marginal) / _TWO_PI
 
 
+def _feasible_budget(grid: DispersionGrid, target_qdot: float) -> float:
+    """Charge budget ``2pi*target_qdot`` (the occupied share of the energy measure);
+    :class:`TargetInfeasible` when the target, NaN included, is not feasible."""
+    budget = _TWO_PI * target_qdot
+    total = float(grid.weights.sum())
+    if not (target_qdot >= 0 and budget <= total * (1.0 + 1e-12)):
+        raise TargetInfeasible(
+            f"target Qdot {target_qdot!r} outside feasible range [0, {total / _TWO_PI!r}]"
+        )
+    return budget
+
+
 def greedy_minimize(grid: DispersionGrid, target_qdot: float) -> Filling:
     """Minimize the energy flux at fixed charge flux.
 
@@ -177,12 +189,7 @@ def greedy_minimize(grid: DispersionGrid, target_qdot: float) -> Filling:
     linear constraint, so this greedy filling is the exact global
     minimizer of the discrete problem.
     """
-    budget = _TWO_PI * target_qdot  # occupied share of the energy measure
-    total = float(grid.weights.sum())
-    if not (target_qdot >= 0 and budget <= total * (1.0 + 1e-12)):
-        raise TargetInfeasible(
-            f"target Qdot {target_qdot!r} outside feasible range [0, {total / _TWO_PI!r}]"
-        )
+    budget = _feasible_budget(grid, target_qdot)
     order, w, _, cum, _ = _sorted_modes(grid)
     n_sorted = np.zeros(grid.n_k)
     if budget >= cum[-1]:
@@ -303,10 +310,7 @@ def project_to_qdot(grid: DispersionGrid, occupation, target_qdot: float) -> Fil
     base = np.asarray(occupation, dtype=float)
     if base.shape != (grid.n_k,):
         raise ValueError(f"occupation must have shape ({grid.n_k},)")
-    budget = _TWO_PI * target_qdot
-    total = float(grid.weights.sum())
-    if not (target_qdot >= 0 and budget <= total * (1.0 + 1e-12)):
-        raise TargetInfeasible(f"target Qdot {target_qdot!r} infeasible")
+    budget = _feasible_budget(grid, target_qdot)
 
     def flux(shift: float) -> float:
         return float(np.clip(base + shift, 0.0, 1.0) @ grid.weights)

@@ -199,6 +199,19 @@ class PumpModel:
 # --------------------------------------------------------------------------
 
 
+def _real(value, fieldname: str, *, positive=False, error=ConfigError) -> float:
+    """``value`` as a float: a real, finite (optionally positive) number that
+    is not a bool, numpy scalars included; otherwise ``error(fieldname, ...)``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise error(fieldname, "must be a real number")
+    v = float(value)
+    if not math.isfinite(v):
+        raise error(fieldname, "must be finite")
+    if positive and v <= 0:
+        raise error(fieldname, f"must be positive, got {v!r}")
+    return v
+
+
 def _param(params: dict, key: str, model: str, default=None, *, required=False,
            minimum=None, maximum=math.inf, positive=False, integer=False) -> float:
     if key not in params:
@@ -207,15 +220,9 @@ def _param(params: dict, key: str, model: str, default=None, *, required=False,
         value = default
     else:
         value = params[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise BadParamRange(f"params.{key}", "must be a real number")
-    value = float(value)
-    if not math.isfinite(value):
-        raise BadParamRange(f"params.{key}", "must be finite")
+    value = _real(value, f"params.{key}", positive=positive, error=BadParamRange)
     if integer and value != round(value):
         raise BadParamRange(f"params.{key}", f"must be an integer, got {value!r}")
-    if positive and value <= 0:
-        raise BadParamRange(f"params.{key}", f"must be positive, got {value!r}")
     if minimum is not None and value < minimum:
         raise BadParamRange(f"params.{key}", f"must be >= {minimum}, got {value!r}")
     if value > maximum:
@@ -505,17 +512,6 @@ _TOP_KEYS = ("model", "params", "cycle", "energy", "tolerances", "beta")
 _REQUIRED_TOP = ("model", "params", "cycle", "energy")
 
 
-def _real(value, fieldname: str, *, positive=False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(fieldname, "must be a real number")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ConfigError(fieldname, "must be finite")
-    if positive and v <= 0:
-        raise ConfigError(fieldname, f"must be positive, got {v!r}")
-    return v
-
-
 def _integer(value, fieldname: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(fieldname, "must be an integer")
@@ -578,7 +574,7 @@ class ModelConfig:
             raise ConfigError("model", "must be a string")
         if not isinstance(doc["params"], dict):
             raise ConfigError("params", "must be an object")
-        params = {k: _real(v, f"params.{k}") for k, v in doc["params"].items()}
+        params = {k: _real(v, f"params.{k}", error=BadParamRange) for k, v in doc["params"].items()}
 
         cycle = _section(doc, "cycle", ("period", "samples"))
         period = _real(cycle["period"], "cycle.period", positive=True)

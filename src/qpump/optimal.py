@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import DEFAULT_TOLERANCES, CycleGrid, Tolerances, frobenius_norm
-from .models import PumpModel
-from .shift import EnergyShift, energy_shift_cycle, sample_cycle
+from .matcore import DEFAULT_TOLERANCES, Tolerances, frobenius_norm
+from .shift import EnergyShift
 from .transport import dissipation
 
 __all__ = [
@@ -66,7 +65,8 @@ class OptimalityVerdict:
     """Outcome of the cycle-wide optimality sweep.
 
     ``is_optimal`` is equivalent to ``max_offdiag_ratio < tol_opt``;
-    ``worst_time`` is where the ratio peaks.  ``per_channel_saturation``
+    ``ratios`` holds the (N,) off-diagonal ratio at every grid time and
+    ``worst_time`` is where it peaks.  ``per_channel_saturation``
     flags channels whose dissipation-bound residual stays at rounding
     level relative to their dissipation scale.  ``decomposition`` is
     attempted (and expected to succeed) exactly when the verdict is
@@ -76,6 +76,7 @@ class OptimalityVerdict:
     is_optimal: bool
     max_offdiag_ratio: float
     worst_time: float
+    ratios: np.ndarray
     per_channel_saturation: tuple[bool, ...]
     decomposition: DiagonalDecomposition | None
 
@@ -90,56 +91,44 @@ def _saturation_flags(shifts: EnergyShift, tol: Tolerances) -> tuple[bool, ...]:
     return tuple(bool(b) for b in worst <= threshold)
 
 
-def optimality_verdict(model: PumpModel, mu: float, grid: CycleGrid,
-                       tolerances: Tolerances = DEFAULT_TOLERANCES,
-                       shifts: EnergyShift | None = None,
-                       samples: np.ndarray | None = None) -> OptimalityVerdict:
-    """Sweep the cycle and judge optimality.
-
-    Precomputed ``samples`` (S(t, mu) on the grid) and ``shifts`` (their
-    energy-shift stack) may be passed to avoid resampling; they must come
-    from the same (model, mu, grid).
-    """
-    if shifts is None:
-        if samples is None:
-            samples = sample_cycle(model, mu, grid)
-        shifts = energy_shift_cycle(model, mu, grid, samples=samples)
+def optimality_verdict(shifts: EnergyShift, samples: np.ndarray,
+                       tolerances: Tolerances = DEFAULT_TOLERANCES) -> OptimalityVerdict:
+    """Judge optimality from the cycle's energy-shift stack ``shifts`` and
+    the samples S(t, mu) it was computed from; the decomposition is
+    attempted on ``samples`` exactly when the verdict is optimal."""
     ratios = offdiag_ratio(shifts)
     worst_index = int(np.argmax(ratios))
     max_ratio = float(ratios[worst_index])
     is_optimal = max_ratio < tolerances.tol_opt
-    decomposition = None
-    if is_optimal:
-        decomposition = diagonal_decomposition(model, mu, grid, samples=samples)
     return OptimalityVerdict(
         is_optimal=is_optimal,
         max_offdiag_ratio=max_ratio,
         worst_time=float(shifts.t[worst_index]),
+        ratios=ratios,
         per_channel_saturation=_saturation_flags(shifts, tolerances),
-        decomposition=decomposition,
+        decomposition=diagonal_decomposition(samples) if is_optimal else None,
     )
 
 
-def diagonal_decomposition(model: PumpModel, mu: float, grid: CycleGrid,
-                           samples: np.ndarray | None = None) -> DiagonalDecomposition | None:
-    """Try to factor the cycle as ``S(t) = U_d(t) S0``.
+def diagonal_decomposition(samples: np.ndarray) -> DiagonalDecomposition | None:
+    """Try to factor the sampled cycle ``samples`` (S(t_i, mu), (N, n, n))
+    as ``S(t) = U_d(t) S0``.
 
     Anchors ``S0 = S(t_0)`` (any fixed gauge works; the first node is
     canonical) and forms ``M(t_i) = S(t_i) S0^dag``.  The factorization
     exists when every M is diagonal: then ``U_d = diag(M)`` up to
     rounding.  Absence is a value, not an error -- ``None`` is returned
     when any off-diagonal entry of M, or the reconstruction error, reaches
-    ``DECOMPOSITION_TOL``.  ``samples`` may supply S(t, mu) on the grid.
+    ``DECOMPOSITION_TOL``.
     """
-    s = sample_cycle(model, mu, grid) if samples is None else samples
-    s0 = s[0]
-    m = np.einsum("tij,kj->tik", s, s0.conj())
-    off = m - m * np.eye(model.n_channels)[None, :, :]
+    s0 = samples[0]
+    m = np.einsum("tij,kj->tik", samples, s0.conj())
+    off = m - m * np.eye(samples.shape[-1])[None, :, :]
     if float(np.max(np.abs(off))) >= DECOMPOSITION_TOL:
         return None
     phases = np.unwrap(np.angle(np.einsum("tjj->tj", m)), axis=0)
     rebuilt = np.exp(1j * phases)[:, :, None] * s0[None, :, :]
-    recon_error = float(np.max(np.linalg.norm(rebuilt - s, axis=(1, 2))))
+    recon_error = float(np.max(np.linalg.norm(rebuilt - samples, axis=(1, 2))))
     if recon_error >= DECOMPOSITION_TOL:
         return None
     return DiagonalDecomposition(phases=phases, constant=s0.copy())

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, NumericalFailure
 from .matcore import CycleGrid
 from .models import ModelConfig, build_model
-from .optimal import OptimalityVerdict, offdiag_ratio, optimality_verdict
+from .optimal import OptimalityVerdict, optimality_verdict
 from .shift import delay_scale, energy_shift_at, energy_shift_cycle, sample_cycle
 from .transport import InstantReport, cycle_integral, instant_report, winding_charge
 
@@ -155,12 +155,11 @@ def _verdict_entry(verdict: OptimalityVerdict) -> dict:
 @dataclass(frozen=True, eq=False)
 class AnalysisResult:
     """Analysis outputs: the document :func:`dumps` writes (it holds the stacked
-    per-time report under "instants"), that report and the off-diagonal ratios
-    behind its time series, and the optimality verdict."""
+    per-time report under "instants"), that report, and the optimality verdict
+    (whose off-diagonal ratios complete the time series)."""
 
     document: dict
     instants: InstantReport
-    ratios: np.ndarray
     verdict: OptimalityVerdict
 
     @property
@@ -175,7 +174,7 @@ class AnalysisResult:
             names += ["Sdot", "Ndot"]
         n = report.qdot.shape[1]
         header = ["t"] + [f"{name}_{j + 1}" for name in names for j in range(n)] + ["rho"]
-        table = np.column_stack([report.t, *blocks, self.ratios])
+        table = np.column_stack([report.t, *blocks, self.verdict.ratios])
         row = ",".join(["%s"] * table.shape[1]) + "\n"
         return ",".join(header) + "\n" + (row * len(table)) % _format_block(table)
 
@@ -189,19 +188,18 @@ def analyze(config: ModelConfig) -> AnalysisResult:
 
     # S(t, mu) is sampled once; every stage below reuses it.
     samples = sample_cycle(model, mu, grid)
-    shifts = energy_shift_cycle(model, mu, grid, samples=samples)
+    shifts = energy_shift_cycle(samples, grid)
     tau = delay_scale(model, mu, grid, samples=samples)
     omega = 2.0 * np.pi / model.period
     epsilon = omega * tau
 
     instants = instant_report(shifts, beta=config.beta, omega=omega, tau=tau)
-    ratios = offdiag_ratio(shifts)
-    verdict = optimality_verdict(model, mu, grid, tol, shifts=shifts, samples=samples)
+    verdict = optimality_verdict(shifts, samples, tol)
 
     charge = cycle_integral(instants.qdot, grid)
     winding = None
     if verdict.is_optimal:
-        winding = winding_charge(model, mu, grid, tol, samples=samples, shifts=shifts)
+        winding = winding_charge(model, mu, grid, samples, verdict)
         gap = float(np.max(np.abs(charge - winding)))
         if gap >= tol.tol_charge:
             raise NumericalFailure(
@@ -249,7 +247,7 @@ def analyze(config: ModelConfig) -> AnalysisResult:
             "tolerances": asdict(tol),
         },
     }
-    return AnalysisResult(document=document, instants=instants, ratios=ratios, verdict=verdict)
+    return AnalysisResult(document=document, instants=instants, verdict=verdict)
 
 
 def instant_document(config: ModelConfig, t: float) -> InstantReport:

@@ -119,17 +119,16 @@ def _shift_stack(s, ds, times) -> EnergyShift:
     return EnergyShift(herm, times, defect)
 
 
-def energy_shift_cycle(model: PumpModel, mu: float, grid: CycleGrid,
-                       samples: np.ndarray | None = None) -> EnergyShift:
+def energy_shift_cycle(samples: np.ndarray, grid: CycleGrid) -> EnergyShift:
     """Energy shift ``i dS/dt S^dag`` at every grid time, as one stack.
 
-    S(t, mu) -- sampled, or ``samples`` when at hand -- is differentiated
-    entrywise by FFT, multiplied by S^dag and symmetrized.  Raises
-    :class:`NumericalFailure` when any pre-symmetrization defect exceeds
-    ``HARD_HERM_LIMIT`` (an under-resolved grid).
+    ``samples`` -- S(t, mu) on the grid, as :func:`sample_cycle` returns
+    it -- is differentiated entrywise by FFT, multiplied by S^dag and
+    symmetrized.  Raises :class:`NumericalFailure` when any
+    pre-symmetrization defect exceeds ``HARD_HERM_LIMIT`` (an
+    under-resolved grid).
     """
-    s = sample_cycle(model, mu, grid) if samples is None else samples
-    return _shift_stack(s, spectral_derivative(s, grid), grid.times)
+    return _shift_stack(samples, spectral_derivative(samples, grid), grid.times)
 
 
 def energy_shift_at(model: PumpModel, t: float, mu: float, grid: CycleGrid) -> EnergyShift:

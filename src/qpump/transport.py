@@ -20,14 +20,17 @@ means net charge entering reservoir j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NotOptimal, NumericalFailure, PhaseStepTooLarge
-from .matcore import DEFAULT_TOLERANCES, R_K, CycleGrid, Tolerances, periodic_integral
+from .matcore import R_K, CycleGrid, periodic_integral
 from .models import PumpModel, build
-from .shift import EnergyShift, energy_shift_cycle, sample_cycle
+from .shift import EnergyShift, energy_shift_cycle, sample_cycle, velocity_split
+
+if TYPE_CHECKING:  # optimal imports this module
+    from .optimal import OptimalityVerdict
 
 __all__ = [
     "instantaneous_current",
@@ -60,12 +63,6 @@ def _square_diagonal(e: EnergyShift) -> np.ndarray:
     return np.real(np.einsum("...jk,...kj->...j", m, m))
 
 
-def _offdiagonal_weight(e: EnergyShift) -> np.ndarray:
-    """Per-channel sum_{k != j} |E_jk|^2, summed entry by entry."""
-    mags = np.abs(e.array) ** 2
-    return mags.sum(axis=-1) - _diagonal(mags)
-
-
 def instantaneous_current(e: EnergyShift) -> np.ndarray:
     """Net current into each reservoir: ``Qdot_j = E_jj / 2pi``."""
     return np.real(_diagonal(e.array)) / _TWO_PI
@@ -95,7 +92,7 @@ def dissipation(e: EnergyShift) -> Dissipation:
     total = _square_diagonal(e) / _FOUR_PI
     qdot = instantaneous_current(e)
     joule = 0.5 * R_K * qdot**2
-    excess = _offdiagonal_weight(e) / _FOUR_PI
+    excess = velocity_split(e).base / _FOUR_PI
     return Dissipation(total=total, joule=joule, excess=excess)
 
 
@@ -116,7 +113,7 @@ def entropy_noise(e: EnergyShift, beta: float, omega: float, tau: float) -> Entr
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    weight = _offdiagonal_weight(e)
+    weight = velocity_split(e).base
     sdot = beta * weight / _FOUR_PI
     ndot = beta * weight / (12.0 * np.pi)
     regime_ok = bool(omega * beta < 1.0 and tau < beta)
@@ -174,14 +171,12 @@ def cycle_charge(model: PumpModel, mu: float, grid: CycleGrid) -> np.ndarray:
     Time integral of the instantaneous current; positive entries mean
     net charge delivered to that reservoir.
     """
-    shifts = energy_shift_cycle(model, mu, grid)
+    shifts = energy_shift_cycle(sample_cycle(model, mu, grid), grid)
     return cycle_integral(instantaneous_current(shifts), grid)
 
 
-def winding_charge(model: PumpModel, mu: float, grid: CycleGrid,
-                   tolerances: Tolerances = DEFAULT_TOLERANCES,
-                   samples: np.ndarray | None = None,
-                   shifts: EnergyShift | None = None) -> np.ndarray:
+def winding_charge(model: PumpModel, mu: float, grid: CycleGrid, samples: np.ndarray,
+                   verdict: OptimalityVerdict) -> np.ndarray:
     """Integer winding of each scattering-matrix row over the cycle.
 
     Tracks the phase of each row against its start and counts full turns;
@@ -191,28 +186,22 @@ def winding_charge(model: PumpModel, mu: float, grid: CycleGrid,
     into (-pi, pi] -- then shows up as an out-of-range step and raises
     :class:`PhaseStepTooLarge` instead of miscounting.
 
-    Raises :class:`NotOptimal` when the off-diagonal ratio of the energy
-    shift anywhere exceeds ``tol_opt``: for a non-optimal pump the rows
-    change direction, not just phase, and no integer winding exists.
-    ``samples`` (S(t, mu) on the grid) and ``shifts`` (its energy shift)
-    may be passed to avoid recomputing them.
+    ``samples`` is S(t, mu) on the grid and ``verdict`` its
+    :func:`~qpump.optimal.optimality_verdict`.  Raises :class:`NotOptimal`,
+    before sampling anything, when the verdict is not optimal: for a
+    non-optimal pump the rows change direction, not just phase, and no
+    integer winding exists.
     """
-    from .optimal import offdiag_ratio  # deferred: optimal depends on this module
-
-    s = sample_cycle(model, mu, grid) if samples is None else samples
-    if shifts is None:
-        shifts = energy_shift_cycle(model, mu, grid, samples=s)
-    worst = float(np.max(offdiag_ratio(shifts)))
-    if worst >= tolerances.tol_opt:
+    if not verdict.is_optimal:
         raise NotOptimal(
-            f"max off-diagonal ratio {worst:.3e} >= tol_opt {tolerances.tol_opt:g}; "
-            "winding numbers are defined for optimal pumps only"
+            f"max off-diagonal ratio {verdict.max_offdiag_ratio:.3e} fails the optimality "
+            "verdict; winding numbers are defined for optimal pumps only"
         )
 
     # Row overlaps <row j at t_i | row j at t_i + dt/2> and on to t_{i+1}.
     mids = model.sample(grid.times + 0.5 * grid.dt, mu)
-    z1 = np.einsum("tjk,tjk->tj", s.conj(), mids)
-    z2 = np.einsum("tjk,tjk->tj", mids.conj(), np.roll(s, -1, axis=0))
+    z1 = np.einsum("tjk,tjk->tj", samples.conj(), mids)
+    z2 = np.einsum("tjk,tjk->tj", mids.conj(), np.roll(samples, -1, axis=0))
     vanish = np.minimum(np.abs(z1), np.abs(z2)) < 1e-12
     steps = np.angle(z1) + np.angle(z2)
     bad = vanish | (np.abs(steps) >= np.pi)

@@ -15,7 +15,7 @@ from qpump.matcore import CycleGrid
 from qpump.models import build, reparameterized, uniform_stream
 from qpump.optimal import diagonal_decomposition, optimality_verdict
 from qpump.bathtub import Filling, analytic_minimum, greedy_minimize, linear_dispersion
-from qpump.shift import EnergyShift, energy_shift_cycle, energy_shift_rows
+from qpump.shift import EnergyShift, energy_shift_cycle, energy_shift_rows, sample_cycle
 from qpump.transport import (
     cycle_charge,
     dequantization_sweep,
@@ -31,6 +31,12 @@ GRID = CycleGrid(1.0, 256)
 MU = 1.0
 
 
+def sampled(model):
+    """The energy-shift stack on GRID and the samples S(t, mu) it comes from."""
+    samples = sample_cycle(model, MU, GRID)
+    return energy_shift_cycle(samples, GRID), samples
+
+
 def check(number: int, name: str, ok: bool, detail: str = "") -> bool:
     status = "PASS" if ok else "FAIL"
     print(f"[criterion {number:02d}] {name}: {status}" + (f"  ({detail})" if detail else ""))
@@ -43,7 +49,8 @@ def test_criterion_01_flux_loop_charge_quantization():
     for w in (1, 2, 3):
         model = build("flux-loop", {"k_ell": 1.0, "w": w})
         charge = cycle_charge(model, MU, GRID)
-        winding = winding_charge(model, MU, GRID)
+        shifts, samples = sampled(model)
+        winding = winding_charge(model, MU, GRID, samples, optimality_verdict(shifts, samples))
         gap = float(np.max(np.abs(charge - np.array([-w, w]))))
         ok &= gap < 1e-10 and np.array_equal(winding, [-w, w])
         details.append(f"w={w}: |Q-(-w,+w)|={gap:.2e}")
@@ -53,7 +60,7 @@ def test_criterion_01_flux_loop_charge_quantization():
 def test_criterion_02_bound_saturation_on_optimal_pump():
     model = build("flux-loop", {"k_ell": 1.0})
     worst = max(
-        float(np.max(dissipation(e).residual)) for e in energy_shift_cycle(model, MU, GRID)
+        float(np.max(dissipation(e).residual)) for e in sampled(model)[0]
     )
     ok = worst < 1e-12
     assert check(2, "bound saturated at every sample", ok, f"max residual {worst:.2e}")
@@ -103,7 +110,7 @@ def test_criterion_04_bathtub_oracle():
 def test_criterion_05_square_identity():
     worst = 0.0
     for name, params in ALL_BUILTINS:
-        for e in energy_shift_cycle(build(name, params), MU, GRID):
+        for e in sampled(build(name, params))[0]:
             m = e.array
             gap = np.max(np.abs(np.real(np.diag(m @ m)) - (np.abs(m) ** 2).sum(axis=1)))
             worst = max(worst, float(gap))
@@ -155,8 +162,9 @@ def test_criterion_09_optimality_criteria_equivalence():
     details = []
     for name, params in ALL_BUILTINS:
         model = build(name, params)
-        verdict = optimality_verdict(model, MU, GRID)
-        has_decomposition = diagonal_decomposition(model, MU, GRID) is not None
+        shifts, samples = sampled(model)
+        verdict = optimality_verdict(shifts, samples)
+        has_decomposition = diagonal_decomposition(samples) is not None
         ok &= verdict.is_optimal == has_decomposition
         details.append(f"{name}: {verdict.is_optimal}/{has_decomposition}")
     assert check(9, "diagonality <=> diagonal-times-constant form", ok, "; ".join(details))
@@ -173,8 +181,8 @@ def test_criterion_10_reparameterization_invariance():
         warped = reparameterized(model, 0.1)
         drift = float(np.max(np.abs(cycle_charge(model, MU, GRID) - cycle_charge(warped, MU, GRID))))
         same_verdict = (
-            optimality_verdict(model, MU, GRID).is_optimal
-            == optimality_verdict(warped, MU, GRID).is_optimal
+            optimality_verdict(*sampled(model)).is_optimal
+            == optimality_verdict(*sampled(warped)).is_optimal
         )
         ok &= drift < 1e-8 and same_verdict
         details.append(f"{name}: drift {drift:.2e}")
@@ -185,7 +193,7 @@ def test_criterion_11_cross_path_equality():
     worst = 0.0
     for name, params in ALL_BUILTINS:
         model = build(name, params)
-        matrix_route = np.stack([e.array for e in energy_shift_cycle(model, MU, GRID)])
+        matrix_route = np.stack([e.array for e in sampled(model)[0]])
         row_route = energy_shift_rows(model, MU, GRID)
         worst = max(worst, float(np.max(np.abs(matrix_route - row_route))))
     ok = worst < 1e-10

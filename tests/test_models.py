@@ -184,6 +184,11 @@ def test_bad_param_ranges():
         build("flux-loop", {"k_ell": 1.0, "w": 0.5})
     with pytest.raises(BadParamRange):
         build("random-smooth-path", {"n": 0})
+    with pytest.raises(BadParamRange, match="params.k_ell: must be a real number"):
+        build("flux-loop", {"k_ell": True})
+    # numpy scalars are real numbers, at build as in a config
+    model = build("flux-loop", {"k_ell": np.float64(0.5), "w": np.int64(2)})
+    assert model.params == {"k_ell": 0.5, "w": 2.0, "v": 1.0}
 
 
 @pytest.mark.parametrize("name,key,value", [
@@ -453,6 +458,8 @@ def test_config_rejects_boolean_param():
     doc["params"]["k_ell"] = True
     with pytest.raises(ConfigError):
         ModelConfig.from_dict(doc)
+    doc["params"].update(k_ell=np.float64(0.5), w=np.int64(2))
+    assert ModelConfig.from_dict(doc).params == {"k_ell": 0.5, "w": 2.0}
 
 
 def test_config_tolerance_overrides():

@@ -9,10 +9,21 @@ from qpump.optimal import (
     offdiag_ratio,
     optimality_verdict,
 )
-from qpump.shift import EnergyShift
+from qpump.shift import EnergyShift, energy_shift_cycle, sample_cycle
 from test_models import ALL_BUILTINS
 
 GRID = CycleGrid(1.0, 256)
+
+
+def verdict_of(model):
+    """The optimality verdict of ``model`` at mu = 1 on GRID."""
+    samples = sample_cycle(model, 1.0, GRID)
+    return optimality_verdict(energy_shift_cycle(samples, GRID), samples)
+
+
+def decomposition_of(model):
+    """The diagonal decomposition of ``model``'s samples at mu = 1 on GRID."""
+    return diagonal_decomposition(sample_cycle(model, 1.0, GRID))
 
 
 # ---------------------------------------------------------------- ratio
@@ -39,7 +50,7 @@ def test_ratio_motionless_is_zero():
 
 
 def test_flux_loop_verdict():
-    verdict = optimality_verdict(build("flux-loop", {"k_ell": 1.0}), 1.0, GRID)
+    verdict = verdict_of(build("flux-loop", {"k_ell": 1.0}))
     assert verdict.is_optimal
     assert verdict.max_offdiag_ratio < 1e-12
     assert all(verdict.per_channel_saturation)
@@ -49,7 +60,7 @@ def test_flux_loop_verdict():
 
 def test_perturbed_verdict():
     model = build("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.1})
-    verdict = optimality_verdict(model, 1.0, GRID)
+    verdict = verdict_of(model)
     assert not verdict.is_optimal
     assert verdict.max_offdiag_ratio > 1e-3
     assert not any(verdict.per_channel_saturation)
@@ -59,12 +70,12 @@ def test_perturbed_verdict():
 def test_single_channel_always_optimal():
     for seed in (0, 3, 11):
         model = build("random-smooth-path", {"n": 1, "seed": seed})
-        assert optimality_verdict(model, 1.0, GRID).is_optimal
+        assert verdict_of(model).is_optimal
 
 
 def test_saturation_iff_optimal():
     for name, params in ALL_BUILTINS:
-        verdict = optimality_verdict(build(name, params), 1.0, GRID)
+        verdict = verdict_of(build(name, params))
         assert all(verdict.per_channel_saturation) == verdict.is_optimal, name
 
 
@@ -72,8 +83,8 @@ def test_criteria_equivalence_on_builtins():
     # diagonality of the energy shift <=> diagonal-times-constant form
     for name, params in ALL_BUILTINS:
         model = build(name, params)
-        verdict = optimality_verdict(model, 1.0, GRID)
-        decomposition = diagonal_decomposition(model, 1.0, GRID)
+        verdict = verdict_of(model)
+        decomposition = decomposition_of(model)
         assert verdict.is_optimal == (decomposition is not None), name
 
 
@@ -83,8 +94,8 @@ def test_verdict_reparameterization_invariant():
         ("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.1}),
     ]:
         model = build(name, params)
-        v0 = optimality_verdict(model, 1.0, GRID)
-        v1 = optimality_verdict(reparameterized(model, 0.1), 1.0, GRID)
+        v0 = verdict_of(model)
+        v1 = verdict_of(reparameterized(model, 0.1))
         assert v0.is_optimal == v1.is_optimal
         assert v0.per_channel_saturation == v1.per_channel_saturation
 
@@ -97,7 +108,7 @@ def test_decomposition_of_built_form():
         "diagonal-times-constant",
         {"w1": 2, "w2": -1, "a1_1": 0.3, "b2_1": 0.1, "s0_seed": 9},
     )
-    dec = diagonal_decomposition(model, 1.0, GRID)
+    dec = decomposition_of(model)
     assert dec is not None
     rebuilt = np.exp(1j * dec.phases)[:, :, None] * dec.constant[None]
     sampled = np.stack([model.eval(t, 1.0) for t in GRID.times])
@@ -105,7 +116,7 @@ def test_decomposition_of_built_form():
 
 
 def test_decomposition_flux_loop_phases():
-    dec = diagonal_decomposition(build("flux-loop", {"k_ell": 1.0}), 1.0, GRID)
+    dec = decomposition_of(build("flux-loop", {"k_ell": 1.0}))
     assert dec is not None
     # phases are +/- the flux ramp, up to the constant gauge at t0
     ramp = 2.0 * np.pi * GRID.times
@@ -116,4 +127,4 @@ def test_decomposition_flux_loop_phases():
 
 def test_decomposition_absent_for_perturbed():
     model = build("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.1})
-    assert diagonal_decomposition(model, 1.0, GRID) is None
+    assert decomposition_of(model) is None

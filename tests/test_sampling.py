@@ -5,19 +5,25 @@ tests count grid nodes, not Python calls.  ``analyze`` samples S(t, mu)
 once on the cycle grid and shares it; the time delay adds the four
 stencil energies mu +/- dE, mu +/- 2 dE unless the model is declared
 energy independent (its delay is exactly zero), and the winding count of
-an optimal pump adds the half-step midpoints.
+an optimal pump adds the half-step midpoints.  The optimality verdict
+judges the cycle once, and the winding count follows from it.
 """
 
 import dataclasses
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import qpump.optimal
 import qpump.report as report
+from qpump.errors import NotOptimal
 from qpump.matcore import CycleGrid
 from qpump.models import ModelConfig
-from qpump.shift import ENERGY_STEP_FRACTION
+from qpump.optimal import optimality_verdict
+from qpump.shift import ENERGY_STEP_FRACTION, energy_shift_cycle, sample_cycle
+from qpump.transport import winding_charge
 from test_models import ENERGY_INDEPENDENT
 
 SAMPLES = 64
@@ -98,3 +104,40 @@ def test_instant_eval_budget(recorded, name, params, per_node, optimal):
     calls = 1 if name in ENERGY_INDEPENDENT else 6
     assert sum(len(times) for times, _ in recorded) == calls * SAMPLES
     assert len(recorded) == calls  # one batched call per stack
+
+
+@pytest.fixture
+def ratio_calls(monkeypatch):
+    """Calls of ``offdiag_ratio``, through every qpump module that binds it."""
+    calls = []
+    original = qpump.optimal.offdiag_ratio
+
+    def counting(e):
+        calls.append(len(e))
+        return original(e)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("qpump")]:
+        if vars(module).get("offdiag_ratio") is original:
+            monkeypatch.setattr(module, "offdiag_ratio", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name,params", [p[:2] for p in PUMPS], ids=[p[0] for p in PUMPS])
+def test_analyze_judges_optimality_once(ratio_calls, name, params):
+    result = report.analyze(config(name, params))
+    assert ratio_calls == [SAMPLES]  # one pass over the whole stack
+    ratios = result.verdict.ratios
+    assert ratios.shape == (SAMPLES,)
+    assert float(np.max(ratios)) == result.verdict.max_offdiag_ratio
+
+
+def test_winding_of_a_non_optimal_verdict_samples_nothing(recorded):
+    model = report.build_model(config("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.2}))
+    grid = CycleGrid(1.0, SAMPLES)
+    samples = sample_cycle(model, MU, grid)
+    verdict = optimality_verdict(energy_shift_cycle(samples, grid), samples)
+    assert not verdict.is_optimal
+    recorded.clear()
+    with pytest.raises(NotOptimal):
+        winding_charge(model, MU, grid, samples, verdict)
+    assert recorded == []

@@ -26,6 +26,11 @@ GRID = CycleGrid(1.0, 256)
 TWO_PI = 2.0 * np.pi
 
 
+def shift_stack(model, grid=GRID):
+    """The energy-shift stack of ``model`` at mu = 1 on ``grid``."""
+    return energy_shift_cycle(sample_cycle(model, 1.0, grid), grid)
+
+
 def constant_model():
     # all defaults: zero windings, zero coefficients, identity constant
     return build("diagonal-times-constant", {})
@@ -35,7 +40,7 @@ def constant_model():
 
 
 def test_constant_model_has_zero_shift():
-    shifts = energy_shift_cycle(constant_model(), 1.0, GRID)
+    shifts = shift_stack(constant_model())
     assert all(np.max(np.abs(e.array)) < 1e-13 for e in shifts)
 
 
@@ -45,14 +50,14 @@ def test_flux_loop_analytic_shift():
     for w in (1, 3):
         model = build("flux-loop", {"k_ell": 1.0, "w": w})
         expected = np.diag([-TWO_PI * w, TWO_PI * w]).astype(complex)
-        for e in energy_shift_cycle(model, 1.0, GRID)[:: 32]:
+        for e in shift_stack(model)[:: 32]:
             assert np.max(np.abs(e.array - expected)) < 1e-10
 
 
 def test_shift_grid_refinement():
     model = build("random-smooth-path", {"seed": 3})
-    coarse = energy_shift_cycle(model, 1.0, CycleGrid(1.0, 128))
-    fine = energy_shift_cycle(model, 1.0, CycleGrid(1.0, 256))
+    coarse = shift_stack(model, CycleGrid(1.0, 128))
+    fine = shift_stack(model, CycleGrid(1.0, 256))
     worst = max(
         np.max(np.abs(coarse[i].array - fine[2 * i].array)) for i in range(128)
     )
@@ -62,14 +67,14 @@ def test_shift_grid_refinement():
 def test_rows_route_agrees_with_matrix_route():
     for name, params in ALL_BUILTINS:
         model = build(name, params)
-        stacked = np.stack([e.array for e in energy_shift_cycle(model, 1.0, GRID)])
+        stacked = np.stack([e.array for e in shift_stack(model)])
         rows = energy_shift_rows(model, 1.0, GRID)
         assert np.max(np.abs(stacked - rows)) < 1e-10, name
 
 
 def test_flux_loop_rows_agree_tightly():
     model = build("flux-loop", {"k_ell": 1.0})
-    stacked = np.stack([e.array for e in energy_shift_cycle(model, 1.0, GRID)])
+    stacked = np.stack([e.array for e in shift_stack(model)])
     rows = energy_shift_rows(model, 1.0, GRID)
     assert np.max(np.abs(stacked - rows)) < 1e-12
 
@@ -88,14 +93,14 @@ def test_identity_model_rows_are_zero():
 
 def test_hermiticity_defect_small_on_builtins():
     for name, params in ALL_BUILTINS:
-        for e in energy_shift_cycle(build(name, params), 1.0, GRID):
+        for e in shift_stack(build(name, params)):
             assert e.herm_defect < 1e-8, name
 
 
 def test_under_resolved_grid_fails_hard():
     model = build("perturbed-flux-loop", {"k_ell": 1.0, "delta": 2.0})
     with pytest.raises(NumericalFailure):
-        energy_shift_cycle(model, 1.0, CycleGrid(1.0, 8))
+        shift_stack(model, CycleGrid(1.0, 8))
 
 
 def test_grid_period_must_match_model():
@@ -108,7 +113,7 @@ def test_finite_difference_cross_check():
     # independent differentiation route: 4th-order stencil, step T/(8N)
     for name, params in [("flux-loop", {"k_ell": 1.0}), ("random-smooth-path", {"seed": 5})]:
         model = build(name, params)
-        shifts = energy_shift_cycle(model, 1.0, GRID)
+        shifts = shift_stack(model)
         for i in (0, 50, 180):
             fd = energy_shift_fd(model, GRID.times[i], 1.0, GRID)
             assert np.max(np.abs(fd.array - shifts[i].array)) < 1e-7, name
@@ -116,7 +121,7 @@ def test_finite_difference_cross_check():
 
 def test_energy_shift_at_matches_cycle_nodes():
     model = build("random-smooth-path", {"seed": 5})
-    shifts = energy_shift_cycle(model, 1.0, GRID)
+    shifts = shift_stack(model)
     for i in (0, 17, 100):
         single = energy_shift_at(model, GRID.times[i], 1.0, GRID)
         assert np.max(np.abs(single.array - shifts[i].array)) < 1e-10
@@ -192,7 +197,7 @@ def test_adiabaticity_slow_cycle():
 
 def test_velocity_split_flux_loop():
     model = build("flux-loop", {"k_ell": 1.0})
-    split = velocity_split(energy_shift_cycle(model, 1.0, GRID)[0])
+    split = velocity_split(shift_stack(model)[0])
     np.testing.assert_allclose(split.fiber, [4.0 * np.pi**2] * 2, atol=1e-9)
     np.testing.assert_allclose(split.base, [0.0, 0.0], atol=1e-12)
 
@@ -220,7 +225,7 @@ def test_reparameterization_covariance():
     model = build("flux-loop", {"k_ell": 1.0, "w": 2})
     warped = reparameterized(model, 0.1)
     f, fprime = time_warp(model.period, 0.1)
-    shifts = energy_shift_cycle(warped, 1.0, GRID)
+    shifts = shift_stack(warped)
     for i in range(0, GRID.samples, 16):
         t = GRID.times[i]
         expected = fprime(t) * energy_shift_at(model, f(t), 1.0, GRID).array

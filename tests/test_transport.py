@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from qpump.errors import NotOptimal, NumericalFailure, PhaseStepTooLarge
 from qpump.matcore import R_K, CycleGrid
 from qpump.models import build, reparameterized
-from qpump.shift import EnergyShift, energy_shift_cycle
+from qpump.optimal import optimality_verdict
+from qpump.shift import EnergyShift, energy_shift_cycle, sample_cycle
 from qpump.transport import (
     InstantReport,
     cycle_charge,
@@ -27,6 +28,18 @@ GRID = CycleGrid(1.0, 256)
 PI = np.pi
 
 
+def shift_stack(model, grid=GRID):
+    """The energy-shift stack of ``model`` at mu = 1 on ``grid``."""
+    return energy_shift_cycle(sample_cycle(model, 1.0, grid), grid)
+
+
+def winding(model, grid=GRID):
+    """The winding count of ``model`` at mu = 1 on ``grid``, given its verdict."""
+    samples = sample_cycle(model, 1.0, grid)
+    verdict = optimality_verdict(energy_shift_cycle(samples, grid), samples)
+    return winding_charge(model, 1.0, grid, samples, verdict)
+
+
 def random_hermitian_shift(rng, n):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return EnergyShift.from_matrix(a + a.conj().T)
@@ -34,7 +47,7 @@ def random_hermitian_shift(rng, n):
 
 def flux_loop_shift(w=1):
     model = build("flux-loop", {"k_ell": 1.0, "w": w})
-    return energy_shift_cycle(model, 1.0, GRID)[0]
+    return shift_stack(model)[0]
 
 
 # ---------------------------------------------------------------- current
@@ -79,7 +92,7 @@ def test_dissipation_purely_offdiagonal():
 
 def test_decomposition_identity_on_builtins():
     for name, params in ALL_BUILTINS:
-        for e in energy_shift_cycle(build(name, params), 1.0, GRID)[:: 16]:
+        for e in shift_stack(build(name, params))[:: 16]:
             d = dissipation(e)
             gap = np.abs(d.total - (d.joule + d.excess))
             assert np.max(gap) < 1e-12, name
@@ -88,7 +101,7 @@ def test_decomposition_identity_on_builtins():
 def test_square_identity_on_builtins():
     # diagonal of E^2 equals the row sums of |E_jk|^2
     for name, params in ALL_BUILTINS:
-        for e in energy_shift_cycle(build(name, params), 1.0, GRID)[:: 16]:
+        for e in shift_stack(build(name, params))[:: 16]:
             m = e.array
             via_product = np.real(np.diag(m @ m))
             via_rows = (np.abs(m) ** 2).sum(axis=1)
@@ -215,22 +228,22 @@ def test_winding_matches_charge_on_optimal_models():
     ]:
         model = build(name, params)
         q = cycle_charge(model, 1.0, GRID)
-        w = winding_charge(model, 1.0, GRID)
+        w = winding(model)
         assert np.max(np.abs(q - np.rint(q))) < 1e-8
         np.testing.assert_array_equal(w, np.rint(q).astype(int))
 
 
 def test_winding_flux_loop():
     model = build("flux-loop", {"k_ell": 0.0, "w": 5})
-    np.testing.assert_array_equal(winding_charge(model, 1.0, CycleGrid(1.0, 64)), [-5, 5])
+    np.testing.assert_array_equal(winding(model, CycleGrid(1.0, 64)), [-5, 5])
     with pytest.raises(PhaseStepTooLarge):
-        winding_charge(model, 1.0, CycleGrid(1.0, 8))
+        winding(model, CycleGrid(1.0, 8))
 
 
 def test_winding_requires_optimality():
     model = build("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.1})
     with pytest.raises(NotOptimal):
-        winding_charge(model, 1.0, GRID)
+        winding(model)
 
 
 # ---------------------------------------------------------------- sweep
