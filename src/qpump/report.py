@@ -4,8 +4,10 @@ Reports are plain JSON documents.  Serialization is deterministic: keys
 keep their insertion order, floats are written with 17 significant digits
 (enough to round-trip IEEE doubles exactly), and nothing time- or
 machine-dependent enters the document, so identical configurations yield
-byte-identical reports.  Float arrays and the per-time report are formatted
-in one pass per block, in the same bytes as their list form.
+byte-identical reports.  The floats of a document (arrays, the per-time
+report and scalars alike) are formatted as one block, each distinct bit
+pattern once: the same bytes as :func:`format_float` per value, and as their
+list form.
 """
 
 from __future__ import annotations
@@ -49,17 +51,22 @@ def format_float(value: float) -> str:
 
 def _format_block(x: np.ndarray) -> tuple[str, ...]:
     """Every entry of a float array in C order as ``%.17g``, plus ".0" where
-    that reads as an integer: one finiteness check, one formatting pass."""
-    flat = x.ravel()
+    that reads as an integer.  The first non-finite entry in C order is
+    named before anything is formatted; then each distinct bit pattern is
+    formatted once (bits, not values: 0.0 and -0.0 differ in text) and the
+    strings are gathered back in C order."""
+    flat = np.asarray(x, dtype=np.float64).ravel()
     finite = np.isfinite(flat)
     if not finite.all():
         bad = format(float(flat[~finite][0]), ".17g")
         raise NumericalFailure(f"non-finite value {bad} in the report")
-    out = ("%.17g\n" * flat.size % tuple(flat.tolist())).split("\n")[:-1]
+    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+    values = bits.view(np.float64)
+    text = ("%.17g\n" * values.size % tuple(values.tolist())).split("\n")[:-1]
     # exactly the values %.17g writes without "." or "e" (-0.0 among them)
-    for i in np.flatnonzero((flat == np.trunc(flat)) & (np.abs(flat) < 1e17)).tolist():
-        out[i] += ".0"
-    return tuple(out)
+    for i in np.flatnonzero((values == np.trunc(values)) & (np.abs(values) < 1e17)).tolist():
+        text[i] += ".0"
+    return tuple(np.fromiter(text, dtype=object, count=len(text))[inverse].tolist())
 
 
 def _layout(shape: tuple, pad: str, leaf: str = "%s") -> str:
@@ -74,9 +81,15 @@ def _layout(shape: tuple, pad: str, leaf: str = "%s") -> str:
     return "[\n" + inner + (",\n" + inner).join([item] * shape[0]) + "\n" + pad + "]"
 
 
-def _instants(report: InstantReport, pad: str) -> str:
+def _literal(text: str) -> str:
+    """A JSON string as :func:`dumps` writes it into its template."""
+    return _quote(text).replace("%", "%%")
+
+
+def _instants(report: InstantReport, pad: str, floats: list) -> str:
     """A stacked report as the JSON array of its per-time records, a
-    one-time report as one record: all its floats form one block."""
+    one-time report as one record: its floats, in the order of the
+    template's leaves, go to ``floats`` as one block."""
     columns = {"Qdot": report.qdot, "D": report.total_dissipation,
                "Xs": report.excess, "r": report.residual}
     if report.sdot is not None:
@@ -85,15 +98,17 @@ def _instants(report: InstantReport, pad: str) -> str:
     record_pad = pad + "  " if stacked else pad
     item = record_pad + "  "
     leaves = _layout(report.qdot.shape[-1:], item)
-    fields = [item + '"t": %s', *(f"{item}{_quote(key)}: {leaves}" for key in columns),
+    fields = [item + '"t": %s', *(f"{item}{_literal(key)}: {leaves}" for key in columns),
               f'{item}"regime_ok": {"true" if report.regime_ok else "false"}']
     record = "{\n" + ",\n".join(fields) + "\n" + record_pad + "}"
     block = np.column_stack([np.atleast_1d(report.t), *map(np.atleast_2d, columns.values())])
-    template = _layout(block.shape[:1], pad, record) if stacked else record
-    return template % _format_block(block)
+    floats.append(block.ravel())
+    return _layout(block.shape[:1], pad, record) if stacked else record
 
 
-def _emit(obj, indent: int, out: list) -> None:
+def _emit(obj, indent: int, out: list, floats: list) -> None:
+    """Append the text of ``obj`` to ``out`` with a "%s" leaf per float (and
+    "%" doubled elsewhere); its floats go to ``floats`` in leaf order."""
     pad = "  " * indent
     if isinstance(obj, (dict, list, tuple)):
         is_dict = isinstance(obj, dict)
@@ -103,14 +118,15 @@ def _emit(obj, indent: int, out: list) -> None:
             return
         out.append(brackets[0] + "\n")
         for i, (key, value) in enumerate(obj.items() if is_dict else enumerate(obj)):
-            out.append(f"{pad}  {_quote(str(key))}: " if is_dict else pad + "  ")
-            _emit(value, indent + 1, out)
+            out.append(f"{pad}  {_literal(str(key))}: " if is_dict else pad + "  ")
+            _emit(value, indent + 1, out, floats)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + brackets[1])
     elif isinstance(obj, InstantReport):
-        out.append(_instants(obj, pad))
+        out.append(_instants(obj, pad, floats))
     elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
-        out.append(_layout(obj.shape, pad) % _format_block(obj))
+        out.append(_layout(obj.shape, pad))
+        floats.append(obj.ravel())
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
     elif obj is None:
@@ -118,20 +134,24 @@ def _emit(obj, indent: int, out: list) -> None:
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
+        out.append("%s")
+        floats.append([float(obj)])
     elif isinstance(obj, str):
-        out.append(_quote(obj))
+        out.append(_literal(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(obj) -> str:
     """Deterministic JSON text (insertion-ordered keys, 17-digit floats); float
-    arrays and :class:`InstantReport` records are written as their list form."""
+    arrays and :class:`InstantReport` records are written as their list form.
+    All floats of the document are formatted as one block."""
     out: list[str] = []
-    _emit(obj, 0, out)
+    floats: list = []
+    _emit(obj, 0, out, floats)
     out.append("\n")
-    return "".join(out)
+    # np.empty(0) keeps the concatenation defined for a document without floats
+    return "".join(out) % _format_block(np.concatenate([np.empty(0), *floats]))
 
 
 def _verdict_entry(verdict: OptimalityVerdict) -> dict:

@@ -68,6 +68,11 @@ def instantaneous_current(e: EnergyShift) -> np.ndarray:
     return np.real(_diagonal(e.array)) / _TWO_PI
 
 
+def _joule(qdot: np.ndarray) -> np.ndarray:
+    """The Joule floor ``(R_K/2) Qdot_j^2`` of the dissipation bound."""
+    return 0.5 * R_K * qdot**2
+
+
 class Dissipation(NamedTuple):
     """Per-channel dissipated power and its split.
 
@@ -91,9 +96,8 @@ def dissipation(e: EnergyShift) -> Dissipation:
     """Dissipated power per channel, ``D_j = (E^2)_jj / 4pi``."""
     total = _square_diagonal(e) / _FOUR_PI
     qdot = instantaneous_current(e)
-    joule = 0.5 * R_K * qdot**2
     excess = velocity_split(e).base / _FOUR_PI
-    return Dissipation(total=total, joule=joule, excess=excess)
+    return Dissipation(total=total, joule=_joule(qdot), excess=excess)
 
 
 class EntropyNoise(NamedTuple):
@@ -265,8 +269,7 @@ class InstantReport:
             raise NumericalFailure(
                 f"dissipation bound violated: min residual {self.residual.min():.3e}"
             )
-        joule = 0.5 * R_K * self.qdot**2
-        gap = np.abs(self.total_dissipation - (joule + self.excess))
+        gap = np.abs(self.total_dissipation - (_joule(self.qdot) + self.excess))
         allowed = 1e-12 * np.maximum(1.0, np.abs(self.total_dissipation))
         if np.any(gap > allowed):
             raise NumericalFailure("dissipation decomposition identity failed")

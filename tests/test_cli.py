@@ -13,9 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpump.cli import main
+from qpump.errors import NumericalFailure
 from qpump.matcore import DEFAULT_TOLERANCES, Tolerances
 from qpump.models import ModelConfig
-from qpump.report import analyze, dumps, format_float, instant_document
+from qpump.report import _format_block, analyze, dumps, format_float, instant_document
 
 BASE_CONFIG = {
     "model": "flux-loop",
@@ -429,6 +430,90 @@ def test_dumps_float_array_matches_list_form():
 def test_format_float_matches_scalar_rule(value):
     assert format_float(value) == reference_float(value)
     assert float(format_float(value)) == value
+
+
+#: Few values, so that drawn blocks repeat them: both zeros, subnormals, the
+#: integral values around 1e17 where ".0" stops, and the largest double.
+BLOCK_POOL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -3.0, 0.1,
+              1e16, 1e16 + 2.0, 1e17 - 16.0, 1e17, -1e17, 1e17 + 16.0,
+              1.7976931348623157e308, -1.7976931348623157e308)
+
+
+def float_texts(text):
+    """Every float of a JSON text as written, in document order."""
+    texts = []
+    json.loads(text, parse_float=lambda t: texts.append(t) or float(t))
+    return texts
+
+
+@st.composite
+def pooled_blocks(draw):
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    values = draw(st.lists(st.sampled_from(BLOCK_POOL), min_size=rows * cols,
+                           max_size=rows * cols))
+    return np.array(values, dtype=float).reshape(rows, cols)
+
+
+@given(pooled_blocks())
+@example(np.array([[0.0, -0.0, 0.0], [-0.0, 5e-324, 0.0]]))
+@example(np.array([[1e17 - 16.0, 1e17], [1e17, 1e17 - 16.0], [1e16, 1.7976931348623157e308]]))
+@example(np.array([[-0.0]]))
+@example(np.zeros((2, 0)))
+@settings(max_examples=200, deadline=None)
+def test_format_block_matches_the_per_value_rule(block):
+    # repeated entries are formatted once; every one must still read as its own value
+    assert _format_block(block) == tuple(reference_float(v) for v in block.ravel().tolist())
+    text = dumps({"x": block, "y": [*block.ravel().tolist(), 2.5]})
+    assert float_texts(text) == [*map(reference_float, block.ravel().tolist() * 2), "2.5"]
+    assert dumps({"x": block}) == dumps({"x": block.tolist()})
+
+
+def test_non_finite_error_names_the_first_entry_in_c_order():
+    inf, nan = float("inf"), float("nan")
+    cases = [([[1.0, inf, nan], [inf, 1.0, 1.0]], "inf"),
+             ([[nan, 1.0, inf], [nan, -inf, 1.0]], "nan"),
+             ([[1.0, 1.0], [-inf, inf]], "-inf")]
+    # C order, not memory order: the transpose's first bad entry is inf
+    transposed = np.array([[1.0, nan], [inf, 1.0]]).T
+    for block, name in [*((np.array(rows), name) for rows, name in cases), (transposed, "inf")]:
+        with pytest.raises(NumericalFailure, match=f"^non-finite value {name} in the report$"):
+            _format_block(block)
+    # a document's floats are one block: the first bad one in document order is named
+    doc = {"a": 1.0, "b": np.array([[2.0, inf], [nan, 3.0]]), "c": nan, "d": [-inf]}
+    with pytest.raises(NumericalFailure, match="^non-finite value inf in the report$"):
+        dumps(doc)
+
+
+def test_dumps_keeps_percent_signs():
+    # floats are substituted into the document's text in one pass; its strings
+    # must come out unchanged
+    doc = {"100%": "a %s b %% c %(x)s", "x": [1.5, "%d", {"%": -0.0}], "y": np.array([0.5])}
+    text = dumps(doc)
+    assert json.loads(text) == {**doc, "y": [0.5]}
+    assert text == json.dumps({**doc, "y": [0.5]}, indent=2) + "\n"
+
+
+def test_benchmark_sized_optimal_report_matches_the_per_value_rule():
+    # an optimal pump at N = 1024: Xs, Sdot and Ndot are all +0.0, so the
+    # per-time block is mostly repeats
+    doc = dict(BASE_CONFIG, model="diagonal-times-constant",
+               params=MODEL_PARAMS["diagonal-times-constant"],
+               cycle={"period": 1.0, "samples": 1024})
+    result = analyze(ModelConfig.from_dict(doc))
+    report = result.instants
+    assert result.verdict.is_optimal and report.sdot is not None
+    block = np.column_stack([report.t, report.qdot, report.total_dissipation, report.excess,
+                             report.residual, report.sdot, report.ndot])
+    assert block.shape == (1024, 19)
+    assert np.unique(block.view(np.uint64)).size < block.size / 2
+    as_records = dict(result.document, instants=instant_records(report))
+    text = dumps(result.document)
+    assert text == dumps(as_records)
+    assert all(t == reference_float(float(t)) for t in float_texts(text))
+    table = np.column_stack([report.t, report.qdot, report.total_dissipation, report.sdot,
+                             report.ndot, result.verdict.ratios])
+    rows = result.csv_text.splitlines()[1:]
+    assert rows == [",".join(map(reference_float, row)) for row in table.tolist()]
 
 
 def test_exit_2_charge_winding_gap(tmp_path, capsys):
