@@ -9,6 +9,7 @@ certified defect beyond its hard limit, or a verified bound violation),
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -45,7 +46,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The ``pump`` parser, built on the first call and shared by every later
+    :func:`main` call.  The ``_cmd_*`` handlers look up ``analyze``, ``dumps``
+    and ``instant_document`` in this module when they run, so rebinding those
+    names still takes effect."""
     parser = _Parser(
         prog="pump",
         description="Analyze adiabatic quantum pumps given by a frozen "

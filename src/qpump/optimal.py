@@ -30,6 +30,10 @@ MOTIONLESS_NORM = 1e-14
 #: Exclusive limit of :func:`diagonal_decomposition`'s off-diagonal and reconstruction errors.
 DECOMPOSITION_TOL = 1e-8
 
+#: Floor of the saturation threshold, relative to a channel's largest
+#: dissipation: it absorbs rounding in the residual ``D - (R_K/2) Qdot^2``.
+SATURATION_FLOOR = 64.0 * np.finfo(float).eps
+
 
 def offdiag_ratio(e: EnergyShift) -> float | np.ndarray:
     """Relative off-diagonal weight ``||offdiag(E)||_F / ||E||_F``.
@@ -86,8 +90,8 @@ def _saturation_flags(shifts: EnergyShift, tol: Tolerances) -> tuple[bool, ...]:
     worst = d.residual.max(axis=0)
     scale = d.total.max(axis=0)
     # tol_opt bounds the off-diagonal *ratio*; residuals scale with its
-    # square.  The eps floor absorbs rounding in the subtraction.
-    threshold = np.maximum(64.0 * np.finfo(float).eps * scale, tol.tol_opt**2 * scale)
+    # square.
+    threshold = np.maximum(SATURATION_FLOOR * scale, tol.tol_opt**2 * scale)
     return tuple(bool(b) for b in worst <= threshold)
 
 

@@ -52,6 +52,15 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 _FOUR_PI = 4.0 * np.pi
 
+#: Most negative dissipation-bound residual an instant report accepts as rounding.
+RESIDUAL_FLOOR = 1e-12
+
+#: Tolerance of the identity ``D = joule + excess``, relative to ``max(1, |D|)``.
+IDENTITY_TOL = 1e-12
+
+#: Row overlaps below this modulus across a grid interval have no defined phase step.
+VANISHING_OVERLAP = 1e-12
+
 
 def _diagonal(m: np.ndarray) -> np.ndarray:
     return np.diagonal(m, axis1=-2, axis2=-1)
@@ -206,7 +215,7 @@ def winding_charge(model: PumpModel, mu: float, grid: CycleGrid, samples: np.nda
     mids = model.sample(grid.times + 0.5 * grid.dt, mu)
     z1 = np.einsum("tjk,tjk->tj", samples.conj(), mids)
     z2 = np.einsum("tjk,tjk->tj", mids.conj(), np.roll(samples, -1, axis=0))
-    vanish = np.minimum(np.abs(z1), np.abs(z2)) < 1e-12
+    vanish = np.minimum(np.abs(z1), np.abs(z2)) < VANISHING_OVERLAP
     steps = np.angle(z1) + np.angle(z2)
     bad = vanish | (np.abs(steps) >= np.pi)
     if bad.any():
@@ -265,12 +274,12 @@ class InstantReport:
     def __post_init__(self):
         if np.any(self.total_dissipation < 0.0):
             raise NumericalFailure("negative dissipation in instant report")
-        if np.any(self.residual < -1e-12):
+        if np.any(self.residual < -RESIDUAL_FLOOR):
             raise NumericalFailure(
                 f"dissipation bound violated: min residual {self.residual.min():.3e}"
             )
         gap = np.abs(self.total_dissipation - (_joule(self.qdot) + self.excess))
-        allowed = 1e-12 * np.maximum(1.0, np.abs(self.total_dissipation))
+        allowed = IDENTITY_TOL * np.maximum(1.0, np.abs(self.total_dissipation))
         if np.any(gap > allowed):
             raise NumericalFailure("dissipation decomposition identity failed")
 

@@ -5,13 +5,17 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qpump import cli
 from qpump.cli import main
 from qpump.errors import NumericalFailure
 from qpump.matcore import DEFAULT_TOLERANCES, Tolerances
@@ -648,3 +652,59 @@ def test_config_fuzz_keeps_the_exit_code_contract(doc, t):
             strict_json(text)
         else:
             assert text == ""
+
+
+# ---------------------------------------------------------------- parser reuse
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_main_repeats_byte_identically_around_other_commands(tmp_path):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    instant = ["instant", "--config", cfg, "--t", "0.25"]
+    first = run_cli(instant)
+    assert first[0] == 0 and first[2] == ""
+    assert run_cli(["analyze", "--config", cfg, "--out", str(tmp_path / "r.json")])[0] == 0
+    code, out, err = run_cli(["instant", "--config", cfg])
+    assert code == 1 and out == ""
+    assert err.startswith("usage: pump instant") and "--t" in err
+    assert run_cli(instant) == first
+
+
+def test_help_repeats_identically():
+    first = run_cli(["--help"])
+    assert first[0] == 0 and first[1].startswith("usage: pump")
+    assert run_cli(["--help"]) == first
+
+
+def test_rebound_names_are_called_after_the_parser_exists(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    instant = ["instant", "--config", cfg, "--t", "0.25"]
+    assert run_cli(instant)[0] == 0  # the parser exists from here on
+    seen = []
+
+    def fake_document(config, t):
+        seen.append(t)
+        return {"t": t}
+
+    monkeypatch.setattr(cli, "instant_document", fake_document)
+    assert run_cli(instant) == (0, dumps({"t": 0.25}), "")
+    monkeypatch.setattr(cli, "dumps", lambda doc: "dumped\n")
+    assert run_cli(instant) == (0, "dumped\n", "")
+    assert seen == [0.25, 0.25]
+
+
+def test_module_entry_point_matches_in_process_main(tmp_path):
+    """``python -m qpump.cli``, one process per call as the installed ``pump``
+    script runs, writes the bytes and exit code of in-process ``main``."""
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (["instant", "--config", cfg, "--t", "0.25"], ["instant", "--config", cfg]):
+        code, out, err = run_cli(argv)
+        proc = subprocess.run([sys.executable, "-m", "qpump.cli", *argv],
+                              capture_output=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, out.encode(), err.encode())
