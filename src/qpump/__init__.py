@@ -11,7 +11,7 @@ from .errors import ConfigError, NumericalFailure, PumpError
 from .matcore import R_K, CycleGrid, Tolerances
 from .models import ModelConfig, PumpModel, build
 from .shift import adiabaticity, energy_shift_cycle, sample_cycle
-from .transport import cycle_charge, winding_charge
+from .transport import cycle_charge, instant_report, winding_charge
 from .optimal import optimality_verdict
 from .bathtub import greedy_minimize, linear_dispersion, verify_bound
 from .report import analyze, dumps, instant_document

@@ -211,7 +211,7 @@ def central_derivative(f: Callable[[float], np.ndarray], x: float, step: float):
     Evaluates f at x +/- step and x +/- 2*step.  The stencil is grouped
     into paired differences so a constant f yields exactly zero.
     """
-    if step <= 0:
+    if not step > 0:
         raise ValueError("step must be positive")
     inner = f(x + step) - f(x - step)
     outer = f(x + 2.0 * step) - f(x - 2.0 * step)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .matcore import DEFAULT_TOLERANCES, Tolerances, frobenius_norm
 from .shift import EnergyShift
-from .transport import dissipation
+from .transport import InstantReport
 
 __all__ = [
     "offdiag_ratio",
@@ -23,9 +23,6 @@ __all__ = [
     "optimality_verdict",
     "diagonal_decomposition",
 ]
-
-#: Energy shifts with Frobenius norm below this are treated as motionless.
-MOTIONLESS_NORM = 1e-14
 
 #: Exclusive limit of :func:`diagonal_decomposition`'s off-diagonal and reconstruction errors.
 DECOMPOSITION_TOL = 1e-8
@@ -39,8 +36,8 @@ def offdiag_ratio(e: EnergyShift) -> float | np.ndarray:
     """Relative off-diagonal weight ``||offdiag(E)||_F / ||E||_F``.
 
     Scale free, so slow and fast cycles are judged alike.  A motionless
-    pump (vanishing energy shift) is vacuously optimal: ratio 0.  A float
-    at one time, an (N,) array over a stack.
+    pump (an energy shift of exactly zero) is vacuously optimal: ratio 0.
+    A float at one time, an (N,) array over a stack.
     """
     m = e.array
     total = frobenius_norm(m)
@@ -48,7 +45,7 @@ def offdiag_ratio(e: EnergyShift) -> float | np.ndarray:
     diag = np.arange(m.shape[-1])
     off[..., diag, diag] = 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(total < MOTIONLESS_NORM, 0.0, frobenius_norm(off) / total)
+        ratio = np.where(total == 0.0, 0.0, frobenius_norm(off) / total)
     return ratio if ratio.ndim else float(ratio)
 
 
@@ -85,20 +82,21 @@ class OptimalityVerdict:
     decomposition: DiagonalDecomposition | None
 
 
-def _saturation_flags(shifts: EnergyShift, tol: Tolerances) -> tuple[bool, ...]:
-    d = dissipation(shifts)
-    worst = d.residual.max(axis=0)
-    scale = d.total.max(axis=0)
+def _saturation_flags(instants: InstantReport, tol: Tolerances) -> tuple[bool, ...]:
+    worst = instants.residual.max(axis=0)
+    scale = instants.total_dissipation.max(axis=0)
     # tol_opt bounds the off-diagonal *ratio*; residuals scale with its
     # square.
     threshold = np.maximum(SATURATION_FLOOR * scale, tol.tol_opt**2 * scale)
     return tuple(bool(b) for b in worst <= threshold)
 
 
-def optimality_verdict(shifts: EnergyShift, samples: np.ndarray,
+def optimality_verdict(shifts: EnergyShift, samples: np.ndarray, instants: InstantReport,
                        tolerances: Tolerances = DEFAULT_TOLERANCES) -> OptimalityVerdict:
-    """Judge optimality from the cycle's energy-shift stack ``shifts`` and
-    the samples S(t, mu) it was computed from; the decomposition is
+    """Judge optimality from the cycle's energy-shift stack ``shifts``, the
+    samples S(t, mu) it was computed from and its per-channel table
+    ``instants`` (:func:`~qpump.transport.instant_report` of ``shifts``),
+    whose residuals give the saturation flags; the decomposition is
     attempted on ``samples`` exactly when the verdict is optimal."""
     ratios = offdiag_ratio(shifts)
     worst_index = int(np.argmax(ratios))
@@ -109,7 +107,7 @@ def optimality_verdict(shifts: EnergyShift, samples: np.ndarray,
         max_offdiag_ratio=max_ratio,
         worst_time=float(shifts.t[worst_index]),
         ratios=ratios,
-        per_channel_saturation=_saturation_flags(shifts, tolerances),
+        per_channel_saturation=_saturation_flags(instants, tolerances),
         decomposition=diagonal_decomposition(samples) if is_optimal else None,
     )
 

@@ -214,7 +214,7 @@ def analyze(config: ModelConfig) -> AnalysisResult:
     epsilon = omega * tau
 
     instants = instant_report(shifts, beta=config.beta, omega=omega, tau=tau)
-    verdict = optimality_verdict(shifts, samples, tol)
+    verdict = optimality_verdict(shifts, samples, instants, tol)
 
     charge = cycle_integral(instants.qdot, grid)
     winding = None

@@ -28,7 +28,6 @@ from .models import ENERGY_STEP_FRACTION, PumpModel
 
 __all__ = [
     "EnergyShift",
-    "VelocitySplit",
     "HARD_HERM_LIMIT",
     "ENERGY_STEP_FRACTION",
     "sample_cycle",
@@ -39,7 +38,6 @@ __all__ = [
     "time_delay",
     "delay_scale",
     "adiabaticity",
-    "velocity_split",
 ]
 
 #: Relative non-Hermiticity beyond which the grid is considered under-resolved.
@@ -80,17 +78,6 @@ class EnergyShift:
         square, finite input is stored read-only as ``(M + M^dag)/2``."""
         herm, defect = hermitian_part(_square_matrix(array))
         return cls(_frozen(herm), 0.0, float(defect))
-
-
-@dataclass(frozen=True, eq=False)
-class VelocitySplit:
-    """Per-channel squared row velocity, split into phase motion along the
-    fiber (|diag|^2) and projective motion in the base (off-diagonal
-    weight).  ``fiber + base`` equals the diagonal of the squared energy
-    shift."""
-
-    fiber: np.ndarray
-    base: np.ndarray
 
 
 def sample_cycle(model: PumpModel, mu: float, grid: CycleGrid) -> np.ndarray:
@@ -179,7 +166,7 @@ def _delay_raw(model: PumpModel, times: np.ndarray, mu: float, dE: float,
     S(times, mu), leaving the four stencil energies to be sampled.  An
     energy-independent model samples nothing: its delay is exactly zero.
     """
-    if dE <= 0:
+    if not dE > 0:
         raise ValueError("dE must be positive")
     lo, hi = model.energy_window
     if mu - 2.0 * dE < lo or mu + 2.0 * dE > hi:
@@ -223,14 +210,3 @@ def adiabaticity(model: PumpModel, mu: float, grid: CycleGrid) -> float:
     """
     return (2.0 * np.pi / model.period) * delay_scale(model, mu, grid)
 
-
-def velocity_split(e: EnergyShift) -> VelocitySplit:
-    """Split each row's squared velocity into fiber and base parts.
-
-    fiber_j = |E_jj|^2 (phase motion), base_j = sum_{k != j} |E_jk|^2
-    (motion in projective space); their sum is the diagonal of E^2.
-    """
-    mags = np.abs(e.array) ** 2
-    fiber = np.diagonal(mags, axis1=-2, axis2=-1).copy()
-    base = mags.sum(axis=-1) - fiber
-    return VelocitySplit(fiber=fiber, base=base)

@@ -13,6 +13,9 @@ All quantities derive from the energy shift.  In natural units
 * cycle charge             time integral of the channel current, which is
   an integer (the row winding number) exactly when the pump is optimal.
 
+:func:`instant_report` derives every per-channel column above from one
+pass over the energy shift.
+
 The sign convention is fixed by the current law: positive ``Qdot_j``
 means net charge entering reservoir j.
 """
@@ -20,24 +23,20 @@ means net charge entering reservoir j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import NotOptimal, NumericalFailure, PhaseStepTooLarge
 from .matcore import R_K, CycleGrid, periodic_integral
 from .models import PumpModel, build
-from .shift import EnergyShift, energy_shift_cycle, sample_cycle, velocity_split
+from .shift import EnergyShift, energy_shift_cycle, sample_cycle
 
 if TYPE_CHECKING:  # optimal imports this module
     from .optimal import OptimalityVerdict
 
 __all__ = [
     "instantaneous_current",
-    "Dissipation",
-    "dissipation",
-    "EntropyNoise",
-    "entropy_noise",
     "OutgoingSymbol",
     "outgoing_symbol",
     "dissipation_from_symbol",
@@ -82,57 +81,6 @@ def _joule(qdot: np.ndarray) -> np.ndarray:
     return 0.5 * R_K * qdot**2
 
 
-class Dissipation(NamedTuple):
-    """Per-channel dissipated power and its split.
-
-    ``total = joule + excess`` holds as an entrywise identity;
-    ``joule = (R_K/2) Qdot^2`` is the reversible-limit floor and
-    ``excess`` is the off-diagonal contribution.
-    """
-
-    total: np.ndarray
-    joule: np.ndarray
-    excess: np.ndarray
-
-    @property
-    def residual(self) -> np.ndarray:
-        """Bound slack ``D_j - (R_K/2) Qdot_j^2``, by subtraction rather than the
-        closed form ``excess >= 0`` it equals, so the inequality is exercised."""
-        return self.total - self.joule
-
-
-def dissipation(e: EnergyShift) -> Dissipation:
-    """Dissipated power per channel, ``D_j = (E^2)_jj / 4pi``."""
-    total = _square_diagonal(e) / _FOUR_PI
-    qdot = instantaneous_current(e)
-    excess = velocity_split(e).base / _FOUR_PI
-    return Dissipation(total=total, joule=_joule(qdot), excess=excess)
-
-
-class EntropyNoise(NamedTuple):
-    sdot: np.ndarray
-    ndot: np.ndarray
-    regime_ok: bool
-
-
-def entropy_noise(e: EnergyShift, beta: float, omega: float, tau: float) -> EntropyNoise:
-    """Entropy and noise production rates at inverse temperature beta.
-
-    Both are proportional to the excess (off-diagonal) weight; the
-    prefactors beta/4pi and beta/12pi make their ratio exactly 3.
-    ``regime_ok`` records the strict window ``omega < 1/beta < 1/tau``
-    in which rates per unit time are meaningful; outside it the values
-    are still returned, only flagged.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    weight = velocity_split(e).base
-    sdot = beta * weight / _FOUR_PI
-    ndot = beta * weight / (12.0 * np.pi)
-    regime_ok = bool(omega * beta < 1.0 and tau < beta)
-    return EntropyNoise(sdot=sdot, ndot=ndot, regime_ok=regime_ok)
-
-
 @dataclass(frozen=True, eq=False)
 class OutgoingSymbol:
     """Semiclassical symbol of the outgoing energy distribution.
@@ -165,8 +113,8 @@ def dissipation_from_symbol(symbol: OutgoingSymbol) -> np.ndarray:
     The moment integral ``(1/2pi) int dE (E - mu) (n_out - n_in)`` picks
     up nothing from the delta term (vanishing first moment) and ``-b``
     from the delta' term, so it equals ``-delta_prime_weight / 2pi``.
-    Must agree with :func:`dissipation` -- the two routes share only the
-    energy shift.
+    Must agree with :func:`instant_report`'s ``total_dissipation`` -- the
+    two routes share only the energy shift.
     """
     return -symbol.delta_prime_weight / _TWO_PI
 
@@ -286,19 +234,36 @@ class InstantReport:
 
 def instant_report(e: EnergyShift, beta: float | None = None,
                    omega: float = 0.0, tau: float = 0.0) -> InstantReport:
-    """Assemble the report of an energy shift at one time or over a stack."""
-    d = dissipation(e)
+    """Every per-channel observable of an energy shift, at one time or over a stack.
+
+    One ``|E_jk|^2`` pass gives the off-diagonal weight
+    ``w_j = sum_{k != j} |E_jk|^2``: the excess ``w/4pi`` and, when an
+    inverse temperature ``beta`` is given, the rates ``Sdot = beta w/4pi``
+    and ``Ndot = beta w/12pi`` (ratio exactly 3).  The residual is
+    ``D - (R_K/2) Qdot^2`` by subtraction rather than the closed form
+    ``w/4pi`` it equals, so the bound is exercised.  ``regime_ok`` records
+    the strict window ``omega < 1/beta < 1/tau`` in which rates per unit
+    time are meaningful; outside it the rates are still returned, only
+    flagged.
+    """
+    if beta is not None and not beta > 0:
+        raise ValueError("beta must be positive")
+    mags = np.abs(e.array) ** 2
+    weight = mags.sum(axis=-1) - _diagonal(mags)
+    qdot = instantaneous_current(e)
+    total = _square_diagonal(e) / _FOUR_PI
     sdot = ndot = None
     regime_ok = True
     if beta is not None:
-        en = entropy_noise(e, beta, omega, tau)
-        sdot, ndot, regime_ok = en.sdot, en.ndot, en.regime_ok
+        sdot = beta * weight / _FOUR_PI
+        ndot = beta * weight / (12.0 * np.pi)
+        regime_ok = bool(omega * beta < 1.0 and tau < beta)
     return InstantReport(
         t=e.t,
-        qdot=instantaneous_current(e),
-        total_dissipation=d.total,
-        excess=d.excess,
-        residual=d.residual,
+        qdot=qdot,
+        total_dissipation=total,
+        excess=weight / _FOUR_PI,
+        residual=total - _joule(qdot),
         regime_ok=regime_ok,
         sdot=sdot,
         ndot=ndot,

@@ -19,9 +19,8 @@ from qpump.shift import EnergyShift, energy_shift_cycle, energy_shift_rows, samp
 from qpump.transport import (
     cycle_charge,
     dequantization_sweep,
-    dissipation,
     dissipation_from_symbol,
-    entropy_noise,
+    instant_report,
     outgoing_symbol,
     winding_charge,
 )
@@ -32,9 +31,11 @@ MU = 1.0
 
 
 def sampled(model):
-    """The energy-shift stack on GRID and the samples S(t, mu) it comes from."""
+    """The energy-shift stack on GRID, the samples S(t, mu) it comes from
+    and its instant reports: the arguments of ``optimality_verdict``."""
     samples = sample_cycle(model, MU, GRID)
-    return energy_shift_cycle(samples, GRID), samples
+    shifts = energy_shift_cycle(samples, GRID)
+    return shifts, samples, instant_report(shifts)
 
 
 def check(number: int, name: str, ok: bool, detail: str = "") -> bool:
@@ -49,8 +50,9 @@ def test_criterion_01_flux_loop_charge_quantization():
     for w in (1, 2, 3):
         model = build("flux-loop", {"k_ell": 1.0, "w": w})
         charge = cycle_charge(model, MU, GRID)
-        shifts, samples = sampled(model)
-        winding = winding_charge(model, MU, GRID, samples, optimality_verdict(shifts, samples))
+        shifts, samples, instants = sampled(model)
+        winding = winding_charge(model, MU, GRID, samples,
+                                 optimality_verdict(shifts, samples, instants))
         gap = float(np.max(np.abs(charge - np.array([-w, w]))))
         ok &= gap < 1e-10 and np.array_equal(winding, [-w, w])
         details.append(f"w={w}: |Q-(-w,+w)|={gap:.2e}")
@@ -60,7 +62,7 @@ def test_criterion_01_flux_loop_charge_quantization():
 def test_criterion_02_bound_saturation_on_optimal_pump():
     model = build("flux-loop", {"k_ell": 1.0})
     worst = max(
-        float(np.max(dissipation(e).residual)) for e in sampled(model)[0]
+        float(np.max(instant_report(e).residual)) for e in sampled(model)[0]
     )
     ok = worst < 1e-12
     assert check(2, "bound saturated at every sample", ok, f"max residual {worst:.2e}")
@@ -73,7 +75,7 @@ def test_criterion_03_bound_inequality_random_shifts():
     for n in (2, 3, 4):
         for _ in range(200):
             a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            residual = dissipation(EnergyShift.from_matrix(a + a.conj().T)).residual
+            residual = instant_report(EnergyShift.from_matrix(a + a.conj().T)).residual
             worst = min(worst, float(residual.min()))
             count += 1
     ok = worst >= -1e-12 and count >= 500
@@ -124,7 +126,8 @@ def test_criterion_06_outgoing_symbol_moments():
     for _ in range(50):
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         e = EnergyShift.from_matrix(a + a.conj().T)
-        gap = np.max(np.abs(dissipation_from_symbol(outgoing_symbol(e)) - dissipation(e).total))
+        gap = np.max(np.abs(dissipation_from_symbol(outgoing_symbol(e))
+                            - instant_report(e).total_dissipation))
         worst = max(worst, float(gap))
     ok = worst < 1e-12
     assert check(6, "outgoing-symbol moment consistency", ok, f"max gap {worst:.2e}")
@@ -135,7 +138,7 @@ def test_criterion_07_entropy_noise_ratio():
     worst = 0.0
     for _ in range(50):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        en = entropy_noise(EnergyShift.from_matrix(a + a.conj().T), 3.7, 0.1, 0.1)
+        en = instant_report(EnergyShift.from_matrix(a + a.conj().T), 3.7, 0.1, 0.1)
         defined = en.ndot > 0.0
         if np.any(defined):
             rel = np.abs(en.sdot[defined] / en.ndot[defined] / 3.0 - 1.0)
@@ -162,8 +165,8 @@ def test_criterion_09_optimality_criteria_equivalence():
     details = []
     for name, params in ALL_BUILTINS:
         model = build(name, params)
-        shifts, samples = sampled(model)
-        verdict = optimality_verdict(shifts, samples)
+        shifts, samples, instants = sampled(model)
+        verdict = optimality_verdict(shifts, samples, instants)
         has_decomposition = diagonal_decomposition(samples) is not None
         ok &= verdict.is_optimal == has_decomposition
         details.append(f"{name}: {verdict.is_optimal}/{has_decomposition}")

@@ -1,6 +1,7 @@
 """Optimality verdicts, saturation flags and the diagonal decomposition."""
 
 import numpy as np
+import pytest
 
 from qpump.matcore import CycleGrid
 from qpump.models import build, reparameterized
@@ -10,6 +11,7 @@ from qpump.optimal import (
     optimality_verdict,
 )
 from qpump.shift import EnergyShift, energy_shift_cycle, sample_cycle
+from qpump.transport import instant_report
 from test_models import ALL_BUILTINS
 
 GRID = CycleGrid(1.0, 256)
@@ -18,7 +20,8 @@ GRID = CycleGrid(1.0, 256)
 def verdict_of(model):
     """The optimality verdict of ``model`` at mu = 1 on GRID."""
     samples = sample_cycle(model, 1.0, GRID)
-    return optimality_verdict(energy_shift_cycle(samples, GRID), samples)
+    shifts = energy_shift_cycle(samples, GRID)
+    return optimality_verdict(shifts, samples, instant_report(shifts))
 
 
 def decomposition_of(model):
@@ -44,6 +47,28 @@ def test_ratio_mixed_hand_value():
 
 def test_ratio_motionless_is_zero():
     assert offdiag_ratio(EnergyShift.from_matrix(np.zeros((3, 3)))) == 0.0
+
+
+def test_slow_cycles_are_judged_like_fast_ones():
+    # a small generic pump: its energy shift scales as 1/period, far below
+    # any fixed energy at the slow periods, yet its ratios are the same
+    verdicts = {}
+    for period in (1.0, 1e14, 1e16):
+        grid = CycleGrid(period, 64)
+        model = build("random-smooth-path", {"n": 2, "seed": 3, "amplitude": 1e-3},
+                      period=period)
+        samples = sample_cycle(model, 1.0, grid)
+        shifts = energy_shift_cycle(samples, grid)
+        verdicts[period] = optimality_verdict(shifts, samples, instant_report(shifts))
+    reference = verdicts[1.0]
+    assert not reference.is_optimal
+    for period, verdict in verdicts.items():
+        assert verdict.is_optimal == reference.is_optimal, period
+        assert verdict.max_offdiag_ratio == pytest.approx(reference.max_offdiag_ratio,
+                                                          rel=1e-12, abs=0.0), period
+        # per time, the grid nodes themselves round differently at each period
+        np.testing.assert_allclose(verdict.ratios, reference.ratios, rtol=1e-10, atol=0.0,
+                                   err_msg=f"period {period:g}")
 
 
 # ---------------------------------------------------------------- verdict

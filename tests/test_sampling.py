@@ -18,12 +18,13 @@ import pytest
 
 import qpump.optimal
 import qpump.report as report
+import qpump.transport as transport
 from qpump.errors import NotOptimal
 from qpump.matcore import CycleGrid
 from qpump.models import ModelConfig
 from qpump.optimal import optimality_verdict
 from qpump.shift import ENERGY_STEP_FRACTION, energy_shift_cycle, sample_cycle
-from qpump.transport import winding_charge
+from qpump.transport import instant_report, winding_charge
 from test_models import ENERGY_INDEPENDENT
 
 SAMPLES = 64
@@ -106,6 +107,24 @@ def test_instant_eval_budget(recorded, name, params, per_node, optimal):
     assert len(recorded) == calls  # one batched call per stack
 
 
+@pytest.mark.parametrize("name,params", [p[:2] for p in PUMPS], ids=[p[0] for p in PUMPS])
+def test_analyze_derives_the_per_channel_table_once(monkeypatch, name, params):
+    # instant_report derives every column in one pass and the verdict reads it
+    calls = Counter()
+    for attr in ("_square_diagonal", "instantaneous_current"):
+        original = getattr(transport, attr)
+
+        def counting(e, attr=attr, original=original):
+            calls[attr] += 1
+            return original(e)
+
+        monkeypatch.setattr(transport, attr, counting)
+    cfg = config(name, params)
+    assert cfg.beta is not None
+    report.analyze(cfg)
+    assert calls == {"_square_diagonal": 1, "instantaneous_current": 1}
+
+
 @pytest.fixture
 def ratio_calls(monkeypatch):
     """Calls of ``offdiag_ratio``, through every qpump module that binds it."""
@@ -135,7 +154,8 @@ def test_winding_of_a_non_optimal_verdict_samples_nothing(recorded):
     model = report.build_model(config("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.2}))
     grid = CycleGrid(1.0, SAMPLES)
     samples = sample_cycle(model, MU, grid)
-    verdict = optimality_verdict(energy_shift_cycle(samples, grid), samples)
+    shifts = energy_shift_cycle(samples, grid)
+    verdict = optimality_verdict(shifts, samples, instant_report(shifts))
     assert not verdict.is_optimal
     recorded.clear()
     with pytest.raises(NotOptimal):

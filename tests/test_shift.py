@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qpump.errors import EnergyOutOfWindow, GridMismatch, NumericalFailure
-from qpump.matcore import CycleGrid
+from qpump.matcore import R_K, CycleGrid
 from qpump.models import build, reparameterized, time_warp
 from qpump.shift import (
     EnergyShift,
@@ -18,8 +18,8 @@ from qpump.shift import (
     energy_shift_rows,
     sample_cycle,
     time_delay,
-    velocity_split,
 )
+from qpump.transport import instant_report
 from test_models import ALL_BUILTINS
 
 GRID = CycleGrid(1.0, 256)
@@ -195,26 +195,34 @@ def test_adiabaticity_slow_cycle():
 # ---------------------------------------------------------------- velocity split
 
 
+def velocity_split(e):
+    """Each row's squared velocity as (fiber, base): the phase motion
+    ``|E_jj|^2 = 4pi (R_K/2) Qdot_j^2`` and the projective motion
+    ``sum_{k != j} |E_jk|^2 = 4pi Xs_j``, read off the instant report."""
+    report = instant_report(e)
+    return 4.0 * np.pi * (R_K / 2 * report.qdot**2), 4.0 * np.pi * report.excess
+
+
 def test_velocity_split_flux_loop():
     model = build("flux-loop", {"k_ell": 1.0})
-    split = velocity_split(shift_stack(model)[0])
-    np.testing.assert_allclose(split.fiber, [4.0 * np.pi**2] * 2, atol=1e-9)
-    np.testing.assert_allclose(split.base, [0.0, 0.0], atol=1e-12)
+    fiber, base = velocity_split(shift_stack(model)[0])
+    np.testing.assert_allclose(fiber, [4.0 * np.pi**2] * 2, atol=1e-9)
+    np.testing.assert_allclose(base, [0.0, 0.0], atol=1e-12)
 
 
 def test_velocity_split_offdiagonal():
-    split = velocity_split(EnergyShift.from_matrix([[0.0, 1.0], [1.0, 0.0]]))
-    np.testing.assert_allclose(split.fiber, [0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(split.base, [1.0, 1.0], atol=1e-15)
+    fiber, base = velocity_split(EnergyShift.from_matrix([[0.0, 1.0], [1.0, 0.0]]))
+    np.testing.assert_allclose(fiber, [0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(base, [1.0, 1.0], atol=1e-15)
 
 
 def test_velocity_split_sums_to_square_diagonal():
     rng = np.random.default_rng(6)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     e = EnergyShift.from_matrix(a + a.conj().T)
-    split = velocity_split(e)
+    fiber, base = velocity_split(e)
     square_diag = np.real(np.diag(e.array @ e.array))
-    assert np.max(np.abs(split.fiber + split.base - square_diag)) < 1e-13
+    assert np.max(np.abs(fiber + base - square_diag)) < 1e-13
 
 
 # ---------------------------------------------------------------- covariance

@@ -6,17 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpump.errors import NotOptimal, NumericalFailure, PhaseStepTooLarge
-from qpump.matcore import R_K, CycleGrid
+from qpump.matcore import R_K, CycleGrid, central_derivative
 from qpump.models import build, reparameterized
 from qpump.optimal import optimality_verdict
-from qpump.shift import EnergyShift, energy_shift_cycle, sample_cycle
+from qpump.shift import EnergyShift, energy_shift_cycle, sample_cycle, time_delay
 from qpump.transport import (
     InstantReport,
     cycle_charge,
     dequantization_sweep,
-    dissipation,
     dissipation_from_symbol,
-    entropy_noise,
     instant_report,
     instantaneous_current,
     outgoing_symbol,
@@ -36,13 +34,19 @@ def shift_stack(model, grid=GRID):
 def winding(model, grid=GRID):
     """The winding count of ``model`` at mu = 1 on ``grid``, given its verdict."""
     samples = sample_cycle(model, 1.0, grid)
-    verdict = optimality_verdict(energy_shift_cycle(samples, grid), samples)
+    shifts = energy_shift_cycle(samples, grid)
+    verdict = optimality_verdict(shifts, samples, instant_report(shifts))
     return winding_charge(model, 1.0, grid, samples, verdict)
 
 
 def random_hermitian_shift(rng, n):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return EnergyShift.from_matrix(a + a.conj().T)
+
+
+def joule(report):
+    """The Joule floor ``(R_K/2) Qdot^2`` of a report's channels."""
+    return R_K / 2 * report.qdot**2
 
 
 def flux_loop_shift(w=1):
@@ -72,29 +76,29 @@ def test_current_linear_in_shift():
 
 
 def test_dissipation_zero():
-    d = dissipation(EnergyShift.from_matrix(np.zeros((2, 2))))
-    assert np.all(d.total == 0.0) and np.all(d.excess == 0.0)
+    d = instant_report(EnergyShift.from_matrix(np.zeros((2, 2))))
+    assert np.all(d.total_dissipation == 0.0) and np.all(d.excess == 0.0)
 
 
 def test_dissipation_flux_loop_saturates_bound():
-    d = dissipation(flux_loop_shift())
-    np.testing.assert_allclose(d.total, [PI, PI], atol=1e-10)
-    np.testing.assert_allclose(d.joule, [PI, PI], atol=1e-10)
+    d = instant_report(flux_loop_shift())
+    np.testing.assert_allclose(d.total_dissipation, [PI, PI], atol=1e-10)
+    np.testing.assert_allclose(joule(d), [PI, PI], atol=1e-10)
     np.testing.assert_allclose(d.excess, [0.0, 0.0], atol=1e-12)
 
 
 def test_dissipation_purely_offdiagonal():
-    d = dissipation(EnergyShift.from_matrix([[0.0, 1.0], [1.0, 0.0]]))
-    np.testing.assert_allclose(d.total, [1 / (4 * PI)] * 2, atol=1e-15)
-    np.testing.assert_allclose(d.joule, [0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(d.excess, d.total, atol=1e-15)
+    d = instant_report(EnergyShift.from_matrix([[0.0, 1.0], [1.0, 0.0]]))
+    np.testing.assert_allclose(d.total_dissipation, [1 / (4 * PI)] * 2, atol=1e-15)
+    np.testing.assert_allclose(joule(d), [0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(d.excess, d.total_dissipation, atol=1e-15)
 
 
 def test_decomposition_identity_on_builtins():
     for name, params in ALL_BUILTINS:
         for e in shift_stack(build(name, params))[:: 16]:
-            d = dissipation(e)
-            gap = np.abs(d.total - (d.joule + d.excess))
+            d = instant_report(e)
+            gap = np.abs(d.total_dissipation - (joule(d) + d.excess))
             assert np.max(gap) < 1e-12, name
 
 
@@ -113,13 +117,13 @@ def test_square_identity_on_builtins():
 
 def test_residual_diagonal_is_zero():
     e = EnergyShift.from_matrix(np.diag([2.0, -1.0, 0.5]))
-    assert np.max(np.abs(dissipation(e).residual)) < 1e-14
+    assert np.max(np.abs(instant_report(e).residual)) < 1e-14
 
 
 def test_residual_hand_value():
     # E = [[1,1],[1,-1]]: E^2 = 2 I, D = 1/2pi, joule = 1/4pi each channel
     e = EnergyShift.from_matrix([[1.0, 1.0], [1.0, -1.0]])
-    np.testing.assert_allclose(dissipation(e).residual, [1 / (4 * PI)] * 2, atol=1e-15)
+    np.testing.assert_allclose(instant_report(e).residual, [1 / (4 * PI)] * 2, atol=1e-15)
 
 
 def test_residual_nonnegative_sweep():
@@ -127,8 +131,8 @@ def test_residual_nonnegative_sweep():
     worst = 0.0
     for _ in range(100):
         e = random_hermitian_shift(rng, 4)
-        r = dissipation(e).residual
-        closed_form = dissipation(e).excess
+        r = instant_report(e).residual
+        closed_form = instant_report(e).excess
         np.testing.assert_allclose(r, closed_form, atol=1e-12)
         worst = min(worst, r.min())
     assert worst >= -1e-12
@@ -138,7 +142,7 @@ def test_residual_nonnegative_sweep():
 @settings(max_examples=60, deadline=None)
 def test_residual_nonnegative_property(seed, n):
     e = random_hermitian_shift(np.random.default_rng(seed), n)
-    assert dissipation(e).residual.min() >= -1e-12
+    assert instant_report(e).residual.min() >= -1e-12
 
 
 def test_charge_conservation_is_trace():
@@ -154,13 +158,13 @@ def test_charge_conservation_is_trace():
 
 
 def test_entropy_noise_diagonal_is_zero():
-    en = entropy_noise(EnergyShift.from_matrix(np.diag([1.0, -1.0])), 10.0, 0.1, 0.1)
+    en = instant_report(EnergyShift.from_matrix(np.diag([1.0, -1.0])), 10.0, 0.1, 0.1)
     assert np.all(en.sdot == 0.0) and np.all(en.ndot == 0.0)
 
 
 def test_entropy_noise_values_and_ratio():
     e = EnergyShift.from_matrix([[0.0, 1.0], [1.0, 0.0]])
-    en = entropy_noise(e, 10.0, 0.01, 0.1)
+    en = instant_report(e, 10.0, 0.01, 0.1)
     np.testing.assert_allclose(en.sdot, [10 / (4 * PI)] * 2, atol=1e-15)
     np.testing.assert_allclose(en.ndot, [10 / (12 * PI)] * 2, atol=1e-15)
     np.testing.assert_allclose(en.sdot / en.ndot, 3.0, rtol=1e-14)
@@ -168,12 +172,27 @@ def test_entropy_noise_values_and_ratio():
 
 def test_entropy_noise_regime_flags():
     e = EnergyShift.from_matrix([[0.0, 1.0], [1.0, 0.0]])
-    assert entropy_noise(e, 10.0, 0.05, 5.0).regime_ok      # 0.5 < 1, 5 < 10
-    assert not entropy_noise(e, 10.0, 0.2, 5.0).regime_ok   # omega*beta = 2
-    assert not entropy_noise(e, 10.0, 0.05, 20.0).regime_ok  # tau > beta
-    assert entropy_noise(e, 10.0, 0.05, 0.0).regime_ok      # tau = 0: no lower scale
+    assert instant_report(e, 10.0, 0.05, 5.0).regime_ok      # 0.5 < 1, 5 < 10
+    assert not instant_report(e, 10.0, 0.2, 5.0).regime_ok   # omega*beta = 2
+    assert not instant_report(e, 10.0, 0.05, 20.0).regime_ok  # tau > beta
+    assert instant_report(e, 10.0, 0.05, 0.0).regime_ok      # tau = 0: no lower scale
     with pytest.raises(ValueError):
-        entropy_noise(e, 0.0, 0.1, 0.1)
+        instant_report(e, 0.0, 0.1, 0.1)
+
+
+# ---------------------------------------------------------------- guards
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: time_delay(build("diagonal-times-constant", {}), 0.0, 1.0, float("nan")),
+     "dE must be positive"),
+    (lambda: instant_report(flux_loop_shift(), beta=float("nan")), "beta must be positive"),
+    (lambda: central_derivative(lambda x: np.array([x]), 1.0, float("nan")),
+     "step must be positive"),
+], ids=["time_delay-dE", "instant_report-beta", "central_derivative-step"])
+def test_positive_guards_reject_nan(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------- symbol
@@ -196,7 +215,7 @@ def test_symbol_moment_consistency():
     for _ in range(50):
         e = random_hermitian_shift(rng, 3)
         via_moments = dissipation_from_symbol(outgoing_symbol(e))
-        assert np.max(np.abs(via_moments - dissipation(e).total)) < 1e-12
+        assert np.max(np.abs(via_moments - instant_report(e).total_dissipation)) < 1e-12
 
 
 # ---------------------------------------------------------------- cycle charge
