@@ -106,7 +106,8 @@ class CycleGrid:
             raise ValueError("samples must be an integer")
         if n < 8 or n & (n - 1):
             raise ValueError(f"samples must be a power of two >= 8, got {n}")
-        if not (isinstance(self.period, (int, float)) and np.isfinite(self.period) and self.period / n > 0):
+        real = isinstance(self.period, (int, float, np.integer, np.floating))
+        if isinstance(self.period, bool) or not (real and np.isfinite(self.period) and self.period / n > 0):
             raise ValueError("period must be a positive finite real whose step period/samples is not 0")
         object.__setattr__(self, "period", float(self.period))
         object.__setattr__(self, "samples", int(n))

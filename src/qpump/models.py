@@ -204,7 +204,10 @@ def _real(value, fieldname: str, *, positive=False, error=ConfigError) -> float:
     is not a bool, numpy scalars included; otherwise ``error(fieldname, ...)``."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise error(fieldname, "must be a real number")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the largest double
+        v = math.inf
     if not math.isfinite(v):
         raise error(fieldname, "must be finite")
     if positive and v <= 0:
@@ -468,35 +471,45 @@ def _check_mu(mu: float, lo: float, hi: float) -> None:
                           f"by the time-delay stencil's reach 2*dE = {reach:g}")
 
 
+def _window(window) -> tuple[float, float]:
+    """``window`` as ``(lo, hi)``: two reals with ``0 < lo < hi``."""
+    if not (isinstance(window, (list, tuple)) and len(window) == 2):
+        raise ConfigError("energy.window", "must be a two-element array [lo, hi]")
+    lo = _real(window[0], "energy.window", positive=True)
+    hi = _real(window[1], "energy.window")
+    if not lo < hi:
+        raise ConfigError("energy.window", f"must satisfy 0 < lo < hi, got [{lo!r}, {hi!r}]")
+    return lo, hi
+
+
 def build(name: str, params: Mapping[str, float] | None = None, *,
           period: float = 1.0, energy_window: tuple[float, float] = (0.5, 1.5),
           mu: float = 1.0, unitary_tol: float | None = None) -> PumpModel:
     """Build a registered model directly (the configuration-free API).
 
-    Raises :class:`UnknownModel`, :class:`MissingParam`,
-    :class:`BadParamRange` or :class:`UnknownParam`, each naming the
-    offending key.
+    Raises :class:`UnknownModel`, :class:`MissingParam`, :class:`BadParamRange`
+    or :class:`UnknownParam`, each naming the offending key, and
+    :class:`ConfigError` on the other arguments, by their config fields.
     """
-    if not (isinstance(period, (int, float)) and math.isfinite(period) and period > 0):
-        raise ConfigError("cycle.period", "must be a positive finite real")
-    lo, hi = energy_window
-    if not (0 < lo < hi):
-        raise ConfigError("energy.window", f"window must satisfy 0 < lo < hi, got [{lo!r}, {hi!r}]")
+    period = _real(period, "cycle.period", positive=True)
+    lo, hi = _window(energy_window)
+    mu = _real(mu, "energy.mu")
     _check_mu(mu, lo, hi)
+    unitary_tol = _real(DEFAULT_TOLERANCES.tol_unitary if unitary_tol is None else unitary_tol,
+                        "tolerances.tol_unitary", positive=True)
     info = REGISTRY.get(name)
     if info is None:
         known = ", ".join(sorted(REGISTRY))
         raise UnknownModel("model", f"unknown model '{name}'; built-ins: {known}")
-    n, matrix_fn, norm = info.builder(name, dict(params or {}), float(period),
-                                      (float(lo), float(hi)), float(mu))
+    n, matrix_fn, norm = info.builder(name, dict(params or {}), period, (lo, hi), mu)
     return PumpModel(
         name=name,
         n_channels=n,
-        period=float(period),
-        energy_window=(float(lo), float(hi)),
+        period=period,
+        energy_window=(lo, hi),
         params=MappingProxyType(norm),
         matrix_fn=matrix_fn,
-        unitary_tol=DEFAULT_TOLERANCES.tol_unitary if unitary_tol is None else unitary_tol,
+        unitary_tol=unitary_tol,
         energy_independent=info.energy_independent,
     )
 
@@ -583,13 +596,7 @@ class ModelConfig:
             raise ConfigError("cycle.period", f"{period!r} / {samples} samples underflows to zero")
 
         energy = _section(doc, "energy", ("mu", "window", "samples"))
-        window = energy["window"]
-        if not (isinstance(window, list) and len(window) == 2):
-            raise ConfigError("energy.window", "must be a two-element array [lo, hi]")
-        lo = _real(window[0], "energy.window", positive=True)
-        hi = _real(window[1], "energy.window")
-        if not lo < hi:
-            raise ConfigError("energy.window", f"must satisfy 0 < lo < hi, got [{lo!r}, {hi!r}]")
+        lo, hi = _window(energy["window"])
         mu = _real(energy["mu"], "energy.mu")
         _check_mu(mu, lo, hi)
         _power_of_two(energy["samples"], "energy.samples")  # reserved for energy sweeps; not read

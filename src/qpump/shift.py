@@ -37,7 +37,6 @@ __all__ = [
     "energy_shift_rows",
     "time_delay",
     "delay_scale",
-    "adiabaticity",
 ]
 
 #: Relative non-Hermiticity beyond which the grid is considered under-resolved.
@@ -198,15 +197,4 @@ def delay_scale(model: PumpModel, mu: float, grid: CycleGrid,
     if model.energy_independent:  # raw is exactly zero: skip the per-node SVD
         return 0.0
     return float(np.max(np.linalg.norm(hermitian_part(raw)[0], ord=2, axis=(1, 2))))
-
-
-def adiabaticity(model: PumpModel, mu: float, grid: CycleGrid) -> float:
-    """Adiabaticity parameter ``epsilon = omega * tau``.
-
-    ``omega = 2*pi/T`` and tau is the conservative choice
-    :func:`delay_scale`, the largest time-delay norm over the cycle.
-    The pump formulas assume epsilon << 1; the value is reported with
-    every analysis so out-of-regime parameter choices are visible.
-    """
-    return (2.0 * np.pi / model.period) * delay_scale(model, mu, grid)
 

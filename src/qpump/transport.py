@@ -23,14 +23,14 @@ means net charge entering reservoir j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NotOptimal, NumericalFailure, PhaseStepTooLarge
 from .matcore import R_K, CycleGrid, periodic_integral
-from .models import PumpModel, build
-from .shift import EnergyShift, energy_shift_cycle, sample_cycle
+from .models import PumpModel
+from .shift import EnergyShift
 
 if TYPE_CHECKING:  # optimal imports this module
     from .optimal import OptimalityVerdict
@@ -41,9 +41,7 @@ __all__ = [
     "outgoing_symbol",
     "dissipation_from_symbol",
     "cycle_integral",
-    "cycle_charge",
     "winding_charge",
-    "dequantization_sweep",
     "InstantReport",
     "instant_report",
 ]
@@ -126,16 +124,6 @@ def cycle_integral(rates: np.ndarray, grid: CycleGrid) -> np.ndarray:
     ])
 
 
-def cycle_charge(model: PumpModel, mu: float, grid: CycleGrid) -> np.ndarray:
-    """Charge pumped into each reservoir over one cycle (units of e).
-
-    Time integral of the instantaneous current; positive entries mean
-    net charge delivered to that reservoir.
-    """
-    shifts = energy_shift_cycle(sample_cycle(model, mu, grid), grid)
-    return cycle_integral(instantaneous_current(shifts), grid)
-
-
 def winding_charge(model: PumpModel, mu: float, grid: CycleGrid, samples: np.ndarray,
                    verdict: OptimalityVerdict) -> np.ndarray:
     """Integer winding of each scattering-matrix row over the cycle.
@@ -179,24 +167,6 @@ def winding_charge(model: PumpModel, mu: float, grid: CycleGrid, samples: np.nda
     # Phase advance and pumped charge carry opposite signs: a row whose
     # phase grows by 2*pi sends one unit of charge out of its reservoir.
     return np.rint(-steps.sum(axis=0) / _TWO_PI).astype(int)
-
-
-def dequantization_sweep(deltas: Sequence[float], mu: float, grid: CycleGrid):
-    """Cycle charges of the perturbed flux loop (k_ell = 1, the grid's
-    period, the default energy window) across mixing amplitudes.
-
-    ``deltas`` must include 0 (the quantized reference point).  Returns
-    ``[(delta, charges), ...]`` in input order; the charges leave the
-    integers continuously as |delta| grows.
-    """
-    if not any(d == 0 for d in deltas):
-        raise ValueError("deltas must include 0 as the quantized reference")
-    out = []
-    for delta in deltas:
-        model = build("perturbed-flux-loop", {"k_ell": 1.0, "delta": float(delta)},
-                      period=grid.period, mu=mu)
-        out.append((float(delta), cycle_charge(model, mu, grid)))
-    return out
 
 
 @dataclass(frozen=True, eq=False)

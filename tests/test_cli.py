@@ -628,10 +628,32 @@ def test_exit_1_hostile_config_file(tmp_path, command, content):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "instant"])
+@pytest.mark.parametrize("doc, field", [
+    ([], "config"),
+    ({k: v for k, v in BASE_CONFIG.items() if k != "cycle"}, "cycle"),
+    (dict(BASE_CONFIG, params=[]), "params"),
+    (dict(BASE_CONFIG, cycle=[]), "cycle"),
+    (dict(BASE_CONFIG, cycle={"period": 1.0, "samples": 256, "x": 1}), "cycle.x"),
+    (dict(BASE_CONFIG, energy={"mu": 1.0, "window": [1.5, 0.5], "samples": 16}), "energy.window"),
+    (dict(BASE_CONFIG, tolerances=[]), "tolerances"),
+], ids=["top-level-array", "no-cycle", "params-array", "cycle-array", "cycle-extra-key",
+        "window-reversed", "tolerances-array"])
+def test_exit_1_config_shape_names_the_field(tmp_path, command, doc, field):
+    cfg = write_config(tmp_path, doc)
+    report = tmp_path / "r.json"
+    extra = ["--out", str(report)] if command == "analyze" else ["--t", "0.0"]
+    code, out, err = run_cli([command, "--config", cfg, *extra])
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert f"config error: {field}: " in err
+    assert not report.exists()
+
+
 @given(doc=config_docs(), t=st.one_of(st.floats(0.0, 0.5), HOSTILE))
 @example(doc=dict(BASE_CONFIG, model="random-smooth-path", params={"n": 2**70}), t=0.2)
 @example(doc=dict(BASE_CONFIG, model="diagonal-times-constant", params={"n": 1e308}), t=0.2)
 @example(doc=dict(BASE_CONFIG, cycle={"period": 5e-324, "samples": 8}), t=0.0)
+@example(doc=dict(BASE_CONFIG, cycle={"period": 10**400, "samples": 8}), t=0.0)
 @settings(max_examples=200, deadline=None)
 def test_config_fuzz_keeps_the_exit_code_contract(doc, t):
     with tempfile.TemporaryDirectory() as work:

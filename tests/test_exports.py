@@ -34,3 +34,19 @@ def test_package_exports_resolve_and_are_declared():
     declared |= {attr for attr, value in vars(errors).items()
                  if inspect.isclass(value) and issubclass(value, Exception)}
     assert sorted(public - declared) == []
+
+
+def test_package_front_is_pinned():
+    # growing or shrinking the front is a deliberate edit of this list
+    public = {attr for attr, value in vars(qpump).items()
+              if not attr.startswith("_") and not inspect.ismodule(value)}
+    assert sorted(public) == sorted([
+        "ConfigError", "NumericalFailure", "PumpError",
+        "R_K", "CycleGrid", "Tolerances",
+        "ModelConfig", "PumpModel", "build",
+        "energy_shift_cycle", "sample_cycle",
+        "instant_report", "winding_charge",
+        "optimality_verdict",
+        "greedy_minimize", "linear_dispersion", "verify_bound",
+        "analyze", "dumps", "instant_document",
+    ])

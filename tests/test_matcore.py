@@ -143,6 +143,16 @@ def test_cycle_grid_validation():
         CycleGrid(1.0, 16.0)  # must be an integer, not a float
 
 
+def test_cycle_grid_period_is_any_real_but_a_bool():
+    for period in (2, np.int64(2), np.float32(2.0), np.float64(2.0)):
+        grid = CycleGrid(period, 16)
+        assert type(grid.period) is float and grid.period == 2.0
+        assert grid.dt == 0.125
+    for bad in (True, False, np.float32("nan"), np.float32(-1.0), "1.0", None):
+        with pytest.raises(ValueError, match="^period must be a positive finite real whose step"):
+            CycleGrid(bad, 8)
+
+
 # ---------------------------------------------------------------- derivative
 
 

@@ -1,7 +1,6 @@
 """Built-in models, seeded randomness and configuration parsing."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -425,13 +424,50 @@ def test_config_and_build_share_the_mu_margin(mu):
         with pytest.raises(ConfigError) as err:
             make()
         errors.append(err.value)
-    if not math.isnan(mu):  # a config rejects NaN first, as a non-finite real
-        assert str(errors[0]) == str(errors[1])
+    assert str(errors[0]) == str(errors[1])
     assert [e.field for e in errors] == ["energy.mu", "energy.mu"]
     for inside in (0.5 + 2.5e-4, 1.5 - 2.5e-4):
         doc["energy"]["mu"] = inside
         ModelConfig.from_dict(doc)
         build("flux-loop", {"k_ell": 1.0}, energy_window=(0.5, 1.5), mu=inside)
+
+
+#: build's keyword arguments and the config fields that carry them.
+BUILD_FIELDS = {"period": ("cycle", "period"), "energy_window": ("energy", "window"),
+                "mu": ("energy", "mu"), "unitary_tol": ("tolerances", "tol_unitary")}
+
+
+@pytest.mark.parametrize("arg, value", [
+    ("period", True), ("period", float("nan")), ("period", 0.0), ("period", "1.0"),
+    pytest.param("period", 10**400, id="period-int-beyond-double"),
+    ("energy_window", (0.5, float("inf"))), ("energy_window", (0.0, 1.5)),
+    ("energy_window", (1.5, 0.5)), ("energy_window", (0.5,)), ("energy_window", (True, 1.5)),
+    ("mu", True), ("mu", None),
+    ("unitary_tol", float("nan")), ("unitary_tol", 0.0), ("unitary_tol", True),
+])
+def test_build_rejects_an_argument_as_its_config_field(arg, value):
+    # build checks each number as from_dict checks the field carrying it:
+    # the same ConfigError, message included
+    section, key = BUILD_FIELDS[arg]
+    doc = good_config()
+    doc.setdefault(section, {})[key] = list(value) if arg == "energy_window" else value
+    errors = []
+    for make in (lambda: ModelConfig.from_dict(doc),
+                 lambda: build("flux-loop", {"k_ell": 1.0}, **{arg: value})):
+        with pytest.raises(ConfigError) as err:
+            make()
+        errors.append(err.value)
+    assert str(errors[0]) == str(errors[1])
+    assert [e.field for e in errors] == [f"{section}.{key}"] * 2
+
+
+def test_build_accepts_numpy_reals():
+    model = build("flux-loop", {"k_ell": 1.0}, period=np.float32(2.0),
+                  energy_window=(np.float32(0.5), np.int64(2)), mu=np.float64(1.0),
+                  unitary_tol=np.float32(1e-6))
+    assert model.period == 2.0 and model.energy_window == (0.5, 2.0)
+    assert model.unitary_tol == float(np.float32(1e-6))
+    assert all(type(x) is float for x in (model.period, *model.energy_window, model.unitary_tol))
 
 
 def test_config_rejects_missing_section_field():

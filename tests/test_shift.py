@@ -10,7 +10,6 @@ from qpump.matcore import R_K, CycleGrid
 from qpump.models import build, reparameterized, time_warp
 from qpump.shift import (
     EnergyShift,
-    adiabaticity,
     delay_scale,
     energy_shift_at,
     energy_shift_cycle,
@@ -175,19 +174,25 @@ def test_energy_independent_delay_samples_nothing():
 # ---------------------------------------------------------------- adiabaticity
 
 
+def epsilon(model, grid=GRID):
+    """The adiabaticity parameter ``omega * tau`` at mu = 1 as ``analyze``
+    takes it: ``omega = 2pi/T`` and tau the :func:`delay_scale`."""
+    return (TWO_PI / model.period) * delay_scale(model, 1.0, grid)
+
+
 def test_adiabaticity_energy_independent_is_zero():
-    assert adiabaticity(build("random-smooth-path", {"seed": 4}), 1.0, GRID) == 0.0
+    assert epsilon(build("random-smooth-path", {"seed": 4})) == 0.0
 
 
 def test_adiabaticity_flux_loop():
     model = build("flux-loop", {"k_ell": 2.0})
-    assert abs(adiabaticity(model, 1.0, GRID) - 4.0 * np.pi) < 1e-8
+    assert abs(epsilon(model) - 4.0 * np.pi) < 1e-8
 
 
 def test_adiabaticity_slow_cycle():
     model = build("flux-loop", {"k_ell": 2.0}, period=1000.0)
     grid = CycleGrid(1000.0, 256)
-    eps = adiabaticity(model, 1.0, grid)
+    eps = epsilon(model, grid)
     assert abs(eps - 4.0 * np.pi / 1000.0) < 1e-10
     assert abs(delay_scale(model, 1.0, grid) - 2.0) < 1e-9
 

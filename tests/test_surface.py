@@ -7,7 +7,7 @@ from pathlib import Path
 
 import qpump
 import qpump.cli  # noqa: F401  (the tracer walks every layer, cli included)
-from qpump import models, shift, transport
+from qpump import models, report, shift
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,7 +30,7 @@ def test_tracer_wraps_and_restores_the_counted_functions():
         "eval": models.PumpModel.__dict__["eval"],
         "time_delay": shift.time_delay,
         "sample_cycle": shift.sample_cycle,
-        "transport.sample_cycle": transport.sample_cycle,
+        "report.sample_cycle": report.sample_cycle,
     }
     tracer = Tracer()
     tracer.install(qpump)
@@ -38,7 +38,7 @@ def test_tracer_wraps_and_restores_the_counted_functions():
         assert models.PumpModel.__dict__["eval"] is not originals["eval"]
         assert shift.time_delay is not originals["time_delay"]
         assert shift.sample_cycle is not originals["sample_cycle"]
-        assert transport.sample_cycle is shift.sample_cycle
+        assert report.sample_cycle is shift.sample_cycle
         model = qpump.build("flux-loop", {"k_ell": 1.0})
         model.eval(0.0, 1.0)
         shift.time_delay(model, 0.0, 1.0, 1e-4)
@@ -50,4 +50,4 @@ def test_tracer_wraps_and_restores_the_counted_functions():
     assert models.PumpModel.__dict__["eval"] is originals["eval"]
     assert shift.time_delay is originals["time_delay"]
     assert shift.sample_cycle is originals["sample_cycle"]
-    assert transport.sample_cycle is originals["transport.sample_cycle"]
+    assert report.sample_cycle is originals["report.sample_cycle"]

@@ -12,8 +12,7 @@ from qpump.optimal import optimality_verdict
 from qpump.shift import EnergyShift, energy_shift_cycle, sample_cycle, time_delay
 from qpump.transport import (
     InstantReport,
-    cycle_charge,
-    dequantization_sweep,
+    cycle_integral,
     dissipation_from_symbol,
     instant_report,
     instantaneous_current,
@@ -29,6 +28,12 @@ PI = np.pi
 def shift_stack(model, grid=GRID):
     """The energy-shift stack of ``model`` at mu = 1 on ``grid``."""
     return energy_shift_cycle(sample_cycle(model, 1.0, grid), grid)
+
+
+def charge(model, grid=GRID):
+    """The cycle charge of ``model`` at mu = 1 on ``grid``, as ``analyze``
+    takes it: the integral of the instant reports' currents."""
+    return cycle_integral(instant_report(shift_stack(model, grid)).qdot, grid)
 
 
 def winding(model, grid=GRID):
@@ -223,20 +228,20 @@ def test_symbol_moment_consistency():
 
 def test_cycle_charge_constant_model():
     model = build("diagonal-times-constant", {})
-    np.testing.assert_allclose(cycle_charge(model, 1.0, GRID), [0.0, 0.0], atol=1e-13)
+    np.testing.assert_allclose(charge(model), [0.0, 0.0], atol=1e-13)
 
 
 def test_cycle_charge_flux_loop_quantized():
     for w in (1, 3):
         model = build("flux-loop", {"k_ell": 1.0, "w": w})
-        q = cycle_charge(model, 1.0, GRID)
+        q = charge(model)
         np.testing.assert_allclose(q, [-w, w], atol=1e-10)
 
 
 def test_cycle_charge_reparameterization_invariant():
     model = build("flux-loop", {"k_ell": 1.0, "w": 2})
-    q0 = cycle_charge(model, 1.0, GRID)
-    q1 = cycle_charge(reparameterized(model, 0.1), 1.0, GRID)
+    q0 = charge(model)
+    q1 = charge(reparameterized(model, 0.1))
     assert np.max(np.abs(q0 - q1)) < 1e-8
 
 
@@ -246,7 +251,7 @@ def test_winding_matches_charge_on_optimal_models():
         ("diagonal-times-constant", {"w1": 3, "w2": -1, "a1_1": 0.2, "s0_seed": 4}),
     ]:
         model = build(name, params)
-        q = cycle_charge(model, 1.0, GRID)
+        q = charge(model)
         w = winding(model)
         assert np.max(np.abs(q - np.rint(q))) < 1e-8
         np.testing.assert_array_equal(w, np.rint(q).astype(int))
@@ -269,16 +274,12 @@ def test_winding_requires_optimality():
 
 
 def test_dequantization_sweep():
-    sweep = dict(dequantization_sweep([0.0, 0.2, 0.1, 0.05], 1.0, GRID))
+    sweep = {delta: charge(build("perturbed-flux-loop", {"k_ell": 1.0, "delta": delta}))
+             for delta in (0.0, 0.2, 0.1, 0.05)}
     assert abs(sweep[0.0][0] + 1.0) < 1e-10
     offsets = [abs(sweep[d][0] + 1.0) for d in (0.2, 0.1, 0.05)]
     assert offsets[0] > 1e-6
     assert offsets[0] > offsets[1] > offsets[2] > 0.0
-
-
-def test_dequantization_sweep_requires_reference():
-    with pytest.raises(ValueError):
-        dequantization_sweep([0.1, 0.2], 1.0, GRID)
 
 
 # ---------------------------------------------------------------- reports
