@@ -9,8 +9,10 @@ certified defect beyond its hard limit, or a verified bound violation),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -88,14 +90,21 @@ def _build_parser() -> _Parser:
 def _cmd_analyze(args) -> int:
     config = ModelConfig.from_file(args.config)
     result = analyze(config)
-    # Format everything before opening a file, so a failure leaves none behind.
-    text = dumps(result.document)
-    csv_text = None if args.csv is None else result.csv_text
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-    if csv_text is not None:
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(csv_text)
+    # Format everything first; an i/o failure removes the files written so far.
+    outputs = [(args.out, dumps(result.document))]
+    if args.csv is not None:
+        outputs.append((args.csv, result.csv_text))
+    written = []
+    try:
+        for path, text in outputs:
+            with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                written.append(path)
+                handle.write(text)
+    except OSError:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
     return 0
 
 

@@ -107,9 +107,13 @@ class CycleGrid:
         if n < 8 or n & (n - 1):
             raise ValueError(f"samples must be a power of two >= 8, got {n}")
         real = isinstance(self.period, (int, float, np.integer, np.floating))
-        if isinstance(self.period, bool) or not (real and np.isfinite(self.period) and self.period / n > 0):
+        try:
+            period = float(self.period) if real and not isinstance(self.period, bool) else np.nan
+        except OverflowError:  # an integer beyond the largest double
+            period = np.inf
+        if not (np.isfinite(period) and period / n > 0):
             raise ValueError("period must be a positive finite real whose step period/samples is not 0")
-        object.__setattr__(self, "period", float(self.period))
+        object.__setattr__(self, "period", period)
         object.__setattr__(self, "samples", int(n))
         times = np.arange(self.samples) * (self.period / self.samples)
         object.__setattr__(self, "times", _frozen(times))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import DEFAULT_TOLERANCES, Tolerances, frobenius_norm
-from .shift import EnergyShift
 from .transport import InstantReport
 
 __all__ = [
@@ -32,17 +31,16 @@ DECOMPOSITION_TOL = 1e-8
 SATURATION_FLOOR = 64.0 * np.finfo(float).eps
 
 
-def offdiag_ratio(e: EnergyShift) -> float | np.ndarray:
+def offdiag_ratio(e: np.ndarray) -> float | np.ndarray:
     """Relative off-diagonal weight ``||offdiag(E)||_F / ||E||_F``.
 
     Scale free, so slow and fast cycles are judged alike.  A motionless
     pump (an energy shift of exactly zero) is vacuously optimal: ratio 0.
-    A float at one time, an (N,) array over a stack.
+    A float for an (n, n) shift E, an (N,) array for an (N, n, n) stack.
     """
-    m = e.array
-    total = frobenius_norm(m)
-    off = m.copy()
-    diag = np.arange(m.shape[-1])
+    total = frobenius_norm(e)
+    off = e.copy()
+    diag = np.arange(e.shape[-1])
     off[..., diag, diag] = 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(total == 0.0, 0.0, frobenius_norm(off) / total)
@@ -91,13 +89,13 @@ def _saturation_flags(instants: InstantReport, tol: Tolerances) -> tuple[bool, .
     return tuple(bool(b) for b in worst <= threshold)
 
 
-def optimality_verdict(shifts: EnergyShift, samples: np.ndarray, instants: InstantReport,
+def optimality_verdict(shifts: np.ndarray, samples: np.ndarray, instants: InstantReport,
                        tolerances: Tolerances = DEFAULT_TOLERANCES) -> OptimalityVerdict:
     """Judge optimality from the cycle's energy-shift stack ``shifts``, the
     samples S(t, mu) it was computed from and its per-channel table
     ``instants`` (:func:`~qpump.transport.instant_report` of ``shifts``),
-    whose residuals give the saturation flags; the decomposition is
-    attempted on ``samples`` exactly when the verdict is optimal."""
+    whose times give ``worst_time`` and residuals the saturation flags; the
+    decomposition is attempted on ``samples`` exactly when it is optimal."""
     ratios = offdiag_ratio(shifts)
     worst_index = int(np.argmax(ratios))
     max_ratio = float(ratios[worst_index])
@@ -105,7 +103,7 @@ def optimality_verdict(shifts: EnergyShift, samples: np.ndarray, instants: Insta
     return OptimalityVerdict(
         is_optimal=is_optimal,
         max_offdiag_ratio=max_ratio,
-        worst_time=float(shifts.t[worst_index]),
+        worst_time=float(instants.t[worst_index]),
         ratios=ratios,
         per_channel_saturation=_saturation_flags(instants, tolerances),
         decomposition=diagonal_decomposition(samples) if is_optimal else None,

@@ -208,12 +208,12 @@ def analyze(config: ModelConfig) -> AnalysisResult:
 
     # S(t, mu) is sampled once; every stage below reuses it.
     samples = sample_cycle(model, mu, grid)
-    shifts = energy_shift_cycle(samples, grid)
+    shifts, herm_defect = energy_shift_cycle(samples, grid)
     tau = delay_scale(model, mu, grid, samples=samples)
     omega = 2.0 * np.pi / model.period
     epsilon = omega * tau
 
-    instants = instant_report(shifts, beta=config.beta, omega=omega, tau=tau)
+    instants = instant_report(shifts, grid.times, beta=config.beta, omega=omega, tau=tau)
     verdict = optimality_verdict(shifts, samples, instants, tol)
 
     charge = cycle_integral(instants.qdot, grid)
@@ -230,13 +230,13 @@ def analyze(config: ModelConfig) -> AnalysisResult:
     dissipated = cycle_integral(instants.total_dissipation, grid)
 
     warnings: list[str] = []
-    flagged = np.flatnonzero(shifts.herm_defect >= tol.tol_herm)
+    flagged = np.flatnonzero(herm_defect >= tol.tol_herm)
     if flagged.size:
         first = flagged[0]
         warnings.append(
-            f"elevated hermiticity defect on {flagged.size} of {len(shifts)} samples; "
-            f"worst: hermiticity defect {shifts.herm_defect[first]:.3e} at "
-            f"t={shifts.t[first]:.6g} exceeds {tol.tol_herm:g}"
+            f"elevated hermiticity defect on {flagged.size} of {grid.samples} samples; "
+            f"worst: hermiticity defect {herm_defect[first]:.3e} at "
+            f"t={grid.times[first]:.6g} exceeds {tol.tol_herm:g}"
         )
     if epsilon >= ADIABATICITY_WARN:
         warnings.append(
@@ -280,4 +280,4 @@ def instant_document(config: ModelConfig, t: float) -> InstantReport:
     e = energy_shift_at(model, t, config.mu, grid)
     tau = delay_scale(model, config.mu, grid)
     omega = 2.0 * np.pi / model.period
-    return instant_report(e, beta=config.beta, omega=omega, tau=tau)
+    return instant_report(e, float(t), beta=config.beta, omega=omega, tau=tau)

@@ -11,23 +11,13 @@ entropy and noise (see :mod:`qpump.transport`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import EnergyOutOfWindow, GridMismatch, NumericalFailure
-from .matcore import (
-    CycleGrid,
-    _frozen,
-    _square_matrix,
-    central_derivative,
-    hermitian_part,
-    spectral_derivative,
-)
+from .matcore import CycleGrid, central_derivative, hermitian_part, spectral_derivative
 from .models import ENERGY_STEP_FRACTION, PumpModel
 
 __all__ = [
-    "EnergyShift",
     "HARD_HERM_LIMIT",
     "ENERGY_STEP_FRACTION",
     "sample_cycle",
@@ -43,42 +33,6 @@ __all__ = [
 HARD_HERM_LIMIT = 1e-3
 
 
-@dataclass(frozen=True, eq=False)
-class EnergyShift:
-    """Energy shift at one cycle time or over N of them (units of energy, hbar = 1).
-
-    ``array`` is stored exactly Hermitian, shape (n, n) at one time and
-    (N, n, n) over N times; ``t`` and ``herm_defect`` -- the relative
-    anti-Hermitian residue of the raw product before symmetrization -- are
-    then scalars or (N,) arrays.  Indexing a stack gives the shift at one
-    time (a slice gives a shorter stack) and iterating it visits every
-    time.
-    """
-
-    array: np.ndarray
-    t: float | np.ndarray
-    herm_defect: float | np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.t)  # TypeError at one time, where t is a float
-
-    def __getitem__(self, index) -> "EnergyShift":
-        t, defect = self.t[index], self.herm_defect[index]
-        if not isinstance(index, slice):
-            t, defect = float(t), float(defect)
-        return EnergyShift(self.array[index], t, defect)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    @classmethod
-    def from_matrix(cls, array) -> "EnergyShift":
-        """Wrap an explicit (near-)Hermitian matrix at t = 0, e.g. for tests:
-        square, finite input is stored read-only as ``(M + M^dag)/2``."""
-        herm, defect = hermitian_part(_square_matrix(array))
-        return cls(_frozen(herm), 0.0, float(defect))
-
-
 def sample_cycle(model: PumpModel, mu: float, grid: CycleGrid) -> np.ndarray:
     """Sample S(t, mu) on the grid; every sample is certified unitary.
 
@@ -91,9 +45,9 @@ def sample_cycle(model: PumpModel, mu: float, grid: CycleGrid) -> np.ndarray:
     return model.sample(grid.times, mu)
 
 
-def _shift_stack(s, ds, times) -> EnergyShift:
-    """Symmetrized ``i dS/dt S^dag`` over a stack, certified against
-    ``HARD_HERM_LIMIT`` at every time."""
+def _shift_stack(s, ds, times) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetrized ``i dS/dt S^dag`` over a stack and its defects, certified
+    against ``HARD_HERM_LIMIT`` at every time."""
     herm, defect = hermitian_part(1j * (ds @ s.conj().swapaxes(1, 2)))
     over = defect > HARD_HERM_LIMIT
     if over.any():
@@ -102,33 +56,34 @@ def _shift_stack(s, ds, times) -> EnergyShift:
             f"hermiticity defect {defect[i]:.3e} at t={times[i]:.6g} exceeds {HARD_HERM_LIMIT:g}; "
             "the grid does not resolve the cycle"
         )
-    return EnergyShift(herm, times, defect)
+    return herm, defect
 
 
-def energy_shift_cycle(samples: np.ndarray, grid: CycleGrid) -> EnergyShift:
+def energy_shift_cycle(samples: np.ndarray, grid: CycleGrid) -> tuple[np.ndarray, np.ndarray]:
     """Energy shift ``i dS/dt S^dag`` at every grid time, as one stack.
 
     ``samples`` -- S(t, mu) on the grid, as :func:`sample_cycle` returns
     it -- is differentiated entrywise by FFT, multiplied by S^dag and
-    symmetrized.  Raises :class:`NumericalFailure` when any
-    pre-symmetrization defect exceeds ``HARD_HERM_LIMIT`` (an
-    under-resolved grid).
+    symmetrized: the exactly Hermitian (N, n, n) shifts and their (N,)
+    defects are returned as :func:`~qpump.matcore.hermitian_part` returns
+    them.  Raises :class:`NumericalFailure` when any defect exceeds
+    ``HARD_HERM_LIMIT`` (an under-resolved grid).
     """
     return _shift_stack(samples, spectral_derivative(samples, grid), grid.times)
 
 
-def energy_shift_at(model: PumpModel, t: float, mu: float, grid: CycleGrid) -> EnergyShift:
-    """Energy shift at one arbitrary time.
+def energy_shift_at(model: PumpModel, t: float, mu: float, grid: CycleGrid) -> np.ndarray:
+    """Energy shift at one arbitrary time, an exactly Hermitian (n, n) array.
 
     Samples the cycle on the uniform grid offset so that ``t`` is its
     first node; FFT differentiation is insensitive to the origin shift.
     """
     s = model.sample(t + grid.times, mu)
     ds = spectral_derivative(s, grid)
-    return _shift_stack(s[:1], ds[:1], np.array([float(t)]))[0]
+    return _shift_stack(s[:1], ds[:1], np.array([float(t)]))[0][0]
 
 
-def energy_shift_fd(model: PumpModel, t: float, mu: float, grid: CycleGrid) -> EnergyShift:
+def energy_shift_fd(model: PumpModel, t: float, mu: float, grid: CycleGrid) -> np.ndarray:
     """Finite-difference cross-check of the spectral energy shift.
 
     Differentiates S in time by a fourth-order central difference with
@@ -138,7 +93,7 @@ def energy_shift_fd(model: PumpModel, t: float, mu: float, grid: CycleGrid) -> E
     step = grid.period / (8.0 * grid.samples)
     times = np.array([float(t)])
     ds_dt = central_derivative(lambda u: model.sample([u], mu), float(t), step)
-    return _shift_stack(model.sample(times, mu), ds_dt, times)[0]
+    return _shift_stack(model.sample(times, mu), ds_dt, times)[0][0]
 
 
 def energy_shift_rows(model: PumpModel, mu: float, grid: CycleGrid) -> np.ndarray:

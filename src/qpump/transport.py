@@ -30,7 +30,6 @@ import numpy as np
 from .errors import NotOptimal, NumericalFailure, PhaseStepTooLarge
 from .matcore import R_K, CycleGrid, periodic_integral
 from .models import PumpModel
-from .shift import EnergyShift
 
 if TYPE_CHECKING:  # optimal imports this module
     from .optimal import OptimalityVerdict
@@ -63,15 +62,14 @@ def _diagonal(m: np.ndarray) -> np.ndarray:
     return np.diagonal(m, axis1=-2, axis2=-1)
 
 
-def _square_diagonal(e: EnergyShift) -> np.ndarray:
+def _square_diagonal(e: np.ndarray) -> np.ndarray:
     """Diagonal of E^2 via the matrix product (real for Hermitian E)."""
-    m = e.array
-    return np.real(np.einsum("...jk,...kj->...j", m, m))
+    return np.real(np.einsum("...jk,...kj->...j", e, e))
 
 
-def instantaneous_current(e: EnergyShift) -> np.ndarray:
+def instantaneous_current(e: np.ndarray) -> np.ndarray:
     """Net current into each reservoir: ``Qdot_j = E_jj / 2pi``."""
-    return np.real(_diagonal(e.array)) / _TWO_PI
+    return np.real(_diagonal(e)) / _TWO_PI
 
 
 def _joule(qdot: np.ndarray) -> np.ndarray:
@@ -97,10 +95,10 @@ class OutgoingSymbol:
             raise NumericalFailure("delta'-weight must be <= 0 (it is -(E^2)_jj/2)")
 
 
-def outgoing_symbol(e: EnergyShift) -> OutgoingSymbol:
+def outgoing_symbol(e: np.ndarray) -> OutgoingSymbol:
     """First two moments of the outgoing distribution around mu."""
     return OutgoingSymbol(
-        delta_weight=np.real(_diagonal(e.array)).copy(),
+        delta_weight=np.real(_diagonal(e)).copy(),
         delta_prime_weight=-0.5 * _square_diagonal(e),
     )
 
@@ -202,9 +200,10 @@ class InstantReport:
             raise NumericalFailure("dissipation decomposition identity failed")
 
 
-def instant_report(e: EnergyShift, beta: float | None = None,
+def instant_report(e: np.ndarray, t: float | np.ndarray, beta: float | None = None,
                    omega: float = 0.0, tau: float = 0.0) -> InstantReport:
-    """Every per-channel observable of an energy shift, at one time or over a stack.
+    """Every per-channel observable of an energy shift ``e``, at one time ``t``
+    (``e`` is (n, n)) or over a stack at the (N,) times ``t`` (``e`` is (N, n, n)).
 
     One ``|E_jk|^2`` pass gives the off-diagonal weight
     ``w_j = sum_{k != j} |E_jk|^2``: the excess ``w/4pi`` and, when an
@@ -218,7 +217,7 @@ def instant_report(e: EnergyShift, beta: float | None = None,
     """
     if beta is not None and not beta > 0:
         raise ValueError("beta must be positive")
-    mags = np.abs(e.array) ** 2
+    mags = np.abs(e) ** 2
     weight = mags.sum(axis=-1) - _diagonal(mags)
     qdot = instantaneous_current(e)
     total = _square_diagonal(e) / _FOUR_PI
@@ -229,7 +228,7 @@ def instant_report(e: EnergyShift, beta: float | None = None,
         ndot = beta * weight / (12.0 * np.pi)
         regime_ok = bool(omega * beta < 1.0 and tau < beta)
     return InstantReport(
-        t=e.t,
+        t=t,
         qdot=qdot,
         total_dissipation=total,
         excess=weight / _FOUR_PI,

@@ -348,6 +348,17 @@ def test_exit_2_non_finite_report_leaves_no_file(tmp_path, capsys):
     assert captured.out == "" and "non-finite" in captured.err
 
 
+def test_exit_3_unwritable_output_leaves_no_file(tmp_path, capsys):
+    # either file may be the one that cannot be opened; the other is not left behind
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    good, bad = tmp_path / "r.json", tmp_path / "nodir" / "s.csv"
+    for out, csv in ((good, bad), (bad, good)):
+        assert main(["analyze", "--config", cfg, "--out", str(out), "--csv", str(csv)]) == 3
+        err = capsys.readouterr().err
+        assert "i/o failure" in err and "Traceback" not in err
+        assert not out.exists() and not csv.exists()
+
+
 def test_exit_2_non_finite_model_samples(tmp_path, capsys):
     # a huge period overflows the flux phase: the model itself returns nan
     doc = dict(BASE_CONFIG)

@@ -154,8 +154,8 @@ def test_winding_of_a_non_optimal_verdict_samples_nothing(recorded):
     model = report.build_model(config("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.2}))
     grid = CycleGrid(1.0, SAMPLES)
     samples = sample_cycle(model, MU, grid)
-    shifts = energy_shift_cycle(samples, grid)
-    verdict = optimality_verdict(shifts, samples, instant_report(shifts))
+    shifts, _ = energy_shift_cycle(samples, grid)
+    verdict = optimality_verdict(shifts, samples, instant_report(shifts, grid.times))
     assert not verdict.is_optimal
     recorded.clear()
     with pytest.raises(NotOptimal):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from qpump.errors import EnergyOutOfWindow, GridMismatch, NumericalFailure
-from qpump.matcore import R_K, CycleGrid
+from qpump.matcore import R_K, CycleGrid, hermitian_part, unitarize
 from qpump.models import build, reparameterized, time_warp
+from qpump.optimal import optimality_verdict
 from qpump.shift import (
-    EnergyShift,
     delay_scale,
     energy_shift_at,
     energy_shift_cycle,
@@ -18,7 +18,7 @@ from qpump.shift import (
     sample_cycle,
     time_delay,
 )
-from qpump.transport import instant_report
+from qpump.transport import instant_report, winding_charge
 from test_models import ALL_BUILTINS
 
 GRID = CycleGrid(1.0, 256)
@@ -27,7 +27,12 @@ TWO_PI = 2.0 * np.pi
 
 def shift_stack(model, grid=GRID):
     """The energy-shift stack of ``model`` at mu = 1 on ``grid``."""
-    return energy_shift_cycle(sample_cycle(model, 1.0, grid), grid)
+    return energy_shift_cycle(sample_cycle(model, 1.0, grid), grid)[0]
+
+
+def as_shift(matrix):
+    """An explicit square, finite matrix as an energy shift: its Hermitian part."""
+    return hermitian_part(np.asarray(matrix, dtype=complex))[0]
 
 
 def constant_model():
@@ -40,7 +45,7 @@ def constant_model():
 
 def test_constant_model_has_zero_shift():
     shifts = shift_stack(constant_model())
-    assert all(np.max(np.abs(e.array)) < 1e-13 for e in shifts)
+    assert all(np.max(np.abs(e)) < 1e-13 for e in shifts)
 
 
 def test_flux_loop_analytic_shift():
@@ -50,7 +55,7 @@ def test_flux_loop_analytic_shift():
         model = build("flux-loop", {"k_ell": 1.0, "w": w})
         expected = np.diag([-TWO_PI * w, TWO_PI * w]).astype(complex)
         for e in shift_stack(model)[:: 32]:
-            assert np.max(np.abs(e.array - expected)) < 1e-10
+            assert np.max(np.abs(e - expected)) < 1e-10
 
 
 def test_shift_grid_refinement():
@@ -58,7 +63,7 @@ def test_shift_grid_refinement():
     coarse = shift_stack(model, CycleGrid(1.0, 128))
     fine = shift_stack(model, CycleGrid(1.0, 256))
     worst = max(
-        np.max(np.abs(coarse[i].array - fine[2 * i].array)) for i in range(128)
+        np.max(np.abs(coarse[i] - fine[2 * i])) for i in range(128)
     )
     assert worst < 1e-10
 
@@ -66,14 +71,14 @@ def test_shift_grid_refinement():
 def test_rows_route_agrees_with_matrix_route():
     for name, params in ALL_BUILTINS:
         model = build(name, params)
-        stacked = np.stack([e.array for e in shift_stack(model)])
+        stacked = shift_stack(model)
         rows = energy_shift_rows(model, 1.0, GRID)
         assert np.max(np.abs(stacked - rows)) < 1e-10, name
 
 
 def test_flux_loop_rows_agree_tightly():
     model = build("flux-loop", {"k_ell": 1.0})
-    stacked = np.stack([e.array for e in shift_stack(model)])
+    stacked = shift_stack(model)
     rows = energy_shift_rows(model, 1.0, GRID)
     assert np.max(np.abs(stacked - rows)) < 1e-12
 
@@ -92,8 +97,9 @@ def test_identity_model_rows_are_zero():
 
 def test_hermiticity_defect_small_on_builtins():
     for name, params in ALL_BUILTINS:
-        for e in shift_stack(build(name, params)):
-            assert e.herm_defect < 1e-8, name
+        model = build(name, params)
+        for defect in energy_shift_cycle(sample_cycle(model, 1.0, GRID), GRID)[1]:
+            assert defect < 1e-8, name
 
 
 def test_under_resolved_grid_fails_hard():
@@ -115,7 +121,7 @@ def test_finite_difference_cross_check():
         shifts = shift_stack(model)
         for i in (0, 50, 180):
             fd = energy_shift_fd(model, GRID.times[i], 1.0, GRID)
-            assert np.max(np.abs(fd.array - shifts[i].array)) < 1e-7, name
+            assert np.max(np.abs(fd - shifts[i])) < 1e-7, name
 
 
 def test_energy_shift_at_matches_cycle_nodes():
@@ -123,7 +129,7 @@ def test_energy_shift_at_matches_cycle_nodes():
     shifts = shift_stack(model)
     for i in (0, 17, 100):
         single = energy_shift_at(model, GRID.times[i], 1.0, GRID)
-        assert np.max(np.abs(single.array - shifts[i].array)) < 1e-10
+        assert np.max(np.abs(single - shifts[i])) < 1e-10
 
 
 # ---------------------------------------------------------------- time delay
@@ -204,7 +210,7 @@ def velocity_split(e):
     """Each row's squared velocity as (fiber, base): the phase motion
     ``|E_jj|^2 = 4pi (R_K/2) Qdot_j^2`` and the projective motion
     ``sum_{k != j} |E_jk|^2 = 4pi Xs_j``, read off the instant report."""
-    report = instant_report(e)
+    report = instant_report(e, 0.0)
     return 4.0 * np.pi * (R_K / 2 * report.qdot**2), 4.0 * np.pi * report.excess
 
 
@@ -216,7 +222,7 @@ def test_velocity_split_flux_loop():
 
 
 def test_velocity_split_offdiagonal():
-    fiber, base = velocity_split(EnergyShift.from_matrix([[0.0, 1.0], [1.0, 0.0]]))
+    fiber, base = velocity_split(as_shift([[0.0, 1.0], [1.0, 0.0]]))
     np.testing.assert_allclose(fiber, [0.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(base, [1.0, 1.0], atol=1e-15)
 
@@ -224,9 +230,9 @@ def test_velocity_split_offdiagonal():
 def test_velocity_split_sums_to_square_diagonal():
     rng = np.random.default_rng(6)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    e = EnergyShift.from_matrix(a + a.conj().T)
+    e = as_shift(a + a.conj().T)
     fiber, base = velocity_split(e)
-    square_diag = np.real(np.diag(e.array @ e.array))
+    square_diag = np.real(np.diag(e @ e))
     assert np.max(np.abs(fiber + base - square_diag)) < 1e-13
 
 
@@ -241,5 +247,55 @@ def test_reparameterization_covariance():
     shifts = shift_stack(warped)
     for i in range(0, GRID.samples, 16):
         t = GRID.times[i]
-        expected = fprime(t) * energy_shift_at(model, f(t), 1.0, GRID).array
-        assert np.max(np.abs(shifts[i].array - expected)) < 1e-8
+        expected = fprime(t) * energy_shift_at(model, f(t), 1.0, GRID)
+        assert np.max(np.abs(shifts[i] - expected)) < 1e-8
+
+
+def analysed(model, grid):
+    """Energy shift, instant report, verdict and (optimal pumps only) winding
+    of ``model`` at mu = 1 on ``grid``."""
+    samples = sample_cycle(model, 1.0, grid)
+    shifts, _ = energy_shift_cycle(samples, grid)
+    instants = instant_report(shifts, grid.times)
+    verdict = optimality_verdict(shifts, samples, instants)
+    winding = winding_charge(model, 1.0, grid, samples, verdict) if verdict.is_optimal else None
+    return shifts, instants, verdict, winding
+
+
+def test_right_gauge_and_relabelling_laws():
+    # S -> S V (V a fixed unitary) leaves E = i dS/dt S^dag, and all that
+    # follows from it, unchanged.  S -> P S P^T (P a cyclic permutation)
+    # relabels the channels: E -> P E P^T, and every per-channel column,
+    # flag and winding is permuted by P.
+    grid = CycleGrid(1.0, 128)
+    rng = np.random.default_rng(11)
+    for name, params in ALL_BUILTINS:
+        model = build(name, params)
+        n, f = model.n_channels, model.matrix_fn
+        v = unitarize(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        perm = np.roll(np.arange(n), 1)
+        p = np.eye(n)[perm]  # (P x)_j = x_perm[j]
+        e, rep, verdict, winding = analysed(model, grid)
+        # the excess is measured against D: on an optimal pump it is rounding
+        scales = {"qdot": np.max(np.abs(rep.qdot)),
+                  "total_dissipation": np.max(rep.total_dissipation),
+                  "excess": np.max(rep.total_dissipation)}
+        laws = [("right gauge", lambda t, en: f(t, en) @ v, np.arange(n)),
+                ("relabelling", lambda t, en: p @ f(t, en) @ p.T, perm)]
+        for law, matrix_fn, k in laws:
+            where = f"{name}, {law}"
+            e2, rep2, verdict2, winding2 = analysed(dataclasses.replace(model, matrix_fn=matrix_fn),
+                                                    grid)
+            assert np.max(np.abs(e2 - e[:, k][:, :, k])) <= 1e-12 * np.max(np.abs(e)), where
+            for field, scale in scales.items():
+                gap = np.max(np.abs(getattr(rep2, field) - getattr(rep, field)[:, k]))
+                assert gap <= 1e-12 * scale, (where, field)
+            assert verdict2.is_optimal == verdict.is_optimal, where
+            assert abs(verdict2.max_offdiag_ratio - verdict.max_offdiag_ratio) <= 1e-12, where
+            assert verdict2.per_channel_saturation == tuple(
+                np.array(verdict.per_channel_saturation)[k]), where
+            if winding is not None:
+                np.testing.assert_array_equal(winding2, winding[k], err_msg=where)
+            if law == "right gauge" and verdict.decomposition is not None:
+                constant = verdict2.decomposition.constant
+                assert np.max(np.abs(constant - verdict.decomposition.constant @ v)) <= 1e-12, where

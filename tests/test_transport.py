@@ -9,7 +9,7 @@ from qpump.errors import NotOptimal, NumericalFailure, PhaseStepTooLarge
 from qpump.matcore import R_K, CycleGrid, central_derivative
 from qpump.models import build, reparameterized
 from qpump.optimal import optimality_verdict
-from qpump.shift import EnergyShift, energy_shift_cycle, sample_cycle, time_delay
+from qpump.shift import energy_shift_cycle, sample_cycle, time_delay
 from qpump.transport import (
     InstantReport,
     cycle_integral,
@@ -20,6 +20,7 @@ from qpump.transport import (
     winding_charge,
 )
 from test_models import ALL_BUILTINS
+from test_shift import as_shift
 
 GRID = CycleGrid(1.0, 256)
 PI = np.pi
@@ -27,26 +28,26 @@ PI = np.pi
 
 def shift_stack(model, grid=GRID):
     """The energy-shift stack of ``model`` at mu = 1 on ``grid``."""
-    return energy_shift_cycle(sample_cycle(model, 1.0, grid), grid)
+    return energy_shift_cycle(sample_cycle(model, 1.0, grid), grid)[0]
 
 
 def charge(model, grid=GRID):
     """The cycle charge of ``model`` at mu = 1 on ``grid``, as ``analyze``
     takes it: the integral of the instant reports' currents."""
-    return cycle_integral(instant_report(shift_stack(model, grid)).qdot, grid)
+    return cycle_integral(instant_report(shift_stack(model, grid), grid.times).qdot, grid)
 
 
 def winding(model, grid=GRID):
     """The winding count of ``model`` at mu = 1 on ``grid``, given its verdict."""
     samples = sample_cycle(model, 1.0, grid)
-    shifts = energy_shift_cycle(samples, grid)
-    verdict = optimality_verdict(shifts, samples, instant_report(shifts))
+    shifts, _ = energy_shift_cycle(samples, grid)
+    verdict = optimality_verdict(shifts, samples, instant_report(shifts, grid.times))
     return winding_charge(model, 1.0, grid, samples, verdict)
 
 
 def random_hermitian_shift(rng, n):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return EnergyShift.from_matrix(a + a.conj().T)
+    return as_shift(a + a.conj().T)
 
 
 def joule(report):
@@ -64,7 +65,7 @@ def flux_loop_shift(w=1):
 
 def test_current_zero_shift():
     np.testing.assert_array_equal(
-        instantaneous_current(EnergyShift.from_matrix(np.zeros((3, 3)))), np.zeros(3)
+        instantaneous_current(as_shift(np.zeros((3, 3)))), np.zeros(3)
     )
 
 
@@ -73,7 +74,7 @@ def test_current_flux_loop():
 
 
 def test_current_linear_in_shift():
-    e = EnergyShift.from_matrix(np.diag([PI, -PI]))
+    e = as_shift(np.diag([PI, -PI]))
     np.testing.assert_allclose(instantaneous_current(e), [0.5, -0.5], atol=1e-15)
 
 
@@ -81,19 +82,19 @@ def test_current_linear_in_shift():
 
 
 def test_dissipation_zero():
-    d = instant_report(EnergyShift.from_matrix(np.zeros((2, 2))))
+    d = instant_report(as_shift(np.zeros((2, 2))), 0.0)
     assert np.all(d.total_dissipation == 0.0) and np.all(d.excess == 0.0)
 
 
 def test_dissipation_flux_loop_saturates_bound():
-    d = instant_report(flux_loop_shift())
+    d = instant_report(flux_loop_shift(), 0.0)
     np.testing.assert_allclose(d.total_dissipation, [PI, PI], atol=1e-10)
     np.testing.assert_allclose(joule(d), [PI, PI], atol=1e-10)
     np.testing.assert_allclose(d.excess, [0.0, 0.0], atol=1e-12)
 
 
 def test_dissipation_purely_offdiagonal():
-    d = instant_report(EnergyShift.from_matrix([[0.0, 1.0], [1.0, 0.0]]))
+    d = instant_report(as_shift([[0.0, 1.0], [1.0, 0.0]]), 0.0)
     np.testing.assert_allclose(d.total_dissipation, [1 / (4 * PI)] * 2, atol=1e-15)
     np.testing.assert_allclose(joule(d), [0.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(d.excess, d.total_dissipation, atol=1e-15)
@@ -101,8 +102,8 @@ def test_dissipation_purely_offdiagonal():
 
 def test_decomposition_identity_on_builtins():
     for name, params in ALL_BUILTINS:
-        for e in shift_stack(build(name, params))[:: 16]:
-            d = instant_report(e)
+        for e, t in zip(shift_stack(build(name, params))[:: 16], GRID.times[:: 16]):
+            d = instant_report(e, t)
             gap = np.abs(d.total_dissipation - (joule(d) + d.excess))
             assert np.max(gap) < 1e-12, name
 
@@ -110,8 +111,7 @@ def test_decomposition_identity_on_builtins():
 def test_square_identity_on_builtins():
     # diagonal of E^2 equals the row sums of |E_jk|^2
     for name, params in ALL_BUILTINS:
-        for e in shift_stack(build(name, params))[:: 16]:
-            m = e.array
+        for m in shift_stack(build(name, params))[:: 16]:
             via_product = np.real(np.diag(m @ m))
             via_rows = (np.abs(m) ** 2).sum(axis=1)
             assert np.max(np.abs(via_product - via_rows)) < 1e-12, name
@@ -121,14 +121,14 @@ def test_square_identity_on_builtins():
 
 
 def test_residual_diagonal_is_zero():
-    e = EnergyShift.from_matrix(np.diag([2.0, -1.0, 0.5]))
-    assert np.max(np.abs(instant_report(e).residual)) < 1e-14
+    e = as_shift(np.diag([2.0, -1.0, 0.5]))
+    assert np.max(np.abs(instant_report(e, 0.0).residual)) < 1e-14
 
 
 def test_residual_hand_value():
     # E = [[1,1],[1,-1]]: E^2 = 2 I, D = 1/2pi, joule = 1/4pi each channel
-    e = EnergyShift.from_matrix([[1.0, 1.0], [1.0, -1.0]])
-    np.testing.assert_allclose(instant_report(e).residual, [1 / (4 * PI)] * 2, atol=1e-15)
+    e = as_shift([[1.0, 1.0], [1.0, -1.0]])
+    np.testing.assert_allclose(instant_report(e, 0.0).residual, [1 / (4 * PI)] * 2, atol=1e-15)
 
 
 def test_residual_nonnegative_sweep():
@@ -136,8 +136,8 @@ def test_residual_nonnegative_sweep():
     worst = 0.0
     for _ in range(100):
         e = random_hermitian_shift(rng, 4)
-        r = instant_report(e).residual
-        closed_form = instant_report(e).excess
+        r = instant_report(e, 0.0).residual
+        closed_form = instant_report(e, 0.0).excess
         np.testing.assert_allclose(r, closed_form, atol=1e-12)
         worst = min(worst, r.min())
     assert worst >= -1e-12
@@ -147,14 +147,14 @@ def test_residual_nonnegative_sweep():
 @settings(max_examples=60, deadline=None)
 def test_residual_nonnegative_property(seed, n):
     e = random_hermitian_shift(np.random.default_rng(seed), n)
-    assert instant_report(e).residual.min() >= -1e-12
+    assert instant_report(e, 0.0).residual.min() >= -1e-12
 
 
 def test_charge_conservation_is_trace():
     rng = np.random.default_rng(9)
     e = random_hermitian_shift(rng, 3)
     total = instantaneous_current(e).sum()
-    assert abs(total - np.trace(e.array).real / (2 * PI)) < 1e-12
+    assert abs(total - np.trace(e).real / (2 * PI)) < 1e-12
     # flux loop is trace free: zero net instantaneous current
     assert abs(instantaneous_current(flux_loop_shift()).sum()) < 1e-12
 
@@ -163,26 +163,26 @@ def test_charge_conservation_is_trace():
 
 
 def test_entropy_noise_diagonal_is_zero():
-    en = instant_report(EnergyShift.from_matrix(np.diag([1.0, -1.0])), 10.0, 0.1, 0.1)
+    en = instant_report(as_shift(np.diag([1.0, -1.0])), 0.0, 10.0, 0.1, 0.1)
     assert np.all(en.sdot == 0.0) and np.all(en.ndot == 0.0)
 
 
 def test_entropy_noise_values_and_ratio():
-    e = EnergyShift.from_matrix([[0.0, 1.0], [1.0, 0.0]])
-    en = instant_report(e, 10.0, 0.01, 0.1)
+    e = as_shift([[0.0, 1.0], [1.0, 0.0]])
+    en = instant_report(e, 0.0, 10.0, 0.01, 0.1)
     np.testing.assert_allclose(en.sdot, [10 / (4 * PI)] * 2, atol=1e-15)
     np.testing.assert_allclose(en.ndot, [10 / (12 * PI)] * 2, atol=1e-15)
     np.testing.assert_allclose(en.sdot / en.ndot, 3.0, rtol=1e-14)
 
 
 def test_entropy_noise_regime_flags():
-    e = EnergyShift.from_matrix([[0.0, 1.0], [1.0, 0.0]])
-    assert instant_report(e, 10.0, 0.05, 5.0).regime_ok      # 0.5 < 1, 5 < 10
-    assert not instant_report(e, 10.0, 0.2, 5.0).regime_ok   # omega*beta = 2
-    assert not instant_report(e, 10.0, 0.05, 20.0).regime_ok  # tau > beta
-    assert instant_report(e, 10.0, 0.05, 0.0).regime_ok      # tau = 0: no lower scale
+    e = as_shift([[0.0, 1.0], [1.0, 0.0]])
+    assert instant_report(e, 0.0, 10.0, 0.05, 5.0).regime_ok      # 0.5 < 1, 5 < 10
+    assert not instant_report(e, 0.0, 10.0, 0.2, 5.0).regime_ok   # omega*beta = 2
+    assert not instant_report(e, 0.0, 10.0, 0.05, 20.0).regime_ok  # tau > beta
+    assert instant_report(e, 0.0, 10.0, 0.05, 0.0).regime_ok      # tau = 0: no lower scale
     with pytest.raises(ValueError):
-        instant_report(e, 0.0, 0.1, 0.1)
+        instant_report(e, 0.0, 0.0, 0.1, 0.1)
 
 
 # ---------------------------------------------------------------- guards
@@ -191,7 +191,7 @@ def test_entropy_noise_regime_flags():
 @pytest.mark.parametrize("call,message", [
     (lambda: time_delay(build("diagonal-times-constant", {}), 0.0, 1.0, float("nan")),
      "dE must be positive"),
-    (lambda: instant_report(flux_loop_shift(), beta=float("nan")), "beta must be positive"),
+    (lambda: instant_report(flux_loop_shift(), 0.0, beta=float("nan")), "beta must be positive"),
     (lambda: central_derivative(lambda x: np.array([x]), 1.0, float("nan")),
      "step must be positive"),
 ], ids=["time_delay-dE", "instant_report-beta", "central_derivative-step"])
@@ -204,7 +204,7 @@ def test_positive_guards_reject_nan(call, message):
 
 
 def test_symbol_zero_shift_is_fermi_sea():
-    sym = outgoing_symbol(EnergyShift.from_matrix(np.zeros((2, 2))))
+    sym = outgoing_symbol(as_shift(np.zeros((2, 2))))
     assert np.all(sym.delta_weight == 0.0) and np.all(sym.delta_prime_weight == 0.0)
 
 
@@ -220,7 +220,7 @@ def test_symbol_moment_consistency():
     for _ in range(50):
         e = random_hermitian_shift(rng, 3)
         via_moments = dissipation_from_symbol(outgoing_symbol(e))
-        assert np.max(np.abs(via_moments - instant_report(e).total_dissipation)) < 1e-12
+        assert np.max(np.abs(via_moments - instant_report(e, 0.0).total_dissipation)) < 1e-12
 
 
 # ---------------------------------------------------------------- cycle charge
@@ -286,12 +286,12 @@ def test_dequantization_sweep():
 
 
 def test_instant_report_fields():
-    rep = instant_report(flux_loop_shift(), beta=10.0, omega=2 * PI, tau=1.0)
+    rep = instant_report(flux_loop_shift(), 0.0, beta=10.0, omega=2 * PI, tau=1.0)
     np.testing.assert_allclose(rep.qdot, [-1.0, 1.0], atol=1e-10)
     np.testing.assert_allclose(rep.total_dissipation, [PI, PI], atol=1e-10)
     assert rep.sdot is not None and rep.ndot is not None
     assert not rep.regime_ok  # omega*beta >> 1 here
-    bare = instant_report(flux_loop_shift())
+    bare = instant_report(flux_loop_shift(), 0.0)
     assert bare.sdot is None and bare.regime_ok
 
 
