@@ -33,8 +33,6 @@ __all__ = [
     "thermal_step",
     "BoundCheck",
     "verify_bound",
-    "two_sided_bound",
-    "project_to_qdot",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -274,52 +272,3 @@ def verify_bound(grid: DispersionGrid, trials: int, seed: int = 0,
     step_gap = step.edot - np.pi * np.square(step.qdot)  # inf, not OverflowError, on a huge band
     return BoundCheck(trials=trials, violations=violations, max_violation=max_violation,
                       greedy_gap_max=greedy_gap_max, step_gap=float(step_gap), mu=float(mu))
-
-
-def two_sided_bound(mu_minus: float, source: Filling, grid: DispersionGrid) -> tuple[float, float]:
-    """Both sides of the dissipation bound for a source feeding a cold
-    reservoir at chemical potential ``mu_minus``.
-
-    The reservoir's own fluxes take their continuum values
-    ``Qdot_- = mu_-/2pi`` and ``Edot_- = mu_-^2/4pi``; the net fluxes are
-    source minus reservoir.  Returns ``(lhs, rhs)`` with
-    ``lhs = Edot_net - mu_- * Qdot_net`` and ``rhs = pi * Qdot_net^2``;
-    the bound says lhs >= rhs, with equality when the source is itself a
-    Fermi sea (up to the O(dk) discretization of the source).
-    """
-    if not mu_minus >= 0:
-        raise ValueError("mu_minus must be >= 0")
-    if source.grid is not grid:
-        raise ValueError("source filling was built on a different grid")
-    qdot_res, edot_res = analytic_minimum(mu_minus)
-    edot_net = source.edot - edot_res
-    qdot_net = source.qdot - qdot_res
-    lhs = edot_net - mu_minus * qdot_net
-    rhs = np.pi * qdot_net**2
-    return float(lhs), float(rhs)
-
-
-def project_to_qdot(grid: DispersionGrid, occupation, target_qdot: float) -> Filling:
-    """Feasible filling near ``occupation`` with the exact target flux.
-
-    Shifts all occupations by a common amount and re-clips to [0, 1]; the
-    shifted flux is monotone in the shift, so bisection lands on the
-    target.  Used to build feasible perturbations when certifying the
-    greedy minimizer.
-    """
-    base = np.asarray(occupation, dtype=float)
-    if base.shape != (grid.n_k,):
-        raise ValueError(f"occupation must have shape ({grid.n_k},)")
-    budget = _feasible_budget(grid, target_qdot)
-
-    def flux(shift: float) -> float:
-        return float(np.clip(base + shift, 0.0, 1.0) @ grid.weights)
-
-    lo, hi = -1.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if flux(mid) < budget:
-            lo = mid
-        else:
-            hi = mid
-    return Filling.from_occupation(grid, np.clip(base + 0.5 * (lo + hi), 0.0, 1.0))

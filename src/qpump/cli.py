@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import math
 import os
 import sys
@@ -87,24 +88,44 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _write_outputs(outputs: list[tuple[str, str]]) -> None:
+    """Write each ``(path, text)`` to a new file beside its target, then move
+    them all into place: a failure before the moves leaves every target as it was."""
+    staged = []  # (new file, target), not yet moved
+    try:
+        for path, text in outputs:
+            target = os.path.realpath(path)
+            if os.path.exists(target) and not os.path.isfile(target):
+                raise OSError(f"{path!r} exists and is not a regular file")
+            temp = f"{target}.{os.getpid()}.tmp"
+            try:  # O_EXCL: a new file, its mode set by the umask
+                fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except OSError as exc:  # name the output, not the new file
+                raise OSError(exc.errno, exc.strerror, path) from exc
+            staged.append((temp, target))
+            with open(fd, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        while staged:
+            os.replace(*staged[0])
+            del staged[0]
+    finally:
+        for temp, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+
+
 def _cmd_analyze(args) -> int:
+    flags = (("--config", args.config), ("--out", args.out), ("--csv", args.csv))
+    named = [(flag, path) for flag, path in flags if path is not None]
+    for (flag_a, a), (flag_b, b) in itertools.combinations(named, 2):
+        if os.path.realpath(a) == os.path.realpath(b):
+            raise ConfigError(flag_b, f"{b!r} is the same file as {flag_a} {a!r}")
     config = ModelConfig.from_file(args.config)
     result = analyze(config)
-    # Format everything first; an i/o failure removes the files written so far.
     outputs = [(args.out, dumps(result.document))]
     if args.csv is not None:
         outputs.append((args.csv, result.csv_text))
-    written = []
-    try:
-        for path, text in outputs:
-            with open(path, "w", encoding="utf-8", newline="\n") as handle:
-                written.append(path)
-                handle.write(text)
-    except OSError:
-        for path in written:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        raise
+    _write_outputs(outputs)
     return 0
 
 

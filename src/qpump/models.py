@@ -51,7 +51,6 @@ from .errors import (
 from .matcore import DEFAULT_TOLERANCES, Tolerances, _frozen, unitarity_defect, unitarize
 
 __all__ = [
-    "SplitMix64",
     "uniform_stream",
     "PumpModel",
     "ModelConfig",
@@ -60,8 +59,6 @@ __all__ = [
     "REGISTRY",
     "build",
     "build_model",
-    "time_warp",
-    "reparameterized",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -88,29 +85,9 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-class SplitMix64:
-    """Seeded 64-bit generator with documented constants: the scalar reference."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int):
-        self._state = int(seed) & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
-
-    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        """53-bit uniform double in [lo, hi)."""
-        return lo + (hi - lo) * ((self.next_u64() >> 11) * 2.0**-53)
-
-
 def uniform_stream(seed: int, count: int) -> np.ndarray:
-    """Vectorized SplitMix64 stream: the same numbers ``SplitMix64(seed)``
-    would produce, computed statelessly for ``count`` draws in [0, 1)."""
+    """The first ``count`` uniform doubles in [0, 1) of the SplitMix64 stream
+    of ``seed``, computed statelessly as the mixes of ``seed + i*gamma``, i = 1..count."""
     return next(_uniform_rows(seed, 1, count, 1))[0]
 
 
@@ -242,8 +219,8 @@ def _reject_unknown(params: dict, allowed: set[str], model: str) -> None:
 
 
 def _uniform(seed: int, hi: np.ndarray) -> np.ndarray:
-    """Draw i of ``SplitMix64(seed)`` in ``[-hi[i], hi[i])``, for every i in one
-    ``uniform_stream`` pass with :meth:`SplitMix64.uniform`'s arithmetic."""
+    """Draw i of the SplitMix64 stream of ``seed`` in ``[-hi[i], hi[i])``, for every i
+    in one ``uniform_stream`` pass, in the scalar ``lo + (hi - lo) * u`` arithmetic."""
     lo = -hi
     return lo + (hi - lo) * uniform_stream(seed & _MASK64, hi.size)
 
@@ -658,46 +635,3 @@ def build_model(config: ModelConfig) -> PumpModel:
         raise ConfigError("cycle.samples", f"{config.samples} samples of {model.n_channels} "
                           f"channels exceed the {MAX_STACK_ENTRIES}-entry stack cap")
     return model
-
-
-# --------------------------------------------------------------------------
-# Time reparameterization (used by the invariance checks).
-# --------------------------------------------------------------------------
-
-
-def time_warp(period: float, amplitude: float = 0.1):
-    """Smooth monotone cycle reparameterization and its derivative.
-
-    ``f(t) = t + amplitude*(T/2pi)*sin(2*pi*t/T)`` with
-    ``f'(t) = 1 + amplitude*cos(2*pi*t/T)``; monotone for |amplitude| < 1
-    and compatible with periodicity (``f(t+T) = f(t) + T``).
-    """
-    if not abs(amplitude) < 1.0:
-        raise ValueError("|amplitude| must be < 1 to keep the warp monotone")
-
-    def f(t):
-        return t + amplitude * (period / _TWO_PI) * np.sin(_TWO_PI * t / period)
-
-    def fprime(t):
-        return 1.0 + amplitude * np.cos(_TWO_PI * t / period)
-
-    return f, fprime
-
-
-def reparameterized(model: PumpModel, amplitude: float = 0.1) -> PumpModel:
-    """The same pump along the warped time ``t -> f(t)``; keeps ``energy_independent``."""
-    f, _ = time_warp(model.period, amplitude)
-
-    def matrix(times, energy):
-        return model.matrix_fn(f(times), energy)
-
-    return PumpModel(
-        name=f"{model.name}+warp",
-        n_channels=model.n_channels,
-        period=model.period,
-        energy_window=model.energy_window,
-        params=model.params,
-        matrix_fn=matrix,
-        unitary_tol=model.unitary_tol,
-        energy_independent=model.energy_independent,
-    )

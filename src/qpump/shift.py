@@ -23,8 +23,6 @@ __all__ = [
     "sample_cycle",
     "energy_shift_cycle",
     "energy_shift_at",
-    "energy_shift_fd",
-    "energy_shift_rows",
     "time_delay",
     "delay_scale",
 ]
@@ -81,33 +79,6 @@ def energy_shift_at(model: PumpModel, t: float, mu: float, grid: CycleGrid) -> n
     s = model.sample(t + grid.times, mu)
     ds = spectral_derivative(s, grid)
     return _shift_stack(s[:1], ds[:1], np.array([float(t)]))[0][0]
-
-
-def energy_shift_fd(model: PumpModel, t: float, mu: float, grid: CycleGrid) -> np.ndarray:
-    """Finite-difference cross-check of the spectral energy shift.
-
-    Differentiates S in time by a fourth-order central difference with
-    step ``T/(8N)`` instead of the FFT route; useful for validating the
-    spectral pipeline on a new model.
-    """
-    step = grid.period / (8.0 * grid.samples)
-    times = np.array([float(t)])
-    ds_dt = central_derivative(lambda u: model.sample([u], mu), float(t), step)
-    return _shift_stack(model.sample(times, mu), ds_dt, times)[0][0]
-
-
-def energy_shift_rows(model: PumpModel, mu: float, grid: CycleGrid) -> np.ndarray:
-    """Energy shift assembled from row overlaps ``i <psi_k | dpsi_j/dt>``.
-
-    ``psi_j`` is the j-th row of S and ``<a|b> = sum conj(a_i) b_i``
-    (conjugation on the first argument, which is what makes this route
-    agree entrywise with the matrix product of :func:`energy_shift_cycle`).
-    Returns the raw, unsymmetrized (N, n, n) array -- an independent code
-    path used to cross-check the matrix route.
-    """
-    s = sample_cycle(model, mu, grid)
-    ds = spectral_derivative(s, grid)
-    return 1j * np.einsum("tki,tji->tjk", s.conj(), ds)
 
 
 def _delay_raw(model: PumpModel, times: np.ndarray, mu: float, dE: float,

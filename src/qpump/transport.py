@@ -36,9 +36,6 @@ if TYPE_CHECKING:  # optimal imports this module
 
 __all__ = [
     "instantaneous_current",
-    "OutgoingSymbol",
-    "outgoing_symbol",
-    "dissipation_from_symbol",
     "cycle_integral",
     "winding_charge",
     "InstantReport",
@@ -75,44 +72,6 @@ def instantaneous_current(e: np.ndarray) -> np.ndarray:
 def _joule(qdot: np.ndarray) -> np.ndarray:
     """The Joule floor ``(R_K/2) Qdot_j^2`` of the dissipation bound."""
     return 0.5 * R_K * qdot**2
-
-
-@dataclass(frozen=True, eq=False)
-class OutgoingSymbol:
-    """Semiclassical symbol of the outgoing energy distribution.
-
-    On channel j the distribution is the Fermi step plus
-    ``delta_weight[j] * delta(E - mu) + delta_prime_weight[j] * delta'(E - mu)``
-    with ``delta_weight = E_jj`` and ``delta_prime_weight = -(E^2)_jj / 2``
-    (never positive).
-    """
-
-    delta_weight: np.ndarray
-    delta_prime_weight: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.delta_prime_weight > 0.0):
-            raise NumericalFailure("delta'-weight must be <= 0 (it is -(E^2)_jj/2)")
-
-
-def outgoing_symbol(e: np.ndarray) -> OutgoingSymbol:
-    """First two moments of the outgoing distribution around mu."""
-    return OutgoingSymbol(
-        delta_weight=np.real(_diagonal(e)).copy(),
-        delta_prime_weight=-0.5 * _square_diagonal(e),
-    )
-
-
-def dissipation_from_symbol(symbol: OutgoingSymbol) -> np.ndarray:
-    """Dissipated power recovered from the outgoing symbol.
-
-    The moment integral ``(1/2pi) int dE (E - mu) (n_out - n_in)`` picks
-    up nothing from the delta term (vanishing first moment) and ``-b``
-    from the delta' term, so it equals ``-delta_prime_weight / 2pi``.
-    Must agree with :func:`instant_report`'s ``total_dissipation`` -- the
-    two routes share only the energy shift.
-    """
-    return -symbol.delta_prime_weight / _TWO_PI
 
 
 def cycle_integral(rates: np.ndarray, grid: CycleGrid) -> np.ndarray:

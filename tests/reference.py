@@ -1,0 +1,238 @@
+"""Second routes to the package's quantities, kept for the tests.
+
+The package computes each quantity one way: the energy shift by FFT
+differentiation of the sampled cycle (``qpump.shift.energy_shift_cycle``),
+every per-channel observable in one pass (``qpump.transport.instant_report``),
+uniform draws by the vectorized SplitMix64 stream
+(``qpump.models.uniform_stream``) and the bound by the greedy minimizer
+(``qpump.bathtub``).  The routes here reach the same numbers another way --
+a finite difference, row overlaps, the outgoing-energy moments, the scalar
+generator, the two-reservoir form of the bound -- or transform a pump so
+that a law of the energy shift can be checked (time warp, left rotation).
+No package code calls them.  They live with the tests, so the package
+ships one route per quantity while each test still compares two; from
+the package they import only the private helpers they share with it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from qpump.bathtub import DispersionGrid, Filling, _feasible_budget, analytic_minimum
+from qpump.errors import NumericalFailure
+from qpump.matcore import CycleGrid, central_derivative, spectral_derivative
+from qpump.models import _GAMMA, _MASK64, _MIX1, _MIX2, PumpModel
+from qpump.shift import _shift_stack, sample_cycle
+from qpump.transport import _diagonal, _square_diagonal
+
+_TWO_PI = 2.0 * np.pi
+
+
+# --------------------------------------------------------------------------
+# Energy shift (qpump.shift).
+# --------------------------------------------------------------------------
+
+
+def energy_shift_fd(model: PumpModel, t: float, mu: float, grid: CycleGrid) -> np.ndarray:
+    """Finite-difference cross-check of the spectral energy shift.
+
+    Differentiates S in time by a fourth-order central difference with
+    step ``T/(8N)`` instead of the FFT route; useful for validating the
+    spectral pipeline on a new model.
+    """
+    step = grid.period / (8.0 * grid.samples)
+    times = np.array([float(t)])
+    ds_dt = central_derivative(lambda u: model.sample([u], mu), float(t), step)
+    return _shift_stack(model.sample(times, mu), ds_dt, times)[0][0]
+
+
+def energy_shift_rows(model: PumpModel, mu: float, grid: CycleGrid) -> np.ndarray:
+    """Energy shift assembled from row overlaps ``i <psi_k | dpsi_j/dt>``.
+
+    ``psi_j`` is the j-th row of S and ``<a|b> = sum conj(a_i) b_i``
+    (conjugation on the first argument, which is what makes this route
+    agree entrywise with the matrix product of :func:`energy_shift_cycle`).
+    Returns the raw, unsymmetrized (N, n, n) array -- an independent code
+    path used to cross-check the matrix route.
+    """
+    s = sample_cycle(model, mu, grid)
+    ds = spectral_derivative(s, grid)
+    return 1j * np.einsum("tki,tji->tjk", s.conj(), ds)
+
+
+# --------------------------------------------------------------------------
+# Outgoing energy distribution (qpump.transport).
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class OutgoingSymbol:
+    """Semiclassical symbol of the outgoing energy distribution.
+
+    On channel j the distribution is the Fermi step plus
+    ``delta_weight[j] * delta(E - mu) + delta_prime_weight[j] * delta'(E - mu)``
+    with ``delta_weight = E_jj`` and ``delta_prime_weight = -(E^2)_jj / 2``
+    (never positive).
+    """
+
+    delta_weight: np.ndarray
+    delta_prime_weight: np.ndarray
+
+    def __post_init__(self):
+        if np.any(self.delta_prime_weight > 0.0):
+            raise NumericalFailure("delta'-weight must be <= 0 (it is -(E^2)_jj/2)")
+
+
+def outgoing_symbol(e: np.ndarray) -> OutgoingSymbol:
+    """First two moments of the outgoing distribution around mu."""
+    return OutgoingSymbol(
+        delta_weight=np.real(_diagonal(e)).copy(),
+        delta_prime_weight=-0.5 * _square_diagonal(e),
+    )
+
+
+def dissipation_from_symbol(symbol: OutgoingSymbol) -> np.ndarray:
+    """Dissipated power recovered from the outgoing symbol.
+
+    The moment integral ``(1/2pi) int dE (E - mu) (n_out - n_in)`` picks
+    up nothing from the delta term (vanishing first moment) and ``-b``
+    from the delta' term, so it equals ``-delta_prime_weight / 2pi``.
+    Must agree with :func:`instant_report`'s ``total_dissipation`` -- the
+    two routes share only the energy shift.
+    """
+    return -symbol.delta_prime_weight / _TWO_PI
+
+
+# --------------------------------------------------------------------------
+# Scalar generator (qpump.models).
+# --------------------------------------------------------------------------
+
+
+class SplitMix64:
+    """Seeded 64-bit generator with documented constants: the scalar reference."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, seed: int):
+        self._state = int(seed) & _MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + _GAMMA) & _MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        return z ^ (z >> 31)
+
+    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
+        """53-bit uniform double in [lo, hi)."""
+        return lo + (hi - lo) * ((self.next_u64() >> 11) * 2.0**-53)
+
+
+# --------------------------------------------------------------------------
+# Transforms of a pump (the invariance and covariance laws).
+# --------------------------------------------------------------------------
+
+
+def time_warp(period: float, amplitude: float = 0.1):
+    """Smooth monotone cycle reparameterization and its derivative.
+
+    ``f(t) = t + amplitude*(T/2pi)*sin(2*pi*t/T)`` with
+    ``f'(t) = 1 + amplitude*cos(2*pi*t/T)``; monotone for |amplitude| < 1
+    and compatible with periodicity (``f(t+T) = f(t) + T``).
+    """
+    if not abs(amplitude) < 1.0:
+        raise ValueError("|amplitude| must be < 1 to keep the warp monotone")
+
+    def f(t):
+        return t + amplitude * (period / _TWO_PI) * np.sin(_TWO_PI * t / period)
+
+    def fprime(t):
+        return 1.0 + amplitude * np.cos(_TWO_PI * t / period)
+
+    return f, fprime
+
+
+def reparameterized(model: PumpModel, amplitude: float = 0.1) -> PumpModel:
+    """The same pump along the warped time ``t -> f(t)``; keeps ``energy_independent``."""
+    f, _ = time_warp(model.period, amplitude)
+
+    def matrix(times, energy):
+        return model.matrix_fn(f(times), energy)
+
+    return PumpModel(
+        name=f"{model.name}+warp",
+        n_channels=model.n_channels,
+        period=model.period,
+        energy_window=model.energy_window,
+        params=model.params,
+        matrix_fn=matrix,
+        unitary_tol=model.unitary_tol,
+        energy_independent=model.energy_independent,
+    )
+
+
+def left_rotated(model: PumpModel, w: np.ndarray) -> PumpModel:
+    """The pump ``S -> W S`` for a constant unitary ``W``, whose energy shift
+    is ``W E W^dag``; keeps ``energy_independent``."""
+    w = np.asarray(w, dtype=complex)
+
+    def matrix(times, energy):
+        return w @ model.matrix_fn(times, energy)
+
+    return replace(model, name=f"{model.name}+left", matrix_fn=matrix)
+
+
+# --------------------------------------------------------------------------
+# Two-reservoir form of the bound (qpump.bathtub).
+# --------------------------------------------------------------------------
+
+
+def two_sided_bound(mu_minus: float, source: Filling, grid: DispersionGrid) -> tuple[float, float]:
+    """Both sides of the dissipation bound for a source feeding a cold
+    reservoir at chemical potential ``mu_minus``.
+
+    The reservoir's own fluxes take their continuum values
+    ``Qdot_- = mu_-/2pi`` and ``Edot_- = mu_-^2/4pi``; the net fluxes are
+    source minus reservoir.  Returns ``(lhs, rhs)`` with
+    ``lhs = Edot_net - mu_- * Qdot_net`` and ``rhs = pi * Qdot_net^2``;
+    the bound says lhs >= rhs, with equality when the source is itself a
+    Fermi sea (up to the O(dk) discretization of the source).
+    """
+    if not mu_minus >= 0:
+        raise ValueError("mu_minus must be >= 0")
+    if source.grid is not grid:
+        raise ValueError("source filling was built on a different grid")
+    qdot_res, edot_res = analytic_minimum(mu_minus)
+    edot_net = source.edot - edot_res
+    qdot_net = source.qdot - qdot_res
+    lhs = edot_net - mu_minus * qdot_net
+    rhs = np.pi * qdot_net**2
+    return float(lhs), float(rhs)
+
+
+def project_to_qdot(grid: DispersionGrid, occupation, target_qdot: float) -> Filling:
+    """Feasible filling near ``occupation`` with the exact target flux.
+
+    Shifts all occupations by a common amount and re-clips to [0, 1]; the
+    shifted flux is monotone in the shift, so bisection lands on the
+    target.  Used to build feasible perturbations when certifying the
+    greedy minimizer.
+    """
+    base = np.asarray(occupation, dtype=float)
+    if base.shape != (grid.n_k,):
+        raise ValueError(f"occupation must have shape ({grid.n_k},)")
+    budget = _feasible_budget(grid, target_qdot)
+
+    def flux(shift: float) -> float:
+        return float(np.clip(base + shift, 0.0, 1.0) @ grid.weights)
+
+    lo, hi = -1.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if flux(mid) < budget:
+            lo = mid
+        else:
+            hi = mid
+    return Filling.from_occupation(grid, np.clip(base + 0.5 * (lo + hi), 0.0, 1.0))

@@ -12,16 +12,20 @@ import numpy as np
 
 from qpump.cli import main
 from qpump.matcore import CycleGrid
-from qpump.models import build, reparameterized, uniform_stream
+from qpump.models import build, uniform_stream
 from qpump.optimal import diagonal_decomposition, optimality_verdict
 from qpump.bathtub import Filling, analytic_minimum, greedy_minimize, linear_dispersion
-from qpump.shift import energy_shift_cycle, energy_shift_rows, sample_cycle
+from qpump.shift import energy_shift_cycle, sample_cycle
 from qpump.transport import (
     cycle_integral,
-    dissipation_from_symbol,
     instant_report,
-    outgoing_symbol,
     winding_charge,
+)
+from reference import (
+    dissipation_from_symbol,
+    energy_shift_rows,
+    outgoing_symbol,
+    reparameterized,
 )
 from test_models import ALL_BUILTINS
 from test_shift import as_shift

@@ -15,14 +15,13 @@ from qpump.bathtub import (
     analytic_minimum,
     greedy_minimize,
     linear_dispersion,
-    project_to_qdot,
     quadratic_dispersion,
     thermal_step,
-    two_sided_bound,
     verify_bound,
 )
 from qpump.errors import TargetInfeasible
 from qpump.models import uniform_stream
+from reference import project_to_qdot, two_sided_bound
 
 PI = np.pi
 TWO_PI = 2.0 * np.pi

@@ -359,6 +359,85 @@ def test_exit_3_unwritable_output_leaves_no_file(tmp_path, capsys):
         assert not out.exists() and not csv.exists()
 
 
+# ---------------------------------------------------------------- output contract
+
+
+@pytest.mark.parametrize("first,second", [("--out", "--csv"), ("--config", "--out"),
+                                          ("--config", "--csv")])
+def test_exit_1_two_flags_name_one_file(tmp_path, capsys, first, second):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    before = Path(cfg).read_bytes()
+    paths = {"--config": cfg, "--out": str(tmp_path / "r.json"), "--csv": str(tmp_path / "r.csv")}
+    # the second flag spells the first's path another way
+    paths[second] = os.path.join(str(tmp_path), ".", os.path.basename(paths[first]))
+    argv = ["analyze"] + [token for flag, path in paths.items() for token in (flag, path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{second}: " in err and f"same file as {first}" in err
+    assert Path(cfg).read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 0
+
+
+def test_links_to_the_config(tmp_path, capsys):
+    # a symbolic link names the config's file: refused; a hard link is
+    # another name, which the report replaces, so the config stays intact
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    before = Path(cfg).read_bytes()
+    soft, hard = tmp_path / "soft.json", tmp_path / "hard.json"
+    soft.symlink_to(cfg)
+    os.link(cfg, hard)
+    assert main(["analyze", "--config", cfg, "--out", str(soft)]) == 1
+    assert "--out: " in capsys.readouterr().err
+    assert main(["analyze", "--config", cfg, "--out", str(hard)]) == 0
+    assert Path(cfg).read_bytes() == before and soft.read_bytes() == before
+    assert json.loads(hard.read_text())["versions"]
+
+
+def test_exit_3_keeps_the_earlier_outputs_and_leaves_no_new_file(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    out, csv = tmp_path / "r.json", tmp_path / "r.csv"
+    assert main(["analyze", "--config", cfg, "--out", str(out), "--csv", str(csv)]) == 0
+    earlier = {path: path.read_bytes() for path in (out, csv)}
+    other = write_config(tmp_path, {**BASE_CONFIG, "beta": 20.0}, name="other.json")
+    listing = sorted(os.listdir(tmp_path))
+    bad = tmp_path / "nodir" / "s.csv"
+    for argv in (["--out", str(out), "--csv", str(bad)], ["--out", str(bad), "--csv", str(csv)]):
+        assert main(["analyze", "--config", other] + argv) == 3
+        err = capsys.readouterr().err
+        assert "i/o failure" in err and repr(str(bad)) in err
+        assert {path: path.read_bytes() for path in (out, csv)} == earlier
+        assert sorted(os.listdir(tmp_path)) == listing
+
+
+def test_exit_3_target_that_is_not_a_regular_file(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    (tmp_path / "dir").mkdir()
+    csv = tmp_path / "r.csv"
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "dir"),
+                 "--csv", str(csv)]) == 3
+    assert "not a regular file" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "dir"]
+    assert os.listdir(tmp_path / "dir") == []
+
+
+def test_outputs_replace_through_a_link_with_the_umask_mode(tmp_path):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    target = tmp_path / "real.json"
+    target.write_text("old")
+    os.chmod(target, 0o600)
+    link = tmp_path / "r.json"
+    link.symlink_to(target)
+    mask = os.umask(0o027)
+    try:
+        assert main(["analyze", "--config", cfg, "--out", str(link)]) == 0
+    finally:
+        os.umask(mask)
+    assert link.is_symlink() and json.loads(target.read_text())["versions"]
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "r.json", "real.json"]
+
+
 def test_exit_2_non_finite_model_samples(tmp_path, capsys):
     # a huge period overflows the flux phase: the model itself returns nan
     doc = dict(BASE_CONFIG)

@@ -50,3 +50,31 @@ def test_package_front_is_pinned():
         "greedy_minimize", "linear_dispersion", "verify_bound",
         "analyze", "dumps", "instant_document",
     ])
+
+
+#: Each module's ``__all__``, in order: adding a name to the product, or
+#: dropping one, is a deliberate edit of this table.
+MODULE_SURFACES = {
+    "bathtub": ["DispersionGrid", "linear_dispersion", "quadratic_dispersion", "Filling",
+                "greedy_minimize", "analytic_minimum", "thermal_step", "BoundCheck",
+                "verify_bound"],
+    "cli": ["main"],
+    "matcore": ["R_K", "Tolerances", "DEFAULT_TOLERANCES", "CycleGrid", "unitarize",
+                "frobenius_norm", "unitarity_defect", "hermitian_part", "spectral_derivative",
+                "periodic_integral", "central_derivative"],
+    "models": ["uniform_stream", "PumpModel", "ModelConfig", "ParamInfo", "ModelInfo",
+               "REGISTRY", "build", "build_model"],
+    "optimal": ["offdiag_ratio", "DiagonalDecomposition", "OptimalityVerdict",
+                "optimality_verdict", "diagonal_decomposition"],
+    "report": ["SPEC_VERSION", "ADIABATICITY_WARN", "format_float", "dumps", "AnalysisResult",
+               "analyze", "instant_document"],
+    "shift": ["HARD_HERM_LIMIT", "ENERGY_STEP_FRACTION", "sample_cycle", "energy_shift_cycle",
+              "energy_shift_at", "time_delay", "delay_scale"],
+    "transport": ["instantaneous_current", "cycle_integral", "winding_charge", "InstantReport",
+                  "instant_report"],
+}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_surface_is_pinned(name):
+    assert importlib.import_module(f"qpump.{name}").__all__ == MODULE_SURFACES[name]

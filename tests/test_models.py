@@ -20,14 +20,12 @@ from qpump.models import (
     ENERGY_STEP_FRACTION,
     REGISTRY,
     ModelConfig,
-    SplitMix64,
     _uniform_rows,
     build,
     build_model,
-    reparameterized,
-    time_warp,
     uniform_stream,
 )
+from reference import SplitMix64, reparameterized, time_warp
 
 ALL_BUILTINS = [
     ("flux-loop", {"k_ell": 1.0}),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qpump.matcore import CycleGrid
-from qpump.models import build, reparameterized
+from qpump.models import build
 from qpump.optimal import (
     diagonal_decomposition,
     offdiag_ratio,
@@ -12,6 +12,7 @@ from qpump.optimal import (
 )
 from qpump.shift import energy_shift_cycle, sample_cycle
 from qpump.transport import instant_report
+from reference import reparameterized
 from test_models import ALL_BUILTINS
 from test_shift import as_shift
 

@@ -7,18 +7,17 @@ import pytest
 
 from qpump.errors import EnergyOutOfWindow, GridMismatch, NumericalFailure
 from qpump.matcore import R_K, CycleGrid, hermitian_part, unitarize
-from qpump.models import build, reparameterized, time_warp
+from qpump.models import build
 from qpump.optimal import optimality_verdict
 from qpump.shift import (
     delay_scale,
     energy_shift_at,
     energy_shift_cycle,
-    energy_shift_fd,
-    energy_shift_rows,
     sample_cycle,
     time_delay,
 )
 from qpump.transport import instant_report, winding_charge
+from reference import energy_shift_fd, energy_shift_rows, reparameterized, time_warp
 from test_models import ALL_BUILTINS
 
 GRID = CycleGrid(1.0, 256)

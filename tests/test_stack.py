@@ -11,7 +11,8 @@ from qpump.matcore import CycleGrid
 from qpump.models import build
 from qpump.optimal import offdiag_ratio
 from qpump.shift import energy_shift_cycle, sample_cycle
-from qpump.transport import instant_report, instantaneous_current, outgoing_symbol
+from qpump.transport import instant_report, instantaneous_current
+from reference import outgoing_symbol
 from test_models import ALL_BUILTINS
 
 GRID = CycleGrid(1.0, 64)

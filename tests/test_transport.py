@@ -7,18 +7,17 @@ from hypothesis import strategies as st
 
 from qpump.errors import NotOptimal, NumericalFailure, PhaseStepTooLarge
 from qpump.matcore import R_K, CycleGrid, central_derivative
-from qpump.models import build, reparameterized
+from qpump.models import build
 from qpump.optimal import optimality_verdict
 from qpump.shift import energy_shift_cycle, sample_cycle, time_delay
 from qpump.transport import (
     InstantReport,
     cycle_integral,
-    dissipation_from_symbol,
     instant_report,
     instantaneous_current,
-    outgoing_symbol,
     winding_charge,
 )
+from reference import dissipation_from_symbol, outgoing_symbol, reparameterized
 from test_models import ALL_BUILTINS
 from test_shift import as_shift
 
