@@ -5,14 +5,16 @@ keep their insertion order, floats are written with 17 significant digits
 (enough to round-trip IEEE doubles exactly), and nothing time- or
 machine-dependent enters the document, so identical configurations yield
 byte-identical reports.  The floats of a document (arrays, the per-time
-report and scalars alike) are formatted as one block, each distinct bit
-pattern once: the same bytes as :func:`format_float` per value, and as their
-list form.
+report and scalars alike) are formatted as one block: the same bytes as
+:func:`format_float` per value, and as their list form.  A large block is
+written with array arithmetic, which gives the same bytes as ``%.17g``;
+zeros, values outside 1e-280..1e280 and 17-digit near-ties go value by value.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote  # what json.dumps does to a str
 
 import numpy as np
@@ -40,6 +42,18 @@ SPEC_VERSION = "1.0"
 ADIABATICITY_WARN = 0.1
 
 
+#: Smaller blocks go value by value: the array route's fixed cost outweighs its gain.
+_ARRAY_MIN = 1024
+#: The array route covers |v| in [1e-280, 1e280]; its table of 10**(16 - k)
+#: starts at k = 281.
+_EXP10_MAX = 280
+_P0 = 15 - _EXP10_MAX
+#: Scaled values this close to a rounding tie go value by value (error < 1e-13).
+_TIE_MARGIN = 1e-6
+#: Most values the array route writes at a time: about 150 bytes of temporaries each.
+_SLICE = 12288
+
+
 def format_float(value: float) -> str:
     """17-significant-digit decimal form that parses back to the same double.
 
@@ -49,24 +63,163 @@ def format_float(value: float) -> str:
     return _format_block(np.array([float(value)]))[0]
 
 
+def _format_values(values: list) -> list[str]:
+    """Each value as ``%.17g``, plus ".0" where that reads as an integer."""
+    text = ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
+    return [t if "." in t or "e" in t else t + ".0" for t in text]
+
+
 def _format_block(x: np.ndarray) -> tuple[str, ...]:
-    """Every entry of a float array in C order as ``%.17g``, plus ".0" where
-    that reads as an integer.  The first non-finite entry in C order is
-    named before anything is formatted; then each distinct bit pattern is
-    formatted once (bits, not values: 0.0 and -0.0 differ in text) and the
-    strings are gathered back in C order."""
+    """Every entry of a float array in C order as :func:`_format_values` writes
+    it, after naming the first non-finite entry in C order.  A block of at
+    least ``_ARRAY_MIN`` entries has each distinct bit pattern (0.0 and -0.0
+    differ) written once by :func:`_format_array`, which gives the same bytes
+    and hands zeros, |v| outside 1e-280..1e280 and near-ties back to
+    :func:`_format_values`, and gathered back."""
     flat = np.asarray(x, dtype=np.float64).ravel()
     finite = np.isfinite(flat)
     if not finite.all():
         bad = format(float(flat[~finite][0]), ".17g")
         raise NumericalFailure(f"non-finite value {bad} in the report")
+    if flat.size < _ARRAY_MIN:
+        return tuple(_format_values(flat.tolist()))
     bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
-    values = bits.view(np.float64)
-    text = ("%.17g\n" * values.size % tuple(values.tolist())).split("\n")[:-1]
-    # exactly the values %.17g writes without "." or "e" (-0.0 among them)
-    for i in np.flatnonzero((values == np.trunc(values)) & (np.abs(values) < 1e17)).tolist():
-        text[i] += ".0"
+    text = _format_array(bits.view(np.float64))
     return tuple(np.fromiter(text, dtype=object, count=len(text))[inverse].tolist())
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split into two 26-bit halves, whose products are exact."""
+    c = a * 134217729.0  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _pow10_table() -> tuple[np.ndarray, ...]:
+    """``(hi, lo, hi's halves)`` of 10**p for p from ``_P0`` to ``17 + _EXP10_MAX``
+    (``hi + lo`` within 2**-104): products of correctly rounded pairs
+    ``10**(32a)`` and ``10**b``."""
+    p = np.arange(_P0, 18 + _EXP10_MAX)
+    pairs = []
+    for q in [*range(32 * (_P0 // 32), p[-1] + 1, 32), *range(32)]:
+        num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
+        hi = num / den  # int true division rounds correctly
+        hn, hd = hi.as_integer_ratio()
+        pairs.append((hi, (num * hd - hn * den) / (den * hd)))
+    pairs = np.array(pairs).T
+    big, small = pairs[:, p // 32 - _P0 // 32], pairs[:, -32:][:, p % 32]
+    hi = big[0] * small[0]
+    (ah, al), (bh, bl) = _split(big[0]), _split(small[0])
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl  # a*b - hi exactly (Dekker)
+    lo += big[0] * small[1] + big[1] * small[0]
+    top = hi + lo
+    return (top, lo - (top - hi), *_split(top))
+
+
+def _text_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The four ASCII digits of 0..9999 as '<u4' entries, then the same with
+    trailing zeros as NUL; and the column maps of :func:`_text`."""
+    chunk = np.empty((2, 10000, 4), np.uint8)
+    chunk[:] = np.indices((10,) * 4, dtype=np.uint8).reshape(4, 10000).T + np.uint8(48)
+    for j in range(4):  # digit j of i is trailing when 10**(4 - j) divides i
+        chunk[1, :: 10 ** (4 - j), j] = 0
+    # A row of _text's ext: 0 sign; 1-20 the digits, digit j at 4 + j;
+    # 21-40 the same with trailing zeros as NUL, digit j at 24 + j; 41 "." or
+    # NUL; 42 the exponent's sign; 43-46 its digits; 47-51 "0", ".", "e", NUL, "\n".
+    zero, dot, e, nul, newline = 47, 48, 49, 50, 51
+    maps = []
+    for k in range(-4, 19):  # %g's fixed form; the exponent form below and from 100
+        if k < 0:
+            cols = [0, zero, dot, *[zero] * (-k - 1), *range(24, 41)]
+        elif k < 16:  # the first fraction digit is kept: "1200.0", not "1200."
+            cols = [0, *range(4, 5 + k), dot, 5 + k, *range(26 + k, 41)]
+        elif k == 16:
+            cols = [0, *range(4, 21), dot, zero]
+        else:
+            cols = [0, 4, 41, *range(25, 41), e, 42, *range(45 if k == 17 else 44, 47)]
+        maps.append(cols + [nul] * (24 - len(cols)) + [newline])
+    return chunk.view("<u4").ravel(), np.array(maps)
+
+
+@cache
+def _tables() -> tuple:
+    """The power and text tables, built when the first large block is written."""
+    return (_pow10_table(), *_text_tables())
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Floor and fraction of ``a * 10**(16 - k)``, to about 1e-14."""
+    hi, lo, bh, bl = (column.take(16 - k - _P0) for column in _tables()[0])
+    p = a * hi  # an integer once k is right: it is above 2**53
+    ah, al = _split(a)
+    r = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * lo
+    floor = np.floor(r)
+    return p.astype(np.int64) + floor.astype(np.int64), r - floor
+
+
+def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 digits ``round(|v| 10**(16 - k))`` and exponent k of each value
+    (Loitsch, PLDI 2010), and where they are exact: not at 0, ties or |v|
+    outside 1e-280..1e280."""
+    a = np.abs(v)
+    fast = (a >= 10.0**-_EXP10_MAX) & (a <= 10.0**_EXP10_MAX)
+    a[~fast] = 1.0
+    k = np.floor(np.log10(a)).astype(np.int64)
+    digits, frac = _scaled(a, k)
+    # log10 may be one off next to a power of ten: scale again
+    redo = np.flatnonzero((digits < 10**16) | (digits >= 10**17))
+    k[redo] += np.where(digits[redo] < 10**16, -1, 1)
+    digits[redo], frac[redo] = _scaled(a[redo], k[redo])
+    fast &= np.abs(frac - 0.5) >= _TIE_MARGIN
+    digits += frac > 0.5
+    carry = digits == 10**17  # rounded up to 10**(k + 1)
+    return np.where(carry, 10**16, digits), k + carry, fast
+
+
+def _text(v: np.ndarray, digits: np.ndarray, k: np.ndarray) -> bytes:
+    """The ``%g`` lines of the values, laid out by one column map per fixed-form
+    exponent -4..16 and two for the exponent form (below and from e100)."""
+    _, digit_table, columns = _tables()
+    group = np.where((k >= -4) & (k <= 16), k + 4, 21 + (np.abs(k) >= 100))
+    order = np.argsort(group, kind="stable")
+    digits, k = digits[order], k[order]
+    high = (digits // 10**8).astype(np.uint32)
+    low = (digits - high * np.int64(10**8)).astype(np.uint32)
+    # the first digit, then four chunks of 4 ("//" is faster than "%" here)
+    chunks = np.array([high // 10**8, high // 10**4, high, low // 10**4, low])
+    chunks[[1, 2, 4]] -= 10**4 * chunks[[0, 1, 3]]
+    later = np.logical_or.accumulate(chunks[:0:-1] != 0)[::-1]  # a later chunk is not 0
+    ext = np.empty((v.size, 52), np.uint8)
+    ext[:, 0] = np.signbit(v[order]) * np.uint8(45)  # "-"
+    ext[:, 1:21] = digit_table.take(chunks.T).view(np.uint8).reshape(-1, 20)
+    chunks[:4] += np.uint32(10000) * ~later
+    chunks[4] += 10000
+    ext[:, 21:41] = digit_table.take(chunks.T).view(np.uint8).reshape(-1, 20)
+    ext[:, 41] = later[0] * np.uint8(46)  # "."
+    ext[:, 42] = np.where(k < 0, 45, 43)  # "-", "+"
+    ext[:, 43:47] = digit_table.take(np.abs(k)).view(np.uint8).reshape(-1, 4)
+    ext[:, 47:] = np.frombuffer(b"0.e\0\n", np.uint8)
+    out = np.empty((v.size, 25), np.uint8)
+    bounds = np.searchsorted(group[order], np.arange(24))
+    for g in np.flatnonzero(np.diff(bounds)).tolist():
+        rows = slice(bounds[g], bounds[g + 1])
+        out[order[rows]] = ext[rows][:, columns[g]]
+    del ext
+    return out[out != 0].tobytes()
+
+
+def _format_array(v: np.ndarray) -> list[str]:
+    """:func:`_format_values` of a finite array: the digits of :func:`_decimal`
+    written by :func:`_text` where they are exact, in slices of at most ``_SLICE``."""
+    text = []
+    for part in np.array_split(v, -(-v.size // _SLICE)):
+        digits, k, fast = _decimal(part)
+        lines = _text(part, digits, k).decode("ascii").split("\n")[:-1]
+        slow = np.flatnonzero(~fast)
+        for i, t in zip(slow.tolist(), _format_values(part[slow].tolist())):
+            lines[i] = t
+        text += lines
+    return text
 
 
 def _layout(shape: tuple, pad: str, leaf: str = "%s") -> str:

@@ -8,7 +8,8 @@ uniform draws by the vectorized SplitMix64 stream
 (``qpump.bathtub``).  The routes here reach the same numbers another way --
 a finite difference, row overlaps, the outgoing-energy moments, the scalar
 generator, the two-reservoir form of the bound -- or transform a pump so
-that a law of the energy shift can be checked (time warp, left rotation).
+that a law of the energy shift can be checked (time warp, left rotation,
+time reversal).
 No package code calls them.  They live with the tests, so the package
 ships one route per quantity while each test still compares two; from
 the package they import only the private helpers they share with it.
@@ -182,6 +183,17 @@ def left_rotated(model: PumpModel, w: np.ndarray) -> PumpModel:
         return w @ model.matrix_fn(times, energy)
 
     return replace(model, name=f"{model.name}+left", matrix_fn=matrix)
+
+
+def time_reversed(model: PumpModel) -> PumpModel:
+    """The pump run backwards, ``S'(t) = S(T - t)``, whose energy shift is
+    ``-E(T - t)``; keeps ``energy_independent``.  On a cycle grid node i
+    maps to node -i mod N."""
+
+    def matrix(times, energy):
+        return model.matrix_fn(model.period - times, energy)
+
+    return replace(model, name=f"{model.name}+reversed", matrix_fn=matrix)
 
 
 # --------------------------------------------------------------------------

@@ -4,10 +4,12 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,8 @@ from qpump.cli import main
 from qpump.errors import NumericalFailure
 from qpump.matcore import DEFAULT_TOLERANCES, Tolerances
 from qpump.models import ModelConfig
-from qpump.report import _format_block, analyze, dumps, format_float, instant_document
+from qpump.report import (_ARRAY_MIN, _P0, _format_block, _pow10_table, _scaled, analyze, dumps,
+                          format_float, instant_document)
 
 BASE_CONFIG = {
     "model": "flux-loop",
@@ -560,6 +563,96 @@ def test_format_block_matches_the_per_value_rule(block):
     text = dumps({"x": block, "y": [*block.ravel().tolist(), 2.5]})
     assert float_texts(text) == [*map(reference_float, block.ravel().tolist() * 2), "2.5"]
     assert dumps({"x": block}) == dumps({"x": block.tolist()})
+
+
+def large_block(values, rng, cols=8):
+    """``values`` drawn into a block of at least ``_ARRAY_MIN`` entries, so that
+    it is formatted by the array route; every value appears at least once."""
+    values = np.asarray(values, dtype=float)
+    rows = -(-max(_ARRAY_MIN, values.size) // cols)
+    block = rng.choice(values, size=rows * cols)
+    block[rng.permutation(block.size)[:values.size]] = values
+    return block.reshape(rows, cols)
+
+
+@given(st.lists(st.sampled_from(BLOCK_POOL) | st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=24),
+       st.integers(0, 2**32 - 1))
+@example(list(BLOCK_POOL), 0)
+@example([-0.0], 1)
+@settings(max_examples=60, deadline=None)
+def test_format_block_matches_the_per_value_rule_in_a_large_block(values, seed):
+    block = large_block(values, np.random.default_rng(seed))
+    assert _format_block(block) == tuple(reference_float(v) for v in block.ravel().tolist())
+    text = dumps({"x": block, "y": [*block.ravel().tolist(), 2.5]})
+    assert float_texts(text) == [*map(reference_float, block.ravel().tolist() * 2), "2.5"]
+    assert dumps({"x": block}) == dumps({"x": block.tolist()})
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+@example([-0.0, 1e17 - 16.0])
+@settings(max_examples=100, deadline=None)
+def test_format_float_matches_scalar_rule_in_a_large_block(values):
+    # the values of format_float's property, written by the array route
+    block = np.resize(np.array(values), _ARRAY_MIN)
+    texts = _format_block(block)
+    assert texts == tuple(map(reference_float, block.tolist()))
+    assert [float(t) for t in texts[:len(values)]] == values
+
+
+def built_ties(rng, per_exponent=64):
+    """Doubles whose 17-digit rounding is an exact tie: ``m 2**(k - 17)`` for
+    odd m, whose decimal exponent is k, scales by ``10**(16 - k)`` to
+    ``m 5**(16 - k) / 2``.  Such m exist for k from -7 to 15; at k = 15
+    they are the quarter-integers between 1e15 and 2**51."""
+    ties, exponents = [], []
+    for k in range(-7, 16):
+        scale = Fraction(2) ** (17 - k)
+        lo = math.ceil(Fraction(10) ** k * scale)
+        hi = min(math.ceil(Fraction(10) ** (k + 1) * scale), 2**53)  # m < hi
+        m = 2 * rng.integers(lo // 2, (hi - 1) // 2, size=per_exponent) + 1
+        ties.append(np.ldexp(m.astype(float), k - 17))
+        exponents.append(np.full(per_exponent, k))
+    return np.concatenate(ties), np.concatenate(exponents)
+
+
+def test_array_route_matches_the_per_value_rule_on_a_corpus():
+    rng = np.random.default_rng(2010)
+    # random bit patterns: any, then with the exponents the array route takes
+    raw = rng.integers(0, 2**64, size=2**16, dtype=np.uint64)
+    bits = rng.integers(0, 2**64, size=2**20, dtype=np.uint64) & np.uint64(0x800F_FFFF_FFFF_FFFF)
+    bits |= rng.integers(1023 - 930, 1023 + 931, size=bits.size).astype(np.uint64) << np.uint64(52)
+    powers = np.concatenate([2.0 ** np.arange(-1074, 1024),
+                             [float(f"1e{e}") for e in range(-323, 309)]])
+    neighbours = (powers.view(np.int64)[:, None] + np.arange(-3, 4)).ravel()
+    subnormals = rng.integers(1, 2**52, size=4096, dtype=np.uint64)
+    integers = np.array([1e16, 1e17]).view(np.int64)[:, None] + np.arange(-300, 301)
+    ties, exponents = built_ties(rng)
+    _, frac = _scaled(ties, exponents)
+    assert (frac == 0.5).all()  # exact ties, which the array route hands on
+    signed = np.concatenate([neighbours.view(float), subnormals.view(float),
+                             integers.ravel().view(float), ties, [0.0]])
+    corpus = np.concatenate([raw.view(float), bits.view(float), signed, -signed])
+    corpus = corpus[np.isfinite(corpus)]
+    assert corpus.size > 10**6
+    assert _format_block(corpus) == tuple(map(reference_float, corpus.tolist()))
+
+
+def test_power_table_is_accurate_to_2_pow_minus_104():
+    hi, lo, high, low = _pow10_table()
+    for p, pair in zip(range(_P0, _P0 + hi.size), zip(hi.tolist(), lo.tolist())):
+        exact = Fraction(10) ** p
+        assert abs(sum(map(Fraction, pair)) - exact) <= exact / 2**104, p
+    assert (high + low == hi).all()
+
+
+def test_non_finite_error_names_the_first_entry_in_a_large_block():
+    inf, nan = float("inf"), float("nan")
+    for first, second, name in ((inf, nan, "inf"), (nan, -inf, "nan"), (-inf, inf, "-inf")):
+        block = np.linspace(0.0, 1.0, 2 * _ARRAY_MIN).reshape(-1, 4)
+        block[100, 3], block[7, 2] = second, first
+        with pytest.raises(NumericalFailure, match=f"^non-finite value {name} in the report$"):
+            _format_block(block)
 
 
 def test_non_finite_error_names_the_first_entry_in_c_order():
