@@ -26,7 +26,9 @@ energies inside a validity window.  Four families are built in:
     property-test fodder.
 
 All model parameters are flat name -> real maps so they can live in JSON
-configuration files; see :class:`ModelConfig` for the file schema.
+configuration files; see :class:`ModelConfig` for the file schema.  Each
+model declares them once, as the :class:`ParamInfo` tuple of its
+:class:`ModelInfo`, and one parser reads every model by that schema.
 """
 
 from __future__ import annotations
@@ -79,7 +81,6 @@ ENERGY_STEP_FRACTION = 1e-4
 # fixtures can be reproduced outside Python.
 # --------------------------------------------------------------------------
 
-_MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -192,37 +193,11 @@ def _real(value, fieldname: str, *, positive=False, error=ConfigError) -> float:
     return v
 
 
-def _param(params: dict, key: str, model: str, default=None, *, required=False,
-           minimum=None, maximum=math.inf, positive=False, integer=False) -> float:
-    if key not in params:
-        if required:
-            raise MissingParam(f"params.{key}", f"model '{model}' requires parameter '{key}'")
-        value = default
-    else:
-        value = params[key]
-    value = _real(value, f"params.{key}", positive=positive, error=BadParamRange)
-    if integer and value != round(value):
-        raise BadParamRange(f"params.{key}", f"must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise BadParamRange(f"params.{key}", f"must be >= {minimum}, got {value!r}")
-    if value > maximum:
-        raise BadParamRange(f"params.{key}", f"must be <= {maximum}, got {value!r}")
-    return value
-
-
-def _reject_unknown(params: dict, allowed: set[str], model: str) -> None:
-    for key in params:
-        if key not in allowed:
-            raise UnknownParam(
-                f"params.{key}", f"model '{model}' does not understand parameter '{key}'"
-            )
-
-
 def _uniform(seed: int, hi: np.ndarray) -> np.ndarray:
     """Draw i of the SplitMix64 stream of ``seed`` in ``[-hi[i], hi[i])``, for every i
     in one ``uniform_stream`` pass, in the scalar ``lo + (hi - lo) * u`` arithmetic."""
     lo = -hi
-    return lo + (hi - lo) * uniform_stream(seed & _MASK64, hi.size)
+    return lo + (hi - lo) * uniform_stream(seed, hi.size)
 
 
 def _hermitian_stack(draws: np.ndarray, n: int) -> np.ndarray:
@@ -247,16 +222,13 @@ def _unitary(draws: np.ndarray, n: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Built-in model builders.  Each takes the registry name, which its error
-# messages cite, and returns (n_channels, matrix_fn, params).
+# Built-in model builders.  Each takes the parameters its schema parsed and
+# returns (n_channels, matrix_fn).
 # --------------------------------------------------------------------------
 
 
-def _build_flux_loop(name, params, period, window, mu):
-    k_ell = _param(params, "k_ell", name, required=True, minimum=0.0)
-    w = int(_param(params, "w", name, default=1, integer=True))
-    v = _param(params, "v", name, default=1.0, positive=True)
-    _reject_unknown(params, {"k_ell", "w", "v"}, name)
+def _build_flux_loop(params, period, mu):
+    k_ell, w = params["k_ell"], params["w"]
 
     # Linear dispersion E = v*k with k(mu)*l = k_ell fixes l = k_ell*v/mu,
     # so the loop phase at energy E is k_ell*E/mu (independent of v).
@@ -268,13 +240,12 @@ def _build_flux_loop(name, params, period, window, mu):
         out[:, 1, 1] = np.exp(1j * (loop - flux))
         return out
 
-    return 2, matrix, {"k_ell": k_ell, "w": float(w), "v": v}
+    return 2, matrix
 
 
-def _build_perturbed_flux_loop(name, params, period, window, mu):
-    delta = _param(params, "delta", name, required=True)
-    base_params = {k: v for k, v in params.items() if k != "delta"}
-    n, base, norm = _build_flux_loop(name, base_params, period, window, mu)
+def _build_perturbed_flux_loop(params, period, mu):
+    delta = params["delta"]
+    n, base = _build_flux_loop(params, period, mu)
 
     # The rotation multiplies from the left: a right factor commutes into
     # the diagonal of E and would leave every cycle charge exactly
@@ -285,37 +256,22 @@ def _build_perturbed_flux_loop(name, params, period, window, mu):
         rotation = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
         return rotation @ base(times, energy)
 
-    norm["delta"] = delta
-    return n, matrix, norm
+    return n, matrix
 
 
 _DTC_DEGREE = 2  # trig-polynomial degree of the per-channel phases
 _MAX_SIZE = 64  # cap on channel counts and degrees: the stacks and draws grow with them
+_MAX_SEED = 2**53  # every seed up to it is exact as a double
 
 
-def _build_diagonal_times_constant(name, params, period, window, mu):
-    n = int(_param(params, "n", name, default=2, integer=True, minimum=1, maximum=_MAX_SIZE))
-    s0_seed = int(_param(params, "s0_seed", name, default=0, integer=True, minimum=0))
-    allowed = {"n", "s0_seed"}
-    windings = np.zeros(n)
-    cos_coef = np.zeros((n, _DTC_DEGREE))
-    sin_coef = np.zeros((n, _DTC_DEGREE))
-    norm = {"n": float(n), "s0_seed": float(s0_seed)}
-    for j in range(1, n + 1):
-        allowed.add(f"w{j}")
-        windings[j - 1] = _param(params, f"w{j}", name, default=0, integer=True)
-        norm[f"w{j}"] = windings[j - 1]
-        for m in range(1, _DTC_DEGREE + 1):
-            allowed.update({f"a{j}_{m}", f"b{j}_{m}"})
-            cos_coef[j - 1, m - 1] = _param(params, f"a{j}_{m}", name, default=0.0)
-            sin_coef[j - 1, m - 1] = _param(params, f"b{j}_{m}", name, default=0.0)
-            norm[f"a{j}_{m}"] = cos_coef[j - 1, m - 1]
-            norm[f"b{j}_{m}"] = sin_coef[j - 1, m - 1]
-    _reject_unknown(params, allowed, name)
-
+def _build_diagonal_times_constant(params, period, mu):
+    n, s0_seed = int(params["n"]), int(params["s0_seed"])
+    channels, modes = range(1, n + 1), np.arange(1, _DTC_DEGREE + 1)
+    windings = np.array([params[f"w{j}"] for j in channels])
+    cos_coef, sin_coef = (np.array([[params[f"{ab}{j}_{m}"] for m in modes] for j in channels])
+                          for ab in "ab")
     s0 = (np.eye(n, dtype=complex) if s0_seed == 0
           else _unitary(_uniform(s0_seed, np.ones(2 * n * n)), n))
-    modes = np.arange(1, _DTC_DEGREE + 1)
 
     def matrix(times, energy):
         # (n, degree) @ (N, degree, 1): the one-time form's matrix-vector product,
@@ -326,22 +282,17 @@ def _build_diagonal_times_constant(name, params, period, window, mu):
         phases = phases + (cos_coef @ np.cos(waves))[:, :, 0] + (sin_coef @ np.sin(waves))[:, :, 0]
         return np.exp(1j * phases)[:, :, None] * s0
 
-    return n, matrix, norm
+    return n, matrix
 
 
-def _build_random_smooth_path(name, params, period, window, mu):
-    n = int(_param(params, "n", name, default=2, integer=True, minimum=1, maximum=_MAX_SIZE))
-    seed = int(_param(params, "seed", name, default=0, integer=True, minimum=0))
-    degree = int(_param(params, "degree", name, default=3, integer=True, minimum=0,
-                        maximum=_MAX_SIZE))
-    amplitude = _param(params, "amplitude", name, default=1.0, minimum=0.0)
-    _reject_unknown(params, {"n", "seed", "degree", "amplitude"}, name)
+def _build_random_smooth_path(params, period, mu):
+    n, seed, degree = (int(params[key]) for key in ("n", "seed", "degree"))
 
     # One SplitMix64(seed) stream draws the constant Hermitian term, a (cos, sin)
     # pair per mode 1..degree, then S0 in [-1, 1) (two blocks of n*n).  Mode
     # amplitudes decay like 1/(1+m) so the path is comfortably band limited.
-    modes = np.repeat(np.arange(degree + 1), [1] + [2] * degree)
-    draws = _uniform(seed, np.repeat(np.append(amplitude / (1.0 + modes), [1.0, 1.0]), n * n))
+    scale = params["amplitude"] / (1.0 + np.repeat(np.arange(degree + 1), [1] + [2] * degree))
+    draws = _uniform(seed, np.repeat(np.append(scale, [1.0, 1.0]), n * n))
     terms = _hermitian_stack(draws[:-2 * n * n], n)
     const, cos_terms, sin_terms = terms[0], terms[1::2], terms[2::2]
     s0 = _unitary(draws[-2 * n * n:], n)
@@ -354,15 +305,20 @@ def _build_random_smooth_path(name, params, period, window, mu):
         vals, vecs = np.linalg.eigh(h)
         return (vecs * np.exp(1j * vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2) @ s0
 
-    norm = {"n": float(n), "seed": float(seed), "degree": float(degree), "amplitude": amplitude}
-    return n, matrix, norm
+    return n, matrix
 
 
 @dataclass(frozen=True)
 class ParamInfo:
+    """One model parameter: its default, its ``pump models`` note and its rule."""
+
     name: str
     default: float | None  # None marks a required parameter
     note: str
+    minimum: float | None = None
+    maximum: float = math.inf
+    positive: bool = False
+    integer: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,11 +326,13 @@ class ModelInfo:
     name: str
     description: str
     n_channels: str
-    params: tuple[ParamInfo, ...]
-    builder: Callable = field(repr=False)
+    params: tuple[ParamInfo, ...]  # the schema, in parse order
+    builder: Callable = field(repr=False)  # (params, period, mu) -> (n_channels, matrix_fn)
     energy_independent: bool = False
 
 
+_CHANNELS = ParamInfo("n", 2.0, "number of channels, integer in 1..64",
+                      integer=True, minimum=1, maximum=_MAX_SIZE)
 REGISTRY: dict[str, ModelInfo] = {
     info.name: info
     for info in [
@@ -384,9 +342,10 @@ REGISTRY: dict[str, ModelInfo] = {
             "diagonal S with phases k_ell*E/mu +/- 2*pi*w*t/T.",
             n_channels="2",
             params=(
-                ParamInfo("k_ell", None, "loop phase k(mu)*l at the reference energy, >= 0"),
-                ParamInfo("w", 1.0, "integer flux winding per cycle"),
-                ParamInfo("v", 1.0, "dispersion velocity E = v*k, > 0"),
+                ParamInfo("k_ell", None, "loop phase k(mu)*l at the reference energy, >= 0",
+                          minimum=0.0),
+                ParamInfo("w", 1.0, "integer flux winding per cycle", integer=True),
+                ParamInfo("v", 1.0, "dispersion velocity E = v*k, > 0", positive=True),
             ),
             builder=_build_flux_loop,
         ),
@@ -397,10 +356,10 @@ REGISTRY: dict[str, ModelInfo] = {
             "de-quantizes the cycle charge.",
             n_channels="2",
             params=(
-                ParamInfo("k_ell", None, "loop phase at the reference energy, >= 0"),
+                ParamInfo("k_ell", None, "loop phase at the reference energy, >= 0", minimum=0.0),
                 ParamInfo("delta", None, "rotation amplitude; 0 recovers flux-loop"),
-                ParamInfo("w", 1.0, "integer flux winding per cycle"),
-                ParamInfo("v", 1.0, "dispersion velocity, > 0"),
+                ParamInfo("w", 1.0, "integer flux winding per cycle", integer=True),
+                ParamInfo("v", 1.0, "dispersion velocity, > 0", positive=True),
             ),
             builder=_build_perturbed_flux_loop,
         ),
@@ -412,9 +371,10 @@ REGISTRY: dict[str, ModelInfo] = {
             "Energy independent.",
             n_channels="n",
             params=(
-                ParamInfo("n", 2.0, "number of channels, integer in 1..64"),
-                ParamInfo("s0_seed", 0.0, "seed for the constant unitary; 0 keeps identity"),
-                ParamInfo("w<j>", 0.0, "integer winding of channel j (1-based)"),
+                _CHANNELS,
+                ParamInfo("s0_seed", 0.0, "seed for the constant unitary; 0 keeps identity",
+                          integer=True, minimum=0, maximum=_MAX_SEED),
+                ParamInfo("w<j>", 0.0, "integer winding of channel j (1-based)", integer=True),
                 ParamInfo("a<j>_<m>", 0.0, "cosine coefficient of channel j, mode m"),
                 ParamInfo("b<j>_<m>", 0.0, "sine coefficient of channel j, mode m"),
             ),
@@ -427,16 +387,47 @@ REGISTRY: dict[str, ModelInfo] = {
             "trigonometric polynomial; energy independent.",
             n_channels="n",
             params=(
-                ParamInfo("n", 2.0, "number of channels, integer in 1..64"),
-                ParamInfo("seed", 0.0, "SplitMix64 seed, integer >= 0"),
-                ParamInfo("degree", 3.0, "trig-polynomial degree, integer in 0..64"),
-                ParamInfo("amplitude", 1.0, "coefficient scale, >= 0"),
+                _CHANNELS,
+                ParamInfo("seed", 0.0, "SplitMix64 seed, integer >= 0",
+                          integer=True, minimum=0, maximum=_MAX_SEED),
+                ParamInfo("degree", 3.0, "trig-polynomial degree, integer in 0..64",
+                          integer=True, minimum=0, maximum=_MAX_SIZE),
+                ParamInfo("amplitude", 1.0, "coefficient scale, >= 0", minimum=0.0),
             ),
             builder=_build_random_smooth_path,
             energy_independent=True,
         ),
     ]
 }
+
+
+def _parse(info: ModelInfo, params: Mapping[str, float]) -> dict[str, float]:
+    """Every parameter ``info`` declares, in schema order, from ``params`` or its default;
+    the first faulty key raises MissingParam, BadParamRange or UnknownParam."""
+    parsed: dict[str, float] = {}
+    for p in info.params:
+        keys = [p.name]
+        for tag, count in (("<j>", int(parsed.get("n", 0))), ("<m>", _DTC_DEGREE)):
+            if tag in p.name:
+                keys = [k.replace(tag, str(i)) for k in keys for i in range(1, count + 1)]
+        for key in keys:
+            if key not in params and p.default is None:
+                raise MissingParam(f"params.{key}",
+                                   f"model '{info.name}' requires parameter '{key}'")
+            raw = params.get(key, p.default)
+            value = _real(raw, f"params.{key}", positive=p.positive, error=BadParamRange)
+            if p.integer and value != round(value):
+                raise BadParamRange(f"params.{key}", f"must be an integer, got {value!r}")
+            if p.minimum is not None and raw < p.minimum:
+                raise BadParamRange(f"params.{key}", f"must be >= {p.minimum}, got {value!r}")
+            if raw > p.maximum:  # the exact input: 2**53 + 1 would round onto 2**53
+                raise BadParamRange(f"params.{key}", f"must be <= {p.maximum}, got {value!r}")
+            parsed[key] = value
+    for key in params:
+        if key not in parsed:
+            raise UnknownParam(f"params.{key}",
+                               f"model '{info.name}' does not understand parameter '{key}'")
+    return parsed
 
 
 def _check_mu(mu: float, lo: float, hi: float) -> None:
@@ -478,13 +469,14 @@ def build(name: str, params: Mapping[str, float] | None = None, *,
     if info is None:
         known = ", ".join(sorted(REGISTRY))
         raise UnknownModel("model", f"unknown model '{name}'; built-ins: {known}")
-    n, matrix_fn, norm = info.builder(name, dict(params or {}), period, (lo, hi), mu)
+    parsed = _parse(info, dict(params or {}))
+    n, matrix_fn = info.builder(parsed, period, mu)
     return PumpModel(
         name=name,
         n_channels=n,
         period=period,
         energy_window=(lo, hi),
-        params=MappingProxyType(norm),
+        params=MappingProxyType(parsed),
         matrix_fn=matrix_fn,
         unitary_tol=unitary_tol,
         energy_independent=info.energy_independent,

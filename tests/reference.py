@@ -24,11 +24,12 @@ import numpy as np
 from qpump.bathtub import DispersionGrid, Filling, _feasible_budget, analytic_minimum
 from qpump.errors import NumericalFailure
 from qpump.matcore import CycleGrid, central_derivative, spectral_derivative
-from qpump.models import _GAMMA, _MASK64, _MIX1, _MIX2, PumpModel
+from qpump.models import _GAMMA, _MIX1, _MIX2, PumpModel
 from qpump.shift import _shift_stack, sample_cycle
 from qpump.transport import _diagonal, _square_diagonal
 
 _TWO_PI = 2.0 * np.pi
+_MASK64 = (1 << 64) - 1
 
 
 # --------------------------------------------------------------------------

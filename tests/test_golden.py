@@ -1,12 +1,13 @@
-"""Golden reports: ``pump analyze``, ``pump instant`` and ``pump bathtub``
-output, byte for byte.
+"""Golden reports: ``pump analyze``, ``pump instant``, ``pump bathtub`` and
+``pump models`` output, byte for byte.
 
 The fixtures under ``tests/data/golden/`` hold the JSON report, the CSV
 series and one ``pump instant`` document for each built-in model, with
-and without an inverse temperature, and the standard output of a few
-``pump bathtub`` calls on both dispersions.  Any change to the numerics or the
-serializer that moves a single byte of a report fails here.  After an
-intended change of the report format, regenerate the fixtures with
+and without an inverse temperature, the standard output of a few
+``pump bathtub`` calls on both dispersions, and the ``pump models``
+listing.  Any change to the numerics or the serializer that moves a
+single byte of a report fails here.  After an intended change of the
+report format, regenerate the fixtures with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -79,24 +80,25 @@ def run_analyze(workdir: Path, name: str, beta: bool) -> tuple[str, str]:
     return out.read_text(), csv.read_text()
 
 
-def run_instant(workdir: Path, name: str) -> str:
-    cfg = workdir / f"{name}.instant.config.json"
-    cfg.write_text(json.dumps(config(name, True)))
-    t = INSTANT_AT[name] * MODELS[name][2]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(["instant", "--config", str(cfg), "--t", repr(t)]) == 0
-    return out.getvalue()
-
-
-def run_bathtub(name: str) -> str:
-    dispersion, kmax, nk, mu, trials, seed = BATHTUB[name]
-    argv = ["bathtub", "--dispersion", dispersion, "--kmax", repr(kmax), "--nk", str(nk),
-            "--mu", repr(mu), "--trials", str(trials), "--seed", str(seed)]
+def run_stdout(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
     return out.getvalue()
+
+
+def run_instant(workdir: Path, name: str) -> str:
+    cfg = workdir / f"{name}.instant.config.json"
+    cfg.write_text(json.dumps(config(name, True)))
+    t = INSTANT_AT[name] * MODELS[name][2]
+    return run_stdout(["instant", "--config", str(cfg), "--t", repr(t)])
+
+
+def run_bathtub(name: str) -> str:
+    dispersion, kmax, nk, mu, trials, seed = BATHTUB[name]
+    return run_stdout(["bathtub", "--dispersion", dispersion, "--kmax", repr(kmax),
+                       "--nk", str(nk), "--mu", repr(mu), "--trials", str(trials),
+                       "--seed", str(seed)])
 
 
 @pytest.mark.parametrize("name,beta", CASES, ids=[case_id(*c) for c in CASES])
@@ -117,6 +119,10 @@ def test_bathtub_matches_golden(name):
     assert run_bathtub(name) == (GOLDEN / f"bathtub-{name}.json").read_text()
 
 
+def test_models_listing_matches_golden():
+    assert run_stdout(["models"]) == (GOLDEN / "models.json").read_text()
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -130,6 +136,7 @@ def regenerate() -> None:
             (GOLDEN / f"{name}.instant.json").write_text(run_instant(workdir, name))
     for name in BATHTUB:
         (GOLDEN / f"bathtub-{name}.json").write_text(run_bathtub(name))
+    (GOLDEN / "models.json").write_text(run_stdout(["models"]))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Built-in models, seeded randomness and configuration parsing."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -148,10 +149,35 @@ def test_perturbed_errors_name_their_model():
 REQUIRED_VALUES = {"k_ell": 1.0, "delta": 0.1}
 
 
+def obeys(p, value):
+    """Whether ``value`` meets the rule of ParamInfo ``p``."""
+    return ((not p.integer or value == round(value)) and (not p.positive or value > 0)
+            and (p.minimum is None or value >= p.minimum) and value <= p.maximum)
+
+
+def rule_cases(p):
+    """Values of ParamInfo ``p`` on each side of its rule: each bound itself (the
+    smallest positive double for ``positive``), then the value just past it and,
+    for an integer, a non-integer inside the bounds."""
+    inside, past = [], []
+    for bound, way in ((p.minimum, -1), (p.maximum, 1)):
+        if bound is not None and math.isfinite(bound):
+            inside.append(bound)
+            past.append(bound + way if p.integer else float(np.nextafter(bound, way * math.inf)))
+    if p.positive:
+        inside.append(5e-324)
+        past.append(0.0)
+    if p.integer:
+        past.append(p.default + 0.5)
+    return inside, past
+
+
 @pytest.mark.parametrize("name", list(REGISTRY))
 def test_registry_defaults_are_what_build_fills_in(name):
-    # ``pump models`` lists ParamInfo.default and required; build must agree.
-    # Patterned names (w<j>, a<j>_<m>, b<j>_<m>) are checked at j = m = 1.
+    # ``pump models`` lists ParamInfo.default and required; build must agree,
+    # and must enforce each ParamInfo's rule, which every default meets.
+    # Templated names (w<j>, a<j>_<m>, b<j>_<m>) are checked at j = m = 1 for
+    # the defaults and at j = m = 1 and j = n = 3, m = 2 for the rules.
     infos = REGISTRY[name].params
     required = {p.name: REQUIRED_VALUES[p.name] for p in infos if p.default is None}
     model = build(name, required)
@@ -159,9 +185,36 @@ def test_registry_defaults_are_what_build_fills_in(name):
         if p.default is not None:
             key = p.name.replace("<j>", "1").replace("<m>", "1")
             assert model.params[key] == p.default, key
+            assert obeys(p, p.default), key
     for key in required:
         with pytest.raises(MissingParam, match=f"model '{name}' requires parameter '{key}'"):
             build(name, {k: v for k, v in required.items() if k != key})
+    for p in infos:
+        inside, past = rule_cases(p)
+        keys = dict.fromkeys(p.name.replace("<j>", str(j)).replace("<m>", str(m))
+                             for j, m in ((1, 1), (3, 2)))
+        for key in keys:
+            base = {**required, "n": 3} if p.name != key else required
+            for value in inside:
+                assert obeys(p, value)
+                assert build(name, {**base, key: value}).params[key] == value, key
+            for value in past:
+                assert not obeys(p, value)
+                with pytest.raises(BadParamRange) as err:
+                    build(name, {**base, key: value})
+                assert err.value.field == f"params.{key}", value
+
+
+@pytest.mark.parametrize("name,key", [("random-smooth-path", "seed"),
+                                      ("diagonal-times-constant", "s0_seed")])
+def test_seeds_above_two_to_the_53_are_rejected(name, key):
+    # a seed is parsed as a double: above 2**53, 2**53 + 1 would draw the stream
+    # of 2**53 and 2**64 (masked to 64 bits) that of seed 0
+    assert build(name, {key: 2**53}).params[key] == 2**53
+    for value in (2**53 + 1, 2**64):
+        with pytest.raises(BadParamRange, match=f"params.{key}: must be <= {2**53}") as err:
+            build(name, {key: value})
+        assert err.value.field == f"params.{key}"
 
 
 def test_unknown_model_and_param():

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpump.errors import EnergyOutOfWindow, GridMismatch, NumericalFailure
 from qpump.matcore import R_K, CycleGrid, hermitian_part, unitarize
@@ -261,18 +263,20 @@ def analysed(model, grid):
     return shifts, instants, verdict, winding
 
 
-def test_right_gauge_and_relabelling_laws():
-    # S -> S V (V a fixed unitary) leaves E = i dS/dt S^dag, and all that
-    # follows from it, unchanged.  S -> P S P^T (P a cyclic permutation)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_right_gauge_and_relabelling_laws(seed, data):
+    # S -> S V (V a random unitary) leaves E = i dS/dt S^dag, and all that
+    # follows from it, unchanged.  S -> P S P^T (P any permutation)
     # relabels the channels: E -> P E P^T, and every per-channel column,
     # flag and winding is permuted by P.
     grid = CycleGrid(1.0, 128)
-    rng = np.random.default_rng(11)
+    rng = np.random.default_rng(seed)
     for name, params in ALL_BUILTINS:
         model = build(name, params)
         n, f = model.n_channels, model.matrix_fn
         v = unitarize(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        perm = np.roll(np.arange(n), 1)
+        perm = np.array(data.draw(st.permutations(range(n)), label=f"{name} relabelling"))
         p = np.eye(n)[perm]  # (P x)_j = x_perm[j]
         e, rep, verdict, winding = analysed(model, grid)
         # the excess is measured against D: on an optimal pump it is rounding
