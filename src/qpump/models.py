@@ -50,7 +50,7 @@ from .errors import (
     UnknownModel,
     UnknownParam,
 )
-from .matcore import DEFAULT_TOLERANCES, Tolerances, _frozen, unitarity_defect, unitarize
+from .matcore import DEFAULT_TOLERANCES, CycleGrid, Tolerances, _frozen, unitarity_defect, unitarize
 
 __all__ = [
     "uniform_stream",
@@ -60,7 +60,6 @@ __all__ = [
     "ModelInfo",
     "REGISTRY",
     "build",
-    "build_model",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -419,9 +418,9 @@ def _parse(info: ModelInfo, params: Mapping[str, float]) -> dict[str, float]:
             if p.integer and value != round(value):
                 raise BadParamRange(f"params.{key}", f"must be an integer, got {value!r}")
             if p.minimum is not None and raw < p.minimum:
-                raise BadParamRange(f"params.{key}", f"must be >= {p.minimum}, got {value!r}")
+                raise BadParamRange(f"params.{key}", f"must be >= {p.minimum}, got {raw}")
             if raw > p.maximum:  # the exact input: 2**53 + 1 would round onto 2**53
-                raise BadParamRange(f"params.{key}", f"must be <= {p.maximum}, got {value!r}")
+                raise BadParamRange(f"params.{key}", f"must be <= {p.maximum}, got {raw}")
             parsed[key] = value
     for key in params:
         if key not in parsed:
@@ -430,39 +429,29 @@ def _parse(info: ModelInfo, params: Mapping[str, float]) -> dict[str, float]:
     return parsed
 
 
-def _check_mu(mu: float, lo: float, hi: float) -> None:
-    """Reject a ``mu`` whose time-delay stencil ``mu +/- 2*dE`` leaves the
-    window, ``dE = ENERGY_STEP_FRACTION * (hi - lo)`` (the analysis' step)."""
-    reach = 2.0 * ENERGY_STEP_FRACTION * (hi - lo)
-    if not (lo <= mu - reach and mu + reach <= hi):
-        raise ConfigError("energy.mu", f"mu={mu!r} must lie inside window [{lo!r}, {hi!r}] "
-                          f"by the time-delay stencil's reach 2*dE = {reach:g}")
-
-
-def _window(window) -> tuple[float, float]:
-    """``window`` as ``(lo, hi)``: two reals with ``0 < lo < hi``."""
-    if not (isinstance(window, (list, tuple)) and len(window) == 2):
-        raise ConfigError("energy.window", "must be a two-element array [lo, hi]")
-    lo = _real(window[0], "energy.window", positive=True)
-    hi = _real(window[1], "energy.window")
-    if not lo < hi:
-        raise ConfigError("energy.window", f"must satisfy 0 < lo < hi, got [{lo!r}, {hi!r}]")
-    return lo, hi
-
-
 def build(name: str, params: Mapping[str, float] | None = None, *,
           period: float = 1.0, energy_window: tuple[float, float] = (0.5, 1.5),
           mu: float = 1.0, unitary_tol: float | None = None) -> PumpModel:
-    """Build a registered model directly (the configuration-free API).
+    """Build a registered model: the one check of a config's params, period,
+    window, mu and unitary tolerance, called directly or by :class:`ModelConfig`.
 
     Raises :class:`UnknownModel`, :class:`MissingParam`, :class:`BadParamRange`
     or :class:`UnknownParam`, each naming the offending key, and
     :class:`ConfigError` on the other arguments, by their config fields.
     """
     period = _real(period, "cycle.period", positive=True)
-    lo, hi = _window(energy_window)
+    if not (isinstance(energy_window, (list, tuple)) and len(energy_window) == 2):
+        raise ConfigError("energy.window", "must be a two-element array [lo, hi]")
+    lo = _real(energy_window[0], "energy.window", positive=True)
+    hi = _real(energy_window[1], "energy.window")
+    if not lo < hi:
+        raise ConfigError("energy.window", f"must satisfy 0 < lo < hi, got [{lo!r}, {hi!r}]")
     mu = _real(mu, "energy.mu")
-    _check_mu(mu, lo, hi)
+    # the time-delay stencil mu +/- 2*dE, dE = ENERGY_STEP_FRACTION * (hi - lo), stays inside
+    reach = 2.0 * ENERGY_STEP_FRACTION * (hi - lo)
+    if not (lo <= mu - reach and mu + reach <= hi):
+        raise ConfigError("energy.mu", f"mu={mu!r} must lie inside window [{lo!r}, {hi!r}] "
+                          f"by the time-delay stencil's reach 2*dE = {reach:g}")
     unitary_tol = _real(DEFAULT_TOLERANCES.tol_unitary if unitary_tol is None else unitary_tol,
                         "tolerances.tol_unitary", positive=True)
     info = REGISTRY.get(name)
@@ -522,21 +511,22 @@ def _section(doc: dict, key: str, keys: tuple[str, ...]) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class ModelConfig:
-    """Parsed analysis configuration (strict JSON schema).
+    """Parsed analysis configuration (strict JSON schema): the model and the
+    cycle grid a document describes, and how to analyse them.
 
     Top-level fields: ``model`` (registry name), ``params`` (name -> real),
     ``cycle`` = {period, samples}, ``energy`` = {mu, window, samples},
     optional ``tolerances`` (any subset of the :class:`Tolerances` fields)
     and optional ``beta`` (inverse temperature).  Unknown keys
-    anywhere are an error.
+    anywhere are an error.  :meth:`from_dict` checks the document's shape,
+    the sample counts, the tolerances and beta, and leaves the rest to
+    :func:`build`, whose :class:`PumpModel` it keeps as ``pump``; so a
+    config exists only for a model that builds.
     """
 
-    model: str
-    params: dict[str, float]
-    period: float
-    samples: int
+    pump: PumpModel
+    grid: CycleGrid
     mu: float
-    window: tuple[float, float]
     tolerances: Tolerances
     beta: float | None
     raw: dict = field(repr=False)
@@ -556,18 +546,9 @@ class ModelConfig:
             raise ConfigError("model", "must be a string")
         if not isinstance(doc["params"], dict):
             raise ConfigError("params", "must be an object")
-        params = {k: _real(v, f"params.{k}", error=BadParamRange) for k, v in doc["params"].items()}
-
         cycle = _section(doc, "cycle", ("period", "samples"))
-        period = _real(cycle["period"], "cycle.period", positive=True)
         samples = _power_of_two(cycle["samples"], "cycle.samples", minimum=8)
-        if not period / samples > 0:
-            raise ConfigError("cycle.period", f"{period!r} / {samples} samples underflows to zero")
-
         energy = _section(doc, "energy", ("mu", "window", "samples"))
-        lo, hi = _window(energy["window"])
-        mu = _real(energy["mu"], "energy.mu")
-        _check_mu(mu, lo, hi)
         _power_of_two(energy["samples"], "energy.samples")  # reserved for energy sweeps; not read
 
         tolerances = DEFAULT_TOLERANCES
@@ -586,13 +567,19 @@ class ModelConfig:
         if "beta" in doc:
             beta = _real(doc["beta"], "beta", positive=True)
 
+        pump = build(doc["model"], doc["params"], period=cycle["period"],
+                     energy_window=energy["window"], mu=energy["mu"],
+                     unitary_tol=tolerances.tol_unitary)
+        if not pump.period / samples > 0:
+            raise ConfigError("cycle.period",
+                              f"{pump.period!r} / {samples} samples underflows to zero")
+        if samples * pump.n_channels**2 > MAX_STACK_ENTRIES:
+            raise ConfigError("cycle.samples", f"{samples} samples of {pump.n_channels} "
+                              f"channels exceed the {MAX_STACK_ENTRIES}-entry stack cap")
         return cls(
-            model=doc["model"],
-            params=params,
-            period=period,
-            samples=samples,
-            mu=mu,
-            window=(lo, hi),
+            pump=pump,
+            grid=CycleGrid(pump.period, samples),
+            mu=float(energy["mu"]),  # build checked it is a finite real
             tolerances=tolerances,
             beta=beta,
             raw=doc,
@@ -610,20 +597,3 @@ class ModelConfig:
             except RecursionError as exc:
                 raise ConfigError("config", "JSON nested too deeply to parse") from exc
         return cls.from_dict(doc)
-
-
-def build_model(config: ModelConfig) -> PumpModel:
-    """Build the model a configuration refers to; :class:`ConfigError` on
-    ``cycle.samples`` if one (N, n, n) stack exceeds ``MAX_STACK_ENTRIES``."""
-    model = build(
-        config.model,
-        config.params,
-        period=config.period,
-        energy_window=config.window,
-        mu=config.mu,
-        unitary_tol=config.tolerances.tol_unitary,
-    )
-    if config.samples * model.n_channels**2 > MAX_STACK_ENTRIES:
-        raise ConfigError("cycle.samples", f"{config.samples} samples of {model.n_channels} "
-                          f"channels exceed the {MAX_STACK_ENTRIES}-entry stack cap")
-    return model

@@ -20,8 +20,7 @@ from json.encoder import encode_basestring_ascii as _quote  # what json.dumps do
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
-from .matcore import CycleGrid
-from .models import ModelConfig, build_model
+from .models import ModelConfig
 from .optimal import OptimalityVerdict, optimality_verdict
 from .shift import delay_scale, energy_shift_at, energy_shift_cycle, sample_cycle
 from .transport import InstantReport, cycle_integral, instant_report, winding_charge
@@ -354,8 +353,7 @@ class AnalysisResult:
 
 def analyze(config: ModelConfig) -> AnalysisResult:
     """Run the full cycle analysis a configuration describes."""
-    model = build_model(config)
-    grid = CycleGrid(config.period, config.samples)
+    model, grid = config.pump, config.grid
     tol = config.tolerances
     mu = config.mu
 
@@ -426,10 +424,9 @@ def analyze(config: ModelConfig) -> AnalysisResult:
 def instant_document(config: ModelConfig, t: float) -> InstantReport:
     """Single-time report for ``pump instant`` (t in [0, period)); :func:`dumps`
     writes it as one JSON object."""
-    if not (0.0 <= t < config.period):
-        raise ConfigError("t", f"must lie in [0, {config.period!r}), got {t!r}")
-    model = build_model(config)
-    grid = CycleGrid(config.period, config.samples)
+    model, grid = config.pump, config.grid
+    if not (0.0 <= t < model.period):
+        raise ConfigError("t", f"must lie in [0, {model.period!r}), got {t!r}")
     e = energy_shift_at(model, t, config.mu, grid)
     tau = delay_scale(model, config.mu, grid)
     omega = 2.0 * np.pi / model.period

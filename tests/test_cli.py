@@ -213,6 +213,17 @@ def test_exit_1_mu_outside_window(tmp_path, capsys):
     assert "energy.mu" in capsys.readouterr().err
 
 
+def test_exit_1_seed_above_two_to_the_53(tmp_path, capsys):
+    # read as a double, the seed would draw the stream of 2**53
+    doc = dict(BASE_CONFIG, model="random-smooth-path", params={"seed": 2**53 + 1})
+    cfg = write_config(tmp_path, doc)
+    assert '"seed": 9007199254740993' in Path(cfg).read_text()
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 1
+    assert "params.seed: must be <= 9007199254740992, got 9007199254740993" in (
+        capsys.readouterr().err)
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
 def test_exit_1_instant_at_period_end(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG)
     assert main(["instant", "--config", cfg, "--t", "1.0"]) == 1

@@ -63,7 +63,7 @@ MODULE_SURFACES = {
                 "frobenius_norm", "unitarity_defect", "hermitian_part", "spectral_derivative",
                 "periodic_integral", "central_derivative"],
     "models": ["uniform_stream", "PumpModel", "ModelConfig", "ParamInfo", "ModelInfo",
-               "REGISTRY", "build", "build_model"],
+               "REGISTRY", "build"],
     "optimal": ["offdiag_ratio", "DiagonalDecomposition", "OptimalityVerdict",
                 "optimality_verdict", "diagonal_decomposition"],
     "report": ["SPEC_VERSION", "ADIABATICITY_WARN", "format_float", "dumps", "AnalysisResult",

@@ -14,7 +14,8 @@ excess.  The charges and dissipations are held at 1e-12 relative to the
 scale of their quantity, the time delay at its stencil's rounding floor.
 
 Covariance: a left rotation ``S -> W S`` maps ``E -> W E W^dag``; time
-reversal ``S(t) -> S(T - t)`` maps ``E(t) -> -E(T - t)``.
+reversal ``S(t) -> S(T - t)`` maps ``E(t) -> -E(T - t)``; a monotone
+reparameterization ``S(t) -> S(f(t))`` maps ``E(t) -> f'(t) E(f(t))``.
 """
 
 import math
@@ -26,9 +27,9 @@ from scipy.special import j0
 
 from qpump.matcore import CycleGrid, unitarize
 from qpump.models import ENERGY_STEP_FRACTION, build
-from qpump.shift import energy_shift_cycle, sample_cycle, time_delay
+from qpump.shift import energy_shift_at, energy_shift_cycle, sample_cycle, time_delay
 from qpump.transport import cycle_integral, instant_report
-from reference import left_rotated, time_reversed
+from reference import left_rotated, reparameterized, time_reversed, time_warp
 from test_models import ALL_BUILTINS
 from test_shift import analysed
 
@@ -211,3 +212,29 @@ def test_time_reversal_law(pump, period, samples):
     assert verdict2.is_optimal == verdict.is_optimal
     if verdict.is_optimal:
         assert np.array_equal(winding2, -winding), (winding, winding2)
+
+
+@given(pump=st.sampled_from(ALL_BUILTINS), amplitude=st.floats(-0.5, 0.5), period=_period,
+       samples=st.sampled_from([128, 256]))
+@settings(max_examples=8, deadline=None)
+def test_reparameterization_law(pump, amplitude, period, samples):
+    # Along a monotone warp f of the cycle (f(t + T) = f(t) + T), S(t) -> S(f(t))
+    # gives E(t) -> f'(t) E(f(t)): Qdot dt is kept, so the charge per cycle is,
+    # and the off-diagonal ratio at t is that at f(t), so the verdict is.  The
+    # warped cycle is not a trigonometric polynomial; on 128 nodes or more its
+    # spectral derivative is within rounding of the law (gaps measured up to
+    # 2.8e-13 of max |E|, growing with N), where 64 nodes leave 2e-8.
+    name, params = pump
+    model = build(name, params, period=period)
+    grid = CycleGrid(period, samples)
+    f, fprime = time_warp(period, amplitude)
+    e, rep, verdict, winding = analysed(model, grid)
+    e2, rep2, verdict2, winding2 = analysed(reparameterized(model, amplitude), grid)
+    expected = [fprime(t) * energy_shift_at(model, f(t), 1.0, grid) for t in grid.times]
+    scale = np.max(np.abs(e))
+    assert np.max(np.abs(e2 - expected)) <= RTOL * scale, name
+    charge, charge2 = (cycle_integral(r.qdot, grid) for r in (rep, rep2))
+    assert np.max(np.abs(charge2 - charge)) <= RTOL * max(1.0, scale * period / (2 * np.pi))
+    assert verdict2.is_optimal == verdict.is_optimal
+    if verdict.is_optimal:
+        assert np.array_equal(winding2, winding), (winding, winding2)

@@ -23,7 +23,6 @@ from qpump.models import (
     ModelConfig,
     _uniform_rows,
     build,
-    build_model,
     uniform_stream,
 )
 from reference import SplitMix64, reparameterized, time_warp
@@ -430,11 +429,9 @@ def good_config():
 
 def test_config_roundtrip():
     cfg = ModelConfig.from_dict(good_config())
-    assert cfg.model == "flux-loop"
-    assert cfg.samples == 256
+    assert cfg.pump.name == "flux-loop" and cfg.pump.n_channels == 2
+    assert cfg.grid.samples == 256 and cfg.grid.period == cfg.pump.period == 1.0
     assert cfg.beta is None
-    model = build_model(cfg)
-    assert model.n_channels == 2
 
 
 def test_config_rejects_unknown_top_level_key():
@@ -487,6 +484,24 @@ def test_config_and_build_share_the_mu_margin(mu):
 BUILD_FIELDS = {"period": ("cycle", "period"), "energy_window": ("energy", "window"),
                 "mu": ("energy", "mu"), "unitary_tol": ("tolerances", "tol_unitary")}
 
+#: Faulty params of a model by test id, and the message both routes give for them.
+_CAP = "must be <= 9007199254740992, got"
+PARAM_FAULTS = {
+    "seed-2**53+1": ("random-smooth-path", {"seed": 2**53 + 1},
+                     f"params.seed: {_CAP} 9007199254740993"),
+    "seed-2**64": ("random-smooth-path", {"seed": 2**64},
+                   f"params.seed: {_CAP} 18446744073709551616"),
+    "s0_seed-2**53+1": ("diagonal-times-constant", {"s0_seed": 2**53 + 1},
+                        f"params.s0_seed: {_CAP} 9007199254740993"),
+    "s0_seed-2**64": ("diagonal-times-constant", {"s0_seed": 2**64},
+                      f"params.s0_seed: {_CAP} 18446744073709551616"),
+    "n-65": ("diagonal-times-constant", {"n": 65}, "params.n: must be <= 64, got 65"),
+    "w-0.5": ("flux-loop", {"k_ell": 1.0, "w": 0.5}, "params.w: must be an integer, got 0.5"),
+    "k_ell--1": ("flux-loop", {"k_ell": -1}, "params.k_ell: must be >= 0.0, got -1"),
+    "k_ell-missing": ("flux-loop", {"w": 1},
+                      "params.k_ell: model 'flux-loop' requires parameter 'k_ell'"),
+}
+
 
 @pytest.mark.parametrize("arg, value", [
     ("period", True), ("period", float("nan")), ("period", 0.0), ("period", "1.0"),
@@ -495,21 +510,32 @@ BUILD_FIELDS = {"period": ("cycle", "period"), "energy_window": ("energy", "wind
     ("energy_window", (1.5, 0.5)), ("energy_window", (0.5,)), ("energy_window", (True, 1.5)),
     ("mu", True), ("mu", None),
     ("unitary_tol", float("nan")), ("unitary_tol", 0.0), ("unitary_tol", True),
+    *(pytest.param("params", fault, id=f"params-{key}") for key, fault in PARAM_FAULTS.items()),
 ])
 def test_build_rejects_an_argument_as_its_config_field(arg, value):
-    # build checks each number as from_dict checks the field carrying it:
-    # the same ConfigError, message included
-    section, key = BUILD_FIELDS[arg]
+    # build checks each argument as a config's field carrying it is checked:
+    # the same error type and message.  A config's params reach build as
+    # given, so 2**53 + 1 is not read as 2**53 and the message names 2**53 + 1.
     doc = good_config()
-    doc.setdefault(section, {})[key] = list(value) if arg == "energy_window" else value
+    name, params, kwargs = "flux-loop", {"k_ell": 1.0}, {arg: value}
+    if arg == "params":
+        name, params, message = value
+        doc = json.loads(json.dumps(dict(doc, model=name, params=params)))
+        kwargs = {}
+    else:
+        section, key = BUILD_FIELDS[arg]
+        doc.setdefault(section, {})[key] = list(value) if arg == "energy_window" else value
     errors = []
-    for make in (lambda: ModelConfig.from_dict(doc),
-                 lambda: build("flux-loop", {"k_ell": 1.0}, **{arg: value})):
+    for make in (lambda: ModelConfig.from_dict(doc), lambda: build(name, params, **kwargs)):
         with pytest.raises(ConfigError) as err:
             make()
         errors.append(err.value)
+    assert type(errors[0]) is type(errors[1])
     assert str(errors[0]) == str(errors[1])
-    assert [e.field for e in errors] == [f"{section}.{key}"] * 2
+    if arg == "params":
+        assert str(errors[0]) == message
+    else:
+        assert [e.field for e in errors] == [f"{section}.{key}"] * 2
 
 
 def test_build_accepts_numpy_reals():
@@ -546,7 +572,7 @@ def test_config_rejects_boolean_param():
     with pytest.raises(ConfigError):
         ModelConfig.from_dict(doc)
     doc["params"].update(k_ell=np.float64(0.5), w=np.int64(2))
-    assert ModelConfig.from_dict(doc).params == {"k_ell": 0.5, "w": 2.0}
+    assert ModelConfig.from_dict(doc).pump.params == {"k_ell": 0.5, "w": 2.0, "v": 1.0}
 
 
 def test_config_tolerance_overrides():
@@ -560,7 +586,7 @@ def test_config_tolerance_overrides():
 def test_config_from_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(good_config()))
-    assert ModelConfig.from_file(path).model == "flux-loop"
+    assert ModelConfig.from_file(path).pump.name == "flux-loop"
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError):

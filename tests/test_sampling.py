@@ -10,15 +10,18 @@ judges the cycle once, and the winding count follows from it.
 """
 
 import dataclasses
+import json
 import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import qpump.models
 import qpump.optimal
 import qpump.report as report
 import qpump.transport as transport
+from qpump.cli import main
 from qpump.errors import NotOptimal
 from qpump.matcore import CycleGrid
 from qpump.models import ModelConfig
@@ -40,33 +43,37 @@ PUMPS = [
 ]
 
 
-def config(name, params):
-    return ModelConfig.from_dict({
+def document(name, params):
+    return {
         "model": name,
         "params": params,
         "cycle": {"period": 1.0, "samples": SAMPLES},
         "energy": {"mu": MU, "window": list(WINDOW), "samples": 16},
         "beta": 20.0,
-    })
+    }
+
+
+def config(name, params):
+    return ModelConfig.from_dict(document(name, params))
+
+
+class Recorder(list):
+    """Calls of a config's model ``matrix_fn`` as (times, energy) pairs:
+    ``recorded(cfg)`` is ``cfg`` with its pump's ``matrix_fn`` wrapped to record them."""
+
+    def __call__(self, cfg):
+        model = cfg.pump
+
+        def matrix_fn(times, energy):
+            self.append((np.array(times), energy))
+            return model.matrix_fn(times, energy)
+
+        return dataclasses.replace(cfg, pump=dataclasses.replace(model, matrix_fn=matrix_fn))
 
 
 @pytest.fixture
-def recorded(monkeypatch):
-    """Calls of the model's ``matrix_fn`` as (times, energy) pairs."""
-    calls = []
-    build = report.build_model
-
-    def counting_build(cfg):
-        model = build(cfg)
-
-        def matrix_fn(times, energy):
-            calls.append((np.array(times), energy))
-            return model.matrix_fn(times, energy)
-
-        return dataclasses.replace(model, matrix_fn=matrix_fn)
-
-    monkeypatch.setattr(report, "build_model", counting_build)
-    return calls
+def recorded():
+    return Recorder()
 
 
 def stencil_energies():
@@ -76,7 +83,7 @@ def stencil_energies():
 
 @pytest.mark.parametrize("name,params,per_node,optimal", PUMPS, ids=[p[0] for p in PUMPS])
 def test_analyze_eval_budget(recorded, name, params, per_node, optimal):
-    result = report.analyze(config(name, params))
+    result = report.analyze(recorded(config(name, params)))
     assert result.verdict.is_optimal == optimal
     assert sum(len(times) for times, _ in recorded) == per_node * SAMPLES
 
@@ -97,9 +104,29 @@ def test_analyze_eval_budget(recorded, name, params, per_node, optimal):
         assert off_grid == []
 
 
+@pytest.mark.parametrize("name,params", [p[:2] for p in PUMPS], ids=[p[0] for p in PUMPS])
+def test_each_command_builds_the_model_once(monkeypatch, capsys, tmp_path, name, params):
+    # the config is parsed once and carries the model it describes
+    builds = []
+    build = qpump.models.build
+
+    def counting_build(*args, **kwargs):
+        builds.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(qpump.models, "build", counting_build)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document(name, params)))
+    for argv in (["analyze", "--config", str(path), "--out", str(tmp_path / "r.json")],
+                 ["instant", "--config", str(path), "--t", "0.3"]):
+        builds.clear()
+        assert main(argv) == 0, capsys.readouterr().err
+        assert builds == [name], argv
+
+
 @pytest.mark.parametrize("name,params,per_node,optimal", PUMPS, ids=[p[0] for p in PUMPS])
 def test_instant_eval_budget(recorded, name, params, per_node, optimal):
-    report.instant_document(config(name, params), 0.3)
+    report.instant_document(recorded(config(name, params)), 0.3)
     # the offset grid for the energy shift, then the delay's five energies
     # on the cycle grid unless the model is energy independent
     calls = 1 if name in ENERGY_INDEPENDENT else 6
@@ -151,7 +178,7 @@ def test_analyze_judges_optimality_once(ratio_calls, name, params):
 
 
 def test_winding_of_a_non_optimal_verdict_samples_nothing(recorded):
-    model = report.build_model(config("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.2}))
+    model = recorded(config("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.2})).pump
     grid = CycleGrid(1.0, SAMPLES)
     samples = sample_cycle(model, MU, grid)
     shifts, _ = energy_shift_cycle(samples, grid)
