@@ -261,6 +261,8 @@ def _build_perturbed_flux_loop(params, period, mu):
 _DTC_DEGREE = 2  # trig-polynomial degree of the per-channel phases
 _MAX_SIZE = 64  # cap on channel counts and degrees: the stacks and draws grow with them
 _MAX_SEED = 2**53  # every seed up to it is exact as a double
+#: Cap on ``cycle.samples * n_channels**2``, the entries of one (N, n, n) stack (64 MiB).
+MAX_STACK_ENTRIES = 2**22
 
 
 def _build_diagonal_times_constant(params, period, mu):
@@ -391,7 +393,9 @@ REGISTRY: dict[str, ModelInfo] = {
                           integer=True, minimum=0, maximum=_MAX_SEED),
                 ParamInfo("degree", 3.0, "trig-polynomial degree, integer in 0..64",
                           integer=True, minimum=0, maximum=_MAX_SIZE),
-                ParamInfo("amplitude", 1.0, "coefficient scale, >= 0", minimum=0.0),
+                ParamInfo("amplitude", 1.0, "coefficient scale, in 0..4194304; a grid "
+                          "resolves it with more samples than the amplitude", minimum=0.0,
+                          maximum=float(MAX_STACK_ENTRIES)),
             ),
             builder=_build_random_smooth_path,
             energy_independent=True,
@@ -475,9 +479,6 @@ def build(name: str, params: Mapping[str, float] | None = None, *,
 # --------------------------------------------------------------------------
 # Configuration files.
 # --------------------------------------------------------------------------
-
-#: Cap on ``cycle.samples * n_channels**2``, the entries of one (N, n, n) stack (64 MiB).
-MAX_STACK_ENTRIES = 2**22
 
 _TOP_KEYS = ("model", "params", "cycle", "energy", "tolerances", "beta")
 _REQUIRED_TOP = ("model", "params", "cycle", "energy")

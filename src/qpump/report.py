@@ -4,11 +4,14 @@ Reports are plain JSON documents.  Serialization is deterministic: keys
 keep their insertion order, floats are written with 17 significant digits
 (enough to round-trip IEEE doubles exactly), and nothing time- or
 machine-dependent enters the document, so identical configurations yield
-byte-identical reports.  The floats of a document (arrays, the per-time
-report and scalars alike) are formatted as one block: the same bytes as
-:func:`format_float` per value, and as their list form.  A large block is
-written with array arithmetic, which gives the same bytes as ``%.17g``;
-zeros, values outside 1e-280..1e280 and 17-digit near-ties go value by value.
+byte-identical reports.  A document is written as byte tables: a record
+text with a NUL-padded field per float, repeated per row (a table per
+float array or stacked per-time report, and one for the text between).
+Its floats are formatted as one block, the same bytes as
+:func:`format_float` per value: a large block with array arithmetic, each
+distinct value once, except zeros, values outside 1e-280..1e280 and
+17-digit near-ties, which go through ``%.17g`` as small blocks do.
+The padding is stripped once, from the whole text.
 """
 
 from __future__ import annotations
@@ -51,40 +54,52 @@ _P0 = 15 - _EXP10_MAX
 _TIE_MARGIN = 1e-6
 #: Most values the array route writes at a time: about 150 bytes of temporaries each.
 _SLICE = 12288
+#: A float's field in a byte table: its text, NUL-padded to the longest,
+#: "-2.2250738585072014e-308".
+_WIDTH = 24
+_FIELD = "\0" * _WIDTH
 
 
 def format_float(value: float) -> str:
-    """17-significant-digit decimal form that parses back to the same double.
-
-    Raises :class:`NumericalFailure` on NaN and +/-inf, which strict JSON
-    cannot carry.
-    """
-    return _format_block(np.array([float(value)]))[0]
+    """17-significant-digit decimal form that parses back to the same double;
+    :class:`NumericalFailure` on NaN and +/-inf, which strict JSON cannot carry."""
+    return dumps(float(value))[:-1]
 
 
-def _format_values(values: list) -> list[str]:
-    """Each value as ``%.17g``, plus ".0" where that reads as an integer."""
+def _format_values(values: list) -> np.ndarray:
+    """Each value as ``%.17g``, plus ".0" where that reads as an integer: a
+    row of ``_WIDTH`` bytes each."""
     text = ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
-    return [t if "." in t or "e" in t else t + ".0" for t in text]
+    text = [t if "." in t or "e" in t else t + ".0" for t in text]
+    return np.array(text, dtype=f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH)
 
 
-def _format_block(x: np.ndarray) -> tuple[str, ...]:
-    """Every entry of a float array in C order as :func:`_format_values` writes
-    it, after naming the first non-finite entry in C order.  A block of at
-    least ``_ARRAY_MIN`` entries has each distinct bit pattern (0.0 and -0.0
-    differ) written once by :func:`_format_array`, which gives the same bytes
-    and hands zeros, |v| outside 1e-280..1e280 and near-ties back to
-    :func:`_format_values`, and gathered back."""
+def _format_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Texts of the entries of a float array as :func:`_format_values` writes
+    them, and the row of each entry in C order, after naming the first
+    non-finite entry in C order.  A block of at least ``_ARRAY_MIN`` entries
+    has a row per distinct bit pattern (0.0 and -0.0 differ): the digits of
+    :func:`_decimal` laid out by :func:`_text` where they are exact, in slices
+    of at most ``_SLICE`` values."""
     flat = np.asarray(x, dtype=np.float64).ravel()
     finite = np.isfinite(flat)
     if not finite.all():
         bad = format(float(flat[~finite][0]), ".17g")
         raise NumericalFailure(f"non-finite value {bad} in the report")
     if flat.size < _ARRAY_MIN:
-        return tuple(_format_values(flat.tolist()))
-    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
-    text = _format_array(bits.view(np.float64))
-    return tuple(np.fromiter(text, dtype=object, count=len(text))[inverse].tolist())
+        return _format_values(flat.tolist()), np.arange(flat.size)
+    bits = flat.view(np.uint64)
+    # rotated left, the bits sort by magnitude, then sign: each exponent is one run
+    keys, index = np.unique(bits << 1 | bits >> 63, return_inverse=True)
+    v = (keys >> 1 | keys << 63).view(np.float64)
+    rows = np.zeros((v.size, _WIDTH), np.uint8)
+    for start in range(0, v.size, _SLICE):
+        part, out = v[start:start + _SLICE], rows[start:start + _SLICE]
+        digits, k, fast = _decimal(part)
+        _text(out, part, digits, k)
+        slow = np.flatnonzero(~fast)
+        out[slow] = _format_values(part[slow].tolist())
+    return rows, index
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,35 +130,15 @@ def _pow10_table() -> tuple[np.ndarray, ...]:
     return (top, lo - (top - hi), *_split(top))
 
 
-def _text_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The four ASCII digits of 0..9999 as '<u4' entries, then the same with
-    trailing zeros as NUL; and the column maps of :func:`_text`."""
+@cache
+def _tables() -> tuple:
+    """The power table and the four ASCII digits of 0..9999 as '<u4' entries,
+    then the same with trailing zeros as NUL; built on the first large block."""
     chunk = np.empty((2, 10000, 4), np.uint8)
     chunk[:] = np.indices((10,) * 4, dtype=np.uint8).reshape(4, 10000).T + np.uint8(48)
     for j in range(4):  # digit j of i is trailing when 10**(4 - j) divides i
         chunk[1, :: 10 ** (4 - j), j] = 0
-    # A row of _text's ext: 0 sign; 1-20 the digits, digit j at 4 + j;
-    # 21-40 the same with trailing zeros as NUL, digit j at 24 + j; 41 "." or
-    # NUL; 42 the exponent's sign; 43-46 its digits; 47-51 "0", ".", "e", NUL, "\n".
-    zero, dot, e, nul, newline = 47, 48, 49, 50, 51
-    maps = []
-    for k in range(-4, 19):  # %g's fixed form; the exponent form below and from 100
-        if k < 0:
-            cols = [0, zero, dot, *[zero] * (-k - 1), *range(24, 41)]
-        elif k < 16:  # the first fraction digit is kept: "1200.0", not "1200."
-            cols = [0, *range(4, 5 + k), dot, 5 + k, *range(26 + k, 41)]
-        elif k == 16:
-            cols = [0, *range(4, 21), dot, zero]
-        else:
-            cols = [0, 4, 41, *range(25, 41), e, 42, *range(45 if k == 17 else 44, 47)]
-        maps.append(cols + [nul] * (24 - len(cols)) + [newline])
-    return chunk.view("<u4").ravel(), np.array(maps)
-
-
-@cache
-def _tables() -> tuple:
-    """The power and text tables, built when the first large block is written."""
-    return (_pow10_table(), *_text_tables())
+    return _pow10_table(), chunk.view("<u4").ravel()
 
 
 def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,10 +154,10 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 17 digits ``round(|v| 10**(16 - k))`` and exponent k of each value
     (Loitsch, PLDI 2010), and where they are exact: not at 0, ties or |v|
-    outside 1e-280..1e280."""
+    outside 1e-280..1e280 (clipped into it, so that k grows with |v|)."""
     a = np.abs(v)
     fast = (a >= 10.0**-_EXP10_MAX) & (a <= 10.0**_EXP10_MAX)
-    a[~fast] = 1.0
+    np.clip(a, 10.0**-_EXP10_MAX, 10.0**_EXP10_MAX, out=a)
     k = np.floor(np.log10(a)).astype(np.int64)
     digits, frac = _scaled(a, k)
     # log10 may be one off next to a power of ten: scale again
@@ -175,73 +170,74 @@ def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.where(carry, 10**16, digits), k + carry, fast
 
 
-def _text(v: np.ndarray, digits: np.ndarray, k: np.ndarray) -> bytes:
-    """The ``%g`` lines of the values, laid out by one column map per fixed-form
-    exponent -4..16 and two for the exponent form (below and from e100)."""
-    _, digit_table, columns = _tables()
-    group = np.where((k >= -4) & (k <= 16), k + 4, 21 + (np.abs(k) >= 100))
-    order = np.argsort(group, kind="stable")
-    digits, k = digits[order], k[order]
+def _text(out: np.ndarray, v: np.ndarray, digits: np.ndarray, k: np.ndarray) -> None:
+    """Write the ``%g`` text of each value into its zeroed row of ``out``: a
+    few slice copies from the digit tables per run of rows of one form (fixed
+    for each exponent -4..16, else with two or three exponent digits)."""
+    digit_table = _tables()[1]
     high = (digits // 10**8).astype(np.uint32)
     low = (digits - high * np.int64(10**8)).astype(np.uint32)
     # the first digit, then four chunks of 4 ("//" is faster than "%" here)
     chunks = np.array([high // 10**8, high // 10**4, high, low // 10**4, low])
     chunks[[1, 2, 4]] -= 10**4 * chunks[[0, 1, 3]]
-    later = np.logical_or.accumulate(chunks[:0:-1] != 0)[::-1]  # a later chunk is not 0
-    ext = np.empty((v.size, 52), np.uint8)
-    ext[:, 0] = np.signbit(v[order]) * np.uint8(45)  # "-"
-    ext[:, 1:21] = digit_table.take(chunks.T).view(np.uint8).reshape(-1, 20)
+    later = chunks[1:] != 0  # then "a later chunk is not 0" (accumulate is 20x slower)
+    for j in (2, 1, 0):
+        later[j] |= later[j + 1]
+    # digit j at column 3 + j, in full and with trailing zeros as NUL
+    full = digit_table.take(chunks.T).view(np.uint8).reshape(-1, 20)
     chunks[:4] += np.uint32(10000) * ~later
     chunks[4] += 10000
-    ext[:, 21:41] = digit_table.take(chunks.T).view(np.uint8).reshape(-1, 20)
-    ext[:, 41] = later[0] * np.uint8(46)  # "."
-    ext[:, 42] = np.where(k < 0, 45, 43)  # "-", "+"
-    ext[:, 43:47] = digit_table.take(np.abs(k)).view(np.uint8).reshape(-1, 4)
-    ext[:, 47:] = np.frombuffer(b"0.e\0\n", np.uint8)
-    out = np.empty((v.size, 25), np.uint8)
-    bounds = np.searchsorted(group[order], np.arange(24))
-    for g in np.flatnonzero(np.diff(bounds)).tolist():
-        rows = slice(bounds[g], bounds[g + 1])
-        out[order[rows]] = ext[rows][:, columns[g]]
-    del ext
-    return out[out != 0].tobytes()
+    stripped = digit_table.take(chunks.T).view(np.uint8).reshape(-1, 20)
+    exponent = digit_table.take(np.abs(k)).view(np.uint8).reshape(-1, 4)
+    out[:, 0] = np.signbit(v) * np.uint8(45)  # "-"
+    form = np.clip(k, -5, 17) + (k >= 100) - (k <= -100)
+    bounds = [0, *(np.flatnonzero(np.diff(form)) + 1).tolist(), v.size]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        f, row, d, z = int(form[start]), out[start:stop], full[start:stop], stripped[start:stop]
+        if -4 <= f < 0:  # "0.000" and the digits
+            row[:, 1:2 - f] = np.frombuffer(b"0.000"[:1 - f], np.uint8)
+            row[:, 2 - f:19 - f] = z[:, 3:]
+        elif 0 <= f <= 16:
+            row[:, 1:f + 2] = d[:, 3:f + 4]
+            row[:, f + 2] = 46  # "."
+            row[:, f + 3:19] = z[:, f + 4:]
+            row[:, f + 3] |= 48  # the first fraction digit is kept: "1200.0", not "1200."
+        else:  # "d.ddde-05", "d.ddde+123"
+            wide = f in (-6, 18)
+            row[:, 1] = d[:, 3]
+            row[:, 2] = later[0, start:stop] * np.uint8(46)
+            row[:, 3:19] = z[:, 4:]
+            row[:, 19:21] = np.frombuffer(b"e-" if f < 0 else b"e+", np.uint8)
+            row[:, 21:23 + wide] = exponent[start:stop, 2 - wide:]
 
 
-def _format_array(v: np.ndarray) -> list[str]:
-    """:func:`_format_values` of a finite array: the digits of :func:`_decimal`
-    written by :func:`_text` where they are exact, in slices of at most ``_SLICE``."""
-    text = []
-    for part in np.array_split(v, -(-v.size // _SLICE)):
-        digits, k, fast = _decimal(part)
-        lines = _text(part, digits, k).decode("ascii").split("\n")[:-1]
-        slow = np.flatnonzero(~fast)
-        for i, t in zip(slow.tolist(), _format_values(part[slow].tolist())):
-            lines[i] = t
-        text += lines
-    return text
-
-
-def _layout(shape: tuple, pad: str, leaf: str = "%s") -> str:
-    """Template of the nested JSON arrays of ``shape`` at indent ``pad``, one
-    ``leaf`` per innermost entry, laid out as :func:`_emit` lays out lists."""
+def _layout(shape: tuple, pad: str) -> str:
+    """The nested JSON arrays of ``shape`` at indent ``pad``, laid out as
+    :func:`_emit` lays out lists, with a field per innermost entry."""
     if not shape:
-        return leaf
+        return _FIELD
     if not shape[0]:
         return "[]"
     inner = pad + "  "
-    item = _layout(shape[1:], inner, leaf)
+    item = _layout(shape[1:], inner)
     return "[\n" + inner + (",\n" + inner).join([item] * shape[0]) + "\n" + pad + "]"
 
 
-def _literal(text: str) -> str:
-    """A JSON string as :func:`dumps` writes it into its template."""
-    return _quote(text).replace("%", "%%")
+def _array(item: str, values, pad: str, out: list, tables: list, floats: list) -> None:
+    """The JSON array at indent ``pad`` of one ``item`` per entry of ``values``
+    along its first axis, whose fields hold that entry: the text in ``out``
+    so far becomes a one-record table, and the items the next table."""
+    if not len(values):
+        out.append("[]")
+        return
+    tables += [("".join(out), 1), (",\n" + pad + "  " + item, len(values))]
+    out[:] = ["\n" + pad + "]"]
+    floats.append(values.ravel())
 
 
-def _instants(report: InstantReport, pad: str, floats: list) -> str:
+def _instants(report: InstantReport, pad: str, out: list, tables: list, floats: list) -> None:
     """A stacked report as the JSON array of its per-time records, a
-    one-time report as one record: its floats, in the order of the
-    template's leaves, go to ``floats`` as one block."""
+    one-time report as one record."""
     columns = {"Qdot": report.qdot, "D": report.total_dissipation,
                "Xs": report.excess, "r": report.residual}
     if report.sdot is not None:
@@ -250,17 +246,20 @@ def _instants(report: InstantReport, pad: str, floats: list) -> str:
     record_pad = pad + "  " if stacked else pad
     item = record_pad + "  "
     leaves = _layout(report.qdot.shape[-1:], item)
-    fields = [item + '"t": %s', *(f"{item}{_literal(key)}: {leaves}" for key in columns),
+    fields = [item + '"t": ' + _FIELD, *(f"{item}{_quote(key)}: {leaves}" for key in columns),
               f'{item}"regime_ok": {"true" if report.regime_ok else "false"}']
     record = "{\n" + ",\n".join(fields) + "\n" + record_pad + "}"
-    block = np.column_stack([np.atleast_1d(report.t), *map(np.atleast_2d, columns.values())])
-    floats.append(block.ravel())
-    return _layout(block.shape[:1], pad, record) if stacked else record
+    if stacked:
+        _array(record, np.column_stack([report.t, *columns.values()]), pad, out, tables, floats)
+    else:
+        out.append(record)
+        floats += [[report.t], *columns.values()]
 
 
-def _emit(obj, indent: int, out: list, floats: list) -> None:
-    """Append the text of ``obj`` to ``out`` with a "%s" leaf per float (and
-    "%" doubled elsewhere); its floats go to ``floats`` in leaf order."""
+def _emit(obj, indent: int, out: list, tables: list, floats: list) -> None:
+    """Append the text of ``obj`` to ``out`` with a field per float, and its
+    floats to ``floats``; a float array or a stacked :class:`InstantReport`
+    is a table of its own (:func:`_array`)."""
     pad = "  " * indent
     if isinstance(obj, (dict, list, tuple)):
         is_dict = isinstance(obj, dict)
@@ -270,58 +269,74 @@ def _emit(obj, indent: int, out: list, floats: list) -> None:
             return
         out.append(brackets[0] + "\n")
         for i, (key, value) in enumerate(obj.items() if is_dict else enumerate(obj)):
-            out.append(f"{pad}  {_literal(str(key))}: " if is_dict else pad + "  ")
-            _emit(value, indent + 1, out, floats)
+            out.append(f"{pad}  {_quote(str(key))}: " if is_dict else pad + "  ")
+            _emit(value, indent + 1, out, tables, floats)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + brackets[1])
     elif isinstance(obj, InstantReport):
-        out.append(_instants(obj, pad, floats))
-    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
-        out.append(_layout(obj.shape, pad))
-        floats.append(obj.ravel())
+        _instants(obj, pad, out, tables, floats)
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim:
+        _array(_layout(obj.shape[1:], pad + "  "), obj, pad, out, tables, floats)
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
     elif obj is None:
         out.append("null")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append("%s")
+    elif isinstance(obj, (float, np.floating, np.ndarray)) and np.asarray(obj).dtype.kind == "f":
+        out.append(_FIELD)
         floats.append([float(obj)])
     elif isinstance(obj, str):
-        out.append(_literal(obj))
+        out.append(_quote(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _write(tables: list, floats: list) -> str:
+    """The text of ``tables``, ``(record, count)`` pairs, whose fields hold the
+    texts of ``floats`` in order, formatted as one block; a record that starts
+    with "," (an item of a JSON array) starts with "[" the first time."""
+    # np.empty(0) keeps the concatenation defined for a document without floats
+    rows, index = _format_block(np.concatenate([np.empty(0), *floats]))
+    lines = [(record.encode(), count) for record, count in tables if record]
+    text = bytearray(sum(len(line) * count for line, count in lines))
+    at = start = 0
+    for line, count in lines:
+        table = np.frombuffer(text, np.uint8, len(line) * count, at).reshape(count, -1)
+        table[:] = np.frombuffer(line, np.uint8)
+        fields = np.flatnonzero(table[0] == 0)  # every byte of every field
+        block = index[start:start + count * fields.size // _WIDTH].reshape(count, -1)
+        if count == 1:  # one assignment
+            table[0, fields] = rows[block[0]].ravel()
+        else:  # a slice per field
+            for j, field in enumerate(fields[::_WIDTH].tolist()):
+                table[:, field:field + _WIDTH] = rows[block[:, j]]
+        if line.startswith(b","):
+            table[0, 0] = ord("[")
+        at, start = at + table.size, start + block.size
+    # no byte of the text is NUL (_quote writes "\u0000"): what is left of it is padding
+    text = text.translate(None, b"\0")  # and the padded text is freed
+    return text.decode()
 
 
 def dumps(obj) -> str:
     """Deterministic JSON text (insertion-ordered keys, 17-digit floats); float
     arrays and :class:`InstantReport` records are written as their list form.
-    All floats of the document are formatted as one block."""
-    out: list[str] = []
-    floats: list = []
-    _emit(obj, 0, out, floats)
-    out.append("\n")
-    # np.empty(0) keeps the concatenation defined for a document without floats
-    return "".join(out) % _format_block(np.concatenate([np.empty(0), *floats]))
+    The text is a few byte tables, each a record with a NUL-padded field per
+    float repeated per row; all floats are formatted as one block."""
+    out, tables, floats = [], [], []
+    _emit(obj, 0, out, tables, floats)
+    return _write([*tables, ("".join(out) + "\n", 1)], floats)
 
 
 def _verdict_entry(verdict: OptimalityVerdict) -> dict:
-    decomposition = None
-    if verdict.decomposition is not None:
-        s0 = verdict.decomposition.constant
-        decomposition = {
-            "phases": verdict.decomposition.phases,
-            "constant_real": s0.real,
-            "constant_imag": s0.imag,
-        }
-    return {
-        "is_optimal": verdict.is_optimal,
-        "max_offdiag_ratio": verdict.max_offdiag_ratio,
-        "worst_time": verdict.worst_time,
-        "per_channel_saturation": [bool(b) for b in verdict.per_channel_saturation],
-        "decomposition": decomposition,
-    }
+    d = verdict.decomposition
+    decomposition = None if d is None else {
+        "phases": d.phases, "constant_real": d.constant.real, "constant_imag": d.constant.imag}
+    return {"is_optimal": verdict.is_optimal, "max_offdiag_ratio": verdict.max_offdiag_ratio,
+            "worst_time": verdict.worst_time,
+            "per_channel_saturation": [bool(b) for b in verdict.per_channel_saturation],
+            "decomposition": decomposition}
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,23 +354,19 @@ class AnalysisResult:
         """The time series as CSV: ``t, Qdot_1..n, D_1..n[, Sdot_1..n,
         Ndot_1..n], rho``; formatted on demand."""
         report = self.instants
-        blocks = [report.qdot, report.total_dissipation]
-        names = ["Qdot", "D"]
+        blocks = {"Qdot": report.qdot, "D": report.total_dissipation}
         if report.sdot is not None:
-            blocks += [report.sdot, report.ndot]
-            names += ["Sdot", "Ndot"]
-        n = report.qdot.shape[1]
-        header = ["t"] + [f"{name}_{j + 1}" for name in names for j in range(n)] + ["rho"]
-        table = np.column_stack([report.t, *blocks, self.verdict.ratios])
-        row = ",".join(["%s"] * table.shape[1]) + "\n"
-        return ",".join(header) + "\n" + (row * len(table)) % _format_block(table)
+            blocks.update(Sdot=report.sdot, Ndot=report.ndot)
+        channels = range(1, report.qdot.shape[1] + 1)
+        header = ["t", *(f"{name}_{j}" for name in blocks for j in channels), "rho"]
+        table = np.column_stack([report.t, *blocks.values(), self.verdict.ratios])
+        record = ",".join([_FIELD] * table.shape[1]) + "\n"
+        return _write([(",".join(header) + "\n", 1), (record, len(table))], [table.ravel()])
 
 
 def analyze(config: ModelConfig) -> AnalysisResult:
     """Run the full cycle analysis a configuration describes."""
-    model, grid = config.pump, config.grid
-    tol = config.tolerances
-    mu = config.mu
+    model, grid, tol, mu = config.pump, config.grid, config.tolerances, config.mu
 
     # S(t, mu) is sampled once; every stage below reuses it.
     samples = sample_cycle(model, mu, grid)
@@ -373,31 +384,21 @@ def analyze(config: ModelConfig) -> AnalysisResult:
         winding = winding_charge(model, mu, grid, samples, verdict)
         gap = float(np.max(np.abs(charge - winding)))
         if gap >= tol.tol_charge:
-            raise NumericalFailure(
-                f"cycle charge differs from winding integers by {gap:.3e} "
-                f"(tol_charge {tol.tol_charge:g})"
-            )
-
-    dissipated = cycle_integral(instants.total_dissipation, grid)
+            raise NumericalFailure(f"cycle charge differs from winding integers by "
+                                   f"{gap:.3e} (tol_charge {tol.tol_charge:g})")
 
     warnings: list[str] = []
     flagged = np.flatnonzero(herm_defect >= tol.tol_herm)
     if flagged.size:
         first = flagged[0]
-        warnings.append(
-            f"elevated hermiticity defect on {flagged.size} of {grid.samples} samples; "
-            f"worst: hermiticity defect {herm_defect[first]:.3e} at "
-            f"t={grid.times[first]:.6g} exceeds {tol.tol_herm:g}"
-        )
+        warnings.append(f"elevated hermiticity defect on {flagged.size} of {grid.samples} "
+                        f"samples; worst: hermiticity defect {herm_defect[first]:.3e} at "
+                        f"t={grid.times[first]:.6g} exceeds {tol.tol_herm:g}")
     if epsilon >= ADIABATICITY_WARN:
-        warnings.append(
-            f"adiabaticity parameter {epsilon:.6g} >= {ADIABATICITY_WARN}; "
-            "the instantaneous description is questionable for this cycle"
-        )
+        warnings.append(f"adiabaticity parameter {epsilon:.6g} >= {ADIABATICITY_WARN}; "
+                        "the instantaneous description is questionable for this cycle")
     if config.beta is not None and not instants.regime_ok:
-        warnings.append(
-            "entropy/noise regime check failed: need omega < 1/beta < 1/tau"
-        )
+        warnings.append("entropy/noise regime check failed: need omega < 1/beta < 1/tau")
 
     document = {
         "config": config.raw,
@@ -406,17 +407,14 @@ def analyze(config: ModelConfig) -> AnalysisResult:
         "cycle": {
             "charge": charge,
             "winding": None if winding is None else [int(w) for w in winding],
-            "dissipated_per_cycle": dissipated,
+            "dissipated_per_cycle": cycle_integral(instants.total_dissipation, grid),
             "adiabaticity": epsilon,
             "period": grid.period,
             "samples": grid.samples,
         },
         "optimality": _verdict_entry(verdict),
         "warnings": warnings,
-        "versions": {
-            "spec_version": SPEC_VERSION,
-            "tolerances": asdict(tol),
-        },
+        "versions": {"spec_version": SPEC_VERSION, "tolerances": asdict(tol)},
     }
     return AnalysisResult(document=document, instants=instants, verdict=verdict)
 

@@ -21,7 +21,7 @@ from qpump import cli
 from qpump.cli import main
 from qpump.errors import NumericalFailure
 from qpump.matcore import DEFAULT_TOLERANCES, Tolerances
-from qpump.models import ModelConfig
+from qpump.models import MAX_STACK_ENTRIES, ModelConfig
 from qpump.report import (_ARRAY_MIN, _P0, _format_block, _pow10_table, _scaled, analyze, dumps,
                           format_float, instant_document)
 
@@ -222,6 +222,25 @@ def test_exit_1_seed_above_two_to_the_53(tmp_path, capsys):
     assert "params.seed: must be <= 9007199254740992, got 9007199254740993" in (
         capsys.readouterr().err)
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+def test_exit_1_amplitude_beyond_any_grid(tmp_path, capsys):
+    # H overflows (1e308) or no grid within MAX_STACK_ENTRIES resolves it (1e200):
+    # a config error naming the parameter, not a numerical failure
+    cycle = {"period": 1.0, "samples": 64}
+    for amplitude in (1e308, 1e200):
+        doc = dict(BASE_CONFIG, model="random-smooth-path", params={"amplitude": amplitude},
+                   cycle=cycle)
+        cfg = write_config(tmp_path, doc)
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 1
+        assert (f"params.amplitude: must be <= {float(MAX_STACK_ENTRIES)!r}, got {amplitude!r}"
+                in capsys.readouterr().err)
+    # at the cap the entries are finite: too coarse a grid is a resolution failure
+    doc = dict(BASE_CONFIG, model="random-smooth-path",
+               params={"amplitude": float(MAX_STACK_ENTRIES)}, cycle=cycle)
+    cfg = write_config(tmp_path, doc)
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+    assert "the grid does not resolve the cycle" in capsys.readouterr().err
 
 
 def test_exit_1_instant_at_period_end(tmp_path, capsys):
@@ -547,6 +566,14 @@ BLOCK_POOL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -3.0, 0.
               1.7976931348623157e308, -1.7976931348623157e308)
 
 
+def block_texts(block):
+    """Each entry of ``block`` as :func:`_format_block` writes it: its row of
+    the distinct texts, NUL padding dropped."""
+    rows, index = _format_block(block)
+    lines = np.column_stack([rows[index], np.full(index.size, ord("\n"), np.uint8)])
+    return lines.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+
+
 def float_texts(text):
     """Every float of a JSON text as written, in document order."""
     texts = []
@@ -570,7 +597,7 @@ def pooled_blocks(draw):
 @settings(max_examples=200, deadline=None)
 def test_format_block_matches_the_per_value_rule(block):
     # repeated entries are formatted once; every one must still read as its own value
-    assert _format_block(block) == tuple(reference_float(v) for v in block.ravel().tolist())
+    assert block_texts(block) == [reference_float(v) for v in block.ravel().tolist()]
     text = dumps({"x": block, "y": [*block.ravel().tolist(), 2.5]})
     assert float_texts(text) == [*map(reference_float, block.ravel().tolist() * 2), "2.5"]
     assert dumps({"x": block}) == dumps({"x": block.tolist()})
@@ -594,7 +621,7 @@ def large_block(values, rng, cols=8):
 @settings(max_examples=60, deadline=None)
 def test_format_block_matches_the_per_value_rule_in_a_large_block(values, seed):
     block = large_block(values, np.random.default_rng(seed))
-    assert _format_block(block) == tuple(reference_float(v) for v in block.ravel().tolist())
+    assert block_texts(block) == [reference_float(v) for v in block.ravel().tolist()]
     text = dumps({"x": block, "y": [*block.ravel().tolist(), 2.5]})
     assert float_texts(text) == [*map(reference_float, block.ravel().tolist() * 2), "2.5"]
     assert dumps({"x": block}) == dumps({"x": block.tolist()})
@@ -606,8 +633,8 @@ def test_format_block_matches_the_per_value_rule_in_a_large_block(values, seed):
 def test_format_float_matches_scalar_rule_in_a_large_block(values):
     # the values of format_float's property, written by the array route
     block = np.resize(np.array(values), _ARRAY_MIN)
-    texts = _format_block(block)
-    assert texts == tuple(map(reference_float, block.tolist()))
+    texts = block_texts(block)
+    assert texts == list(map(reference_float, block.tolist()))
     assert [float(t) for t in texts[:len(values)]] == values
 
 
@@ -646,7 +673,7 @@ def test_array_route_matches_the_per_value_rule_on_a_corpus():
     corpus = np.concatenate([raw.view(float), bits.view(float), signed, -signed])
     corpus = corpus[np.isfinite(corpus)]
     assert corpus.size > 10**6
-    assert _format_block(corpus) == tuple(map(reference_float, corpus.tolist()))
+    assert block_texts(corpus) == list(map(reference_float, corpus.tolist()))
 
 
 def test_power_table_is_accurate_to_2_pow_minus_104():
@@ -683,12 +710,34 @@ def test_non_finite_error_names_the_first_entry_in_c_order():
 
 
 def test_dumps_keeps_percent_signs():
-    # floats are substituted into the document's text in one pass; its strings
-    # must come out unchanged
+    # floats fill NUL-padded fields of the document's text, and the padding
+    # is stripped from the whole text at once; its strings must come out
+    # unchanged, NUL included
     doc = {"100%": "a %s b %% c %(x)s", "x": [1.5, "%d", {"%": -0.0}], "y": np.array([0.5])}
     text = dumps(doc)
     assert json.loads(text) == {**doc, "y": [0.5]}
     assert text == json.dumps({**doc, "y": [0.5]}, indent=2) + "\n"
+    # next to float blocks of the array route (quarter-integers read the same
+    # as json.dumps writes them)
+    strings = ["\x00", "%s", "%%", "%(x)s", 'say "%s"', "\u00e9\u20ac\U0001f600", "a\x00%s\x00b"]
+    block = np.arange(-_ARRAY_MIN // 2, _ARRAY_MIN // 2).reshape(-1, 8) / 4
+    doc = {key: [key, block, {key + "\x00%": 0.5}, -0.0] for key in strings}
+    plain = {key: [key, block.tolist(), {key + "\x00%": 0.5}, -0.0] for key in strings}
+    assert dumps(doc) == json.dumps(plain, indent=2) + "\n"
+
+
+def check_report(result):
+    """A benchmark-sized analysis written as the per-value rule writes it:
+    the report as its list-of-records form, every float as
+    ``reference_float`` and every CSV row entry by entry."""
+    report = result.instants
+    text = dumps(result.document)
+    assert text == dumps(dict(result.document, instants=instant_records(report)))
+    assert all(t == reference_float(float(t)) for t in float_texts(text))
+    table = np.column_stack([report.t, report.qdot, report.total_dissipation, report.sdot,
+                             report.ndot, result.verdict.ratios])
+    rows = result.csv_text.splitlines()[1:]
+    assert rows == [",".join(map(reference_float, row)) for row in table.tolist()]
 
 
 def test_benchmark_sized_optimal_report_matches_the_per_value_rule():
@@ -704,14 +753,33 @@ def test_benchmark_sized_optimal_report_matches_the_per_value_rule():
                              report.residual, report.sdot, report.ndot])
     assert block.shape == (1024, 19)
     assert np.unique(block.view(np.uint64)).size < block.size / 2
-    as_records = dict(result.document, instants=instant_records(report))
-    text = dumps(result.document)
-    assert text == dumps(as_records)
-    assert all(t == reference_float(float(t)) for t in float_texts(text))
-    table = np.column_stack([report.t, report.qdot, report.total_dissipation, report.sdot,
-                             report.ndot, result.verdict.ratios])
-    rows = result.csv_text.splitlines()[1:]
-    assert rows == [",".join(map(reference_float, row)) for row in table.tolist()]
+    check_report(result)
+
+
+def test_benchmark_sized_generic_report_matches_the_per_value_rule():
+    # a generic pump at N = 1024: nearly every per-time double is distinct,
+    # so the array route writes most of the report
+    doc = dict(BASE_CONFIG, model="random-smooth-path",
+               params={"n": 3, "seed": 7, "degree": 3, "amplitude": 1.0},
+               cycle={"period": 1.0, "samples": 1024})
+    result = analyze(ModelConfig.from_dict(doc))
+    report = result.instants
+    assert not result.verdict.is_optimal and report.sdot is not None
+    block = np.column_stack([report.t, report.qdot, report.total_dissipation, report.excess,
+                             report.residual, report.sdot, report.ndot])
+    assert block.shape == (1024, 19)
+    assert np.unique(block.view(np.uint64)).size >= 0.9 * block.size
+    check_report(result)
+
+
+def test_import_leaves_the_tables_unbuilt():
+    # a process that writes no large block never builds the digit and power
+    # tables, so importing the CLI stays cheap
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import qpump.cli, qpump.report as r; print(r._tables.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "0\n")
 
 
 def test_exit_2_charge_winding_gap(tmp_path, capsys):
