@@ -126,6 +126,9 @@ class PumpModel:
     ``matrix_fn(times, E)`` maps a 1-D array of N times and one energy to
     the ``(N, n, n)`` stack of scattering matrices; :meth:`sample`
     certifies such a stack and :meth:`eval` is its one-time case.
+    ``delay`` declares the time delay: a number c means
+    ``-i dS/dE S^dag = c I`` at every (t, E) of the window; ``None`` means
+    it is not declared, and :mod:`qpump.shift` differentiates S in energy.
     Instances are immutable and evaluation is pure, so models may be
     shared freely between threads.
     """
@@ -137,7 +140,7 @@ class PumpModel:
     params: Mapping[str, float]
     matrix_fn: Callable[[np.ndarray, float], np.ndarray] = field(repr=False)
     unitary_tol: float = DEFAULT_TOLERANCES.tol_unitary
-    energy_independent: bool = False  # declared dS/dE = 0: a zero time delay, never sampled
+    delay: float | None = None
 
     def sample(self, times, energy: float) -> np.ndarray:
         """Certified ``(N, n, n)`` stack of S at the given times and energy E;
@@ -328,8 +331,16 @@ class ModelInfo:
     description: str
     n_channels: str
     params: tuple[ParamInfo, ...]  # the schema, in parse order
+    delay: Callable = field(repr=False)  # (params, mu) -> c of the delay c I
     builder: Callable = field(repr=False)  # (params, period, mu) -> (n_channels, matrix_fn)
-    energy_independent: bool = False
+
+
+def _loop_delay(params, mu):
+    return params["k_ell"] / mu  # d(k_ell*E/mu)/dE: the loop traversal time l/v
+
+
+def _no_delay(params, mu):
+    return 0.0
 
 
 _CHANNELS = ParamInfo("n", 2.0, "number of channels, integer in 1..64",
@@ -348,6 +359,7 @@ REGISTRY: dict[str, ModelInfo] = {
                 ParamInfo("w", 1.0, "integer flux winding per cycle", integer=True),
                 ParamInfo("v", 1.0, "dispersion velocity E = v*k, > 0", positive=True),
             ),
+            delay=_loop_delay,
             builder=_build_flux_loop,
         ),
         ModelInfo(
@@ -362,6 +374,7 @@ REGISTRY: dict[str, ModelInfo] = {
                 ParamInfo("w", 1.0, "integer flux winding per cycle", integer=True),
                 ParamInfo("v", 1.0, "dispersion velocity, > 0", positive=True),
             ),
+            delay=_loop_delay,
             builder=_build_perturbed_flux_loop,
         ),
         ModelInfo(
@@ -379,8 +392,8 @@ REGISTRY: dict[str, ModelInfo] = {
                 ParamInfo("a<j>_<m>", 0.0, "cosine coefficient of channel j, mode m"),
                 ParamInfo("b<j>_<m>", 0.0, "sine coefficient of channel j, mode m"),
             ),
+            delay=_no_delay,
             builder=_build_diagonal_times_constant,
-            energy_independent=True,
         ),
         ModelInfo(
             name="random-smooth-path",
@@ -397,8 +410,8 @@ REGISTRY: dict[str, ModelInfo] = {
                           "resolves it with more samples than the amplitude", minimum=0.0,
                           maximum=float(MAX_STACK_ENTRIES)),
             ),
+            delay=_no_delay,
             builder=_build_random_smooth_path,
-            energy_independent=True,
         ),
     ]
 }
@@ -472,7 +485,7 @@ def build(name: str, params: Mapping[str, float] | None = None, *,
         params=MappingProxyType(parsed),
         matrix_fn=matrix_fn,
         unitary_tol=unitary_tol,
-        energy_independent=info.energy_independent,
+        delay=info.delay(parsed, mu),
     )
 
 

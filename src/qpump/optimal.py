@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import DEFAULT_TOLERANCES, Tolerances, frobenius_norm
-from .transport import InstantReport
+from .transport import RESIDUAL_FLOOR, InstantReport
 
 __all__ = [
     "offdiag_ratio",
@@ -25,10 +25,6 @@ __all__ = [
 
 #: Exclusive limit of :func:`diagonal_decomposition`'s off-diagonal and reconstruction errors.
 DECOMPOSITION_TOL = 1e-8
-
-#: Floor of the saturation threshold, relative to a channel's largest
-#: dissipation: it absorbs rounding in the residual ``D - (R_K/2) Qdot^2``.
-SATURATION_FLOOR = 64.0 * np.finfo(float).eps
 
 
 def offdiag_ratio(e: np.ndarray) -> float | np.ndarray:
@@ -84,8 +80,8 @@ def _saturation_flags(instants: InstantReport, tol: Tolerances) -> tuple[bool, .
     worst = instants.residual.max(axis=0)
     scale = instants.total_dissipation.max(axis=0)
     # tol_opt bounds the off-diagonal *ratio*; residuals scale with its
-    # square.
-    threshold = np.maximum(SATURATION_FLOOR * scale, tol.tol_opt**2 * scale)
+    # square.  The floor absorbs rounding in ``D - (R_K/2) Qdot^2``.
+    threshold = np.maximum(RESIDUAL_FLOOR * scale, tol.tol_opt**2 * scale)
     return tuple(bool(b) for b in worst <= threshold)
 
 

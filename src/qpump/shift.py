@@ -2,9 +2,12 @@
 
 The energy shift is the Hermitian matrix ``i dS/dt S^dag`` (hbar = 1)
 evaluated on the cycle grid with spectral time differentiation; its dual
-under t <-> E exchange is the Wigner time delay ``-i dS/dE S^dag``,
-computed by fourth-order central differences because the energy
-dependence is not periodic.  Diagonal entries of the energy shift drive
+under t <-> E exchange is the Wigner time delay ``-i dS/dE S^dag``.
+Every built-in model declares that delay as ``c I`` (its
+:attr:`~qpump.models.PumpModel.delay`), so tau is ``|c|`` and no energy
+is sampled; only a model with ``delay=None`` has it computed, by
+fourth-order central differences because the energy dependence is not
+periodic.  Diagonal entries of the energy shift drive
 the channel currents; off-diagonal entries drive excess dissipation,
 entropy and noise (see :mod:`qpump.transport`).
 """
@@ -81,16 +84,10 @@ def energy_shift_at(model: PumpModel, t: float, mu: float, grid: CycleGrid) -> n
     return _shift_stack(s[:1], ds[:1], np.array([float(t)]))[0][0]
 
 
-def _delay_raw(model: PumpModel, times: np.ndarray, mu: float, dE: float,
-               samples: np.ndarray | None = None) -> np.ndarray:
-    """Unsymmetrized ``-i dS/dE S^dag`` at each time, (N, n, n).
-
-    The energy derivative uses a fourth-order central difference with
-    step ``dE``, whose stencil reaches mu +/- 2*dE; all five stencil
-    energies must lie inside the model's window.  ``samples`` may supply
-    S(times, mu), leaving the four stencil energies to be sampled.  An
-    energy-independent model samples nothing: its delay is exactly zero.
-    """
+def _check_stencil(model: PumpModel, mu: float, dE: float) -> None:
+    """Check the stencil of step ``dE`` at mu: ``dE > 0`` and the five energies
+    mu, mu +/- dE, mu +/- 2*dE inside the model's window.  A declared delay
+    samples none of them but is held to the same guards."""
     if not dE > 0:
         raise ValueError("dE must be positive")
     lo, hi = model.energy_window
@@ -99,28 +96,39 @@ def _delay_raw(model: PumpModel, times: np.ndarray, mu: float, dE: float,
             f"stencil [mu-2dE, mu+2dE] = [{mu - 2 * dE:g}, {mu + 2 * dE:g}] "
             f"exceeds window [{lo:g}, {hi:g}]"
         )
-    if model.energy_independent:
-        return np.zeros((len(times), model.n_channels, model.n_channels), dtype=complex)
+
+
+def _stencil_delay(model: PumpModel, times: np.ndarray, mu: float, dE: float,
+                   samples: np.ndarray | None = None) -> np.ndarray:
+    """Exactly Hermitian ``-i dS/dE S^dag`` at each time, (N, n, n), by a
+    fourth-order central difference with step ``dE``; ``samples`` may supply
+    S(times, mu), leaving the four stencil energies to be sampled."""
     s = model.sample(times, mu) if samples is None else samples
     ds_de = central_derivative(lambda energy: model.sample(times, energy), mu, dE)
-    return -1j * (ds_de @ s.conj().swapaxes(1, 2))
+    return hermitian_part(-1j * (ds_de @ s.conj().swapaxes(1, 2)))[0]
 
 
 def time_delay(model: PumpModel, t: float, mu: float, dE: float) -> np.ndarray:
     """Wigner time delay ``-i dS/dE S^dag`` at (t, mu) as an exactly Hermitian
-    (n, n) array (units of time), by a fourth-order central difference with
-    step ``dE`` (see :func:`_delay_raw`)."""
-    return hermitian_part(_delay_raw(model, np.array([float(t)]), mu, dE)[0])[0]
+    (n, n) array (units of time): ``c I`` for a model that declares its delay
+    c, else a fourth-order central difference with step ``dE``."""
+    _check_stencil(model, mu, dE)
+    if model.delay is not None:
+        return model.delay * np.eye(model.n_channels, dtype=complex)
+    return _stencil_delay(model, np.array([float(t)]), mu, dE)[0]
 
 
 def delay_scale(model: PumpModel, mu: float, grid: CycleGrid,
                 samples: np.ndarray | None = None) -> float:
-    """Largest spectral norm of the time delay over the cycle (tau), with
-    step ``dE = ENERGY_STEP_FRACTION * (hi - lo)`` over the energy window;
-    the stencil centre reuses ``samples`` (S(t, mu) on the grid) if given."""
+    """Largest spectral norm of the time delay over the cycle (tau): ``|c|``
+    for a model that declares its delay ``c I``, sampling nothing.  Otherwise
+    the stencil of step ``dE = ENERGY_STEP_FRACTION * (hi - lo)`` over the
+    energy window runs on the grid, its centre reusing ``samples`` (S(t, mu)
+    on the grid) if given."""
     lo, hi = model.energy_window
-    raw = _delay_raw(model, grid.times, mu, ENERGY_STEP_FRACTION * (hi - lo), samples)
-    if model.energy_independent:  # raw is exactly zero: skip the per-node SVD
-        return 0.0
-    return float(np.max(np.linalg.norm(hermitian_part(raw)[0], ord=2, axis=(1, 2))))
-
+    dE = ENERGY_STEP_FRACTION * (hi - lo)
+    _check_stencil(model, mu, dE)
+    if model.delay is not None:
+        return abs(model.delay)
+    delay = _stencil_delay(model, grid.times, mu, dE, samples)
+    return float(np.max(np.linalg.norm(delay, ord=2, axis=(1, 2))))

@@ -45,8 +45,10 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 _FOUR_PI = 4.0 * np.pi
 
-#: Most negative dissipation-bound residual an instant report accepts as rounding.
-RESIDUAL_FLOOR = 1e-12
+#: Most negative dissipation-bound residual an instant report accepts as rounding,
+#: relative to the channel's largest dissipation over the report's times.  The
+#: residual is a subtraction from D, so its rounding grows with D (and D with 1/T^2).
+RESIDUAL_FLOOR = 64.0 * np.finfo(float).eps
 
 #: Tolerance of the identity ``D = joule + excess``, relative to ``max(1, |D|)``.
 IDENTITY_TOL = 1e-12
@@ -149,7 +151,8 @@ class InstantReport:
     def __post_init__(self):
         if np.any(self.total_dissipation < 0.0):
             raise NumericalFailure("negative dissipation in instant report")
-        if np.any(self.residual < -RESIDUAL_FLOOR):
+        scale = np.max(np.atleast_2d(self.total_dissipation), axis=0)  # max_t D_j
+        if np.any(self.residual < -RESIDUAL_FLOOR * scale):
             raise NumericalFailure(
                 f"dissipation bound violated: min residual {self.residual.min():.3e}"
             )

@@ -157,27 +157,18 @@ def time_warp(period: float, amplitude: float = 0.1):
 
 
 def reparameterized(model: PumpModel, amplitude: float = 0.1) -> PumpModel:
-    """The same pump along the warped time ``t -> f(t)``; keeps ``energy_independent``."""
+    """The same pump along the warped time ``t -> f(t)``; keeps ``delay``."""
     f, _ = time_warp(model.period, amplitude)
 
     def matrix(times, energy):
         return model.matrix_fn(f(times), energy)
 
-    return PumpModel(
-        name=f"{model.name}+warp",
-        n_channels=model.n_channels,
-        period=model.period,
-        energy_window=model.energy_window,
-        params=model.params,
-        matrix_fn=matrix,
-        unitary_tol=model.unitary_tol,
-        energy_independent=model.energy_independent,
-    )
+    return replace(model, name=f"{model.name}+warp", matrix_fn=matrix)
 
 
 def left_rotated(model: PumpModel, w: np.ndarray) -> PumpModel:
     """The pump ``S -> W S`` for a constant unitary ``W``, whose energy shift
-    is ``W E W^dag``; keeps ``energy_independent``."""
+    is ``W E W^dag``; keeps ``delay`` (``W c I W^dag = c I``)."""
     w = np.asarray(w, dtype=complex)
 
     def matrix(times, energy):
@@ -188,7 +179,7 @@ def left_rotated(model: PumpModel, w: np.ndarray) -> PumpModel:
 
 def time_reversed(model: PumpModel) -> PumpModel:
     """The pump run backwards, ``S'(t) = S(T - t)``, whose energy shift is
-    ``-E(T - t)``; keeps ``energy_independent``.  On a cycle grid node i
+    ``-E(T - t)``; keeps ``delay``.  On a cycle grid node i
     maps to node -i mod N."""
 
     def matrix(times, energy):

@@ -17,6 +17,7 @@ and review the diff.
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -107,6 +108,16 @@ def test_analyze_matches_golden(tmp_path, name, beta):
     stem = GOLDEN / case_id(name, beta)
     assert report == (stem.with_suffix(".json")).read_text()
     assert series == (stem.with_suffix(".csv")).read_text()
+
+
+@pytest.mark.parametrize("name,beta", [c for c in CASES if c[0] in ("flux", "perturbed")],
+                         ids=[case_id(*c) for c in CASES if c[0] in ("flux", "perturbed")])
+def test_flux_adiabaticity_is_the_declared_delay(name, beta):
+    # omega * tau with tau = k_ell/mu exactly: the fixtures hold no stencil error
+    _, params, period, _, mu = MODELS[name]
+    report = json.loads((GOLDEN / f"{case_id(name, beta)}.json").read_text())
+    expected = (2.0 * math.pi / period) * (params["k_ell"] / mu)
+    assert report["adiabaticity"] == report["cycle"]["adiabaticity"] == expected
 
 
 @pytest.mark.parametrize("name", list(MODELS))

@@ -13,12 +13,17 @@ which ``((2 pi w/T)^2 T (1 - J0(4 delta))/2 + 2 pi^2 delta^2/T) / 4pi`` is
 excess.  The charges and dissipations are held at 1e-12 relative to the
 scale of their quantity, the time delay at its stencil's rounding floor.
 
+The declared time delay ``c I`` of both flux families matches the
+stencil of the same model with the declaration withdrawn.
+
 Covariance: a left rotation ``S -> W S`` maps ``E -> W E W^dag``; time
 reversal ``S(t) -> S(T - t)`` maps ``E(t) -> -E(T - t)``; a monotone
-reparameterization ``S(t) -> S(f(t))`` maps ``E(t) -> f'(t) E(f(t))``.
+reparameterization ``S(t) -> S(f(t))`` maps ``E(t) -> f'(t) E(f(t))``;
+a period scaling ``S(t) -> S(t/T)`` maps ``E(t) -> E(t/T)/T``.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -27,7 +32,7 @@ from scipy.special import j0
 
 from qpump.matcore import CycleGrid, unitarize
 from qpump.models import ENERGY_STEP_FRACTION, build
-from qpump.shift import energy_shift_at, energy_shift_cycle, sample_cycle, time_delay
+from qpump.shift import delay_scale, energy_shift_at, energy_shift_cycle, sample_cycle, time_delay
 from qpump.transport import cycle_integral, instant_report
 from reference import left_rotated, reparameterized, time_reversed, time_warp
 from test_models import ALL_BUILTINS
@@ -86,16 +91,41 @@ def test_flux_loop_charge_dissipation_and_time_delay(k_ell, w, period, mu, sampl
     scale = np.pi * max(1, w**2) / period
     assert np.max(np.abs(dissipation - expected)) <= RTOL * scale, dissipation
 
-    # The delay comes from the analysis' fourth-order stencil, whose rounding
-    # floor is far above 1e-12 relative: each stencil entry exp(i phase) is
-    # rounded by about eps (1 + |phase|), with |phase| up to
-    # k_ell hi/mu + 2 pi |w|, and the stencil divides by dE = 1e-4.
-    lo, hi = model.energy_window
-    step = ENERGY_STEP_FRACTION * (hi - lo)
-    delay = time_delay(model, t * period, mu, step)
-    floor = 3.0 * EPS * (1.0 + k_ell * hi / mu + 2.0 * np.pi * abs(w)) / step
+    # The model declares its delay; withdrawn, the fourth-order stencil finds it.
+    step, floor = stencil_floor(model, k_ell, w, mu)
+    delay = time_delay(replace(model, delay=None), t * period, mu, step)
     gap = np.max(np.abs(delay - (k_ell / mu) * np.eye(2)))
     assert gap <= RTOL * k_ell / mu + floor, (gap, floor)
+
+
+def stencil_floor(model, k_ell, w, mu):
+    """The time-delay stencil's step on ``model``'s window, and its rounding
+    floor, far above 1e-12 relative: each stencil entry exp(i phase) is
+    rounded by about eps (1 + |phase|), with |phase| up to
+    k_ell hi/mu + 2 pi |w|, and the stencil divides by dE = 1e-4."""
+    lo, hi = model.energy_window
+    step = ENERGY_STEP_FRACTION * (hi - lo)
+    return step, 3.0 * EPS * (1.0 + k_ell * hi / mu + 2.0 * np.pi * abs(w)) / step
+
+
+@given(family=st.sampled_from(["flux-loop", "perturbed-flux-loop"]), k_ell=st.floats(0.0, 5.0),
+       w=st.integers(-3, 3), delta=st.floats(-0.5, 0.5), period=_period,
+       mu=st.floats(0.8, 1.2), t=st.floats(0.0, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_declared_delay_matches_the_stencil(family, k_ell, w, delta, period, mu, t):
+    # The declared c I against the stencil of the same model with the
+    # declaration withdrawn, at one time and as the cycle maximum tau.
+    params = {"k_ell": k_ell, "w": w, **({"delta": delta} if family != "flux-loop" else {})}
+    model = build(family, params, period=period, mu=mu)
+    stencil = replace(model, delay=None)
+    step, floor = stencil_floor(model, k_ell, w, mu)
+    declared = time_delay(model, t * period, mu, step)
+    np.testing.assert_array_equal(declared, model.delay * np.eye(2))
+    gap = np.max(np.abs(time_delay(stencil, t * period, mu, step) - declared))
+    assert gap <= RTOL * k_ell / mu + floor, (gap, floor)
+    grid = CycleGrid(period, 16)
+    gap = abs(delay_scale(stencil, mu, grid) - delay_scale(model, mu, grid))
+    assert gap <= RTOL * k_ell / mu + 2.0 * floor, (gap, floor)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -212,6 +242,37 @@ def test_time_reversal_law(pump, period, samples):
     assert verdict2.is_optimal == verdict.is_optimal
     if verdict.is_optimal:
         assert np.array_equal(winding2, -winding), (winding, winding2)
+
+
+_scalable = st.one_of(
+    st.builds(lambda k_ell, w: ("flux-loop", {"k_ell": k_ell, "w": w}),
+              st.floats(0.0, 5.0), st.integers(-3, 3)),
+    _reversible)
+
+
+@given(pump=_scalable, log_period=st.floats(-3.0, 3.0), samples=_samples)
+@settings(max_examples=80, deadline=None)  # at 20, a planted 1e-12 floor passed 4 runs of 15
+def test_period_scaling_law(pump, log_period, samples):
+    # S_T(t) = S_1(t/T), the same pump run T times slower, gives
+    # E_T(t) = E_1(t/T)/T, and grid node i of one is node i of the other: the
+    # charge, the verdict and an optimal pump's winding are kept, and D scales
+    # as 1/T^2, so the dissipation per cycle times T is.  A check whose floor
+    # is absolute rather than relative to the cycle's scale fails here.
+    name, params = pump
+    period = 10.0**log_period
+    grid, grid2 = CycleGrid(1.0, samples), CycleGrid(period, samples)
+    e, rep, verdict, winding = analysed(build(name, params), grid)
+    e2, rep2, verdict2, winding2 = analysed(build(name, params, period=period), grid2)
+    scale = np.max(np.abs(e))
+    assert np.max(np.abs(e2 * period - e)) <= RTOL * scale, name
+    charge, charge2 = cycle_integral(rep.qdot, grid), cycle_integral(rep2.qdot, grid2)
+    assert np.max(np.abs(charge2 - charge)) <= RTOL * max(1.0, scale / (2 * np.pi)), name
+    dissipation = cycle_integral(rep.total_dissipation, grid)
+    dissipation2 = cycle_integral(rep2.total_dissipation, grid2)
+    assert np.max(np.abs(dissipation2 * period - dissipation)) <= RTOL * scale**2 / (4 * np.pi)
+    assert verdict2.is_optimal == verdict.is_optimal
+    if verdict.is_optimal:
+        assert np.array_equal(winding2, winding), (winding, winding2)
 
 
 @given(pump=st.sampled_from(ALL_BUILTINS), amplitude=st.floats(-0.5, 0.5), period=_period,

@@ -1,5 +1,6 @@
 """Built-in models, seeded randomness and configuration parsing."""
 
+import itertools
 import json
 import math
 
@@ -350,9 +351,10 @@ def test_registry_lists_all_builtins():
     assert winding["w"] == 1.0
 
 
-# ---------------------------------------------------------------- energy independence
+# ---------------------------------------------------------------- declared time delay
 
 ENERGY_INDEPENDENT = {"diagonal-times-constant", "random-smooth-path"}
+FLUX_FAMILIES = {"flux-loop", "perturbed-flux-loop"}
 STENCIL_GRID = CycleGrid(1.0, 32)
 
 
@@ -367,12 +369,13 @@ def stencil_stacks(model, mu=1.0):
 
 
 def test_registry_declares_exactly_the_energy_independent_families():
-    assert {name for name, info in REGISTRY.items() if info.energy_independent} \
-        == ENERGY_INDEPENDENT
-    for name, params in ALL_BUILTINS:
-        model = build(name, params)
-        assert model.energy_independent == (name in ENERGY_INDEPENDENT), name
-        assert reparameterized(model, 0.3).energy_independent == model.energy_independent
+    assert set(REGISTRY) == ENERGY_INDEPENDENT | FLUX_FAMILIES
+    for (name, params), mu in itertools.product(ALL_BUILTINS, (1.0, 0.8, 1.3)):
+        model = build(name, params, mu=mu)
+        # -i dS/dE S^dag = c I in closed form, declared bit for bit
+        c = params["k_ell"] / mu if name in FLUX_FAMILIES else 0.0
+        assert model.delay == c, (name, mu)
+        assert reparameterized(model, 0.3).delay == model.delay
 
 
 @pytest.mark.parametrize("name,params", [
@@ -382,9 +385,9 @@ def test_registry_declares_exactly_the_energy_independent_families():
     ("perturbed-flux-loop", {"k_ell": 2.5, "delta": -1.0, "w": -2}),
 ])
 def test_flux_families_are_not_declared_energy_independent(name, params):
-    # a wrong flag here would zero a genuinely nonzero time delay
+    # a zero declaration here would hide a genuinely nonzero time delay
     model = build(name, params)
-    assert not model.energy_independent
+    assert model.delay == params["k_ell"] > 0.0
     centre, *stencil = stencil_stacks(model)
     assert all(stack != centre for stack in stencil)
 
@@ -410,7 +413,7 @@ def test_flagged_models_do_not_depend_on_energy(model, warp, period, mu):
     built = build(name, params, period=period, mu=mu)
     if warp is not None:
         built = reparameterized(built, warp)
-    assert built.energy_independent
+    assert built.delay == 0.0
     centre, *stencil = stencil_stacks(built, mu)
     assert all(stack == centre for stack in stencil)  # bit for bit
 

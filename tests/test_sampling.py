@@ -2,11 +2,12 @@
 
 Each call of a model's batched ``matrix_fn(times, E)`` is recorded, so the
 tests count grid nodes, not Python calls.  ``analyze`` samples S(t, mu)
-once on the cycle grid and shares it; the time delay adds the four
-stencil energies mu +/- dE, mu +/- 2 dE unless the model is declared
-energy independent (its delay is exactly zero), and the winding count of
-an optimal pump adds the half-step midpoints.  The optimality verdict
-judges the cycle once, and the winding count follows from it.
+once on the cycle grid and shares it, and the winding count of an
+optimal pump adds the half-step midpoints.  Every built-in model declares
+its time delay (``k_ell/mu`` or 0), so none samples an energy other than
+mu; only a model whose ``delay`` is ``None`` adds the four stencil
+energies mu +/- dE, mu +/- 2 dE.  The optimality verdict judges the
+cycle once, and the winding count follows from it.
 """
 
 import dataclasses
@@ -28,7 +29,6 @@ from qpump.models import ModelConfig
 from qpump.optimal import optimality_verdict
 from qpump.shift import ENERGY_STEP_FRACTION, energy_shift_cycle, sample_cycle
 from qpump.transport import instant_report, winding_charge
-from test_models import ENERGY_INDEPENDENT
 
 SAMPLES = 64
 MU = 1.0
@@ -36,9 +36,9 @@ WINDOW = (0.5, 1.5)
 
 # (model, params, evaluations per node of analyze, optimal?)
 PUMPS = [
-    ("flux-loop", {"k_ell": 1.0, "w": 2}, 6, True),
+    ("flux-loop", {"k_ell": 1.0, "w": 2}, 2, True),
     ("diagonal-times-constant", {"n": 3, "w1": 1, "w2": -1, "a1_1": 0.2, "s0_seed": 4}, 2, True),
-    ("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.2}, 5, False),
+    ("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.2}, 1, False),
     ("random-smooth-path", {"n": 3, "seed": 5, "degree": 2}, 1, False),
 ]
 
@@ -81,19 +81,18 @@ def stencil_energies():
     return [MU, MU + step, MU - step, MU + 2.0 * step, MU - 2.0 * step]
 
 
-@pytest.mark.parametrize("name,params,per_node,optimal", PUMPS, ids=[p[0] for p in PUMPS])
-def test_analyze_eval_budget(recorded, name, params, per_node, optimal):
-    result = report.analyze(recorded(config(name, params)))
+def eval_budget(recorded, cfg, per_node, optimal, on_grid_energies):
+    """Analyse ``cfg``: ``per_node`` evaluations per grid node in all, each of
+    ``on_grid_energies`` once on the cycle grid, and the winding's midpoints
+    the only nodes off it, exactly when the pump is ``optimal``."""
+    result = report.analyze(recorded(cfg))
     assert result.verdict.is_optimal == optimal
     assert sum(len(times) for times, _ in recorded) == per_node * SAMPLES
 
     grid = CycleGrid(1.0, SAMPLES)
     on_grid = Counter(energy for times, energy in recorded
                       if np.array_equal(times, grid.times))
-    # each stencil energy exactly once on the cycle grid, nothing else there;
-    # an energy-independent model is sampled there at mu alone
-    expected = [MU] if name in ENERGY_INDEPENDENT else stencil_energies()
-    assert on_grid == Counter(expected)
+    assert on_grid == Counter(on_grid_energies)
     off_grid = [(times, energy) for times, energy in recorded
                 if not np.array_equal(times, grid.times)]
     if optimal:
@@ -102,6 +101,20 @@ def test_analyze_eval_budget(recorded, name, params, per_node, optimal):
         np.testing.assert_array_equal(times, grid.times + 0.5 * grid.dt)
     else:
         assert off_grid == []
+
+
+@pytest.mark.parametrize("name,params,per_node,optimal", PUMPS, ids=[p[0] for p in PUMPS])
+def test_analyze_eval_budget(recorded, name, params, per_node, optimal):
+    # every built-in declares its delay: the cycle grid is sampled at mu alone
+    eval_budget(recorded, config(name, params), per_node, optimal, [MU])
+
+
+@pytest.mark.parametrize("name,params,per_node,optimal", PUMPS, ids=[p[0] for p in PUMPS])
+def test_undeclared_delay_samples_the_stencil(recorded, name, params, per_node, optimal):
+    # withdrawn, the delay costs the four stencil energies on the cycle grid
+    cfg = config(name, params)
+    cfg = dataclasses.replace(cfg, pump=dataclasses.replace(cfg.pump, delay=None))
+    eval_budget(recorded, cfg, per_node + 4, optimal, stencil_energies())
 
 
 @pytest.mark.parametrize("name,params", [p[:2] for p in PUMPS], ids=[p[0] for p in PUMPS])
@@ -124,14 +137,12 @@ def test_each_command_builds_the_model_once(monkeypatch, capsys, tmp_path, name,
         assert builds == [name], argv
 
 
-@pytest.mark.parametrize("name,params,per_node,optimal", PUMPS, ids=[p[0] for p in PUMPS])
-def test_instant_eval_budget(recorded, name, params, per_node, optimal):
+@pytest.mark.parametrize("name,params", [p[:2] for p in PUMPS], ids=[p[0] for p in PUMPS])
+def test_instant_eval_budget(recorded, name, params):
+    # the offset grid for the energy shift, and nothing for the declared delay
     report.instant_document(recorded(config(name, params)), 0.3)
-    # the offset grid for the energy shift, then the delay's five energies
-    # on the cycle grid unless the model is energy independent
-    calls = 1 if name in ENERGY_INDEPENDENT else 6
-    assert sum(len(times) for times, _ in recorded) == calls * SAMPLES
-    assert len(recorded) == calls  # one batched call per stack
+    assert sum(len(times) for times, _ in recorded) == SAMPLES
+    assert len(recorded) == 1  # one batched call
 
 
 @pytest.mark.parametrize("name,params", [p[:2] for p in PUMPS], ids=[p[0] for p in PUMPS])

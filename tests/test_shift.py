@@ -136,23 +136,32 @@ def test_energy_shift_at_matches_cycle_nodes():
 # ---------------------------------------------------------------- time delay
 
 
+def undeclared(model):
+    """``model`` with its declared delay withdrawn, so the energy stencil computes it."""
+    return dataclasses.replace(model, delay=None)
+
+
 def test_time_delay_energy_independent():
-    td = time_delay(build("random-smooth-path", {"seed": 2}), 0.3, 1.0, 1e-4)
-    assert np.max(np.abs(td)) == 0.0
+    # declared 0, and the stencil's paired differences of a constant are exactly 0
+    model = build("random-smooth-path", {"seed": 2})
+    for m in (model, undeclared(model)):
+        assert np.max(np.abs(time_delay(m, 0.3, 1.0, 1e-4))) == 0.0
 
 
 def test_time_delay_flux_loop_traversal_time():
-    # linear dispersion, k_ell = 2 at mu = 1 -> loop traversal time l/v = 2
+    # linear dispersion, k_ell = 2 at mu = 1 -> loop traversal time l/v = 2:
+    # the stencil finds it, and the model declares it exactly
     model = build("flux-loop", {"k_ell": 2.0})
-    td = time_delay(model, 0.3, 1.0, 1e-4)
+    td = time_delay(undeclared(model), 0.3, 1.0, 1e-4)
     np.testing.assert_allclose(td, 2.0 * np.eye(2), atol=1e-9)
+    np.testing.assert_array_equal(time_delay(model, 0.3, 1.0, 1e-4), 2.0 * np.eye(2))
 
 
 def test_time_delay_step_convergence():
-    model = build("flux-loop", {"k_ell": 2.0})
+    model = undeclared(build("flux-loop", {"k_ell": 2.0}))
     a = time_delay(model, 0.0, 1.0, 1e-4)
     b = time_delay(model, 0.0, 1.0, 5e-5)
-    assert np.max(np.abs(a - b)) < 1e-8
+    assert 0.0 < np.max(np.abs(a - b)) < 1e-8  # two stencils, not one declaration
 
 
 @pytest.mark.parametrize("name,params", [("flux-loop", {"k_ell": 1.0}),
@@ -170,12 +179,17 @@ def test_time_delay_stencil_window_guard(name, params):
 
 
 def test_energy_independent_delay_samples_nothing():
-    model = dataclasses.replace(build("diagonal-times-constant", {"w1": 1, "s0_seed": 3}),
-                                matrix_fn=None)  # any evaluation would raise
-    assert model.energy_independent
-    td = time_delay(model, 0.3, 1.0, 1e-4)
-    np.testing.assert_array_equal(td, np.zeros((2, 2)))
-    assert delay_scale(model, 1.0, GRID) == 0.0
+    # a declared delay c I is returned as declared: no energy is sampled, no SVD taken
+    for name, params, mu, c in [
+        ("diagonal-times-constant", {"w1": 1, "s0_seed": 3}, 1.0, 0.0),
+        ("flux-loop", {"k_ell": 1.3, "w": 2}, 0.9, 1.3 / 0.9),
+        ("perturbed-flux-loop", {"k_ell": 0.7, "delta": 0.3}, 1.1, 0.7 / 1.1),
+    ]:
+        model = dataclasses.replace(build(name, params, mu=mu),
+                                    matrix_fn=None)  # any evaluation would raise
+        assert model.delay == c
+        np.testing.assert_array_equal(time_delay(model, 0.3, mu, 1e-4), c * np.eye(2))
+        assert delay_scale(model, mu, GRID) == c
 
 
 # ---------------------------------------------------------------- adiabaticity
