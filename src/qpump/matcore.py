@@ -139,12 +139,12 @@ def unitarity_defect(stack: np.ndarray) -> np.ndarray:
         return frobenius_norm(stack.conj().swapaxes(-1, -2) @ stack - np.eye(stack.shape[-1]))
 
 
-def hermitian_part(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_part(raw: np.ndarray, scale=None) -> tuple[np.ndarray, np.ndarray]:
     """Exactly self-adjoint ``(M + M^dag)/2`` of each matrix in a stack, and
-    the relative size ``||M - M^dag||_F / ||M||_F`` of the discarded part
-    (0 for a zero matrix)."""
+    the discarded part's size ``||M - M^dag||_F / scale`` (0 if the scale is
+    0), by default relative to the stack's largest ``||M||_F``."""
     adj = raw.conj().swapaxes(-1, -2)
-    scale = frobenius_norm(raw)
+    scale = frobenius_norm(raw).max() if scale is None else scale
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         defect = np.where(scale > 0.0, frobenius_norm(raw - adj) / scale, 0.0)
     return 0.5 * (raw + adj), defect

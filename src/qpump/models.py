@@ -510,12 +510,12 @@ def _power_of_two(value, fieldname: str, minimum: int = 1) -> int:
     return n
 
 
-def _section(doc: dict, key: str, keys: tuple[str, ...]) -> dict:
+def _section(doc: dict, key: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
     sec = doc[key]
     if not isinstance(sec, dict):
         raise ConfigError(key, "must be an object")
     for k in sec:
-        if k not in keys:
+        if k not in keys + optional:
             raise ConfigError(f"{key}.{k}", "unknown field")
     for k in keys:
         if k not in sec:
@@ -529,7 +529,7 @@ class ModelConfig:
     cycle grid a document describes, and how to analyse them.
 
     Top-level fields: ``model`` (registry name), ``params`` (name -> real),
-    ``cycle`` = {period, samples}, ``energy`` = {mu, window, samples},
+    ``cycle`` = {period, samples}, ``energy`` = {mu, window[, samples]},
     optional ``tolerances`` (any subset of the :class:`Tolerances` fields)
     and optional ``beta`` (inverse temperature).  Unknown keys
     anywhere are an error.  :meth:`from_dict` checks the document's shape,
@@ -562,8 +562,8 @@ class ModelConfig:
             raise ConfigError("params", "must be an object")
         cycle = _section(doc, "cycle", ("period", "samples"))
         samples = _power_of_two(cycle["samples"], "cycle.samples", minimum=8)
-        energy = _section(doc, "energy", ("mu", "window", "samples"))
-        _power_of_two(energy["samples"], "energy.samples")  # reserved for energy sweeps; not read
+        energy = _section(doc, "energy", ("mu", "window"), optional=("samples",))
+        _power_of_two(energy.get("samples", 1), "energy.samples")  # reserved for sweeps; not read
 
         tolerances = DEFAULT_TOLERANCES
         if "tolerances" in doc:

@@ -6,7 +6,7 @@ keep their insertion order, floats are written with 17 significant digits
 machine-dependent enters the document, so identical configurations yield
 byte-identical reports.  A document is written as byte tables: a record
 text with a NUL-padded field per float, repeated per row (a table per
-float array or stacked per-time report, and one for the text between).
+float array, and one for the text between).
 Its floats are formatted as one block, the same bytes as
 :func:`format_float` per value: a large block with array arithmetic, each
 distinct value once, except zeros, values outside 1e-280..1e280 and
@@ -38,7 +38,7 @@ __all__ = [
     "instant_document",
 ]
 
-SPEC_VERSION = "1.0"
+SPEC_VERSION = "1.1"
 
 #: Above this adiabaticity parameter a warning is attached to the report.
 ADIABATICITY_WARN = 0.1
@@ -223,43 +223,36 @@ def _layout(shape: tuple, pad: str) -> str:
     return "[\n" + inner + (",\n" + inner).join([item] * shape[0]) + "\n" + pad + "]"
 
 
-def _array(item: str, values, pad: str, out: list, tables: list, floats: list) -> None:
-    """The JSON array at indent ``pad`` of one ``item`` per entry of ``values``
-    along its first axis, whose fields hold that entry: the text in ``out``
-    so far becomes a one-record table, and the items the next table."""
+def _array(values: np.ndarray, pad: str, out: list, tables: list, floats: list) -> None:
+    """The nested JSON arrays of ``values`` at indent ``pad``: the text in
+    ``out`` so far becomes a one-record table, and the entries along the
+    first axis the next table, a record per entry."""
     if not len(values):
         out.append("[]")
         return
+    item = _layout(values.shape[1:], pad + "  ")
     tables += [("".join(out), 1), (",\n" + pad + "  " + item, len(values))]
     out[:] = ["\n" + pad + "]"]
     floats.append(values.ravel())
 
 
-def _instants(report: InstantReport, pad: str, out: list, tables: list, floats: list) -> None:
-    """A stacked report as the JSON array of its per-time records, a
-    one-time report as one record."""
+def _instant(report: InstantReport, pad: str, out: list, floats: list) -> None:
+    """A one-time report as one JSON object."""
     columns = {"Qdot": report.qdot, "D": report.total_dissipation,
                "Xs": report.excess, "r": report.residual}
     if report.sdot is not None:
         columns.update(Sdot=report.sdot, Ndot=report.ndot)
-    stacked = np.ndim(report.t) == 1
-    record_pad = pad + "  " if stacked else pad
-    item = record_pad + "  "
-    leaves = _layout(report.qdot.shape[-1:], item)
+    item = pad + "  "
+    leaves = _layout(report.qdot.shape, item)
     fields = [item + '"t": ' + _FIELD, *(f"{item}{_quote(key)}: {leaves}" for key in columns),
               f'{item}"regime_ok": {"true" if report.regime_ok else "false"}']
-    record = "{\n" + ",\n".join(fields) + "\n" + record_pad + "}"
-    if stacked:
-        _array(record, np.column_stack([report.t, *columns.values()]), pad, out, tables, floats)
-    else:
-        out.append(record)
-        floats += [[report.t], *columns.values()]
+    out.append("{\n" + ",\n".join(fields) + "\n" + pad + "}")
+    floats += [[report.t], *columns.values()]
 
 
 def _emit(obj, indent: int, out: list, tables: list, floats: list) -> None:
     """Append the text of ``obj`` to ``out`` with a field per float, and its
-    floats to ``floats``; a float array or a stacked :class:`InstantReport`
-    is a table of its own (:func:`_array`)."""
+    floats to ``floats``; a float array is a table of its own (:func:`_array`)."""
     pad = "  " * indent
     if isinstance(obj, (dict, list, tuple)):
         is_dict = isinstance(obj, dict)
@@ -273,10 +266,10 @@ def _emit(obj, indent: int, out: list, tables: list, floats: list) -> None:
             _emit(value, indent + 1, out, tables, floats)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + brackets[1])
-    elif isinstance(obj, InstantReport):
-        _instants(obj, pad, out, tables, floats)
+    elif isinstance(obj, InstantReport) and not np.ndim(obj.t):
+        _instant(obj, pad, out, floats)
     elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim:
-        _array(_layout(obj.shape[1:], pad + "  "), obj, pad, out, tables, floats)
+        _array(obj, pad, out, tables, floats)
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
     elif obj is None:
@@ -321,9 +314,9 @@ def _write(tables: list, floats: list) -> str:
 
 def dumps(obj) -> str:
     """Deterministic JSON text (insertion-ordered keys, 17-digit floats); float
-    arrays and :class:`InstantReport` records are written as their list form.
-    The text is a few byte tables, each a record with a NUL-padded field per
-    float repeated per row; all floats are formatted as one block."""
+    arrays are written as their list form, a one-time :class:`InstantReport` as
+    one object.  The text is a few byte tables, each a record with a NUL-padded
+    field per float repeated per row; all floats are formatted as one block."""
     out, tables, floats = [], [], []
     _emit(obj, 0, out, tables, floats)
     return _write([*tables, ("".join(out) + "\n", 1)], floats)
@@ -331,8 +324,9 @@ def dumps(obj) -> str:
 
 def _verdict_entry(verdict: OptimalityVerdict) -> dict:
     d = verdict.decomposition
-    decomposition = None if d is None else {
-        "phases": d.phases, "constant_real": d.constant.real, "constant_imag": d.constant.imag}
+    decomposition = None if d is None else {"initial_phases": d.phases[0],
+                                            "constant_real": d.constant.real,
+                                            "constant_imag": d.constant.imag}
     return {"is_optimal": verdict.is_optimal, "max_offdiag_ratio": verdict.max_offdiag_ratio,
             "worst_time": verdict.worst_time,
             "per_channel_saturation": [bool(b) for b in verdict.per_channel_saturation],
@@ -341,9 +335,9 @@ def _verdict_entry(verdict: OptimalityVerdict) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class AnalysisResult:
-    """Analysis outputs: the document :func:`dumps` writes (it holds the stacked
-    per-time report under "instants"), that report, and the optimality verdict
-    (whose off-diagonal ratios complete the time series)."""
+    """Analysis outputs: the document :func:`dumps` writes (its "instants" are
+    columns of the stacked per-time report), that report, and the optimality
+    verdict (whose off-diagonal ratios complete the time series)."""
 
     document: dict
     instants: InstantReport
@@ -402,13 +396,14 @@ def analyze(config: ModelConfig) -> AnalysisResult:
 
     document = {
         "config": config.raw,
-        "adiabaticity": epsilon,
-        "instants": instants,
+        "instants": {"t": instants.t, "Qdot": instants.qdot, "D": instants.total_dissipation,
+                     "Xs": instants.excess},
         "cycle": {
             "charge": charge,
             "winding": None if winding is None else [int(w) for w in winding],
             "dissipated_per_cycle": cycle_integral(instants.total_dissipation, grid),
             "adiabaticity": epsilon,
+            "regime_ok": None if config.beta is None else instants.regime_ok,
             "period": grid.period,
             "samples": grid.samples,
         },

@@ -17,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EnergyOutOfWindow, GridMismatch, NumericalFailure
-from .matcore import CycleGrid, central_derivative, hermitian_part, spectral_derivative
+from .matcore import (CycleGrid, central_derivative, frobenius_norm, hermitian_part,
+                      spectral_derivative)
 from .models import ENERGY_STEP_FRACTION, PumpModel
 
 __all__ = [
@@ -46,10 +47,11 @@ def sample_cycle(model: PumpModel, mu: float, grid: CycleGrid) -> np.ndarray:
     return model.sample(grid.times, mu)
 
 
-def _shift_stack(s, ds, times) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetrized ``i dS/dt S^dag`` over a stack and its defects, certified
-    against ``HARD_HERM_LIMIT`` at every time."""
-    herm, defect = hermitian_part(1j * (ds @ s.conj().swapaxes(1, 2)))
+def _shift_stack(s, ds, times, scale=None) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetrized ``i dS/dt S^dag`` over a stack and its defects relative to
+    ``scale`` (FFT rounding is cycle-wide; default: the stack's largest norm),
+    certified against ``HARD_HERM_LIMIT`` at every time."""
+    herm, defect = hermitian_part(1j * (ds @ s.conj().swapaxes(1, 2)), scale)
     over = defect > HARD_HERM_LIMIT
     if over.any():
         i = int(np.argmax(over))
@@ -65,9 +67,9 @@ def energy_shift_cycle(samples: np.ndarray, grid: CycleGrid) -> tuple[np.ndarray
 
     ``samples`` -- S(t, mu) on the grid, as :func:`sample_cycle` returns
     it -- is differentiated entrywise by FFT, multiplied by S^dag and
-    symmetrized: the exactly Hermitian (N, n, n) shifts and their (N,)
-    defects are returned as :func:`~qpump.matcore.hermitian_part` returns
-    them.  Raises :class:`NumericalFailure` when any defect exceeds
+    symmetrized: the exactly Hermitian (N, n, n) shifts and their (N,) defects
+    relative to the cycle's largest ``||E||_F``, as :func:`~qpump.matcore.hermitian_part`
+    returns them.  Raises :class:`NumericalFailure` when any defect exceeds
     ``HARD_HERM_LIMIT`` (an under-resolved grid).
     """
     return _shift_stack(samples, spectral_derivative(samples, grid), grid.times)
@@ -77,11 +79,12 @@ def energy_shift_at(model: PumpModel, t: float, mu: float, grid: CycleGrid) -> n
     """Energy shift at one arbitrary time, an exactly Hermitian (n, n) array.
 
     Samples the cycle on the uniform grid offset so that ``t`` is its
-    first node; FFT differentiation is insensitive to the origin shift.
+    first node; FFT differentiation is insensitive to the origin shift.  The
+    defect's scale is the cycle's largest ``||dS/dt||_F``, that is ``||E||_F``.
     """
     s = model.sample(t + grid.times, mu)
     ds = spectral_derivative(s, grid)
-    return _shift_stack(s[:1], ds[:1], np.array([float(t)]))[0][0]
+    return _shift_stack(s[:1], ds[:1], np.array([float(t)]), frobenius_norm(ds).max())[0][0]
 
 
 def _check_stencil(model: PumpModel, mu: float, dE: float) -> None:

@@ -42,16 +42,23 @@ RTOL = 1e-12
 EPS = np.finfo(float).eps
 
 _samples = st.sampled_from([64, 256])
-_period = st.floats(0.3, 10.0)
-_coef = st.floats(-0.25, 0.25)
-# Channel 1 winds monotonically (|w1| >= 2 > sum_m m (|a1m| + |b1m|)), so E
-# vanishes at no node.  Where it does, the relative Hermiticity defect of
-# ``energy_shift_cycle`` is rounding over rounding and fails its hard limit:
-# ``{"n": 1, "b1_2": 0.5}`` on 64 samples stops at t = 0.125 with exit 2.
+_period = st.floats(-3.0, 3.0).map(lambda log_period: 10.0**log_period)
+
+
+def _amplitude(hi):
+    """0 or at least 1e-3 in size: a pump that barely moves (phases of 1e-12
+    rad about a generic S0) is lost in the FFT's rounding, which is relative
+    to ||S||, not ||E||, and fails the Hermiticity limit."""
+    return st.one_of(st.just(0.0), st.floats(1e-3, hi), st.floats(-hi, -1e-3))
+
+
+_coef = _amplitude(0.25)
+# Every channel may wind 0 times or move its phase back and forth, so E may
+# vanish at grid nodes: the Hermiticity defect there is rounding against the
+# cycle's largest ||E||_F.
 _dtc = st.integers(1, 3).flatmap(lambda n: st.fixed_dictionaries({
     "n": st.just(n), "s0_seed": st.integers(0, 2**31),
-    "w1": st.sampled_from([-3, -2, 2, 3]),
-    **{f"w{j}": st.integers(-3, 3) for j in range(2, n + 1)},
+    **{f"w{j}": st.integers(-3, 3) for j in range(1, n + 1)},
     **{f"{ab}{j}_{m}": _coef for ab in "ab" for j in range(1, n + 1) for m in (1, 2)}}))
 
 
@@ -173,11 +180,9 @@ def perturbed_cycle(k_ell, w, delta, period, samples, beta=None):
     return totals, np.pi * max(1, w**2) / period
 
 
-# w != 0: with w = 0, E = theta' sigma_y vanishes at t = T/4 and 3T/4, where
-# ``energy_shift_cycle``'s relative Hermiticity defect is rounding over
-# rounding (the failure the dtc generator avoids).
-_perturbed = dict(k_ell=st.floats(0.0, 5.0), w=st.sampled_from([-3, -2, -1, 1, 2, 3]),
-                  delta=st.floats(0.0, 0.5), period=_period, samples=_samples)
+# with w = 0, E = theta' sigma_y vanishes at t = T/4 and 3T/4
+_perturbed = dict(k_ell=st.floats(0.0, 5.0), w=st.integers(-3, 3),
+                  delta=_amplitude(0.5).map(abs), period=_period, samples=_samples)
 
 
 @given(**_perturbed)

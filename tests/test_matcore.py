@@ -59,6 +59,13 @@ def test_hermitian_storage_is_exactly_self_adjoint():
     assert defect > 0.1  # raw input was far from Hermitian
     exact = raw + raw.conj().T
     assert hermitian_part(exact)[1] < 1e-15
+    # a stack's defects are relative to its largest norm, or to a given
+    # scale; a zero scale reads 0
+    stack = np.stack([raw, 2.0 * raw])
+    np.testing.assert_allclose(hermitian_part(stack)[1], [defect / 2.0, defect], rtol=1e-15)
+    norm = np.linalg.norm(raw)
+    assert hermitian_part(raw, 4.0 * norm)[1] == pytest.approx(defect / 4.0, rel=1e-15)
+    assert hermitian_part(stack, 0.0)[1].tolist() == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------- unitarize
