@@ -16,7 +16,6 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -33,7 +32,6 @@ __all__ = [
     "hermitian_part",
     "spectral_derivative",
     "periodic_integral",
-    "central_derivative",
 ]
 
 R_K = 2.0 * np.pi  #: von Klitzing resistance h/e**2 in natural units
@@ -208,16 +206,3 @@ def periodic_integral(samples, grid: CycleGrid) -> complex:
             f"got {vals.shape[0]} samples for a grid of {grid.samples} nodes"
         )
     return complex(grid.dt * vals.sum())
-
-
-def central_derivative(f: Callable[[float], np.ndarray], x: float, step: float):
-    """Fourth-order central difference of ``f`` at ``x`` with the given step.
-
-    Evaluates f at x +/- step and x +/- 2*step.  The stencil is grouped
-    into paired differences so a constant f yields exactly zero.
-    """
-    if not step > 0:
-        raise ValueError("step must be positive")
-    inner = f(x + step) - f(x - step)
-    outer = f(x + 2.0 * step) - f(x - 2.0 * step)
-    return (8.0 * inner - outer) / (12.0 * step)

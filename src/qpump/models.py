@@ -64,9 +64,6 @@ __all__ = [
 
 _TWO_PI = 2.0 * np.pi
 
-#: Default energy-derivative step as a fraction of the energy window width.
-ENERGY_STEP_FRACTION = 1e-4
-
 
 # --------------------------------------------------------------------------
 # Deterministic pseudo-randomness.
@@ -126,9 +123,9 @@ class PumpModel:
     ``matrix_fn(times, E)`` maps a 1-D array of N times and one energy to
     the ``(N, n, n)`` stack of scattering matrices; :meth:`sample`
     certifies such a stack and :meth:`eval` is its one-time case.
-    ``delay`` declares the time delay: a number c means
-    ``-i dS/dE S^dag = c I`` at every (t, E) of the window; ``None`` means
-    it is not declared, and :mod:`qpump.shift` differentiates S in energy.
+    ``delay`` declares the Wigner time delay, required and exact: a real c
+    means ``-i dS/dE S^dag = c I`` at every (t, E) of the window, and
+    ``|c|`` is the tau of the adiabaticity parameter.
     Instances are immutable and evaluation is pure, so models may be
     shared freely between threads.
     """
@@ -139,8 +136,12 @@ class PumpModel:
     energy_window: tuple[float, float]
     params: Mapping[str, float]
     matrix_fn: Callable[[np.ndarray, float], np.ndarray] = field(repr=False)
+    delay: float
     unitary_tol: float = DEFAULT_TOLERANCES.tol_unitary
-    delay: float | None = None
+
+    def __post_init__(self):
+        delay = _real(self.delay, "delay", error=lambda name, why: ValueError(f"{name} {why}"))
+        object.__setattr__(self, "delay", delay)
 
     def sample(self, times, energy: float) -> np.ndarray:
         """Certified ``(N, n, n)`` stack of S at the given times and energy E;
@@ -464,11 +465,8 @@ def build(name: str, params: Mapping[str, float] | None = None, *,
     if not lo < hi:
         raise ConfigError("energy.window", f"must satisfy 0 < lo < hi, got [{lo!r}, {hi!r}]")
     mu = _real(mu, "energy.mu")
-    # the time-delay stencil mu +/- 2*dE, dE = ENERGY_STEP_FRACTION * (hi - lo), stays inside
-    reach = 2.0 * ENERGY_STEP_FRACTION * (hi - lo)
-    if not (lo <= mu - reach and mu + reach <= hi):
-        raise ConfigError("energy.mu", f"mu={mu!r} must lie inside window [{lo!r}, {hi!r}] "
-                          f"by the time-delay stencil's reach 2*dE = {reach:g}")
+    if not lo <= mu <= hi:
+        raise ConfigError("energy.mu", f"mu={mu!r} must lie inside window [{lo!r}, {hi!r}]")
     unitary_tol = _real(DEFAULT_TOLERANCES.tol_unitary if unitary_tol is None else unitary_tol,
                         "tolerances.tol_unitary", positive=True)
     info = REGISTRY.get(name)
@@ -484,8 +482,8 @@ def build(name: str, params: Mapping[str, float] | None = None, *,
         energy_window=(lo, hi),
         params=MappingProxyType(parsed),
         matrix_fn=matrix_fn,
-        unitary_tol=unitary_tol,
         delay=info.delay(parsed, mu),
+        unitary_tol=unitary_tol,
     )
 
 

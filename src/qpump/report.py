@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError, NumericalFailure
 from .models import ModelConfig
 from .optimal import OptimalityVerdict, optimality_verdict
-from .shift import delay_scale, energy_shift_at, energy_shift_cycle, sample_cycle
+from .shift import energy_shift_at, energy_shift_cycle, sample_cycle
 from .transport import InstantReport, cycle_integral, instant_report, winding_charge
 
 __all__ = [
@@ -365,7 +365,7 @@ def analyze(config: ModelConfig) -> AnalysisResult:
     # S(t, mu) is sampled once; every stage below reuses it.
     samples = sample_cycle(model, mu, grid)
     shifts, herm_defect = energy_shift_cycle(samples, grid)
-    tau = delay_scale(model, mu, grid, samples=samples)
+    tau = abs(model.delay)
     omega = 2.0 * np.pi / model.period
     epsilon = omega * tau
 
@@ -421,6 +421,6 @@ def instant_document(config: ModelConfig, t: float) -> InstantReport:
     if not (0.0 <= t < model.period):
         raise ConfigError("t", f"must lie in [0, {model.period!r}), got {t!r}")
     e = energy_shift_at(model, t, config.mu, grid)
-    tau = delay_scale(model, config.mu, grid)
+    tau = abs(model.delay)
     omega = 2.0 * np.pi / model.period
     return instant_report(e, float(t), beta=config.beta, omega=omega, tau=tau)

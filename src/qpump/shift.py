@@ -1,34 +1,27 @@
-"""Energy-shift and time-delay matrices of a pump cycle.
+"""Energy-shift matrices of a pump cycle.
 
 The energy shift is the Hermitian matrix ``i dS/dt S^dag`` (hbar = 1)
 evaluated on the cycle grid with spectral time differentiation; its dual
-under t <-> E exchange is the Wigner time delay ``-i dS/dE S^dag``.
-Every built-in model declares that delay as ``c I`` (its
-:attr:`~qpump.models.PumpModel.delay`), so tau is ``|c|`` and no energy
-is sampled; only a model with ``delay=None`` has it computed, by
-fourth-order central differences because the energy dependence is not
-periodic.  Diagonal entries of the energy shift drive
-the channel currents; off-diagonal entries drive excess dissipation,
-entropy and noise (see :mod:`qpump.transport`).
+under t <-> E exchange is the Wigner time delay ``-i dS/dE S^dag``, which
+every model declares as ``c I`` (:attr:`~qpump.models.PumpModel.delay`),
+so no energy but mu is sampled.  Diagonal entries of the energy shift
+drive the channel currents; off-diagonal entries drive excess
+dissipation, entropy and noise (see :mod:`qpump.transport`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import EnergyOutOfWindow, GridMismatch, NumericalFailure
-from .matcore import (CycleGrid, central_derivative, frobenius_norm, hermitian_part,
-                      spectral_derivative)
-from .models import ENERGY_STEP_FRACTION, PumpModel
+from .errors import GridMismatch, NumericalFailure
+from .matcore import CycleGrid, frobenius_norm, hermitian_part, spectral_derivative
+from .models import PumpModel
 
 __all__ = [
     "HARD_HERM_LIMIT",
-    "ENERGY_STEP_FRACTION",
     "sample_cycle",
     "energy_shift_cycle",
     "energy_shift_at",
-    "time_delay",
-    "delay_scale",
 ]
 
 #: Relative non-Hermiticity beyond which the grid is considered under-resolved.
@@ -85,53 +78,3 @@ def energy_shift_at(model: PumpModel, t: float, mu: float, grid: CycleGrid) -> n
     s = model.sample(t + grid.times, mu)
     ds = spectral_derivative(s, grid)
     return _shift_stack(s[:1], ds[:1], np.array([float(t)]), frobenius_norm(ds).max())[0][0]
-
-
-def _check_stencil(model: PumpModel, mu: float, dE: float) -> None:
-    """Check the stencil of step ``dE`` at mu: ``dE > 0`` and the five energies
-    mu, mu +/- dE, mu +/- 2*dE inside the model's window.  A declared delay
-    samples none of them but is held to the same guards."""
-    if not dE > 0:
-        raise ValueError("dE must be positive")
-    lo, hi = model.energy_window
-    if mu - 2.0 * dE < lo or mu + 2.0 * dE > hi:
-        raise EnergyOutOfWindow(
-            f"stencil [mu-2dE, mu+2dE] = [{mu - 2 * dE:g}, {mu + 2 * dE:g}] "
-            f"exceeds window [{lo:g}, {hi:g}]"
-        )
-
-
-def _stencil_delay(model: PumpModel, times: np.ndarray, mu: float, dE: float,
-                   samples: np.ndarray | None = None) -> np.ndarray:
-    """Exactly Hermitian ``-i dS/dE S^dag`` at each time, (N, n, n), by a
-    fourth-order central difference with step ``dE``; ``samples`` may supply
-    S(times, mu), leaving the four stencil energies to be sampled."""
-    s = model.sample(times, mu) if samples is None else samples
-    ds_de = central_derivative(lambda energy: model.sample(times, energy), mu, dE)
-    return hermitian_part(-1j * (ds_de @ s.conj().swapaxes(1, 2)))[0]
-
-
-def time_delay(model: PumpModel, t: float, mu: float, dE: float) -> np.ndarray:
-    """Wigner time delay ``-i dS/dE S^dag`` at (t, mu) as an exactly Hermitian
-    (n, n) array (units of time): ``c I`` for a model that declares its delay
-    c, else a fourth-order central difference with step ``dE``."""
-    _check_stencil(model, mu, dE)
-    if model.delay is not None:
-        return model.delay * np.eye(model.n_channels, dtype=complex)
-    return _stencil_delay(model, np.array([float(t)]), mu, dE)[0]
-
-
-def delay_scale(model: PumpModel, mu: float, grid: CycleGrid,
-                samples: np.ndarray | None = None) -> float:
-    """Largest spectral norm of the time delay over the cycle (tau): ``|c|``
-    for a model that declares its delay ``c I``, sampling nothing.  Otherwise
-    the stencil of step ``dE = ENERGY_STEP_FRACTION * (hi - lo)`` over the
-    energy window runs on the grid, its centre reusing ``samples`` (S(t, mu)
-    on the grid) if given."""
-    lo, hi = model.energy_window
-    dE = ENERGY_STEP_FRACTION * (hi - lo)
-    _check_stencil(model, mu, dE)
-    if model.delay is not None:
-        return abs(model.delay)
-    delay = _stencil_delay(model, grid.times, mu, dE, samples)
-    return float(np.max(np.linalg.norm(delay, ord=2, axis=(1, 2))))

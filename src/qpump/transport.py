@@ -50,7 +50,8 @@ _FOUR_PI = 4.0 * np.pi
 #: residual is a subtraction from D, so its rounding grows with D (and D with 1/T^2).
 RESIDUAL_FLOOR = 64.0 * np.finfo(float).eps
 
-#: Tolerance of the identity ``D = joule + excess``, relative to ``max(1, |D|)``.
+#: Tolerance of the identity ``D = joule + excess``, relative to the channel's
+#: largest dissipation over the report's times, the residual check's scale.
 IDENTITY_TOL = 1e-12
 
 #: Row overlaps below this modulus across a grid interval have no defined phase step.
@@ -157,8 +158,7 @@ class InstantReport:
                 f"dissipation bound violated: min residual {self.residual.min():.3e}"
             )
         gap = np.abs(self.total_dissipation - (_joule(self.qdot) + self.excess))
-        allowed = IDENTITY_TOL * np.maximum(1.0, np.abs(self.total_dissipation))
-        if np.any(gap > allowed):
+        if np.any(gap > IDENTITY_TOL * scale):
             raise NumericalFailure("dissipation decomposition identity failed")
 
 

@@ -4,12 +4,13 @@ The package computes each quantity one way: the energy shift by FFT
 differentiation of the sampled cycle (``qpump.shift.energy_shift_cycle``),
 every per-channel observable in one pass (``qpump.transport.instant_report``),
 uniform draws by the vectorized SplitMix64 stream
-(``qpump.models.uniform_stream``) and the bound by the greedy minimizer
-(``qpump.bathtub``).  The routes here reach the same numbers another way --
-a finite difference, row overlaps, the outgoing-energy moments, the scalar
-generator, the two-reservoir form of the bound -- or transform a pump so
-that a law of the energy shift can be checked (time warp, left rotation,
-time reversal).
+(``qpump.models.uniform_stream``), the bound by the greedy minimizer
+(``qpump.bathtub``) and the time delay by the model's declaration
+(``qpump.models.PumpModel.delay``).  The routes here reach the same numbers
+another way -- finite differences in time and in energy, row overlaps, the
+outgoing-energy moments, the scalar generator, the two-reservoir form of
+the bound -- or transform a pump so that a law of the energy shift can be
+checked (time warp, left rotation, time reversal).
 No package code calls them.  They live with the tests, so the package
 ships one route per quantity while each test still compares two; from
 the package they import only the private helpers they share with it.
@@ -23,7 +24,7 @@ import numpy as np
 
 from qpump.bathtub import DispersionGrid, Filling, _feasible_budget, analytic_minimum
 from qpump.errors import NumericalFailure
-from qpump.matcore import CycleGrid, central_derivative, spectral_derivative
+from qpump.matcore import CycleGrid, hermitian_part, spectral_derivative
 from qpump.models import _GAMMA, _MIX1, _MIX2, PumpModel
 from qpump.shift import _shift_stack, sample_cycle
 from qpump.transport import _diagonal, _square_diagonal
@@ -33,8 +34,35 @@ _MASK64 = (1 << 64) - 1
 
 
 # --------------------------------------------------------------------------
-# Energy shift (qpump.shift).
+# Energy shift and time delay (qpump.shift, qpump.models).
 # --------------------------------------------------------------------------
+
+#: The time-delay stencil's energy step as a fraction of the energy window width.
+ENERGY_STEP_FRACTION = 1e-4
+
+
+def central_derivative(f, x: float, step: float):
+    """Fourth-order central difference of ``f`` at ``x`` with the given step.
+
+    Evaluates f at x +/- step and x +/- 2*step.  The stencil is grouped
+    into paired differences so a constant f yields exactly zero.
+    """
+    if not step > 0:
+        raise ValueError("step must be positive")
+    inner = f(x + step) - f(x - step)
+    outer = f(x + 2.0 * step) - f(x - 2.0 * step)
+    return (8.0 * inner - outer) / (12.0 * step)
+
+
+def stencil_delay(model: PumpModel, times, mu: float, dE: float) -> np.ndarray:
+    """Wigner time delay ``-i dS/dE S^dag`` at each of ``times``, an exactly
+    Hermitian (N, n, n) stack, by a fourth-order central difference of step
+    ``dE`` at mu.  It reads S only, never the model's declared ``delay``, so
+    the two can be compared; an energy outside the window raises
+    :class:`~qpump.errors.EnergyOutOfWindow`."""
+    s = model.sample(times, mu)
+    ds_de = central_derivative(lambda energy: model.sample(times, energy), mu, dE)
+    return hermitian_part(-1j * (ds_de @ s.conj().swapaxes(1, 2)))[0]
 
 
 def energy_shift_fd(model: PumpModel, t: float, mu: float, grid: CycleGrid) -> np.ndarray:

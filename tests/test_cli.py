@@ -847,24 +847,24 @@ def test_exit_2_charge_winding_gap(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mu", [0.5, 0.5001, 1.4999, 1.5])
+@pytest.mark.parametrize("mu", [0.4999, 0.5, 0.5001, 1.4999, 1.5, 1.5001, float("nan")])
 def test_exit_1_mu_at_window_edge(tmp_path, capsys, mu):
-    # the time-delay stencil reaches mu +/- 2e-4*(hi - lo): config validation
-    # rejects a mu closer to the window edge and names the field
+    # the exit 1 of a mu at the window's edge: mu must lie inside [lo, hi],
+    # edges included, so a mu on or inside the edge runs and any other is
+    # rejected by config validation, which names the field
     doc = dict(BASE_CONFIG, energy={"mu": mu, "window": [0.5, 1.5], "samples": 16})
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "r.json"
+    if 0.5 <= mu <= 1.5:
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["instant", "--config", cfg, "--t", "0.25"]) == 0
+        return
     assert main(["analyze", "--config", cfg, "--out", str(out)]) == 1
     assert "energy.mu" in capsys.readouterr().err
     assert not out.exists()
     assert main(["instant", "--config", cfg, "--t", "0.25"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "energy.mu" in captured.err
-    # a mu just farther from the edge than the stencil's reach runs
-    doc["energy"]["mu"] = 0.5 + 2.5e-4 if mu < 1.0 else 1.5 - 2.5e-4
-    cfg = write_config(tmp_path, doc)
-    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
-    assert main(["instant", "--config", cfg, "--t", "0.25"]) == 0
 
 
 # ---------------------------------------------------------------- config fuzz

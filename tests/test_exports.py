@@ -61,15 +61,14 @@ MODULE_SURFACES = {
     "cli": ["main"],
     "matcore": ["R_K", "Tolerances", "DEFAULT_TOLERANCES", "CycleGrid", "unitarize",
                 "frobenius_norm", "unitarity_defect", "hermitian_part", "spectral_derivative",
-                "periodic_integral", "central_derivative"],
+                "periodic_integral"],
     "models": ["uniform_stream", "PumpModel", "ModelConfig", "ParamInfo", "ModelInfo",
                "REGISTRY", "build"],
     "optimal": ["offdiag_ratio", "DiagonalDecomposition", "OptimalityVerdict",
                 "optimality_verdict", "diagonal_decomposition"],
     "report": ["SPEC_VERSION", "ADIABATICITY_WARN", "format_float", "dumps", "AnalysisResult",
                "analyze", "instant_document"],
-    "shift": ["HARD_HERM_LIMIT", "ENERGY_STEP_FRACTION", "sample_cycle", "energy_shift_cycle",
-              "energy_shift_at", "time_delay", "delay_scale"],
+    "shift": ["HARD_HERM_LIMIT", "sample_cycle", "energy_shift_cycle", "energy_shift_at"],
     "transport": ["instantaneous_current", "cycle_integral", "winding_charge", "InstantReport",
                   "instant_report"],
 }

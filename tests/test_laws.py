@@ -13,8 +13,9 @@ which ``((2 pi w/T)^2 T (1 - J0(4 delta))/2 + 2 pi^2 delta^2/T) / 4pi`` is
 excess.  The charges and dissipations are held at 1e-12 relative to the
 scale of their quantity, the time delay at its stencil's rounding floor.
 
-The declared time delay ``c I`` of both flux families matches the
-stencil of the same model with the declaration withdrawn.
+The declared time delay ``c I`` of both flux families, which ``analyze``
+reads as tau, matches the fourth-order energy stencil of the same model
+(``tests/reference.py``), which reads S alone.
 
 Covariance: a left rotation ``S -> W S`` maps ``E -> W E W^dag``; time
 reversal ``S(t) -> S(T - t)`` maps ``E(t) -> -E(T - t)``; a monotone
@@ -23,7 +24,6 @@ a period scaling ``S(t) -> S(t/T)`` maps ``E(t) -> E(t/T)/T``.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -31,10 +31,17 @@ from hypothesis import strategies as st
 from scipy.special import j0
 
 from qpump.matcore import CycleGrid, unitarize
-from qpump.models import ENERGY_STEP_FRACTION, build
-from qpump.shift import delay_scale, energy_shift_at, energy_shift_cycle, sample_cycle, time_delay
+from qpump.models import build
+from qpump.shift import energy_shift_at, energy_shift_cycle, sample_cycle
 from qpump.transport import cycle_integral, instant_report
-from reference import left_rotated, reparameterized, time_reversed, time_warp
+from reference import (
+    ENERGY_STEP_FRACTION,
+    left_rotated,
+    reparameterized,
+    stencil_delay,
+    time_reversed,
+    time_warp,
+)
 from test_models import ALL_BUILTINS
 from test_shift import analysed
 
@@ -98,9 +105,9 @@ def test_flux_loop_charge_dissipation_and_time_delay(k_ell, w, period, mu, sampl
     scale = np.pi * max(1, w**2) / period
     assert np.max(np.abs(dissipation - expected)) <= RTOL * scale, dissipation
 
-    # The model declares its delay; withdrawn, the fourth-order stencil finds it.
+    # The model declares its delay; the fourth-order stencil finds it from S.
     step, floor = stencil_floor(model, k_ell, w, mu)
-    delay = time_delay(replace(model, delay=None), t * period, mu, step)
+    delay = stencil_delay(model, [t * period], mu, step)[0]
     gap = np.max(np.abs(delay - (k_ell / mu) * np.eye(2)))
     assert gap <= RTOL * k_ell / mu + floor, (gap, floor)
 
@@ -120,18 +127,16 @@ def stencil_floor(model, k_ell, w, mu):
        mu=st.floats(0.8, 1.2), t=st.floats(0.0, 1.0))
 @settings(max_examples=40, deadline=None)
 def test_declared_delay_matches_the_stencil(family, k_ell, w, delta, period, mu, t):
-    # The declared c I against the stencil of the same model with the
-    # declaration withdrawn, at one time and as the cycle maximum tau.
+    # The declared c I against the stencil of the same model, at one time
+    # and as the cycle maximum tau of its spectral norm.
     params = {"k_ell": k_ell, "w": w, **({"delta": delta} if family != "flux-loop" else {})}
     model = build(family, params, period=period, mu=mu)
-    stencil = replace(model, delay=None)
     step, floor = stencil_floor(model, k_ell, w, mu)
-    declared = time_delay(model, t * period, mu, step)
-    np.testing.assert_array_equal(declared, model.delay * np.eye(2))
-    gap = np.max(np.abs(time_delay(stencil, t * period, mu, step) - declared))
+    declared = model.delay * np.eye(2)
+    gap = np.max(np.abs(stencil_delay(model, [t * period], mu, step)[0] - declared))
     assert gap <= RTOL * k_ell / mu + floor, (gap, floor)
-    grid = CycleGrid(period, 16)
-    gap = abs(delay_scale(stencil, mu, grid) - delay_scale(model, mu, grid))
+    stencil = stencil_delay(model, CycleGrid(period, 16).times, mu, step)
+    gap = abs(np.max(np.linalg.norm(stencil, ord=2, axis=(1, 2))) - abs(model.delay))
     assert gap <= RTOL * k_ell / mu + 2.0 * floor, (gap, floor)
 
 

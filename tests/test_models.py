@@ -1,5 +1,6 @@
 """Built-in models, seeded randomness and configuration parsing."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -18,15 +19,15 @@ from qpump.errors import (
     UnknownParam,
 )
 from qpump.matcore import CycleGrid, unitarity_defect, unitarize
-from qpump.models import (
+from qpump.models import REGISTRY, ModelConfig, PumpModel, _uniform_rows, build, uniform_stream
+from reference import (
     ENERGY_STEP_FRACTION,
-    REGISTRY,
-    ModelConfig,
-    _uniform_rows,
-    build,
-    uniform_stream,
+    SplitMix64,
+    left_rotated,
+    reparameterized,
+    time_reversed,
+    time_warp,
 )
-from reference import SplitMix64, reparameterized, time_warp
 
 ALL_BUILTINS = [
     ("flux-loop", {"k_ell": 1.0}),
@@ -378,6 +379,27 @@ def test_registry_declares_exactly_the_energy_independent_families():
         assert reparameterized(model, 0.3).delay == model.delay
 
 
+def test_a_model_must_declare_its_delay():
+    model = build("flux-loop", {"k_ell": 1.0})
+    given_fields = {f.name: getattr(model, f.name) for f in dataclasses.fields(PumpModel)
+                    if f.name != "delay"}
+    with pytest.raises(TypeError, match="delay"):
+        PumpModel(**given_fields)
+    for bad in (None, True, 1j, "1.0", math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^delay must be"):
+            dataclasses.replace(model, delay=bad)
+    declared = dataclasses.replace(model, delay=np.float64(-0.5))
+    assert declared.delay == -0.5 and type(declared.delay) is float
+
+
+def test_replace_keeps_the_declaration():
+    # the transforms of tests/reference.py replace matrix_fn and name only
+    model = build("perturbed-flux-loop", {"k_ell": 0.7, "delta": 0.3}, mu=1.1)
+    for transformed in (reparameterized(model, 0.3), left_rotated(model, np.eye(2)),
+                        time_reversed(model), dataclasses.replace(model, matrix_fn=None)):
+        assert transformed.delay == model.delay == 0.7 / 1.1
+
+
 @pytest.mark.parametrize("name,params", [
     ("flux-loop", {"k_ell": 1.0}),
     ("flux-loop", {"k_ell": 0.01, "w": 3, "v": 2.0}),
@@ -463,24 +485,25 @@ def test_config_rejects_mu_outside_window():
     assert err.value.field == "energy.mu"
 
 
-@pytest.mark.parametrize("mu", [0.5, 0.5001, 1.4999, 1.5, float("nan")])
+@pytest.mark.parametrize("mu", [0.4999, 0.5, 0.5001, 1.4999, 1.5, 1.5001, float("nan")])
 def test_config_and_build_share_the_mu_margin(mu):
-    # the time-delay stencil reaches mu +/- 2e-4 * (hi - lo); both entry
-    # points reject a mu closer to the window edge with the same error
+    # mu must lie inside [lo, hi], edges included: both entry points build
+    # such a mu and reject any other with the same error
     doc = good_config()
     doc["energy"]["mu"] = mu
+    makers = (lambda: ModelConfig.from_dict(doc),
+              lambda: build("flux-loop", {"k_ell": 1.0}, energy_window=(0.5, 1.5), mu=mu))
+    if 0.5 <= mu <= 1.5:
+        for make in makers:
+            make()
+        return
     errors = []
-    for make in (lambda: ModelConfig.from_dict(doc),
-                 lambda: build("flux-loop", {"k_ell": 1.0}, energy_window=(0.5, 1.5), mu=mu)):
+    for make in makers:
         with pytest.raises(ConfigError) as err:
             make()
         errors.append(err.value)
     assert str(errors[0]) == str(errors[1])
     assert [e.field for e in errors] == ["energy.mu", "energy.mu"]
-    for inside in (0.5 + 2.5e-4, 1.5 - 2.5e-4):
-        doc["energy"]["mu"] = inside
-        ModelConfig.from_dict(doc)
-        build("flux-loop", {"k_ell": 1.0}, energy_window=(0.5, 1.5), mu=inside)
 
 
 #: build's keyword arguments and the config fields that carry them.

@@ -3,10 +3,9 @@
 Each call of a model's batched ``matrix_fn(times, E)`` is recorded, so the
 tests count grid nodes, not Python calls.  ``analyze`` samples S(t, mu)
 once on the cycle grid and shares it, and the winding count of an
-optimal pump adds the half-step midpoints.  Every built-in model declares
-its time delay (``k_ell/mu`` or 0), so none samples an energy other than
-mu; only a model whose ``delay`` is ``None`` adds the four stencil
-energies mu +/- dE, mu +/- 2 dE.  The optimality verdict judges the
+optimal pump adds the half-step midpoints.  Every model declares its
+time delay (``k_ell/mu`` or 0 on the built-ins), so none samples an
+energy other than mu.  The optimality verdict judges the
 cycle once, and the winding count follows from it.
 """
 
@@ -27,7 +26,7 @@ from qpump.errors import NotOptimal
 from qpump.matcore import CycleGrid
 from qpump.models import ModelConfig
 from qpump.optimal import optimality_verdict
-from qpump.shift import ENERGY_STEP_FRACTION, energy_shift_cycle, sample_cycle
+from qpump.shift import energy_shift_cycle, sample_cycle
 from qpump.transport import instant_report, winding_charge
 
 SAMPLES = 64
@@ -76,23 +75,19 @@ def recorded():
     return Recorder()
 
 
-def stencil_energies():
-    step = ENERGY_STEP_FRACTION * (WINDOW[1] - WINDOW[0])
-    return [MU, MU + step, MU - step, MU + 2.0 * step, MU - 2.0 * step]
-
-
-def eval_budget(recorded, cfg, per_node, optimal, on_grid_energies):
-    """Analyse ``cfg``: ``per_node`` evaluations per grid node in all, each of
-    ``on_grid_energies`` once on the cycle grid, and the winding's midpoints
-    the only nodes off it, exactly when the pump is ``optimal``."""
-    result = report.analyze(recorded(cfg))
+@pytest.mark.parametrize("name,params,per_node,optimal", PUMPS, ids=[p[0] for p in PUMPS])
+def test_analyze_eval_budget(recorded, name, params, per_node, optimal):
+    # ``per_node`` evaluations per grid node in all: the cycle grid once at mu
+    # (the declared delay samples nothing), and the winding's midpoints the
+    # only nodes off it, exactly when the pump is ``optimal``
+    result = report.analyze(recorded(config(name, params)))
     assert result.verdict.is_optimal == optimal
     assert sum(len(times) for times, _ in recorded) == per_node * SAMPLES
 
     grid = CycleGrid(1.0, SAMPLES)
     on_grid = Counter(energy for times, energy in recorded
                       if np.array_equal(times, grid.times))
-    assert on_grid == Counter(on_grid_energies)
+    assert on_grid == Counter([MU])
     off_grid = [(times, energy) for times, energy in recorded
                 if not np.array_equal(times, grid.times)]
     if optimal:
@@ -101,20 +96,6 @@ def eval_budget(recorded, cfg, per_node, optimal, on_grid_energies):
         np.testing.assert_array_equal(times, grid.times + 0.5 * grid.dt)
     else:
         assert off_grid == []
-
-
-@pytest.mark.parametrize("name,params,per_node,optimal", PUMPS, ids=[p[0] for p in PUMPS])
-def test_analyze_eval_budget(recorded, name, params, per_node, optimal):
-    # every built-in declares its delay: the cycle grid is sampled at mu alone
-    eval_budget(recorded, config(name, params), per_node, optimal, [MU])
-
-
-@pytest.mark.parametrize("name,params,per_node,optimal", PUMPS, ids=[p[0] for p in PUMPS])
-def test_undeclared_delay_samples_the_stencil(recorded, name, params, per_node, optimal):
-    # withdrawn, the delay costs the four stencil energies on the cycle grid
-    cfg = config(name, params)
-    cfg = dataclasses.replace(cfg, pump=dataclasses.replace(cfg.pump, delay=None))
-    eval_budget(recorded, cfg, per_node + 4, optimal, stencil_energies())
 
 
 @pytest.mark.parametrize("name,params", [p[:2] for p in PUMPS], ids=[p[0] for p in PUMPS])

@@ -7,19 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpump.errors import EnergyOutOfWindow, GridMismatch, NumericalFailure
+from qpump.errors import GridMismatch, NumericalFailure
 from qpump.matcore import R_K, CycleGrid, hermitian_part, unitarize
 from qpump.models import build
 from qpump.optimal import optimality_verdict
-from qpump.shift import (
-    delay_scale,
-    energy_shift_at,
-    energy_shift_cycle,
-    sample_cycle,
-    time_delay,
-)
+from qpump.shift import energy_shift_at, energy_shift_cycle, sample_cycle
 from qpump.transport import instant_report, winding_charge
-from reference import energy_shift_fd, energy_shift_rows, reparameterized, time_warp
+from reference import (
+    energy_shift_fd,
+    energy_shift_rows,
+    reparameterized,
+    stencil_delay,
+    time_warp,
+)
 from test_models import ALL_BUILTINS
 
 GRID = CycleGrid(1.0, 256)
@@ -136,50 +136,36 @@ def test_energy_shift_at_matches_cycle_nodes():
 # ---------------------------------------------------------------- time delay
 
 
-def undeclared(model):
-    """``model`` with its declared delay withdrawn, so the energy stencil computes it."""
-    return dataclasses.replace(model, delay=None)
+def time_delay(model, t, mu, dE):
+    """The stencil's time delay of ``model`` at one time, an (n, n) array."""
+    return stencil_delay(model, [t], mu, dE)[0]
 
 
 def test_time_delay_energy_independent():
     # declared 0, and the stencil's paired differences of a constant are exactly 0
     model = build("random-smooth-path", {"seed": 2})
-    for m in (model, undeclared(model)):
-        assert np.max(np.abs(time_delay(m, 0.3, 1.0, 1e-4))) == 0.0
+    assert model.delay == 0.0
+    assert np.max(np.abs(time_delay(model, 0.3, 1.0, 1e-4))) == 0.0
 
 
 def test_time_delay_flux_loop_traversal_time():
     # linear dispersion, k_ell = 2 at mu = 1 -> loop traversal time l/v = 2:
     # the stencil finds it, and the model declares it exactly
     model = build("flux-loop", {"k_ell": 2.0})
-    td = time_delay(undeclared(model), 0.3, 1.0, 1e-4)
+    td = time_delay(model, 0.3, 1.0, 1e-4)
     np.testing.assert_allclose(td, 2.0 * np.eye(2), atol=1e-9)
-    np.testing.assert_array_equal(time_delay(model, 0.3, 1.0, 1e-4), 2.0 * np.eye(2))
+    assert model.delay == 2.0
 
 
 def test_time_delay_step_convergence():
-    model = undeclared(build("flux-loop", {"k_ell": 2.0}))
+    model = build("flux-loop", {"k_ell": 2.0})
     a = time_delay(model, 0.0, 1.0, 1e-4)
     b = time_delay(model, 0.0, 1.0, 5e-5)
     assert 0.0 < np.max(np.abs(a - b)) < 1e-8  # two stencils, not one declaration
 
 
-@pytest.mark.parametrize("name,params", [("flux-loop", {"k_ell": 1.0}),
-                                         ("random-smooth-path", {"seed": 2})],
-                         ids=["flux-loop", "random-smooth-path"])
-def test_time_delay_stencil_window_guard(name, params):
-    # an energy-independent model skips the stencil, not its guards
-    model = build(name, params, energy_window=(0.5, 1.5))
-    with pytest.raises(EnergyOutOfWindow, match=r"stencil \[mu-2dE, mu\+2dE\]"):
-        time_delay(model, 0.0, 1.49, 0.01)
-    with pytest.raises(ValueError, match="dE must be positive"):
-        time_delay(model, 0.0, 1.0, -1e-4)
-    with pytest.raises(EnergyOutOfWindow, match=r"stencil \[mu-2dE, mu\+2dE\]"):
-        delay_scale(model, 1.49999, GRID)  # dE = 1e-4 * (hi - lo)
-
-
 def test_energy_independent_delay_samples_nothing():
-    # a declared delay c I is returned as declared: no energy is sampled, no SVD taken
+    # the delay c I is declared, and kept by a replace: tau = |c| samples no energy
     for name, params, mu, c in [
         ("diagonal-times-constant", {"w1": 1, "s0_seed": 3}, 1.0, 0.0),
         ("flux-loop", {"k_ell": 1.3, "w": 2}, 0.9, 1.3 / 0.9),
@@ -188,17 +174,16 @@ def test_energy_independent_delay_samples_nothing():
         model = dataclasses.replace(build(name, params, mu=mu),
                                     matrix_fn=None)  # any evaluation would raise
         assert model.delay == c
-        np.testing.assert_array_equal(time_delay(model, 0.3, mu, 1e-4), c * np.eye(2))
-        assert delay_scale(model, mu, GRID) == c
+        assert epsilon(model) == TWO_PI * c  # period 1
 
 
 # ---------------------------------------------------------------- adiabaticity
 
 
-def epsilon(model, grid=GRID):
-    """The adiabaticity parameter ``omega * tau`` at mu = 1 as ``analyze``
-    takes it: ``omega = 2pi/T`` and tau the :func:`delay_scale`."""
-    return (TWO_PI / model.period) * delay_scale(model, 1.0, grid)
+def epsilon(model):
+    """The adiabaticity parameter ``omega * tau`` as ``analyze`` takes it:
+    ``omega = 2pi/T`` and tau the declared ``|delay|``."""
+    return (TWO_PI / model.period) * abs(model.delay)
 
 
 def test_adiabaticity_energy_independent_is_zero():
@@ -212,10 +197,9 @@ def test_adiabaticity_flux_loop():
 
 def test_adiabaticity_slow_cycle():
     model = build("flux-loop", {"k_ell": 2.0}, period=1000.0)
-    grid = CycleGrid(1000.0, 256)
-    eps = epsilon(model, grid)
+    eps = epsilon(model)
     assert abs(eps - 4.0 * np.pi / 1000.0) < 1e-10
-    assert abs(delay_scale(model, 1.0, grid) - 2.0) < 1e-9
+    assert abs(abs(model.delay) - 2.0) < 1e-9
 
 
 # ---------------------------------------------------------------- velocity split

@@ -28,7 +28,7 @@ def test_tracer_wraps_and_restores_the_counted_functions():
         sys.path.remove(str(ROOT / "perfbench"))
     originals = {
         "eval": models.PumpModel.__dict__["eval"],
-        "time_delay": shift.time_delay,
+        "energy_shift_at": shift.energy_shift_at,
         "sample_cycle": shift.sample_cycle,
         "report.sample_cycle": report.sample_cycle,
     }
@@ -36,18 +36,19 @@ def test_tracer_wraps_and_restores_the_counted_functions():
     tracer.install(qpump)
     try:
         assert models.PumpModel.__dict__["eval"] is not originals["eval"]
-        assert shift.time_delay is not originals["time_delay"]
+        assert shift.energy_shift_at is not originals["energy_shift_at"]
         assert shift.sample_cycle is not originals["sample_cycle"]
         assert report.sample_cycle is shift.sample_cycle
         model = qpump.build("flux-loop", {"k_ell": 1.0})
+        grid = qpump.CycleGrid(1.0, 8)
         model.eval(0.0, 1.0)
-        shift.time_delay(model, 0.0, 1.0, 1e-4)
-        shift.sample_cycle(model, 1.0, qpump.CycleGrid(1.0, 8))
-        for name in ("models.eval", "shift.time_delay", "shift.sample_cycle"):
+        shift.energy_shift_at(model, 0.0, 1.0, grid)
+        shift.sample_cycle(model, 1.0, grid)
+        for name in ("models.eval", "shift.energy_shift_at", "shift.sample_cycle"):
             assert tracer.stat(name).calls == 1, name
     finally:
         tracer.uninstall()
     assert models.PumpModel.__dict__["eval"] is originals["eval"]
-    assert shift.time_delay is originals["time_delay"]
+    assert shift.energy_shift_at is originals["energy_shift_at"]
     assert shift.sample_cycle is originals["sample_cycle"]
     assert report.sample_cycle is originals["report.sample_cycle"]

@@ -1,15 +1,17 @@
 """Currents, dissipation and its bound, entropy/noise, charges and windings."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpump.errors import NotOptimal, NumericalFailure, PhaseStepTooLarge
-from qpump.matcore import R_K, CycleGrid, central_derivative
+from qpump.matcore import R_K, CycleGrid
 from qpump.models import build
 from qpump.optimal import optimality_verdict
-from qpump.shift import energy_shift_cycle, sample_cycle, time_delay
+from qpump.shift import energy_shift_cycle, sample_cycle
 from qpump.transport import (
     InstantReport,
     cycle_integral,
@@ -17,7 +19,13 @@ from qpump.transport import (
     instantaneous_current,
     winding_charge,
 )
-from reference import dissipation_from_symbol, outgoing_symbol, reparameterized
+from reference import (
+    central_derivative,
+    dissipation_from_symbol,
+    outgoing_symbol,
+    reparameterized,
+    stencil_delay,
+)
 from test_models import ALL_BUILTINS
 from test_shift import as_shift
 
@@ -188,8 +196,8 @@ def test_entropy_noise_regime_flags():
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: time_delay(build("diagonal-times-constant", {}), 0.0, 1.0, float("nan")),
-     "dE must be positive"),
+    (lambda: stencil_delay(build("diagonal-times-constant", {}), [0.0], 1.0, float("nan")),
+     "step must be positive"),
     (lambda: instant_report(flux_loop_shift(), 0.0, beta=float("nan")), "beta must be positive"),
     (lambda: central_derivative(lambda x: np.array([x]), 1.0, float("nan")),
      "step must be positive"),
@@ -292,6 +300,18 @@ def test_instant_report_fields():
     assert not rep.regime_ok  # omega*beta >> 1 here
     bare = instant_report(flux_loop_shift(), 0.0)
     assert bare.sdot is None and bare.regime_ok
+
+
+@pytest.mark.parametrize("period", [1.0, 1000.0])
+def test_identity_check_is_relative_to_the_channel_scale(period):
+    # a relative 1e-9 error in the excess breaks D = joule + excess on a slow
+    # pump (max D ~ 1e-5 at T = 1000) as on a fast one: the identity is held,
+    # like the residual, to the channel's largest D, not to max(1, |D|)
+    model = build("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.3, "w": 2}, period=period)
+    grid = CycleGrid(period, 256)
+    report = instant_report(shift_stack(model, grid), grid.times)
+    with pytest.raises(NumericalFailure, match="decomposition identity"):
+        dataclasses.replace(report, excess=report.excess * (1.0 + 1e-9))
 
 
 def test_instant_report_rejects_bound_violation():
