@@ -6,7 +6,7 @@ keep their insertion order, floats are written with 17 significant digits
 machine-dependent enters the document, so identical configurations yield
 byte-identical reports.  A document is written as byte tables: a record
 text with a NUL-padded field per float, repeated per row (a table per
-float array, and one for the text between).
+float array of rank 2 or more, and one for the text between).
 Its floats are formatted as one block, the same bytes as
 :func:`format_float` per value: a large block with array arithmetic, each
 distinct value once, except zeros, values outside 1e-280..1e280 and
@@ -224,35 +224,21 @@ def _layout(shape: tuple, pad: str) -> str:
 
 
 def _array(values: np.ndarray, pad: str, out: list, tables: list, floats: list) -> None:
-    """The nested JSON arrays of ``values`` at indent ``pad``: the text in
-    ``out`` so far becomes a one-record table, and the entries along the
-    first axis the next table, a record per entry."""
-    if not len(values):
-        out.append("[]")
+    """The nested JSON arrays of ``values`` at indent ``pad``: one of rank 0 or 1,
+    or empty, in place, else the text in ``out`` so far becomes a one-record table,
+    and the entries along the first axis the next table, a record per entry."""
+    floats.append(values.ravel())
+    if values.ndim <= 1 or not len(values):
+        out.append(_layout(values.shape, pad))
         return
     item = _layout(values.shape[1:], pad + "  ")
     tables += [("".join(out), 1), (",\n" + pad + "  " + item, len(values))]
     out[:] = ["\n" + pad + "]"]
-    floats.append(values.ravel())
-
-
-def _instant(report: InstantReport, pad: str, out: list, floats: list) -> None:
-    """A one-time report as one JSON object."""
-    columns = {"Qdot": report.qdot, "D": report.total_dissipation,
-               "Xs": report.excess, "r": report.residual}
-    if report.sdot is not None:
-        columns.update(Sdot=report.sdot, Ndot=report.ndot)
-    item = pad + "  "
-    leaves = _layout(report.qdot.shape, item)
-    fields = [item + '"t": ' + _FIELD, *(f"{item}{_quote(key)}: {leaves}" for key in columns),
-              f'{item}"regime_ok": {"true" if report.regime_ok else "false"}']
-    out.append("{\n" + ",\n".join(fields) + "\n" + pad + "}")
-    floats += [[report.t], *columns.values()]
 
 
 def _emit(obj, indent: int, out: list, tables: list, floats: list) -> None:
     """Append the text of ``obj`` to ``out`` with a field per float, and its
-    floats to ``floats``; a float array is a table of its own (:func:`_array`)."""
+    floats to ``floats``; a float array of rank 2 or more is a table (:func:`_array`)."""
     pad = "  " * indent
     if isinstance(obj, (dict, list, tuple)):
         is_dict = isinstance(obj, dict)
@@ -266,9 +252,7 @@ def _emit(obj, indent: int, out: list, tables: list, floats: list) -> None:
             _emit(value, indent + 1, out, tables, floats)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + brackets[1])
-    elif isinstance(obj, InstantReport) and not np.ndim(obj.t):
-        _instant(obj, pad, out, floats)
-    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim:
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
         _array(obj, pad, out, tables, floats)
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
@@ -276,7 +260,7 @@ def _emit(obj, indent: int, out: list, tables: list, floats: list) -> None:
         out.append("null")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating, np.ndarray)) and np.asarray(obj).dtype.kind == "f":
+    elif isinstance(obj, (float, np.floating)):
         out.append(_FIELD)
         floats.append([float(obj)])
     elif isinstance(obj, str):
@@ -313,9 +297,9 @@ def _write(tables: list, floats: list) -> str:
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON text (insertion-ordered keys, 17-digit floats); float
-    arrays are written as their list form, a one-time :class:`InstantReport` as
-    one object.  The text is a few byte tables, each a record with a NUL-padded
+    """Deterministic JSON text (insertion-ordered keys, 17-digit floats) of JSON
+    values and float arrays, written as their list form; anything else is a
+    :class:`TypeError`.  The text is a few byte tables, each a record with a NUL-padded
     field per float repeated per row; all floats are formatted as one block."""
     out, tables, floats = [], [], []
     _emit(obj, 0, out, tables, floats)
@@ -348,14 +332,20 @@ class AnalysisResult:
         """The time series as CSV: ``t, Qdot_1..n, D_1..n[, Sdot_1..n,
         Ndot_1..n], rho``; formatted on demand."""
         report = self.instants
-        blocks = {"Qdot": report.qdot, "D": report.total_dissipation}
-        if report.sdot is not None:
-            blocks.update(Sdot=report.sdot, Ndot=report.ndot)
+        rates = {} if report.sdot is None else {"Sdot": report.sdot, "Ndot": report.ndot}
+        blocks = {"Qdot": report.qdot, "D": report.total_dissipation, **rates}
         channels = range(1, report.qdot.shape[1] + 1)
         header = ["t", *(f"{name}_{j}" for name in blocks for j in channels), "rho"]
         table = np.column_stack([report.t, *blocks.values(), self.verdict.ratios])
         record = ",".join([_FIELD] * table.shape[1]) + "\n"
         return _write([(",".join(header) + "\n", 1), (record, len(table))], [table.ravel()])
+
+
+def _regime(config: ModelConfig) -> tuple[float, bool | None]:
+    """The cycle's adiabaticity ``omega tau`` (``omega = 2 pi / T``, ``tau = |delay|``) and
+    whether its entropy and noise rates hold, ``omega < 1/beta < 1/tau``; None without beta."""
+    omega, tau, beta = 2.0 * np.pi / config.pump.period, abs(config.pump.delay), config.beta
+    return omega * tau, None if beta is None else bool(omega * beta < 1.0 and tau < beta)
 
 
 def analyze(config: ModelConfig) -> AnalysisResult:
@@ -365,11 +355,9 @@ def analyze(config: ModelConfig) -> AnalysisResult:
     # S(t, mu) is sampled once; every stage below reuses it.
     samples = sample_cycle(model, mu, grid)
     shifts, herm_defect = energy_shift_cycle(samples, grid)
-    tau = abs(model.delay)
-    omega = 2.0 * np.pi / model.period
-    epsilon = omega * tau
+    epsilon, regime_ok = _regime(config)
 
-    instants = instant_report(shifts, grid.times, beta=config.beta, omega=omega, tau=tau)
+    instants = instant_report(shifts, grid.times, beta=config.beta)
     verdict = optimality_verdict(shifts, samples, instants, tol)
 
     charge = cycle_integral(instants.qdot, grid)
@@ -391,7 +379,7 @@ def analyze(config: ModelConfig) -> AnalysisResult:
     if epsilon >= ADIABATICITY_WARN:
         warnings.append(f"adiabaticity parameter {epsilon:.6g} >= {ADIABATICITY_WARN}; "
                         "the instantaneous description is questionable for this cycle")
-    if config.beta is not None and not instants.regime_ok:
+    if regime_ok is False:
         warnings.append("entropy/noise regime check failed: need omega < 1/beta < 1/tau")
 
     document = {
@@ -403,7 +391,7 @@ def analyze(config: ModelConfig) -> AnalysisResult:
             "winding": None if winding is None else [int(w) for w in winding],
             "dissipated_per_cycle": cycle_integral(instants.total_dissipation, grid),
             "adiabaticity": epsilon,
-            "regime_ok": None if config.beta is None else instants.regime_ok,
+            "regime_ok": regime_ok,
             "period": grid.period,
             "samples": grid.samples,
         },
@@ -414,13 +402,14 @@ def analyze(config: ModelConfig) -> AnalysisResult:
     return AnalysisResult(document=document, instants=instants, verdict=verdict)
 
 
-def instant_document(config: ModelConfig, t: float) -> InstantReport:
-    """Single-time report for ``pump instant`` (t in [0, period)); :func:`dumps`
-    writes it as one JSON object."""
-    model, grid = config.pump, config.grid
+def instant_document(config: ModelConfig, t: float) -> dict:
+    """The ``pump instant`` document at t in [0, period): ``t``, the (n,) columns
+    ``Qdot``, ``D``, ``Xs``, ``r`` (then ``Sdot``, ``Ndot`` with beta) and
+    ``regime_ok``, true without beta."""
+    model = config.pump
     if not (0.0 <= t < model.period):
         raise ConfigError("t", f"must lie in [0, {model.period!r}), got {t!r}")
-    e = energy_shift_at(model, t, config.mu, grid)
-    tau = abs(model.delay)
-    omega = 2.0 * np.pi / model.period
-    return instant_report(e, float(t), beta=config.beta, omega=omega, tau=tau)
+    report = instant_report(energy_shift_at(model, t, config.mu, config.grid), t, config.beta)
+    rates = {} if report.sdot is None else {"Sdot": report.sdot, "Ndot": report.ndot}
+    return {"t": float(t), "Qdot": report.qdot, "D": report.total_dissipation, "Xs": report.excess,
+            "r": report.residual, **rates, "regime_ok": _regime(config)[1] is not False}

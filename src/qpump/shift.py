@@ -28,15 +28,18 @@ __all__ = [
 HARD_HERM_LIMIT = 1e-3
 
 
+def _check_period(model: PumpModel, grid: CycleGrid) -> None:
+    """:class:`GridMismatch` unless the grid's period is the model's, to 1e-12 of it."""
+    if abs(grid.period - model.period) > 1e-12 * abs(model.period):
+        raise GridMismatch(f"grid period {grid.period!r} differs from the model's {model.period!r}")
+
+
 def sample_cycle(model: PumpModel, mu: float, grid: CycleGrid) -> np.ndarray:
     """Sample S(t, mu) on the grid; every sample is certified unitary.
 
     Returns an (N, n, n) complex array.
     """
-    if abs(grid.period - model.period) > 1e-12 * max(1.0, abs(model.period)):
-        raise GridMismatch(
-            f"grid period {grid.period!r} differs from model period {model.period!r}"
-        )
+    _check_period(model, grid)
     return model.sample(grid.times, mu)
 
 
@@ -75,6 +78,7 @@ def energy_shift_at(model: PumpModel, t: float, mu: float, grid: CycleGrid) -> n
     first node; FFT differentiation is insensitive to the origin shift.  The
     defect's scale is the cycle's largest ``||dS/dt||_F``, that is ``||E||_F``.
     """
+    _check_period(model, grid)
     s = model.sample(t + grid.times, mu)
     ds = spectral_derivative(s, grid)
     return _shift_stack(s[:1], ds[:1], np.array([float(t)]), frobenius_norm(ds).max())[0][0]

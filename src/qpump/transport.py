@@ -30,6 +30,7 @@ import numpy as np
 from .errors import NotOptimal, NumericalFailure, PhaseStepTooLarge
 from .matcore import R_K, CycleGrid, periodic_integral
 from .models import PumpModel
+from .shift import _check_period
 
 if TYPE_CHECKING:  # optimal imports this module
     from .optimal import OptimalityVerdict
@@ -96,11 +97,13 @@ def winding_charge(model: PumpModel, mu: float, grid: CycleGrid, samples: np.nda
     :class:`PhaseStepTooLarge` instead of miscounting.
 
     ``samples`` is S(t, mu) on the grid and ``verdict`` its
-    :func:`~qpump.optimal.optimality_verdict`.  Raises :class:`NotOptimal`,
+    :func:`~qpump.optimal.optimality_verdict`.  Raises :class:`GridMismatch`
+    when the grid's period is not the model's, and :class:`NotOptimal`,
     before sampling anything, when the verdict is not optimal: for a
     non-optimal pump the rows change direction, not just phase, and no
     integer winding exists.
     """
+    _check_period(model, grid)
     if not verdict.is_optimal:
         raise NotOptimal(
             f"max off-diagonal ratio {verdict.max_offdiag_ratio:.3e} fails the optimality "
@@ -137,7 +140,8 @@ class InstantReport:
     ``residual`` is the dissipation-bound slack (>= 0 up to rounding)
     and ``excess`` the off-diagonal dissipation; ``sdot``/``ndot`` are
     present only when an inverse temperature was supplied.  Construction
-    re-checks the defining identities.
+    re-checks the defining identities.  The rates' regime is a fact of the
+    whole cycle, which :mod:`qpump.report` decides; ``dumps`` refuses a report.
     """
 
     t: float | np.ndarray
@@ -145,7 +149,6 @@ class InstantReport:
     total_dissipation: np.ndarray
     excess: np.ndarray
     residual: np.ndarray
-    regime_ok: bool
     sdot: np.ndarray | None = None
     ndot: np.ndarray | None = None
 
@@ -162,40 +165,34 @@ class InstantReport:
             raise NumericalFailure("dissipation decomposition identity failed")
 
 
-def instant_report(e: np.ndarray, t: float | np.ndarray, beta: float | None = None,
-                   omega: float = 0.0, tau: float = 0.0) -> InstantReport:
+def instant_report(e: np.ndarray, t: float | np.ndarray,
+                   beta: float | None = None) -> InstantReport:
     """Every per-channel observable of an energy shift ``e``, at one time ``t``
     (``e`` is (n, n)) or over a stack at the (N,) times ``t`` (``e`` is (N, n, n)).
 
     One ``|E_jk|^2`` pass gives the off-diagonal weight
-    ``w_j = sum_{k != j} |E_jk|^2``: the excess ``w/4pi`` and, when an
-    inverse temperature ``beta`` is given, the rates ``Sdot = beta w/4pi``
-    and ``Ndot = beta w/12pi`` (ratio exactly 3).  The residual is
-    ``D - (R_K/2) Qdot^2`` by subtraction rather than the closed form
-    ``w/4pi`` it equals, so the bound is exercised.  ``regime_ok`` records
-    the strict window ``omega < 1/beta < 1/tau`` in which rates per unit
-    time are meaningful; outside it the rates are still returned, only
-    flagged.
+    ``w_j = sum_{k != j} |E_jk|^2``: the excess ``w/4pi`` and, when a finite
+    positive inverse temperature ``beta`` is given, the rates
+    ``Sdot = beta w/4pi`` and ``Ndot = beta w/12pi`` (ratio exactly 3).  The
+    residual is ``D - (R_K/2) Qdot^2`` by subtraction rather than the closed
+    form ``w/4pi`` it equals, so the bound is exercised.
     """
-    if beta is not None and not beta > 0:
-        raise ValueError("beta must be positive")
+    if beta is not None and not 0.0 < beta < np.inf:
+        raise ValueError("beta must be positive and finite")
     mags = np.abs(e) ** 2
     weight = mags.sum(axis=-1) - _diagonal(mags)
     qdot = instantaneous_current(e)
     total = _square_diagonal(e) / _FOUR_PI
     sdot = ndot = None
-    regime_ok = True
     if beta is not None:
         sdot = beta * weight / _FOUR_PI
         ndot = beta * weight / (12.0 * np.pi)
-        regime_ok = bool(omega * beta < 1.0 and tau < beta)
     return InstantReport(
         t=t,
         qdot=qdot,
         total_dissipation=total,
         excess=weight / _FOUR_PI,
         residual=total - _joule(qdot),
-        regime_ok=regime_ok,
         sdot=sdot,
         ndot=ndot,
     )

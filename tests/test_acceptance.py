@@ -148,7 +148,7 @@ def test_criterion_07_entropy_noise_ratio():
     worst = 0.0
     for _ in range(50):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        en = instant_report(as_shift(a + a.conj().T), 0.0, 3.7, 0.1, 0.1)
+        en = instant_report(as_shift(a + a.conj().T), 0.0, 3.7)
         defined = en.ndot > 0.0
         if np.any(defined):
             rel = np.abs(en.sdot[defined] / en.ndot[defined] / 3.0 - 1.0)

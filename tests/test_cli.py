@@ -24,6 +24,8 @@ from qpump.matcore import DEFAULT_TOLERANCES, Tolerances
 from qpump.models import MAX_STACK_ENTRIES, ModelConfig
 from qpump.report import (_ARRAY_MIN, _P0, _format_block, _pow10_table, _scaled, analyze, dumps,
                           format_float, instant_document)
+from qpump.transport import instant_report
+from test_transport import REGIME_CASES, regime_config
 
 BASE_CONFIG = {
     "model": "flux-loop",
@@ -215,6 +217,23 @@ def test_instant_nonzero_entropy_for_perturbed(tmp_path, capsys):
     assert main(["instant", "--config", cfg, "--t", "0.25"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert max(out["Sdot"]) > 0.0
+
+
+@pytest.mark.parametrize("case", list(REGIME_CASES))
+def test_instant_and_analyze_agree_on_the_regime(tmp_path, capsys, case):
+    # the window omega < 1/beta < 1/tau is the cycle's: pump instant's flag
+    # (true without beta), analyze's cycle.regime_ok (null without beta) and
+    # analyze's regime warning say the same
+    model, params, omega, beta, expected = REGIME_CASES[case]
+    cfg = write_config(tmp_path, regime_config(model, params, omega, beta).raw)
+    assert main(["instant", "--config", cfg, "--t", "0.0"]) == 0
+    instant = json.loads(capsys.readouterr().out)
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert instant["regime_ok"] is (expected is not False)
+    assert report["cycle"]["regime_ok"] is expected
+    assert any("regime check failed" in w for w in report["warnings"]) is (expected is False)
 
 
 # ---------------------------------------------------------------- exit codes
@@ -529,7 +548,7 @@ def test_format_float_rejects_non_finite():
     from qpump.errors import NumericalFailure
 
     config = ModelConfig.from_dict(dict(BASE_CONFIG, cycle={"period": 1.0, "samples": 16}))
-    document, report = analyze(config).document, instant_document(config, 0.25)
+    document, instant = analyze(config).document, instant_document(config, 0.25)
     for value in (float("nan"), float("inf"), -float("inf")):
         message = f"non-finite value {format(value, '.17g')} in the report"
         with pytest.raises(NumericalFailure, match=f"^{message}$"):
@@ -544,20 +563,10 @@ def test_format_float_rejects_non_finite():
         xs[5, 1] = value
         with pytest.raises(NumericalFailure, match="non-finite"):
             dumps(dict(document, instants=dict(document["instants"], Xs=xs)))
-        sdot = report.sdot.copy()
+        sdot = instant["Sdot"].copy()
         sdot[1] = value
         with pytest.raises(NumericalFailure, match="non-finite"):
-            dumps(dataclasses.replace(report, sdot=sdot))
-
-
-def instant_record(report):
-    """A one-time InstantReport as a plain dict of lists and floats."""
-    columns = {"Qdot": report.qdot, "D": report.total_dissipation,
-               "Xs": report.excess, "r": report.residual}
-    if report.sdot is not None:
-        columns.update(Sdot=report.sdot, Ndot=report.ndot)
-    return {"t": report.t, **{key: value.tolist() for key, value in columns.items()},
-            "regime_ok": report.regime_ok}
+            dumps(dict(instant, Sdot=sdot))
 
 
 def listed(doc):
@@ -585,6 +594,13 @@ def test_dumps_float_array_matches_list_form():
     arrays = {"edges": edges, "phases": phases, "s": np.arange(9.0).reshape(3, 3) - 4.5,
               "empty_rows": np.zeros((2, 0))}
     assert dumps(arrays) == dumps({key: value.tolist() for key, value in arrays.items()})
+    # arrays of rank 0 and 1 are written in place, rank 2 or more as tables: the same text
+    long = np.random.default_rng(4).normal(size=_ARRAY_MIN + 5)
+    long[::7] = 0.0
+    shapes = {"long": long, "one": np.array([2.5]), "rows": [values, values[:1], np.array([])],
+              "cube": np.arange(24.0).reshape(2, 3, 4) / 7.0, "scalar": np.array(-1.25)}
+    assert dumps(shapes) == dumps(listed(shapes))
+    assert dumps([long]) == dumps([long.tolist()])
 
     for model, params in [("flux-loop", {"k_ell": 1.0}),
                           ("perturbed-flux-loop", {"k_ell": 0.7, "delta": 0.3})]:
@@ -597,11 +613,12 @@ def test_dumps_float_array_matches_list_form():
             result = analyze(config)
             assert dumps({"x": result.document}) == dumps({"x": listed(result.document)})
             one = instant_document(config, 0.25)
-            assert dumps(one) == dumps(instant_record(one))
-            assert dumps([one]) == dumps([instant_record(one)])
-            # only a one-time report is a record: the stacked one is written as columns
-            with pytest.raises(TypeError, match="cannot serialize InstantReport"):
-                dumps(result.instants)
+            assert dumps(one) == dumps(listed(one))
+            assert dumps([one]) == dumps([listed(one)])
+            # a report is columns, written only inside a document
+            for instants in (result.instants, instant_report(np.diag([1.0, -1.0]), 0.25)):
+                with pytest.raises(TypeError, match="cannot serialize InstantReport"):
+                    dumps(instants)
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

@@ -110,9 +110,22 @@ def test_under_resolved_grid_fails_hard():
 
 
 def test_grid_period_must_match_model():
+    # every sampler checks the grid against the model, relative to its period
     model = build("flux-loop", {"k_ell": 1.0}, period=2.0)
     with pytest.raises(GridMismatch):
         sample_cycle(model, 1.0, GRID)
+    tiny = build("flux-loop", {"k_ell": 1.0}, period=2e-13)
+    with pytest.raises(GridMismatch):
+        sample_cycle(tiny, 1.0, CycleGrid(1e-13, 64))
+    loop = build("flux-loop", {"k_ell": 1.0})
+    with pytest.raises(GridMismatch):
+        energy_shift_at(loop, 0.25, 1.0, CycleGrid(0.5, 64))
+    samples = sample_cycle(loop, 1.0, GRID)
+    shifts = shift_stack(loop)
+    verdict = optimality_verdict(shifts, samples, instant_report(shifts, GRID.times))
+    assert verdict.is_optimal
+    with pytest.raises(GridMismatch):
+        winding_charge(loop, 1.0, CycleGrid(0.5, 256), samples, verdict)
 
 
 def test_finite_difference_cross_check():

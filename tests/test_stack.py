@@ -31,10 +31,10 @@ def test_stack_views_and_observables_match_loop():
         model = build(name, params)
         shifts, _ = energy_shift_cycle(sample_cycle(model, 1.0, GRID), GRID)
         assert shifts.shape == (GRID.samples,) + (model.n_channels,) * 2
-        stacked = instant_report(shifts, GRID.times, beta=5.0, omega=0.1, tau=0.1)
+        stacked = instant_report(shifts, GRID.times, beta=5.0)
         ratios = offdiag_ratio(shifts)
         for i, e in enumerate(shifts):
-            one = instant_report(e, GRID.times[i], beta=5.0, omega=0.1, tau=0.1)
+            one = instant_report(e, GRID.times[i], beta=5.0)
             for field in ("t", "qdot", "total_dissipation", "excess", "residual", "sdot", "ndot"):
                 np.testing.assert_array_equal(getattr(stacked, field)[i], getattr(one, field))
             assert ratios[i] == offdiag_ratio(e)

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from qpump.errors import NotOptimal, NumericalFailure, PhaseStepTooLarge
 from qpump.matcore import R_K, CycleGrid
-from qpump.models import build
+from qpump.models import ModelConfig, build
 from qpump.optimal import optimality_verdict
+from qpump.report import _regime
 from qpump.shift import energy_shift_cycle, sample_cycle
 from qpump.transport import (
     InstantReport,
@@ -170,26 +171,45 @@ def test_charge_conservation_is_trace():
 
 
 def test_entropy_noise_diagonal_is_zero():
-    en = instant_report(as_shift(np.diag([1.0, -1.0])), 0.0, 10.0, 0.1, 0.1)
+    en = instant_report(as_shift(np.diag([1.0, -1.0])), 0.0, 10.0)
     assert np.all(en.sdot == 0.0) and np.all(en.ndot == 0.0)
 
 
 def test_entropy_noise_values_and_ratio():
     e = as_shift([[0.0, 1.0], [1.0, 0.0]])
-    en = instant_report(e, 0.0, 10.0, 0.01, 0.1)
+    en = instant_report(e, 0.0, 10.0)
     np.testing.assert_allclose(en.sdot, [10 / (4 * PI)] * 2, atol=1e-15)
     np.testing.assert_allclose(en.ndot, [10 / (12 * PI)] * 2, atol=1e-15)
     np.testing.assert_allclose(en.sdot / en.ndot, 3.0, rtol=1e-14)
 
 
+def regime_config(model, params, omega, beta):
+    """A config at mu = 1 whose cycle has ``omega = 2 pi / T``: on a flux loop
+    ``tau = k_ell``, on ``diagonal-times-constant`` ``tau = 0``."""
+    doc = {"model": model, "params": params, "cycle": {"period": 2 * PI / omega, "samples": 64},
+           "energy": {"mu": 1.0, "window": [0.5, 1.5]}}
+    return ModelConfig.from_dict(doc if beta is None else dict(doc, beta=beta))
+
+
+#: (model, params, omega, beta, regime_ok) at the edges of omega < 1/beta < 1/tau.
+REGIME_CASES = {
+    "inside": ("flux-loop", {"k_ell": 5.0}, 0.05, 10.0, True),  # 0.5 < 1, 5 < 10
+    "omega_beta_2": ("flux-loop", {"k_ell": 5.0}, 0.2, 10.0, False),
+    "tau_over_beta": ("flux-loop", {"k_ell": 20.0}, 0.05, 10.0, False),
+    "tau_0": ("diagonal-times-constant", {"w1": 1.0}, 0.05, 10.0, True),  # no lower scale
+    "no_beta": ("flux-loop", {"k_ell": 5.0}, 0.05, None, None),
+}
+
+
 def test_entropy_noise_regime_flags():
-    e = as_shift([[0.0, 1.0], [1.0, 0.0]])
-    assert instant_report(e, 0.0, 10.0, 0.05, 5.0).regime_ok      # 0.5 < 1, 5 < 10
-    assert not instant_report(e, 0.0, 10.0, 0.2, 5.0).regime_ok   # omega*beta = 2
-    assert not instant_report(e, 0.0, 10.0, 0.05, 20.0).regime_ok  # tau > beta
-    assert instant_report(e, 0.0, 10.0, 0.05, 0.0).regime_ok      # tau = 0: no lower scale
+    # the window is the cycle's: omega, tau and beta come from the config
+    for name in ("inside", "omega_beta_2", "tau_over_beta", "tau_0"):
+        model, params, omega, beta, expected = REGIME_CASES[name]
+        epsilon, regime_ok = _regime(regime_config(model, params, omega, beta))
+        assert regime_ok is expected, name
+        assert epsilon == pytest.approx(omega * params.get("k_ell", 0.0), rel=1e-15), name
     with pytest.raises(ValueError):
-        instant_report(e, 0.0, 0.0, 0.1, 0.1)
+        instant_report(as_shift([[0.0, 1.0], [1.0, 0.0]]), 0.0, 0.0)
 
 
 # ---------------------------------------------------------------- guards
@@ -201,7 +221,9 @@ def test_entropy_noise_regime_flags():
     (lambda: instant_report(flux_loop_shift(), 0.0, beta=float("nan")), "beta must be positive"),
     (lambda: central_derivative(lambda x: np.array([x]), 1.0, float("nan")),
      "step must be positive"),
-], ids=["time_delay-dE", "instant_report-beta", "central_derivative-step"])
+    (lambda: instant_report(flux_loop_shift(), 0.0, beta=float("inf")),
+     "beta must be positive and finite"),
+], ids=["time_delay-dE", "instant_report-beta", "central_derivative-step", "instant_report-beta-inf"])
 def test_positive_guards_reject_nan(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -293,13 +315,12 @@ def test_dequantization_sweep():
 
 
 def test_instant_report_fields():
-    rep = instant_report(flux_loop_shift(), 0.0, beta=10.0, omega=2 * PI, tau=1.0)
+    rep = instant_report(flux_loop_shift(), 0.0, beta=10.0)
     np.testing.assert_allclose(rep.qdot, [-1.0, 1.0], atol=1e-10)
     np.testing.assert_allclose(rep.total_dissipation, [PI, PI], atol=1e-10)
     assert rep.sdot is not None and rep.ndot is not None
-    assert not rep.regime_ok  # omega*beta >> 1 here
     bare = instant_report(flux_loop_shift(), 0.0)
-    assert bare.sdot is None and bare.regime_ok
+    assert bare.sdot is None and bare.ndot is None
 
 
 @pytest.mark.parametrize("period", [1.0, 1000.0])
@@ -322,5 +343,4 @@ def test_instant_report_rejects_bound_violation():
             total_dissipation=np.array([0.1]),
             excess=np.array([0.0]),
             residual=np.array([0.1 - 0.5 * R_K]),
-            regime_ok=True,
         )
