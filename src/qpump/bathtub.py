@@ -51,7 +51,8 @@ class DispersionGrid:
     the greedy minimum converge to it at a uniform O(dk) rate; it also
     avoids k = 0, where the weight of a quadratic dispersion vanishes.
     Weights are ``w_i = eps'(k_i) * dk``, the cell's share of the energy
-    measure.
+    measure and the grid's one record of ``eps'``: as dk > 0, the bound's
+    hypothesis ``k * eps'(k) >= 0`` is checked as ``k_i * w_i >= 0``.
     """
 
     kind: str
@@ -59,7 +60,6 @@ class DispersionGrid:
     n_k: int
     nodes: np.ndarray = field(repr=False)
     eps: np.ndarray = field(repr=False)
-    deps: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -68,9 +68,9 @@ class DispersionGrid:
         if not (math.isfinite(self.k_max) and self.k_max > 0):
             raise ValueError("k_max must be a positive finite real")
         # Hypotheses of the bound: eps(0) = 0 and k * eps'(k) >= 0.
-        if not (np.all(self.nodes * self.deps >= 0.0) and np.all(self.weights >= 0.0)):
+        if not np.all(self.nodes * self.weights >= 0.0):
             raise ValueError("dispersion must satisfy k * eps'(k) >= 0 on all nodes")
-        for a in (self.nodes, self.eps, self.deps, self.weights):
+        for a in (self.nodes, self.eps, self.weights):
             a.setflags(write=False)
 
     @property
@@ -90,10 +90,9 @@ def _nodes(k_max: float, n_k: int) -> np.ndarray:
 def linear_dispersion(k_max: float, n_k: int) -> DispersionGrid:
     """``eps(k) = k`` (constant weight per cell)."""
     k = _nodes(k_max, n_k)
-    deps = np.ones_like(k)
     return DispersionGrid(
         kind="linear", k_max=float(k_max), n_k=int(n_k),
-        nodes=k, eps=k, deps=deps, weights=deps * (k_max / n_k),
+        nodes=k, eps=k, weights=np.ones_like(k) * (k_max / n_k),
     )
 
 
@@ -102,10 +101,9 @@ def quadratic_dispersion(k_max: float, n_k: int, mass: float = 1.0) -> Dispersio
     if not mass > 0:
         raise ValueError("mass must be positive")
     k = _nodes(k_max, n_k)
-    deps = k / mass
     return DispersionGrid(
         kind="quadratic", k_max=float(k_max), n_k=int(n_k),
-        nodes=k, eps=0.5 * k * k / mass, deps=deps, weights=deps * (k_max / n_k),
+        nodes=k, eps=0.5 * k * k / mass, weights=k / mass * (k_max / n_k),
     )
 
 

@@ -1,11 +1,11 @@
 """Dense complex matrix numerics on periodic cycles.
 
 Stack norms and defects (Frobenius, unitarity, Hermitian part), the
-unitary polar factor, and spectral differentiation and quadrature on
-uniform periodic time grids.  Matrices travel as plain ``(n, n)`` or
-``(N, n, n)`` arrays.  Natural units are used across
-the whole package: hbar = e = 1, so Planck's constant is ``2*pi`` and the
-von Klitzing resistance quantum ``R_K = h/e**2 = 2*pi``.
+unitary polar factor, and spectral differentiation on uniform periodic
+time grids (:func:`qpump.transport.cycle_integral` is their quadrature).
+Matrices travel as plain ``(n, n)`` or ``(N, n, n)`` arrays.  Natural
+units are used across the whole package: hbar = e = 1, so Planck's
+constant is ``2*pi`` and the von Klitzing resistance ``R_K = h/e**2 = 2*pi``.
 
 Every value here is immutable after construction and every operation is a
 pure function of its inputs, so concurrent read-only use is safe.
@@ -31,7 +31,6 @@ __all__ = [
     "unitarity_defect",
     "hermitian_part",
     "spectral_derivative",
-    "periodic_integral",
 ]
 
 R_K = 2.0 * np.pi  #: von Klitzing resistance h/e**2 in natural units
@@ -189,20 +188,3 @@ def spectral_derivative(samples: np.ndarray, grid: CycleGrid) -> np.ndarray:
     freq[n // 2] = 0.0
     shape = (n,) + (1,) * (samples.ndim - 1)
     return np.fft.ifft(np.fft.fft(samples, axis=0) * freq.reshape(shape), axis=0)
-
-
-def periodic_integral(samples, grid: CycleGrid) -> complex:
-    """Integrate scalar samples over one period.
-
-    Trapezoidal rule, which collapses to the rectangle rule by
-    periodicity: ``(T/N) * sum(samples)``.  Spectrally accurate for
-    smooth periodic integrands.
-    """
-    vals = np.asarray(samples)
-    if vals.ndim != 1:
-        raise ValueError("periodic_integral expects a flat sequence of scalars")
-    if vals.shape[0] != grid.samples:
-        raise GridMismatch(
-            f"got {vals.shape[0]} samples for a grid of {grid.samples} nodes"
-        )
-    return complex(grid.dt * vals.sum())

@@ -226,7 +226,7 @@ def _unitary(draws: np.ndarray, n: int) -> np.ndarray:
 
 # --------------------------------------------------------------------------
 # Built-in model builders.  Each takes the parameters its schema parsed and
-# returns (n_channels, matrix_fn).
+# returns (n_channels, matrix_fn, delay), delay the c of the Wigner delay c I.
 # --------------------------------------------------------------------------
 
 
@@ -243,12 +243,12 @@ def _build_flux_loop(params, period, mu):
         out[:, 1, 1] = np.exp(1j * (loop - flux))
         return out
 
-    return 2, matrix
+    return 2, matrix, k_ell / mu  # d(loop)/dE: the loop traversal time l/v
 
 
 def _build_perturbed_flux_loop(params, period, mu):
     delta = params["delta"]
-    n, base = _build_flux_loop(params, period, mu)
+    n, base, delay = _build_flux_loop(params, period, mu)
 
     # The rotation multiplies from the left: a right factor commutes into
     # the diagonal of E and would leave every cycle charge exactly
@@ -259,7 +259,7 @@ def _build_perturbed_flux_loop(params, period, mu):
         rotation = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
         return rotation @ base(times, energy)
 
-    return n, matrix
+    return n, matrix, delay
 
 
 _DTC_DEGREE = 2  # trig-polynomial degree of the per-channel phases
@@ -287,7 +287,7 @@ def _build_diagonal_times_constant(params, period, mu):
         phases = phases + (cos_coef @ np.cos(waves))[:, :, 0] + (sin_coef @ np.sin(waves))[:, :, 0]
         return np.exp(1j * phases)[:, :, None] * s0
 
-    return n, matrix
+    return n, matrix, 0.0
 
 
 def _build_random_smooth_path(params, period, mu):
@@ -310,7 +310,7 @@ def _build_random_smooth_path(params, period, mu):
         vals, vecs = np.linalg.eigh(h)
         return (vecs * np.exp(1j * vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2) @ s0
 
-    return n, matrix
+    return n, matrix, 0.0
 
 
 @dataclass(frozen=True)
@@ -332,16 +332,7 @@ class ModelInfo:
     description: str
     n_channels: str
     params: tuple[ParamInfo, ...]  # the schema, in parse order
-    delay: Callable = field(repr=False)  # (params, mu) -> c of the delay c I
-    builder: Callable = field(repr=False)  # (params, period, mu) -> (n_channels, matrix_fn)
-
-
-def _loop_delay(params, mu):
-    return params["k_ell"] / mu  # d(k_ell*E/mu)/dE: the loop traversal time l/v
-
-
-def _no_delay(params, mu):
-    return 0.0
+    builder: Callable = field(repr=False)  # (params, period, mu) -> (n_channels, matrix_fn, delay)
 
 
 _CHANNELS = ParamInfo("n", 2.0, "number of channels, integer in 1..64",
@@ -360,7 +351,6 @@ REGISTRY: dict[str, ModelInfo] = {
                 ParamInfo("w", 1.0, "integer flux winding per cycle", integer=True),
                 ParamInfo("v", 1.0, "dispersion velocity E = v*k, > 0", positive=True),
             ),
-            delay=_loop_delay,
             builder=_build_flux_loop,
         ),
         ModelInfo(
@@ -375,7 +365,6 @@ REGISTRY: dict[str, ModelInfo] = {
                 ParamInfo("w", 1.0, "integer flux winding per cycle", integer=True),
                 ParamInfo("v", 1.0, "dispersion velocity, > 0", positive=True),
             ),
-            delay=_loop_delay,
             builder=_build_perturbed_flux_loop,
         ),
         ModelInfo(
@@ -393,7 +382,6 @@ REGISTRY: dict[str, ModelInfo] = {
                 ParamInfo("a<j>_<m>", 0.0, "cosine coefficient of channel j, mode m"),
                 ParamInfo("b<j>_<m>", 0.0, "sine coefficient of channel j, mode m"),
             ),
-            delay=_no_delay,
             builder=_build_diagonal_times_constant,
         ),
         ModelInfo(
@@ -411,7 +399,6 @@ REGISTRY: dict[str, ModelInfo] = {
                           "resolves it with more samples than the amplitude", minimum=0.0,
                           maximum=float(MAX_STACK_ENTRIES)),
             ),
-            delay=_no_delay,
             builder=_build_random_smooth_path,
         ),
     ]
@@ -474,7 +461,7 @@ def build(name: str, params: Mapping[str, float] | None = None, *,
         known = ", ".join(sorted(REGISTRY))
         raise UnknownModel("model", f"unknown model '{name}'; built-ins: {known}")
     parsed = _parse(info, dict(params or {}))
-    n, matrix_fn = info.builder(parsed, period, mu)
+    n, matrix_fn, delay = info.builder(parsed, period, mu)
     return PumpModel(
         name=name,
         n_channels=n,
@@ -482,7 +469,7 @@ def build(name: str, params: Mapping[str, float] | None = None, *,
         energy_window=(lo, hi),
         params=MappingProxyType(parsed),
         matrix_fn=matrix_fn,
-        delay=info.delay(parsed, mu),
+        delay=delay,
         unitary_tol=unitary_tol,
     )
 

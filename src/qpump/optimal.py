@@ -17,7 +17,6 @@ from .transport import RESIDUAL_FLOOR, InstantReport
 
 __all__ = [
     "offdiag_ratio",
-    "DiagonalDecomposition",
     "OptimalityVerdict",
     "optimality_verdict",
     "diagonal_decomposition",
@@ -44,18 +43,6 @@ def offdiag_ratio(e: np.ndarray) -> float | np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class DiagonalDecomposition:
-    """Factorization ``S(t_i) = diag(exp(i phases[i])) @ constant``.
-
-    ``phases`` has shape (N, n) and is unwrapped along the cycle;
-    ``constant`` is the (n, n) scattering matrix at the first grid node.
-    """
-
-    phases: np.ndarray
-    constant: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class OptimalityVerdict:
     """Outcome of the cycle-wide optimality sweep.
 
@@ -63,9 +50,9 @@ class OptimalityVerdict:
     ``ratios`` holds the (N,) off-diagonal ratio at every grid time and
     ``worst_time`` is where it peaks.  ``per_channel_saturation``
     flags channels whose dissipation-bound residual stays at rounding
-    level relative to their dissipation scale.  ``decomposition`` is
-    attempted (and expected to succeed) exactly when the verdict is
-    optimal.
+    level relative to their dissipation scale.  ``decomposition``, the
+    pair of :func:`diagonal_decomposition`, is attempted (and expected to
+    succeed) exactly when the verdict is optimal.
     """
 
     is_optimal: bool
@@ -73,7 +60,7 @@ class OptimalityVerdict:
     worst_time: float
     ratios: np.ndarray
     per_channel_saturation: tuple[bool, ...]
-    decomposition: DiagonalDecomposition | None
+    decomposition: tuple[np.ndarray, np.ndarray] | None
 
 
 def _saturation_flags(instants: InstantReport, tol: Tolerances) -> tuple[bool, ...]:
@@ -106,9 +93,10 @@ def optimality_verdict(shifts: np.ndarray, samples: np.ndarray, instants: Instan
     )
 
 
-def diagonal_decomposition(samples: np.ndarray) -> DiagonalDecomposition | None:
-    """Try to factor the sampled cycle ``samples`` (S(t_i, mu), (N, n, n))
-    as ``S(t) = U_d(t) S0``.
+def diagonal_decomposition(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Try to factor the sampled cycle ``samples`` (S(t_i, mu), (N, n, n)) as
+    ``S(t_i) = diag(exp(i phases[i])) @ S0``: the pair ``(phases, S0)`` of the
+    (N, n) phases, unwrapped along the cycle, and the (n, n) constant S0.
 
     Anchors ``S0 = S(t_0)`` (any fixed gauge works; the first node is
     canonical) and forms ``M(t_i) = S(t_i) S0^dag``.  The factorization
@@ -127,4 +115,4 @@ def diagonal_decomposition(samples: np.ndarray) -> DiagonalDecomposition | None:
     recon_error = float(np.max(np.linalg.norm(rebuilt - samples, axis=(1, 2))))
     if recon_error >= DECOMPOSITION_TOL:
         return None
-    return DiagonalDecomposition(phases=phases, constant=s0.copy())
+    return phases, s0.copy()

@@ -307,10 +307,11 @@ def dumps(obj) -> str:
 
 
 def _verdict_entry(verdict: OptimalityVerdict) -> dict:
-    d = verdict.decomposition
-    decomposition = None if d is None else {"initial_phases": d.phases[0],
-                                            "constant_real": d.constant.real,
-                                            "constant_imag": d.constant.imag}
+    decomposition = None
+    if verdict.decomposition is not None:
+        phases, constant = verdict.decomposition
+        decomposition = {"initial_phases": phases[0], "constant_real": constant.real,
+                         "constant_imag": constant.imag}
     return {"is_optimal": verdict.is_optimal, "max_offdiag_ratio": verdict.max_offdiag_ratio,
             "worst_time": verdict.worst_time,
             "per_channel_saturation": [bool(b) for b in verdict.per_channel_saturation],

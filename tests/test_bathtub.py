@@ -80,12 +80,9 @@ def test_nan_inputs_are_rejected():
         thermal_step(grid, np.nan)
     with pytest.raises(ValueError, match="mu must be >= 0"):
         verify_bound(grid, 1, mu=np.nan)
-    for field in ("deps", "weights"):
-        bad = np.full(64, np.nan)
-        fields = {"nodes": grid.nodes, "eps": grid.eps, "deps": grid.deps,
-                  "weights": grid.weights, field: bad}
-        with pytest.raises(ValueError, match="k \\* eps'\\(k\\) >= 0"):
-            DispersionGrid(kind="nan", k_max=2.0, n_k=64, **fields)
+    with pytest.raises(ValueError, match="k \\* eps'\\(k\\) >= 0"):
+        DispersionGrid(kind="nan", k_max=2.0, n_k=64, nodes=grid.nodes, eps=grid.eps,
+                       weights=np.full(64, np.nan))
 
 
 def test_filling_clips_a_copy():
@@ -252,8 +249,7 @@ def understated_energies(k_max, n_k):
     random fillings violate it and every reduction of the check is used."""
     grid = linear_dispersion(k_max, n_k)
     return DispersionGrid(kind="understated", k_max=grid.k_max, n_k=grid.n_k,
-                          nodes=grid.nodes, eps=0.5 * grid.eps, deps=grid.deps,
-                          weights=grid.weights)
+                          nodes=grid.nodes, eps=0.5 * grid.eps, weights=grid.weights)
 
 
 GRIDS = {"linear": linear_dispersion, "quadratic": quadratic_dispersion,
@@ -277,7 +273,7 @@ def test_greedy_edot_matches_scalar_formula():
     # band, on grids with and without zero-weight modes
     grid = quadratic_dispersion(2.0, 100)
     flat = DispersionGrid(kind="flat", k_max=2.0, n_k=100, nodes=grid.nodes,
-                          eps=np.repeat(grid.eps[::4], 4), deps=grid.deps,
+                          eps=np.repeat(grid.eps[::4], 4),
                           weights=np.where(np.arange(100) % 3 == 0, 0.0, grid.weights))
     for g in (grid, flat, linear_dispersion(2.0, 64)):
         modes = _sorted_modes(g)

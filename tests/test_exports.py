@@ -60,12 +60,11 @@ MODULE_SURFACES = {
                 "verify_bound"],
     "cli": ["main"],
     "matcore": ["R_K", "Tolerances", "DEFAULT_TOLERANCES", "CycleGrid", "unitarize",
-                "frobenius_norm", "unitarity_defect", "hermitian_part", "spectral_derivative",
-                "periodic_integral"],
+                "frobenius_norm", "unitarity_defect", "hermitian_part", "spectral_derivative"],
     "models": ["uniform_stream", "PumpModel", "ModelConfig", "ParamInfo", "ModelInfo",
                "REGISTRY", "build"],
-    "optimal": ["offdiag_ratio", "DiagonalDecomposition", "OptimalityVerdict",
-                "optimality_verdict", "diagonal_decomposition"],
+    "optimal": ["offdiag_ratio", "OptimalityVerdict", "optimality_verdict",
+                "diagonal_decomposition"],
     "report": ["SPEC_VERSION", "ADIABATICITY_WARN", "format_float", "dumps", "AnalysisResult",
                "analyze", "instant_document"],
     "shift": ["HARD_HERM_LIMIT", "sample_cycle", "energy_shift_cycle", "energy_shift_at"],

@@ -12,12 +12,12 @@ from qpump.matcore import (
     DEFAULT_TOLERANCES,
     CycleGrid,
     hermitian_part,
-    periodic_integral,
     spectral_derivative,
     unitarity_defect,
     unitarize,
 )
 from qpump.models import build
+from qpump.transport import cycle_integral
 from reference import central_derivative
 
 
@@ -199,7 +199,7 @@ def test_derivative_integrates_to_zero():
     coef = rng.normal(size=5) + 1j * rng.normal(size=5)
     f = lambda t: sum(c * np.exp(2j * np.pi * m * t / 2.0) for m, c in enumerate(coef))
     d = spectral_derivative(_matrix_samples(f, grid), grid)
-    total = periodic_integral(d[:, 0, 0], grid)
+    total = cycle_integral(d[:, 0, 0], grid)
     assert abs(total) < 1e-11
 
 
@@ -208,26 +208,46 @@ def test_derivative_integrates_to_zero():
 
 def test_periodic_integral_zeros():
     grid = CycleGrid(1.0, 32)
-    assert periodic_integral(np.zeros(32), grid) == 0.0
+    assert cycle_integral(np.zeros(32), grid) == 0.0
 
 
 def test_periodic_integral_pure_mode():
     for n in (8, 32, 128):
         grid = CycleGrid(1.0, n)
         vals = np.sin(2.0 * np.pi * grid.times)
-        assert abs(periodic_integral(vals, grid)) < 1e-14
+        assert abs(cycle_integral(vals, grid)) < 1e-14
 
 
 def test_periodic_integral_analytic_oracle():
     # int_0^1 (1 + cos(2 pi t))^2 dt = 1 + 1/2
     grid = CycleGrid(1.0, 64)
     vals = (1.0 + np.cos(2.0 * np.pi * grid.times)) ** 2
-    assert abs(periodic_integral(vals, grid) - 1.5) < 1e-12
+    assert abs(cycle_integral(vals, grid) - 1.5) < 1e-12
 
 
 def test_periodic_integral_mismatch():
-    with pytest.raises(GridMismatch):
-        periodic_integral(np.zeros(16), CycleGrid(1.0, 32))
+    for rates in (np.zeros(16), np.zeros((16, 3))):
+        with pytest.raises(GridMismatch, match="got 16 samples for a grid of 32 nodes"):
+            cycle_integral(rates, CycleGrid(1.0, 32))
+
+
+def _bits(x) -> list:
+    return np.atleast_1d(x).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("n", [8, 64, 1024])
+def test_cycle_integral_sums_each_column_alone(n):
+    # each column of a table integrates bit for bit as the 1-D array it is: in
+    # the pairwise order of a 1-D sum, not the row-by-row order of a sum over axis 0
+    grid = CycleGrid(1.9, n)
+    rng = np.random.default_rng(n)
+    table = rng.normal(size=(n, 6)) * np.exp(3.0 * rng.normal(size=6))
+    alone = [grid.dt * table[:, j].sum() for j in range(6)]
+    assert _bits(cycle_integral(table, grid)) == _bits(alone)
+    assert _bits([cycle_integral(table[:, j], grid) for j in range(6)]) == _bits(alone)
+    z = table[:, 0] + 1j * table[:, 1]
+    total = cycle_integral(z, grid)
+    assert np.iscomplexobj(total) and _bits(total) == _bits(grid.dt * z.sum())
 
 
 # ---------------------------------------------------------------- stencil

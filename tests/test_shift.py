@@ -311,5 +311,5 @@ def test_right_gauge_and_relabelling_laws(seed, data):
             if winding is not None:
                 np.testing.assert_array_equal(winding2, winding[k], err_msg=where)
             if law == "right gauge" and verdict.decomposition is not None:
-                constant = verdict2.decomposition.constant
-                assert np.max(np.abs(constant - verdict.decomposition.constant @ v)) <= 1e-12, where
+                constant = verdict2.decomposition[1]
+                assert np.max(np.abs(constant - verdict.decomposition[1] @ v)) <= 1e-12, where
