@@ -218,8 +218,9 @@ def thermal_step(grid: DispersionGrid, mu: float) -> Filling:
 class BoundCheck:
     """Result of the randomized bound verification.
 
-    ``violations`` counts random fillings with ``Edot < pi*Qdot^2 - 1e-12``
-    and ``max_violation`` is the worst positive gap (0.0 when the bound
+    ``violations`` counts random fillings with ``Edot < pi*Qdot^2 - margin``,
+    the margin 64 eps times the grid's largest ``Edot`` (the full filling's),
+    and ``max_violation`` is the worst gap beyond it (0.0 when the bound
     held everywhere).  ``greedy_gap_max`` is the largest
     ``Edot_greedy - pi*Qdot^2`` seen at the trial charges -- the
     discretization gap, O(dk) -- and ``step_gap`` the same gap for the
@@ -254,6 +255,7 @@ def verify_bound(grid: DispersionGrid, trials: int, seed: int = 0,
     step = thermal_step(grid, mu)
 
     modes = _sorted_modes(grid)
+    margin = 64.0 * np.finfo(float).eps * modes[4][-1] / _TWO_PI
     violations = 0
     max_violation = 0.0
     greedy_gap_max = 0.0
@@ -261,7 +263,7 @@ def verify_bound(grid: DispersionGrid, trials: int, seed: int = 0,
         qdot, edot = _clip_fluxes(grid, occ)
         bound = np.pi * qdot**2
         gap = bound - edot
-        violated = gap[gap > 1e-12]
+        violated = gap[gap > margin]
         violations += violated.size
         max_violation = max(max_violation, float(violated.max(initial=0.0)))
         greedy_gap = float((_greedy_edot(modes, _TWO_PI * qdot) - bound).max())

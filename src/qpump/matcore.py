@@ -50,11 +50,12 @@ class Tolerances:
         Relative non-Hermiticity of a computed energy shift at or above
         which the analysis report carries a warning.
     tol_opt : float
-        Off-diagonal ratio of the energy shift below which a pump counts
-        as optimal.  Chosen far above the ~1e-11 noise floor of spectral
-        differentiation and far below genuine non-optimality.
+        Off-diagonal ratio of the energy shift (against the cycle's scale,
+        :func:`qpump.shift.cycle_scale`) below which a pump counts as optimal;
+        also the limit of saturation and of the diagonal decomposition.
     tol_charge : float
-        Allowed gap between a cycle charge and its winding integer.
+        Allowed gap between a cycle charge and its winding integer, beyond
+        the verdict's second-order ``T scale ratio**2``.
     """
 
     tol_unitary: float = 1e-10
@@ -136,15 +137,11 @@ def unitarity_defect(stack: np.ndarray) -> np.ndarray:
         return frobenius_norm(stack.conj().swapaxes(-1, -2) @ stack - np.eye(stack.shape[-1]))
 
 
-def hermitian_part(raw: np.ndarray, scale=None) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_part(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exactly self-adjoint ``(M + M^dag)/2`` of each matrix in a stack, and
-    the discarded part's size ``||M - M^dag||_F / scale`` (0 if the scale is
-    0), by default relative to the stack's largest ``||M||_F``."""
+    the discarded part's size ``||M - M^dag||_F``."""
     adj = raw.conj().swapaxes(-1, -2)
-    scale = frobenius_norm(raw).max() if scale is None else scale
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        defect = np.where(scale > 0.0, frobenius_norm(raw - adj) / scale, 0.0)
-    return 0.5 * (raw + adj), defect
+    return 0.5 * (raw + adj), frobenius_norm(raw - adj)
 
 
 def unitarize(m) -> np.ndarray:

@@ -7,9 +7,9 @@ energies inside a validity window.  Four families are built in:
 ``flux-loop``
     Two channels reflecting off a loop threaded by a linearly ramped
     flux: ``S = diag(exp(i(k(E)l + Phi(t))), exp(i(k(E)l - Phi(t))))``
-    with ``Phi(t) = 2*pi*w*t/T``.  The dispersion is linear, ``E = v*k``,
-    and the loop length enters through the dimensionless phase
-    ``k_ell = k(mu)*l`` at the reference chemical potential, so the phase
+    with ``Phi(t) = 2*pi*w*t/T``.  The dispersion is linear, so the loop
+    length and the velocity enter only through the dimensionless phase
+    ``k_ell = k(mu)*l`` at the reference chemical potential: the phase
     at energy E is ``k_ell*E/mu``.
 ``perturbed-flux-loop``
     The flux loop left-multiplied by a real rotation
@@ -233,8 +233,6 @@ def _unitary(draws: np.ndarray, n: int) -> np.ndarray:
 def _build_flux_loop(params, period, mu):
     k_ell, w = params["k_ell"], params["w"]
 
-    # Linear dispersion E = v*k with k(mu)*l = k_ell fixes l = k_ell*v/mu,
-    # so the loop phase at energy E is k_ell*E/mu (independent of v).
     def matrix(times, energy):
         loop = k_ell * energy / mu
         flux = _TWO_PI * w * times / period
@@ -322,7 +320,6 @@ class ParamInfo:
     note: str
     minimum: float | None = None
     maximum: float = math.inf
-    positive: bool = False
     integer: bool = False
 
 
@@ -349,7 +346,6 @@ REGISTRY: dict[str, ModelInfo] = {
                 ParamInfo("k_ell", None, "loop phase k(mu)*l at the reference energy, >= 0",
                           minimum=0.0),
                 ParamInfo("w", 1.0, "integer flux winding per cycle", integer=True),
-                ParamInfo("v", 1.0, "dispersion velocity E = v*k, > 0", positive=True),
             ),
             builder=_build_flux_loop,
         ),
@@ -363,7 +359,6 @@ REGISTRY: dict[str, ModelInfo] = {
                 ParamInfo("k_ell", None, "loop phase at the reference energy, >= 0", minimum=0.0),
                 ParamInfo("delta", None, "rotation amplitude; 0 recovers flux-loop"),
                 ParamInfo("w", 1.0, "integer flux winding per cycle", integer=True),
-                ParamInfo("v", 1.0, "dispersion velocity, > 0", positive=True),
             ),
             builder=_build_perturbed_flux_loop,
         ),
@@ -419,7 +414,7 @@ def _parse(info: ModelInfo, params: Mapping[str, float]) -> dict[str, float]:
                 raise MissingParam(f"params.{key}",
                                    f"model '{info.name}' requires parameter '{key}'")
             raw = params.get(key, p.default)
-            value = _real(raw, f"params.{key}", positive=p.positive, error=BadParamRange)
+            value = _real(raw, f"params.{key}", error=BadParamRange)
             if p.integer and value != round(value):
                 raise BadParamRange(f"params.{key}", f"must be an integer, got {value!r}")
             if p.minimum is not None and raw < p.minimum:

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import DEFAULT_TOLERANCES, Tolerances, frobenius_norm
+from .matcore import DEFAULT_TOLERANCES, CycleGrid, Tolerances, frobenius_norm
+from .shift import cycle_scale
 from .transport import RESIDUAL_FLOOR, InstantReport
 
 __all__ = [
@@ -22,23 +23,14 @@ __all__ = [
     "diagonal_decomposition",
 ]
 
-#: Exclusive limit of :func:`diagonal_decomposition`'s off-diagonal and reconstruction errors.
-DECOMPOSITION_TOL = 1e-8
 
-
-def offdiag_ratio(e: np.ndarray) -> float | np.ndarray:
-    """Relative off-diagonal weight ``||offdiag(E)||_F / ||E||_F``.
-
-    Scale free, so slow and fast cycles are judged alike.  A motionless
-    pump (an energy shift of exactly zero) is vacuously optimal: ratio 0.
-    A float for an (n, n) shift E, an (N,) array for an (N, n, n) stack.
-    """
-    total = frobenius_norm(e)
+def offdiag_ratio(e: np.ndarray, scale: float) -> float | np.ndarray:
+    """Off-diagonal weight ``||offdiag(E)||_F / scale`` of an (n, n) shift E, a
+    float, or of each shift of an (N, n, n) stack, an (N,) array."""
     off = e.copy()
     diag = np.arange(e.shape[-1])
     off[..., diag, diag] = 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(total == 0.0, 0.0, frobenius_norm(off) / total)
+    ratio = frobenius_norm(off) / scale
     return ratio if ratio.ndim else float(ratio)
 
 
@@ -46,54 +38,54 @@ def offdiag_ratio(e: np.ndarray) -> float | np.ndarray:
 class OptimalityVerdict:
     """Outcome of the cycle-wide optimality sweep.
 
-    ``is_optimal`` is equivalent to ``max_offdiag_ratio < tol_opt``;
-    ``ratios`` holds the (N,) off-diagonal ratio at every grid time and
-    ``worst_time`` is where it peaks.  ``per_channel_saturation``
-    flags channels whose dissipation-bound residual stays at rounding
-    level relative to their dissipation scale.  ``decomposition``, the
-    pair of :func:`diagonal_decomposition`, is attempted (and expected to
-    succeed) exactly when the verdict is optimal.
+    ``ratios`` holds the (N,) off-diagonal ratios at the grid times against one
+    :func:`~qpump.shift.cycle_scale`, ``scale``, and ``worst_time`` is where they
+    peak; ``is_optimal`` is equivalent to ``max_offdiag_ratio < tol_opt``.
+    ``per_channel_saturation`` flags channels whose bound residual (their
+    off-diagonal weight) stays within what an optimal verdict allows, so optimal
+    implies saturated.  ``decomposition``, the pair of :func:`diagonal_decomposition`
+    at limit ``tol_opt``, is attempted (and expected to succeed) exactly when optimal.
     """
 
     is_optimal: bool
     max_offdiag_ratio: float
     worst_time: float
+    scale: float
     ratios: np.ndarray
     per_channel_saturation: tuple[bool, ...]
     decomposition: tuple[np.ndarray, np.ndarray] | None
 
 
-def _saturation_flags(instants: InstantReport, tol: Tolerances) -> tuple[bool, ...]:
-    worst = instants.residual.max(axis=0)
-    scale = instants.total_dissipation.max(axis=0)
-    # tol_opt bounds the off-diagonal *ratio*; residuals scale with its
-    # square.  The floor absorbs rounding in ``D - (R_K/2) Qdot^2``.
-    threshold = np.maximum(RESIDUAL_FLOOR * scale, tol.tol_opt**2 * scale)
-    return tuple(bool(b) for b in worst <= threshold)
-
-
 def optimality_verdict(shifts: np.ndarray, samples: np.ndarray, instants: InstantReport,
+                       grid: CycleGrid,
                        tolerances: Tolerances = DEFAULT_TOLERANCES) -> OptimalityVerdict:
-    """Judge optimality from the cycle's energy-shift stack ``shifts``, the
-    samples S(t, mu) it was computed from and its per-channel table
+    """Judge optimality from the cycle's energy-shift stack ``shifts`` on ``grid``,
+    the samples S(t, mu) it was computed from and its per-channel table
     ``instants`` (:func:`~qpump.transport.instant_report` of ``shifts``),
     whose times give ``worst_time`` and residuals the saturation flags; the
     decomposition is attempted on ``samples`` exactly when it is optimal."""
-    ratios = offdiag_ratio(shifts)
+    tol_opt = tolerances.tol_opt
+    scale = cycle_scale(shifts, grid, tol_opt)
+    ratios = offdiag_ratio(shifts, scale)
     worst_index = int(np.argmax(ratios))
     max_ratio = float(ratios[worst_index])
-    is_optimal = max_ratio < tolerances.tol_opt
+    is_optimal = max_ratio < tol_opt
+    # an optimal verdict bounds the weight; the floor absorbs rounding in D - (R_K/2) Qdot^2
+    saturated = instants.residual.max(axis=0) <= np.maximum(
+        RESIDUAL_FLOOR * instants.total_dissipation.max(axis=0),
+        tol_opt * scale * (tol_opt * scale) / (4.0 * np.pi))
     return OptimalityVerdict(
         is_optimal=is_optimal,
         max_offdiag_ratio=max_ratio,
         worst_time=float(instants.t[worst_index]),
+        scale=scale,
         ratios=ratios,
-        per_channel_saturation=_saturation_flags(instants, tolerances),
-        decomposition=diagonal_decomposition(samples) if is_optimal else None,
+        per_channel_saturation=tuple(bool(b) for b in saturated),
+        decomposition=diagonal_decomposition(samples, tol_opt) if is_optimal else None,
     )
 
 
-def diagonal_decomposition(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def diagonal_decomposition(samples: np.ndarray, limit: float) -> tuple[np.ndarray, np.ndarray] | None:
     """Try to factor the sampled cycle ``samples`` (S(t_i, mu), (N, n, n)) as
     ``S(t_i) = diag(exp(i phases[i])) @ S0``: the pair ``(phases, S0)`` of the
     (N, n) phases, unwrapped along the cycle, and the (n, n) constant S0.
@@ -103,16 +95,16 @@ def diagonal_decomposition(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     exists when every M is diagonal: then ``U_d = diag(M)`` up to
     rounding.  Absence is a value, not an error -- ``None`` is returned
     when any off-diagonal entry of M, or the reconstruction error, reaches
-    ``DECOMPOSITION_TOL``.
+    ``limit``, which the verdict sets to its ``tol_opt``.
     """
     s0 = samples[0]
     m = np.einsum("tij,kj->tik", samples, s0.conj())
     off = m - m * np.eye(samples.shape[-1])[None, :, :]
-    if float(np.max(np.abs(off))) >= DECOMPOSITION_TOL:
+    if float(np.max(np.abs(off))) >= limit:
         return None
     phases = np.unwrap(np.angle(np.einsum("tjj->tj", m)), axis=0)
     rebuilt = np.exp(1j * phases)[:, :, None] * s0[None, :, :]
     recon_error = float(np.max(np.linalg.norm(rebuilt - samples, axis=(1, 2))))
-    if recon_error >= DECOMPOSITION_TOL:
+    if recon_error >= limit:
         return None
     return phases, s0.copy()

@@ -19,6 +19,7 @@ from .models import PumpModel
 
 __all__ = [
     "HARD_HERM_LIMIT",
+    "cycle_scale",
     "sample_cycle",
     "energy_shift_cycle",
     "energy_shift_at",
@@ -26,6 +27,15 @@ __all__ = [
 
 #: Relative non-Hermiticity beyond which the grid is considered under-resolved.
 HARD_HERM_LIMIT = 1e-3
+
+
+def cycle_scale(stack: np.ndarray, grid: CycleGrid, limit: float) -> float:
+    """What a check of the cycle's (N, n, n) energy shifts against ``limit`` divides by:
+    their largest ``||E||_F``, or ``nu / limit`` if larger (capped to stay finite), with
+    ``nu = 2**10 eps (pi N / T) sqrt(n)`` the rounding floor of an FFT derivative of an
+    (n, n) unitary (relative to ``||S||_F``, not ``||E||``): rounding never reaches the limit."""
+    nu = 2.0**-42 * (np.pi * grid.samples / grid.period) * stack.shape[-1] ** 0.5  # 2**10 eps
+    return float(max(frobenius_norm(stack).max(), min(nu / limit, np.finfo(float).max)))
 
 
 def _check_period(model: PumpModel, grid: CycleGrid) -> None:
@@ -43,11 +53,13 @@ def sample_cycle(model: PumpModel, mu: float, grid: CycleGrid) -> np.ndarray:
     return model.sample(grid.times, mu)
 
 
-def _shift_stack(s, ds, times, scale=None) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetrized ``i dS/dt S^dag`` over a stack and its defects relative to
-    ``scale`` (FFT rounding is cycle-wide; default: the stack's largest norm),
-    certified against ``HARD_HERM_LIMIT`` at every time."""
-    herm, defect = hermitian_part(1j * (ds @ s.conj().swapaxes(1, 2)), scale)
+def _shift_stack(s, ds, grid: CycleGrid, times) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetrized ``i dS/dt S^dag`` at the first ``len(times)`` nodes of a sampled
+    cycle and their defects relative to the :func:`cycle_scale` (FFT rounding is
+    cycle-wide; ``||dS/dt||_F = ||E||_F``), certified against ``HARD_HERM_LIMIT``."""
+    k = len(times)
+    herm, defect = hermitian_part(1j * (ds[:k] @ s[:k].conj().swapaxes(1, 2)))
+    defect /= cycle_scale(ds, grid, HARD_HERM_LIMIT)
     over = defect > HARD_HERM_LIMIT
     if over.any():
         i = int(np.argmax(over))
@@ -63,22 +75,21 @@ def energy_shift_cycle(samples: np.ndarray, grid: CycleGrid) -> tuple[np.ndarray
 
     ``samples`` -- S(t, mu) on the grid, as :func:`sample_cycle` returns
     it -- is differentiated entrywise by FFT, multiplied by S^dag and
-    symmetrized: the exactly Hermitian (N, n, n) shifts and their (N,) defects
-    relative to the cycle's largest ``||E||_F``, as :func:`~qpump.matcore.hermitian_part`
-    returns them.  Raises :class:`NumericalFailure` when any defect exceeds
-    ``HARD_HERM_LIMIT`` (an under-resolved grid).
+    symmetrized: the exactly Hermitian (N, n, n) shifts and their (N,) defects,
+    the part :func:`~qpump.matcore.hermitian_part` discards over the :func:`cycle_scale`.
+    Raises :class:`NumericalFailure` when any defect exceeds ``HARD_HERM_LIMIT``
+    (an under-resolved grid).
     """
-    return _shift_stack(samples, spectral_derivative(samples, grid), grid.times)
+    return _shift_stack(samples, spectral_derivative(samples, grid), grid, grid.times)
 
 
 def energy_shift_at(model: PumpModel, t: float, mu: float, grid: CycleGrid) -> np.ndarray:
     """Energy shift at one arbitrary time, an exactly Hermitian (n, n) array.
 
     Samples the cycle on the uniform grid offset so that ``t`` is its
-    first node; FFT differentiation is insensitive to the origin shift.  The
-    defect's scale is the cycle's largest ``||dS/dt||_F``, that is ``||E||_F``.
+    first node; FFT differentiation is insensitive to the origin shift.  Its
+    defect is certified against the same cycle scale as :func:`energy_shift_cycle`'s.
     """
     _check_period(model, grid)
     s = model.sample(t + grid.times, mu)
-    ds = spectral_derivative(s, grid)
-    return _shift_stack(s[:1], ds[:1], np.array([float(t)]), frobenius_norm(ds).max())[0][0]
+    return _shift_stack(s, spectral_derivative(s, grid), grid, [float(t)])[0][0]

@@ -75,7 +75,7 @@ def energy_shift_fd(model: PumpModel, t: float, mu: float, grid: CycleGrid) -> n
     step = grid.period / (8.0 * grid.samples)
     times = np.array([float(t)])
     ds_dt = central_derivative(lambda u: model.sample([u], mu), float(t), step)
-    return _shift_stack(model.sample(times, mu), ds_dt, times)[0][0]
+    return _shift_stack(model.sample(times, mu), ds_dt, grid, times)[0][0]
 
 
 def energy_shift_rows(model: PumpModel, mu: float, grid: CycleGrid) -> np.ndarray:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qpump.bathtub as bathtub
 from qpump.bathtub import (
     _BLOCK,
     BoundCheck,
@@ -186,6 +187,22 @@ def test_verify_bound_no_violations():
     assert 0.0 <= check.greedy_gap_max < 5.0 / 1024
 
 
+@pytest.mark.parametrize("k_max", [1e-6, 1.0])
+def test_verify_bound_margin_is_relative_to_the_grid(monkeypatch, k_max):
+    # with every energy flux cut to a tenth, every random filling breaks the
+    # bound by about 90% of its Edot; on a band of tiny energies that is far
+    # below any fixed figure, so the margin must scale with the grid's fluxes
+    clip = bathtub._clip_fluxes
+
+    def understated(grid, n):
+        qdot, edot = clip(grid, n)
+        return qdot, 0.1 * edot
+
+    monkeypatch.setattr(bathtub, "_clip_fluxes", understated)
+    check = verify_bound(linear_dispersion(k_max, 4096), trials=50, seed=0)
+    assert check.violations == 50 and check.max_violation > 0.0
+
+
 def test_verify_bound_step_filling_gap():
     for n_k in (512, 1024):
         check = verify_bound(linear_dispersion(2.0, n_k), trials=1, seed=0, mu=1.0)
@@ -228,12 +245,13 @@ def reference_verify_bound(grid, trials, seed, mu):
     """``verify_bound`` one trial at a time: one stream, one ``Filling`` and
     one scalar greedy evaluation per trial."""
     greedy_edot = reference_greedy_edot(grid)
+    margin = 64.0 * np.finfo(float).eps * greedy_edot(np.inf)  # of the full filling's Edot
     violations, max_violation, greedy_gap_max = 0, 0.0, 0.0
     for trial in range(trials):
         filling = Filling.from_occupation(grid, uniform_stream(seed + trial, grid.n_k))
         bound = PI * filling.qdot**2
         gap = bound - filling.edot
-        if gap > 1e-12:
+        if gap > margin:
             violations += 1
             max_violation = max(max_violation, gap)
         greedy_gap_max = max(greedy_gap_max, greedy_edot(TWO_PI * filling.qdot) - bound)

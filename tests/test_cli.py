@@ -99,7 +99,7 @@ def test_analyze_flux_loop(tmp_path, capsys):
     np.testing.assert_allclose(doc["cycle"]["charge"], [-1.0, 1.0], atol=1e-10)
     assert doc["cycle"]["winding"] == [-1, 1]
     assert doc["optimality"]["is_optimal"] is True
-    assert doc["versions"]["spec_version"] == "1.1"
+    assert doc["versions"]["spec_version"] == "1.2"
     assert doc["versions"]["tolerances"]["tol_opt"] == 1e-8
     # node-major columns; Sdot = beta Xs and Ndot = beta Xs / 3 are not written
     assert list(doc["instants"]) == ["t", "Qdot", "D", "Xs"]
@@ -851,6 +851,19 @@ def test_import_leaves_the_tables_unbuilt():
     assert (proc.returncode, proc.stdout) == (0, "0\n")
 
 
+@pytest.mark.parametrize("tol_opt", [5e-324, 1e300])
+def test_extreme_tol_opt_keeps_the_contract(tmp_path, capsys, tol_opt):
+    # the verdict's floor nu / tol_opt overflows at a subnormal tol_opt and the
+    # saturation limit (tol_opt scale)**2 at a huge one: neither may judge a
+    # generic pump optimal by an infinite scale, nor end in a traceback
+    doc = dict(BASE_CONFIG, model="random-smooth-path", params={"n": 2, "seed": 3},
+               tolerances={"tol_opt": tol_opt})
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads(out.read_text())["optimality"]["is_optimal"] is (tol_opt > 1.0)
+
+
 def test_exit_2_charge_winding_gap(tmp_path, capsys):
     # the flux loop's charge misses its winding integers by a few ulp, which
     # a tol_charge far below rounding level must report as a numerical failure
@@ -888,8 +901,8 @@ def test_exit_1_mu_at_window_edge(tmp_path, capsys, mu):
 
 # every key a model reads, plus one none understands
 MODEL_KEYS = {
-    "flux-loop": ["k_ell", "w", "v"],
-    "perturbed-flux-loop": ["k_ell", "delta", "w", "v"],
+    "flux-loop": ["k_ell", "w"],
+    "perturbed-flux-loop": ["k_ell", "delta", "w"],
     "diagonal-times-constant": ["n", "s0_seed", "w1", "w2", "w3", "a1_1", "b2_2", "a3_1"],
     "random-smooth-path": ["n", "seed", "degree", "amplitude"],
 }

@@ -67,7 +67,8 @@ MODULE_SURFACES = {
                 "diagonal_decomposition"],
     "report": ["SPEC_VERSION", "ADIABATICITY_WARN", "format_float", "dumps", "AnalysisResult",
                "analyze", "instant_document"],
-    "shift": ["HARD_HERM_LIMIT", "sample_cycle", "energy_shift_cycle", "energy_shift_at"],
+    "shift": ["HARD_HERM_LIMIT", "cycle_scale", "sample_cycle", "energy_shift_cycle",
+              "energy_shift_at"],
     "transport": ["instantaneous_current", "cycle_integral", "winding_charge", "InstantReport",
                   "instant_report"],
 }

@@ -11,10 +11,12 @@ report format, regenerate the fixtures with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review the diff.  The spec 1.0 reports of the same configurations
-are kept under ``spec-1.0/``, which regeneration never writes: every
-1.0 fact the current report still carries must keep its bits, and the
-ones it dropped must follow from the columns it kept.
+and review the diff.  The spec 1.0 and 1.1 reports of the same
+configurations are kept under ``spec-1.0/`` and ``spec-1.1/`` (1.1 with
+its CSV series), which regeneration never writes: every fact of one
+version that the next still carries must keep its bits unless it is
+listed as changed, and the ones it dropped or changed must follow from
+the columns it kept.
 """
 
 import contextlib
@@ -28,10 +30,12 @@ import numpy as np
 import pytest
 
 from qpump.cli import main
+from qpump.matcore import DEFAULT_TOLERANCES
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 EPS = np.finfo(float).eps
 SPEC_1_0 = GOLDEN / "spec-1.0"
+SPEC_1_1 = GOLDEN / "spec-1.1"
 
 MODELS = {
     "flux": ("flux-loop", {"k_ell": 1.3, "w": 2}, 1.0, 32, 1.0),
@@ -131,11 +135,18 @@ def test_flux_adiabaticity_is_the_declared_delay(name, beta):
 MOVED = {("adiabaticity",), ("instants",), ("optimality", "decomposition", "phases"),
          ("versions", "spec_version")}
 
-#: 1.0 facts whose value 1.1 changes on purpose, with the reason.
+#: Facts whose value a spec version changes on purpose, as (version, case, path),
+#: with the reason.
+_CYCLE_SCALE = ("the off-diagonal ratio is measured against the cycle's largest ||E||_F, "
+                "not each node's own")
 CHANGED = {
-    ("rsp-nobeta", ("warnings", 0)):
+    ("1.1", "rsp-nobeta", ("warnings", 0)):
         "the Hermiticity defect is measured against the cycle's largest ||E||_F, not "
         "each node's own, so the warning's worst defect reads 4.735e-09, not 9.875e-09",
+    **{("1.2", case_id(name, beta), ("optimality", "max_offdiag_ratio")): _CYCLE_SCALE
+       for name in ("dtc", "perturbed", "rsp") for beta in (True, False)},
+    **{("1.2", case_id("rsp", beta), ("optimality", "worst_time")):
+       _CYCLE_SCALE + ", so the worst node is another" for beta in (True, False)},
 }
 
 
@@ -178,10 +189,10 @@ def spectral_antiderivative(rates, period):
 def test_spec_1_0_facts_keep_their_bits(name, beta):
     case = case_id(name, beta)
     old = json.loads((SPEC_1_0 / f"{case}.json").read_text())
-    new = json.loads((GOLDEN / f"{case}.json").read_text())
+    new = json.loads((SPEC_1_1 / f"{case}.json").read_text())
     assert (old["versions"]["spec_version"], new["versions"]["spec_version"]) == ("1.0", "1.1")
     # every 1.0 fact still written carries the same bits
-    changed = [path for c, path in CHANGED if c == case]
+    changed = [path for v, c, path in CHANGED if (v, c) == ("1.1", case)]
     for path, value in leaves(old):
         if not any(path[:len(p)] == p for p in [*MOVED, *changed]):
             assert bits(lookup(new, path)) == bits(value), path
@@ -224,6 +235,47 @@ def test_spec_1_0_facts_keep_their_bits(name, beta):
         rebuilt = np.array(new_d["initial_phases"]) - 2.0 * np.pi * spectral_antiderivative(q, period)
         # 1.8e-13 seen on dtc, whose phases reach 12 rad
         assert np.max(np.abs(rebuilt - phases)) <= 1e-12 * max(1.0, np.max(np.abs(phases)))
+
+
+def csv_columns(text):
+    """The header and the columns of a CSV series, as text."""
+    header, *rows = text.splitlines()
+    return header.split(","), list(zip(*(row.split(",") for row in rows)))
+
+
+@pytest.mark.parametrize("name,beta", CASES, ids=[case_id(*c) for c in CASES])
+def test_spec_1_1_facts_keep_their_bits(name, beta):
+    case = case_id(name, beta)
+    old = json.loads((SPEC_1_1 / f"{case}.json").read_text())
+    new = json.loads((GOLDEN / f"{case}.json").read_text())
+    assert (old["versions"]["spec_version"], new["versions"]["spec_version"]) == ("1.1", "1.2")
+    changed = [path for v, c, path in CHANGED if (v, c) == ("1.2", case)]
+    for path, value in leaves(old):
+        if not any(path[:len(p)] == p for p in [("versions", "spec_version"), *changed]):
+            assert bits(lookup(new, path)) == bits(value), path
+    for path in changed:
+        assert lookup(new, path) != lookup(old, path)
+
+    # the CSV keeps every column but rho, the ratio the verdict judged
+    (old_header, old_columns), (header, columns) = (
+        csv_columns(text) for text in ((SPEC_1_1 / f"{case}.csv").read_text(),
+                                       (GOLDEN / f"{case}.csv").read_text()))
+    assert header == old_header and header[-1] == "rho"
+    assert columns[:-1] == old_columns[:-1]
+    assert (columns[-1] != old_columns[-1]) == (("optimality", "max_offdiag_ratio") in changed)
+
+    # 1.1 divided a node's off-diagonal weight by its own ||E||_F, 1.2 by the
+    # cycle scale max(max_t ||E||_F, nu / tol_opt), nu = 2**10 eps (pi N / T) sqrt(n);
+    # ||E||_F^2 = 4 pi sum_j D_j
+    t, old_rho, rho = (np.array(c, dtype=float) for c in (columns[0], old_columns[-1], columns[-1]))
+    n = len(new["cycle"]["charge"])
+    norms = np.sqrt(4.0 * np.pi * np.array(columns[1 + n:1 + 2 * n], dtype=float).sum(axis=0))
+    nu = 2.0**10 * EPS * (np.pi * len(t) / new["cycle"]["period"]) * np.sqrt(n)
+    scale = max(norms.max(), nu / DEFAULT_TOLERANCES.tol_opt)
+    np.testing.assert_allclose(rho, old_rho * norms / scale, rtol=1e-12, atol=1e-12 * rho.max())
+    worst = int(np.argmax(rho))
+    assert bits(new["optimality"]["max_offdiag_ratio"]) == bits(rho[worst])
+    assert bits(new["optimality"]["worst_time"]) == bits(t[worst])
 
 
 @pytest.mark.parametrize("name", list(MODELS))

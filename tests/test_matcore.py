@@ -56,16 +56,14 @@ def test_hermitian_storage_is_exactly_self_adjoint():
     h, defect = hermitian_part(raw)
     assert np.array_equal(h, h.conj().T)
     assert np.all(np.diag(h).imag == 0.0)
-    assert defect > 0.1  # raw input was far from Hermitian
+    # the discarded part's size, ||M - M^dag||_F: raw input was far from Hermitian
+    assert defect == pytest.approx(np.linalg.norm(raw - raw.conj().T), rel=1e-15)
+    assert defect > 0.1 * np.linalg.norm(raw)
     exact = raw + raw.conj().T
-    assert hermitian_part(exact)[1] < 1e-15
-    # a stack's defects are relative to its largest norm, or to a given
-    # scale; a zero scale reads 0
-    stack = np.stack([raw, 2.0 * raw])
-    np.testing.assert_allclose(hermitian_part(stack)[1], [defect / 2.0, defect], rtol=1e-15)
-    norm = np.linalg.norm(raw)
-    assert hermitian_part(raw, 4.0 * norm)[1] == pytest.approx(defect / 4.0, rel=1e-15)
-    assert hermitian_part(stack, 0.0)[1].tolist() == [0.0, 0.0]
+    assert hermitian_part(exact)[1] == 0.0
+    # one size per matrix of a stack; the shift module sets the scale
+    stack = np.stack([raw, 2.0 * raw, np.zeros_like(raw)])
+    np.testing.assert_allclose(hermitian_part(stack)[1], [defect, 2.0 * defect, 0.0], rtol=1e-15)
 
 
 # ---------------------------------------------------------------- unitarize

@@ -152,22 +152,18 @@ REQUIRED_VALUES = {"k_ell": 1.0, "delta": 0.1}
 
 def obeys(p, value):
     """Whether ``value`` meets the rule of ParamInfo ``p``."""
-    return ((not p.integer or value == round(value)) and (not p.positive or value > 0)
+    return ((not p.integer or value == round(value))
             and (p.minimum is None or value >= p.minimum) and value <= p.maximum)
 
 
 def rule_cases(p):
-    """Values of ParamInfo ``p`` on each side of its rule: each bound itself (the
-    smallest positive double for ``positive``), then the value just past it and,
-    for an integer, a non-integer inside the bounds."""
+    """Values of ParamInfo ``p`` on each side of its rule: each bound itself, then
+    the value just past it and, for an integer, a non-integer inside the bounds."""
     inside, past = [], []
     for bound, way in ((p.minimum, -1), (p.maximum, 1)):
         if bound is not None and math.isfinite(bound):
             inside.append(bound)
             past.append(bound + way if p.integer else float(np.nextafter(bound, way * math.inf)))
-    if p.positive:
-        inside.append(5e-324)
-        past.append(0.0)
     if p.integer:
         past.append(p.default + 0.5)
     return inside, past
@@ -224,13 +220,17 @@ def test_unknown_model_and_param():
     with pytest.raises(UnknownParam) as err:
         build("flux-loop", {"k_ell": 1.0, "wobble": 2.0})
     assert err.value.field == "params.wobble"
+    # the flux families take no dispersion velocity: their phases depend on k_ell alone
+    for name, params in (("flux-loop", {"k_ell": 1.0}),
+                         ("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.1})):
+        with pytest.raises(UnknownParam) as err:
+            build(name, {**params, "v": 1.0})
+        assert err.value.field == "params.v"
 
 
 def test_bad_param_ranges():
     with pytest.raises(BadParamRange):
         build("flux-loop", {"k_ell": -0.5})
-    with pytest.raises(BadParamRange):
-        build("flux-loop", {"k_ell": 1.0, "v": 0.0})
     with pytest.raises(BadParamRange):
         build("flux-loop", {"k_ell": 1.0, "w": 0.5})
     with pytest.raises(BadParamRange):
@@ -239,7 +239,7 @@ def test_bad_param_ranges():
         build("flux-loop", {"k_ell": True})
     # numpy scalars are real numbers, at build as in a config
     model = build("flux-loop", {"k_ell": np.float64(0.5), "w": np.int64(2)})
-    assert model.params == {"k_ell": 0.5, "w": 2.0, "v": 1.0}
+    assert model.params == {"k_ell": 0.5, "w": 2.0}
 
 
 @pytest.mark.parametrize("name,key,value", [
@@ -402,7 +402,7 @@ def test_replace_keeps_the_declaration():
 
 @pytest.mark.parametrize("name,params", [
     ("flux-loop", {"k_ell": 1.0}),
-    ("flux-loop", {"k_ell": 0.01, "w": 3, "v": 2.0}),
+    ("flux-loop", {"k_ell": 0.01, "w": 3}),
     ("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.3}),
     ("perturbed-flux-loop", {"k_ell": 2.5, "delta": -1.0, "w": -2}),
 ])
@@ -598,7 +598,7 @@ def test_config_rejects_boolean_param():
     with pytest.raises(ConfigError):
         ModelConfig.from_dict(doc)
     doc["params"].update(k_ell=np.float64(0.5), w=np.int64(2))
-    assert ModelConfig.from_dict(doc).pump.params == {"k_ell": 0.5, "w": 2.0, "v": 1.0}
+    assert ModelConfig.from_dict(doc).pump.params == {"k_ell": 0.5, "w": 2.0}
 
 
 def test_config_tolerance_overrides():

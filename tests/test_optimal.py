@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qpump.matcore import CycleGrid
+from qpump.matcore import DEFAULT_TOLERANCES, CycleGrid
 from qpump.models import build
 from qpump.optimal import (
     diagonal_decomposition,
@@ -23,32 +23,40 @@ def verdict_of(model):
     """The optimality verdict of ``model`` at mu = 1 on GRID."""
     samples = sample_cycle(model, 1.0, GRID)
     shifts, _ = energy_shift_cycle(samples, GRID)
-    return optimality_verdict(shifts, samples, instant_report(shifts, GRID.times))
+    return optimality_verdict(shifts, samples, instant_report(shifts, GRID.times), GRID)
 
 
 def decomposition_of(model):
     """The diagonal decomposition of ``model``'s samples at mu = 1 on GRID."""
-    return diagonal_decomposition(sample_cycle(model, 1.0, GRID))
+    return diagonal_decomposition(sample_cycle(model, 1.0, GRID), DEFAULT_TOLERANCES.tol_opt)
 
 
 # ---------------------------------------------------------------- ratio
 
 
+def own_ratio(e):
+    """The off-diagonal ratio of one shift against its own norm."""
+    return offdiag_ratio(e, np.linalg.norm(e))
+
+
 def test_ratio_diagonal():
-    assert offdiag_ratio(as_shift(np.diag([1.0, -1.0]))) == 0.0
+    assert own_ratio(as_shift(np.diag([1.0, -1.0]))) == 0.0
 
 
 def test_ratio_fully_offdiagonal():
-    assert abs(offdiag_ratio(as_shift([[0, 1], [1, 0]])) - 1.0) < 1e-15
+    assert abs(own_ratio(as_shift([[0, 1], [1, 0]])) - 1.0) < 1e-15
 
 
 def test_ratio_mixed_hand_value():
-    got = offdiag_ratio(as_shift([[1.0, 1.0], [1.0, -1.0]]))
+    got = own_ratio(as_shift([[1.0, 1.0], [1.0, -1.0]]))
     assert abs(got - np.sqrt(0.5)) < 1e-12
 
 
 def test_ratio_motionless_is_zero():
-    assert offdiag_ratio(as_shift(np.zeros((3, 3)))) == 0.0
+    # an energy shift of exactly zero: the verdict's scale is the noise floor, never 0
+    verdict = verdict_of(build("diagonal-times-constant", {"n": 3, "s0_seed": 5}))
+    assert verdict.is_optimal and verdict.max_offdiag_ratio == 0.0
+    assert verdict.scale > 0.0
 
 
 def test_slow_cycles_are_judged_like_fast_ones():
@@ -61,7 +69,8 @@ def test_slow_cycles_are_judged_like_fast_ones():
                       period=period)
         samples = sample_cycle(model, 1.0, grid)
         shifts, _ = energy_shift_cycle(samples, grid)
-        verdicts[period] = optimality_verdict(shifts, samples, instant_report(shifts, grid.times))
+        instants = instant_report(shifts, grid.times)
+        verdicts[period] = optimality_verdict(shifts, samples, instants, grid)
     reference = verdicts[1.0]
     assert not reference.is_optimal
     for period, verdict in verdicts.items():

@@ -150,9 +150,9 @@ def ratio_calls(monkeypatch):
     calls = []
     original = qpump.optimal.offdiag_ratio
 
-    def counting(e):
+    def counting(e, scale):
         calls.append(len(e))
-        return original(e)
+        return original(e, scale)
 
     for module in [m for name, m in sys.modules.items() if name.startswith("qpump")]:
         if vars(module).get("offdiag_ratio") is original:
@@ -174,7 +174,7 @@ def test_winding_of_a_non_optimal_verdict_samples_nothing(recorded):
     grid = CycleGrid(1.0, SAMPLES)
     samples = sample_cycle(model, MU, grid)
     shifts, _ = energy_shift_cycle(samples, grid)
-    verdict = optimality_verdict(shifts, samples, instant_report(shifts, grid.times))
+    verdict = optimality_verdict(shifts, samples, instant_report(shifts, grid.times), grid)
     assert not verdict.is_optimal
     recorded.clear()
     with pytest.raises(NotOptimal):

@@ -122,7 +122,7 @@ def test_grid_period_must_match_model():
         energy_shift_at(loop, 0.25, 1.0, CycleGrid(0.5, 64))
     samples = sample_cycle(loop, 1.0, GRID)
     shifts = shift_stack(loop)
-    verdict = optimality_verdict(shifts, samples, instant_report(shifts, GRID.times))
+    verdict = optimality_verdict(shifts, samples, instant_report(shifts, GRID.times), GRID)
     assert verdict.is_optimal
     with pytest.raises(GridMismatch):
         winding_charge(loop, 1.0, CycleGrid(0.5, 256), samples, verdict)
@@ -269,7 +269,7 @@ def analysed(model, grid):
     samples = sample_cycle(model, 1.0, grid)
     shifts, _ = energy_shift_cycle(samples, grid)
     instants = instant_report(shifts, grid.times)
-    verdict = optimality_verdict(shifts, samples, instants)
+    verdict = optimality_verdict(shifts, samples, instants, grid)
     winding = winding_charge(model, 1.0, grid, samples, verdict) if verdict.is_optimal else None
     return shifts, instants, verdict, winding
 

@@ -32,12 +32,13 @@ def test_stack_views_and_observables_match_loop():
         shifts, _ = energy_shift_cycle(sample_cycle(model, 1.0, GRID), GRID)
         assert shifts.shape == (GRID.samples,) + (model.n_channels,) * 2
         stacked = instant_report(shifts, GRID.times, beta=5.0)
-        ratios = offdiag_ratio(shifts)
+        scale = np.linalg.norm(shifts, axis=(1, 2)).max()
+        ratios = offdiag_ratio(shifts, scale)
         for i, e in enumerate(shifts):
             one = instant_report(e, GRID.times[i], beta=5.0)
             for field in ("t", "qdot", "total_dissipation", "excess", "residual", "sdot", "ndot"):
                 np.testing.assert_array_equal(getattr(stacked, field)[i], getattr(one, field))
-            assert ratios[i] == offdiag_ratio(e)
+            assert ratios[i] == offdiag_ratio(e, scale)
             np.testing.assert_array_equal(instantaneous_current(shifts)[i],
                                           instantaneous_current(e))
             np.testing.assert_array_equal(outgoing_symbol(shifts).delta_prime_weight[i],

@@ -49,7 +49,7 @@ def winding(model, grid=GRID):
     """The winding count of ``model`` at mu = 1 on ``grid``, given its verdict."""
     samples = sample_cycle(model, 1.0, grid)
     shifts, _ = energy_shift_cycle(samples, grid)
-    verdict = optimality_verdict(shifts, samples, instant_report(shifts, grid.times))
+    verdict = optimality_verdict(shifts, samples, instant_report(shifts, grid.times), grid)
     return winding_charge(model, 1.0, grid, samples, verdict)
 
 
