@@ -125,24 +125,31 @@ class Filling:
         n = np.array(occupation, dtype=float)
         if n.shape != (grid.n_k,):
             raise ValueError(f"occupation must have shape ({grid.n_k},), got {n.shape}")
-        qdot, edot = _clip_fluxes(grid, n[None])
+        qdot, edot = _clip_fluxes(grid, n[None], None)
         n.setflags(write=False)
         return cls(grid=grid, occupation=n, qdot=float(qdot[0]), edot=float(edot[0]))
 
 
-def _clip_fluxes(grid: DispersionGrid, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _clip_fluxes(grid: DispersionGrid, n: np.ndarray,
+                 scratch: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Check that the rows of occupations ``n`` lie in [0, 1] (up to
-    1e-12), clip them in place and return each row's ``(qdot, edot)``.
+    1e-12), clip them in place where they do not and return each row's
+    ``(qdot, edot)``.  ``n * eps`` is formed in ``scratch``, which may be
+    ``n`` itself once its charge fluxes are taken (``None``: a new array).
 
-    Each flux is its own ``row @ weights`` dot product: one matrix-vector
-    product over the block would sum in another order.
+    Each flux is its own row-by-column product, one BLAS ``ddot`` per row,
+    the same as ``row @ weights``: one matrix-vector product over the block
+    would sum in another order.
     """
-    if not (n.min() >= -1e-12 and n.max() <= 1.0 + 1e-12):
+    lo, hi = n.min(), n.max()
+    if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):
         raise ValueError("occupations must lie in [0, 1]")
-    np.clip(n, 0.0, 1.0, out=n)
-    w, eps = grid.weights, grid.eps
-    qdot = np.array([row @ w for row in n]) / _TWO_PI
-    edot = np.array([(row * eps) @ w for row in n]) / _TWO_PI
+    if lo < 0.0 or hi > 1.0:
+        np.clip(n, 0.0, 1.0, out=n)
+    w = grid.weights[:, None]
+    qdot = (n[:, None, :] @ w)[:, 0, 0] / _TWO_PI
+    ne = np.multiply(n, grid.eps, out=scratch)
+    edot = (ne[:, None, :] @ w)[:, 0, 0] / _TWO_PI
     return qdot, edot
 
 
@@ -157,9 +164,10 @@ def _sorted_modes(grid: DispersionGrid) -> tuple[np.ndarray, ...]:
 def _greedy_edot(modes: tuple[np.ndarray, ...], budgets: np.ndarray) -> np.ndarray:
     """Energy flux of the greedy filling at each charge budget ``2pi*Qdot``."""
     _, w, eps, cum_w, cum_e = modes
-    m = np.minimum(np.searchsorted(cum_w, budgets, side="left"), len(cum_w) - 1)
-    filled_w = np.append(0.0, cum_w)[m]  # the modes below the marginal one
-    filled_e = np.append(0.0, cum_e)[m]
+    m = np.minimum(cum_w.searchsorted(budgets, side="left"), len(cum_w) - 1)
+    prev, below = m - 1, m > 0  # the modes below the marginal one are filled
+    filled_w = np.where(below, cum_w[prev], 0.0)
+    filled_e = np.where(below, cum_e[prev], 0.0)
     marginal = np.where(w[m] > 0.0, filled_e + (budgets - filled_w) * eps[m], filled_e)
     return np.where(budgets >= cum_w[-1], cum_e[-1], marginal) / _TWO_PI
 
@@ -245,7 +253,9 @@ def verify_bound(grid: DispersionGrid, trials: int, seed: int = 0,
     the thermal step at ``mu`` (default: half the band top) is checked
     as the equality case.  Trials are drawn, checked and reduced a block
     of about ``_BLOCK`` occupations at a time, so memory does not grow
-    with ``trials``; the result is the same as one trial at a time.
+    with ``trials``; the result is the same as one trial at a time.  The
+    block buffer is scratch: its ``n * eps`` products are formed in place,
+    and the next block is drawn over it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -260,7 +270,7 @@ def verify_bound(grid: DispersionGrid, trials: int, seed: int = 0,
     max_violation = 0.0
     greedy_gap_max = 0.0
     for occ in _uniform_rows(seed, trials, grid.n_k, max(1, _BLOCK // grid.n_k)):
-        qdot, edot = _clip_fluxes(grid, occ)
+        qdot, edot = _clip_fluxes(grid, occ, occ)
         bound = np.pi * qdot**2
         gap = bound - edot
         violated = gap[gap > margin]

@@ -52,7 +52,7 @@ class Tolerances:
     tol_opt : float
         Off-diagonal ratio of the energy shift (against the cycle's scale,
         :func:`qpump.shift.cycle_scale`) below which a pump counts as optimal;
-        also the limit of saturation and of the diagonal decomposition.
+        saturation and the diagonal decomposition take their limits from it.
     tol_charge : float
         Allowed gap between a cycle charge and its winding integer, beyond
         the verdict's second-order ``T scale ratio**2``.

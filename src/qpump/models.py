@@ -92,7 +92,10 @@ def _uniform_rows(seed: int, streams: int, count: int, rows: int) -> Iterator[np
     """``uniform_stream(s, count)`` for s = seed .. seed + streams - 1 (all
     below 2**64), ``rows`` streams at a time, each block a ``(rows, count)``
     buffer that the next block overwrites.  Counter i of stream s is
-    ``s + i*gamma``; the mix runs in place."""
+    ``s + i*gamma``; the mix runs in place.  The top 53 bits are cast
+    through a signed view (numpy's int64 -> float64 loop is faster than the
+    uint64 one): both casts are exact below 2**53, as is the scaling by
+    ``2**-53``."""
     steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
     z = np.empty((min(rows, streams), count), dtype=np.uint64)
     t = np.empty_like(z)
@@ -108,7 +111,10 @@ def _uniform_rows(seed: int, streams: int, count: int, rows: int) -> Iterator[np
         np.right_shift(zk, np.uint64(31), out=tk)
         zk ^= tk
         zk >>= np.uint64(11)
-        yield np.multiply(zk, 2.0**-53, out=tk.view(np.float64))
+        uniform = tk.view(np.float64)
+        np.copyto(uniform, zk.view(np.int64), casting="unsafe")
+        uniform *= 2.0**-53
+        yield uniform
 
 
 # --------------------------------------------------------------------------

@@ -43,8 +43,11 @@ class OptimalityVerdict:
     peak; ``is_optimal`` is equivalent to ``max_offdiag_ratio < tol_opt``.
     ``per_channel_saturation`` flags channels whose bound residual (their
     off-diagonal weight) stays within what an optimal verdict allows, so optimal
-    implies saturated.  ``decomposition``, the pair of :func:`diagonal_decomposition`
-    at limit ``tol_opt``, is attempted (and expected to succeed) exactly when optimal.
+    implies saturated.  ``decomposition``, the pair of :func:`diagonal_decomposition`,
+    is attempted (and expected to succeed) exactly when optimal, at the limit an
+    optimal verdict implies: ``S(t) S(t_0)^dag`` strays from diagonal by at most the
+    integral of ``||offdiag E||_F`` over the cycle, below ``T tol_opt scale``, and
+    the limit is that or ``tol_opt``, whichever is larger.
     """
 
     is_optimal: bool
@@ -74,6 +77,7 @@ def optimality_verdict(shifts: np.ndarray, samples: np.ndarray, instants: Instan
     saturated = instants.residual.max(axis=0) <= np.maximum(
         RESIDUAL_FLOOR * instants.total_dissipation.max(axis=0),
         tol_opt * scale * (tol_opt * scale) / (4.0 * np.pi))
+    limit = max(tol_opt, tol_opt * scale * grid.period)
     return OptimalityVerdict(
         is_optimal=is_optimal,
         max_offdiag_ratio=max_ratio,
@@ -81,7 +85,7 @@ def optimality_verdict(shifts: np.ndarray, samples: np.ndarray, instants: Instan
         scale=scale,
         ratios=ratios,
         per_channel_saturation=tuple(bool(b) for b in saturated),
-        decomposition=diagonal_decomposition(samples, tol_opt) if is_optimal else None,
+        decomposition=diagonal_decomposition(samples, limit) if is_optimal else None,
     )
 
 
@@ -95,7 +99,7 @@ def diagonal_decomposition(samples: np.ndarray, limit: float) -> tuple[np.ndarra
     exists when every M is diagonal: then ``U_d = diag(M)`` up to
     rounding.  Absence is a value, not an error -- ``None`` is returned
     when any off-diagonal entry of M, or the reconstruction error, reaches
-    ``limit``, which the verdict sets to its ``tol_opt``.
+    ``limit``, which the verdict derives from its ``tol_opt``.
     """
     s0 = samples[0]
     m = np.einsum("tij,kj->tik", samples, s0.conj())

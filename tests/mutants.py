@@ -2,16 +2,21 @@
 
 Each entry of ``MUTANTS`` gives the file under ``src/``, the exact text the
 plant replaces (it occurs once under ``src/``), the text put in its place, the
-tests expected to fail on it, and the change that planted it.
+tests expected to fail on it, and the change that planted it.  An equivalent
+mutant computes the same values as the original on every input the package
+accepts, so no test can kill it; its entry says why.
 
     python tests/mutants.py [name ...]
 
 copies ``src/`` to a temporary directory, applies one mutant (each in turn,
 or only the named ones), runs its tests against the copy with
-``-x -q -p no:cacheprovider`` and prints whether it was killed or survived,
-then the kill rate; the exit code is 0 when every mutant was killed.  pytest
-does not collect this file; ``tests/test_mutants.py`` checks that every old
-text still occurs exactly once, so a plant cannot go stale unnoticed.
+``-x -q -p no:cacheprovider`` once for each hypothesis seed of ``SEEDS`` and
+prints whether it was killed (its tests failed at every seed) or survived,
+then the kill rate.  Equivalent mutants are listed apart, outside the kill
+rate, and flagged if a test kills them at any seed: their reason is then
+wrong.  The exit code is 0 when every mutant was killed and no equivalent one
+was.  pytest does not collect this file; ``tests/test_mutants.py`` checks that
+every old text still occurs exactly once, so a plant cannot go stale unnoticed.
 """
 
 from __future__ import annotations
@@ -36,10 +41,18 @@ class Mutant:
     new: str
     tests: tuple[str, ...]
     origin: str  # the change that planted it
+    equivalent: str = ""  # why no test can kill it, for an equivalent mutant
 
+
+#: A hypothesis-based kill must not hang on one lucky draw.
+SEEDS = (1, 2, 3)
 
 _POLICY = "one tolerance policy (spec 1.2)"
+_BLOCKS = "block-batched bathtub oracle"
+_LEAN = "lean bathtub trial blocks"
+_LIMIT = "the decomposition limit from the verdict"
 _LAWS = "tests/test_laws.py::"
+_BATHTUB = "tests/test_bathtub.py::"
 
 MUTANTS = [
     Mutant("per-node-ratio-scale", "qpump/optimal.py",
@@ -64,20 +77,57 @@ MUTANTS = [
            (_LAWS + "test_optimality_criteria_agree_at_every_tol_opt",),
            _POLICY),
     Mutant("fixed-decomposition-limit", "qpump/optimal.py",
-           "diagonal_decomposition(samples, tol_opt) if is_optimal",
+           "diagonal_decomposition(samples, limit) if is_optimal",
            "diagonal_decomposition(samples, 1e-8) if is_optimal",
            (_LAWS + "test_optimality_criteria_agree_at_every_tol_opt",),
            _POLICY),
+    Mutant("decomposition-limit-without-period-scale", "qpump/optimal.py",
+           "    limit = max(tol_opt, tol_opt * scale * grid.period)\n",
+           "    limit = tol_opt\n",
+           (_LAWS + "test_optimality_criteria_agree_at_every_tol_opt",),
+           _LIMIT),
     Mutant("saturation-without-verdict-scale", "qpump/optimal.py",
            "tol_opt * scale * (tol_opt * scale) / (4.0 * np.pi))",
            "tol_opt**2 * instants.total_dissipation.max(axis=0))",
            (_LAWS + "test_optimal_pumps_meet_every_criterion",),
            _POLICY),
+    Mutant("gemv-block-fluxes", "qpump/bathtub.py",
+           "    qdot = (n[:, None, :] @ w)[:, 0, 0] / _TWO_PI\n",
+           "    qdot = (n @ grid.weights) / _TWO_PI\n",
+           (_BATHTUB + "test_block_fluxes_equal_scalar_reference",),
+           _LEAN),
+    Mutant("filling-product-in-place", "qpump/bathtub.py",
+           "_clip_fluxes(grid, n[None], None)",
+           "_clip_fluxes(grid, n[None], n[None])",
+           (_BATHTUB + "test_filling_clips_a_copy",),
+           _LEAN),
+    Mutant("clip-dropped", "qpump/bathtub.py",
+           "        np.clip(n, 0.0, 1.0, out=n)\n",
+           "        pass\n",
+           (_BATHTUB + "test_filling_clips_a_copy",),
+           _LEAN),
+    Mutant("greedy-zero-weight-marginal", "qpump/bathtub.py",
+           "np.where(w[m] > 0.0,",
+           "np.where(w[m] >= 0.0,",
+           (_BATHTUB + "test_greedy_edot_matches_scalar_formula",
+            _BATHTUB + "test_verify_bound_equals_per_trial_reference"),
+           _BLOCKS,
+           equivalent="searchsorted picks the first cumulative weight at or above the "
+                      "budget, so w[m] = 0 only at m = 0 with a zero budget, where the "
+                      "marginal term is 0 * eps = 0, or at m clamped past the band top, "
+                      "where the full band's Edot is taken; no budget is negative, as no "
+                      "weight is"),
+    Mutant("greedy-full-band-strict", "qpump/bathtub.py",
+           "budgets >= cum_w[-1]",
+           "budgets > cum_w[-1]",
+           (_BATHTUB + "test_greedy_edot_matches_scalar_formula",),
+           _BLOCKS),
 ]
 
 
-def killed(mutant: Mutant) -> bool:
-    """Whether the tests of ``mutant`` fail on a copy of ``src/`` that carries it."""
+def killed(mutant: Mutant) -> list[bool]:
+    """For each hypothesis seed of ``SEEDS``, whether the tests of ``mutant``
+    fail on a copy of ``src/`` that carries it."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -86,14 +136,17 @@ def killed(mutant: Mutant) -> bool:
         if text.count(mutant.old) != 1:
             raise SystemExit(f"{mutant.name}: its old text does not occur once in {mutant.file}")
         path.write_text(text.replace(mutant.old, mutant.new))
-        # the copy comes first on the path, ahead of the ini's "src"
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "-o", f"pythonpath={src}", *mutant.tests],
-            cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True)
-    if proc.returncode not in (0, 1, 2):  # 2: a collection error, which kills too
-        raise SystemExit(f"{mutant.name}: pytest exited {proc.returncode}\n{proc.stdout}")
-    return proc.returncode != 0
+        kills = []
+        for seed in SEEDS:
+            # the copy comes first on the path, ahead of the ini's "src"
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                 f"--hypothesis-seed={seed}", "-o", f"pythonpath={src}", *mutant.tests],
+                cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True)
+            if proc.returncode not in (0, 1, 2):  # 2: a collection error, which kills too
+                raise SystemExit(f"{mutant.name}: pytest exited {proc.returncode}\n{proc.stdout}")
+            kills.append(proc.returncode != 0)
+    return kills
 
 
 def main(names: list[str]) -> int:
@@ -101,13 +154,23 @@ def main(names: list[str]) -> int:
     if unknown:
         raise SystemExit(f"no such mutant: {', '.join(sorted(unknown))}")
     chosen = [m for m in MUTANTS if not names or m.name in names]
+    plants = [m for m in chosen if not m.equivalent]
     dead = 0
+    for mutant in plants:
+        kills = killed(mutant)
+        dead += all(kills)
+        survived = [str(seed) for seed, kill in zip(SEEDS, kills) if not kill]
+        verdict = f"SURVIVED (seed {', '.join(survived)})" if survived else "killed"
+        print(f"{verdict:9} {mutant.name}", flush=True)
+    print(f"kill rate: {dead}/{len(plants)} (hypothesis seeds {', '.join(map(str, SEEDS))})")
+    refuted = 0
     for mutant in chosen:
-        is_killed = killed(mutant)
-        dead += is_killed
-        print(f"{'killed' if is_killed else 'SURVIVED':9} {mutant.name}", flush=True)
-    print(f"kill rate: {dead}/{len(chosen)}")
-    return 0 if dead == len(chosen) else 1
+        if mutant.equivalent:
+            kills = killed(mutant)
+            refuted += any(kills)  # a kill at any seed refutes the reason
+            label = "KILLED" if any(kills) else "equivalent"
+            print(f"{label:10} {mutant.name}: {mutant.equivalent}", flush=True)
+    return 0 if dead == len(plants) and not refuted else 1
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ uniform draws by the vectorized SplitMix64 stream
 (``qpump.bathtub``) and the time delay by the model's declaration
 (``qpump.models.PumpModel.delay``).  The routes here reach the same numbers
 another way -- finite differences in time and in energy, row overlaps, the
-outgoing-energy moments, the scalar generator, the two-reservoir form of
-the bound -- or transform a pump so that a law of the energy shift can be
-checked (time warp, left rotation, time reversal).
+outgoing-energy moments, the scalar generator, per-row flux loops, the
+two-reservoir form of the bound -- or transform a pump so that a law of
+the energy shift can be checked (time warp, left rotation, a right-hand
+wobble, time reversal).
 No package code calls them.  They live with the tests, so the package
 ships one route per quantity while each test still compares two; from
 the package they import only the private helpers they share with it.
@@ -205,6 +206,22 @@ def left_rotated(model: PumpModel, w: np.ndarray) -> PumpModel:
     return replace(model, name=f"{model.name}+left", matrix_fn=matrix)
 
 
+def right_wobbled(model: PumpModel, delta: float) -> PumpModel:
+    """The 2-channel pump ``S(t) -> S(t) R(delta sin(2 pi t/T))``, R a real
+    rotation; keeps ``delay``.  On a flux loop ``D(t)`` of winding w the
+    rotation adds only off-diagonal entries to ``E``, of a ratio about
+    ``delta / w``, so the charge stays ``(-w, w)`` while ``S(t) S(t_0)^dag``
+    has off-diagonal entries of size delta."""
+
+    def matrix(times, energy):
+        angle = delta * np.sin(_TWO_PI * times / model.period)
+        c, s = np.cos(angle), np.sin(angle)
+        rotation = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+        return model.matrix_fn(times, energy) @ rotation
+
+    return replace(model, name=f"{model.name}+wobble", matrix_fn=matrix)
+
+
 def time_reversed(model: PumpModel) -> PumpModel:
     """The pump run backwards, ``S'(t) = S(T - t)``, whose energy shift is
     ``-E(T - t)``; keeps ``delay``.  On a cycle grid node i
@@ -219,6 +236,15 @@ def time_reversed(model: PumpModel) -> PumpModel:
 # --------------------------------------------------------------------------
 # Two-reservoir form of the bound (qpump.bathtub).
 # --------------------------------------------------------------------------
+
+
+def reference_fluxes(grid: DispersionGrid, occupations) -> tuple[np.ndarray, np.ndarray]:
+    """Each occupation row's ``(qdot, edot)`` by a Python loop of ``row @ weights``
+    and ``(row * eps) @ weights``: the scalar route to ``qpump.bathtub``'s block fluxes."""
+    w, eps = grid.weights, grid.eps
+    qdot = np.array([row @ w for row in occupations]) / _TWO_PI
+    edot = np.array([(row * eps) @ w for row in occupations]) / _TWO_PI
+    return qdot, edot
 
 
 def two_sided_bound(mu_minus: float, source: Filling, grid: DispersionGrid) -> tuple[float, float]:

@@ -22,7 +22,7 @@ from qpump.bathtub import (
 )
 from qpump.errors import TargetInfeasible
 from qpump.models import uniform_stream
-from reference import project_to_qdot, two_sided_bound
+from reference import project_to_qdot, reference_fluxes, two_sided_bound
 
 PI = np.pi
 TWO_PI = 2.0 * np.pi
@@ -194,8 +194,8 @@ def test_verify_bound_margin_is_relative_to_the_grid(monkeypatch, k_max):
     # below any fixed figure, so the margin must scale with the grid's fluxes
     clip = bathtub._clip_fluxes
 
-    def understated(grid, n):
-        qdot, edot = clip(grid, n)
+    def understated(grid, n, scratch):
+        qdot, edot = clip(grid, n, scratch)
         return qdot, 0.1 * edot
 
     monkeypatch.setattr(bathtub, "_clip_fluxes", understated)
@@ -286,14 +286,49 @@ def test_verify_bound_equals_per_trial_reference(kind, n_k):
         assert 0 < check.violations < check.trials and check.max_violation > 0.0
 
 
+@pytest.mark.parametrize("kind", list(GRIDS))
+@pytest.mark.parametrize("n_k", [64, 100, 4096, 5000])
+def test_block_fluxes_equal_scalar_reference(monkeypatch, kind, n_k):
+    # every block's fluxes (one row, a full block, a short last block) and each
+    # Filling's are the per-row dot products of the scalar loop, bit for bit
+    grid = GRIDS[kind](2.3, n_k)
+    rows = max(1, _BLOCK // n_k)
+    clip = bathtub._clip_fluxes
+    blocks = []
+
+    def recorded(grid, n, scratch):
+        occupations = n.copy()
+        qdot, edot = clip(grid, n, scratch)
+        blocks.append((occupations, qdot, edot))
+        return qdot, edot
+
+    monkeypatch.setattr(bathtub, "_clip_fluxes", recorded)
+    for trials in (1, rows, 2 * rows + 3):
+        blocks.clear()
+        verify_bound(grid, trials, seed=5 * trials)
+        step, *draws = blocks  # the thermal step's Filling comes first
+        assert [len(occ) for occ, _, _ in draws] == [min(rows, trials - start)
+                                                     for start in range(0, trials, rows)]
+        drawn = [uniform_stream(5 * trials + t, n_k) for t in range(trials)]
+        assert np.concatenate([occ for occ, _, _ in draws]).tolist() == np.array(drawn).tolist()
+        for occ, qdot, edot in [step, *draws]:
+            expected = reference_fluxes(grid, occ)
+            assert qdot.tolist() == expected[0].tolist() and edot.tolist() == expected[1].tolist()
+        for row, q, e in zip(drawn[:3], *reference_fluxes(grid, drawn[:3])):
+            filling = Filling.from_occupation(grid, row)
+            assert (filling.qdot, filling.edot) == (q, e)
+
+
 def test_greedy_edot_matches_scalar_formula():
     # budgets at and between the cumulative weights, at zero and beyond the
-    # band, on grids with and without zero-weight modes
+    # band, on grids with and without zero-weight modes; at the band top of
+    # linear_dispersion(0.7, 100) the marginal formula is an ulp off the
+    # full band's Edot, so the band top must take the full band's
     grid = quadratic_dispersion(2.0, 100)
     flat = DispersionGrid(kind="flat", k_max=2.0, n_k=100, nodes=grid.nodes,
                           eps=np.repeat(grid.eps[::4], 4),
                           weights=np.where(np.arange(100) % 3 == 0, 0.0, grid.weights))
-    for g in (grid, flat, linear_dispersion(2.0, 64)):
+    for g in (grid, flat, linear_dispersion(2.0, 64), linear_dispersion(0.7, 100)):
         modes = _sorted_modes(g)
         cum = modes[3]
         budgets = np.array([0.0, 0.5 * cum[0], cum[0], cum[5], 0.5 * (cum[5] + cum[6]),

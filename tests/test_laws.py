@@ -24,6 +24,7 @@ a period scaling ``S(t) -> S(t/T)`` maps ``E(t) -> E(t/T)/T``.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -40,6 +41,7 @@ from reference import (
     ENERGY_STEP_FRACTION,
     left_rotated,
     reparameterized,
+    right_wobbled,
     stencil_delay,
     time_reversed,
     time_warp,
@@ -323,14 +325,19 @@ def test_reparameterization_law(pump, amplitude, period, samples):
 # ---------------------------------------------------------------- characterization
 
 
-def analysis(name, params, period=1.0, samples=256, tolerances=None, beta=None):
-    """``analyze`` of a pump at mu = 1, or None where it exits 2 (NumericalFailure)."""
+def analysis(name, params, period=1.0, samples=256, tolerances=None, beta=None,
+             transform=None):
+    """``analyze`` of a pump at mu = 1 (with ``transform`` applied to its
+    ``PumpModel``), or None where it exits 2 (NumericalFailure)."""
     doc = {"model": name, "params": params, "cycle": {"period": period, "samples": samples},
            "energy": {"mu": 1.0, "window": [0.5, 1.5]}, "tolerances": tolerances or {}}
     if beta is not None:
         doc["beta"] = beta
+    config = ModelConfig.from_dict(doc)
+    if transform is not None:
+        config = replace(config, pump=transform(config.pump))
     try:
-        return analyze(ModelConfig.from_dict(doc))
+        return analyze(config)
     except NumericalFailure:
         return None
 
@@ -399,22 +406,31 @@ def test_perturbed_pumps_are_neither_optimal_nor_saturated(k_ell, w, delta, peri
 
 
 @given(tol_opt=_log_uniform(1e-10, 1e-2), delta=_log_uniform(1e-7, 3e-2),
-       w=st.sampled_from([1, 3, 20]))
-@example(tol_opt=1e-3, delta=1e-4, w=1)
-@example(tol_opt=1e-3, delta=3e-4, w=1)
+       w=st.sampled_from([1, 3, 20]), right=st.booleans())
+@example(tol_opt=1e-3, delta=1e-4, w=1, right=False)
+@example(tol_opt=1e-3, delta=3e-4, w=1, right=False)
+@example(tol_opt=1e-4, delta=1e-4, w=20, right=True)
 @settings(max_examples=40, deadline=None)
-def test_optimality_criteria_agree_at_every_tol_opt(tol_opt, delta, w):
-    # The perturbed loop's worst ratio is about 2 delta, and its charge misses
-    # the winding by w (1 - J0(2 delta)), second order in the ratio.  Whatever
-    # tol_opt is, the analysis exits 0, and optimal <=> a decomposition <=> a
-    # winding: the decomposition's limit and the charge-winding gate follow
-    # from the verdict rather than from constants of their own.
-    result = analysis("perturbed-flux-loop", {"k_ell": 1.0, "w": w, "delta": delta},
-                      tolerances={"tol_opt": tol_opt})
+def test_optimality_criteria_agree_at_every_tol_opt(tol_opt, delta, w, right):
+    # The perturbed loop (its rotation on the left) has a worst ratio of about
+    # 2 delta, and its charge misses the winding by w (1 - J0(2 delta)), second
+    # order in the ratio.  With the rotation on the right the ratio is about
+    # delta / w and the charge stays quantized, while S(t) S(t_0)^dag has
+    # entries of size delta.  Whatever tol_opt is, the analysis exits 0, and
+    # optimal <=> a decomposition <=> a winding: the decomposition's limit and
+    # the charge-winding gate follow from the verdict rather than from
+    # constants of their own.
+    if right:
+        result = analysis("flux-loop", {"k_ell": 1.0, "w": w}, tolerances={"tol_opt": tol_opt},
+                          transform=lambda pump: right_wobbled(pump, delta))
+    else:
+        result = analysis("perturbed-flux-loop", {"k_ell": 1.0, "w": w, "delta": delta},
+                          tolerances={"tol_opt": tol_opt})
     assert result is not None
     verdict, cycle = result.verdict, result.document["cycle"]
     assert (verdict.decomposition is not None) == verdict.is_optimal
     assert (cycle["winding"] is not None) == verdict.is_optimal
     if verdict.is_optimal:
         gap = np.abs(np.array(cycle["charge"]) - cycle["winding"])
-        assert np.max(np.abs(gap - w * one_minus_j0(2.0 * delta))) <= RTOL * w, gap
+        expected = 0.0 if right else w * one_minus_j0(2.0 * delta)
+        assert np.max(np.abs(gap - expected)) <= RTOL * w, gap
