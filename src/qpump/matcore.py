@@ -3,6 +3,8 @@
 Stack norms and defects (Frobenius, unitarity, Hermitian part), the
 unitary polar factor, and spectral differentiation on uniform periodic
 time grids (:func:`qpump.transport.cycle_integral` is their quadrature).
+Its scalar input rules (a positive finite real, a power of two) check
+:class:`Tolerances`, :class:`CycleGrid` and :mod:`qpump.models`' configurations.
 Matrices travel as plain ``(n, n)`` or ``(N, n, n)`` arrays.  Natural
 units are used across the whole package: hbar = e = 1, so Planck's
 constant is ``2*pi`` and the von Klitzing resistance ``R_K = h/e**2 = 2*pi``.
@@ -15,11 +17,12 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import GridMismatch, NumericalFailure, SingularInput
+from .errors import ConfigError, GridMismatch, NumericalFailure, SingularInput
 
 __all__ = [
     "R_K",
@@ -34,6 +37,38 @@ __all__ = [
 ]
 
 R_K = 2.0 * np.pi  #: von Klitzing resistance h/e**2 in natural units
+
+
+def _named(fieldname: str, why: str) -> ValueError:
+    """The plain error of an argument outside a configuration: ``"<field> <why>"``."""
+    return ValueError(f"{fieldname} {why}")
+
+
+def _real(value, fieldname: str, *, positive=False, error=ConfigError) -> float:
+    """``value`` as a float: a real, finite (optionally positive) number that
+    is not a bool, numpy scalars included; otherwise ``error(fieldname, ...)``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise error(fieldname, "must be a real number")
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the largest double
+        v = math.inf
+    if not math.isfinite(v):
+        raise error(fieldname, "must be finite")
+    if positive and v <= 0:
+        raise error(fieldname, f"must be positive, got {v!r}")
+    return v
+
+
+def _power_of_two(value, fieldname: str, minimum: int = 1, *, error=ConfigError) -> int:
+    """``value`` as an int: an integer that is not a bool, numpy integers
+    included, and a power of two ``>= minimum``; otherwise ``error(fieldname, ...)``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(fieldname, "must be an integer")
+    value = int(value)
+    if value < minimum or value & (value - 1):
+        raise error(fieldname, f"must be a power of two >= {minimum}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -56,12 +91,20 @@ class Tolerances:
     tol_charge : float
         Allowed gap between a cycle charge and its winding integer, beyond
         the verdict's second-order ``T scale ratio**2``.
+
+    Each field is stored as a float and must be a positive finite real (not a
+    bool), or :class:`~qpump.errors.ConfigError` names the first faulty one.
     """
 
     tol_unitary: float = 1e-10
     tol_herm: float = 1e-6
     tol_opt: float = 1e-8
     tol_charge: float = 1e-8
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = _real(getattr(self, f.name), f"tolerances.{f.name}", positive=True)
+            object.__setattr__(self, f.name, value)
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -89,9 +132,10 @@ def _square_matrix(array) -> np.ndarray:
 class CycleGrid:
     """Uniform time grid over one pump period.
 
-    ``samples`` must be a power of two (radix-2 FFT differentiation) and
-    at least 8.  Node i sits at ``i*period/samples``; the endpoint
-    ``t = period`` is identified with ``t = 0`` by periodicity.
+    ``samples`` must be a power of two (radix-2 FFT differentiation) and at
+    least 8, ``period`` a positive finite real whose step ``period/samples``
+    is not 0; else a :class:`ValueError`.  Node i sits at ``i*period/samples``;
+    the endpoint ``t = period`` is identified with ``t = 0`` by periodicity.
     """
 
     period: float
@@ -99,20 +143,14 @@ class CycleGrid:
     times: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.samples
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-            raise ValueError("samples must be an integer")
-        if n < 8 or n & (n - 1):
-            raise ValueError(f"samples must be a power of two >= 8, got {n}")
-        real = isinstance(self.period, (int, float, np.integer, np.floating))
-        try:
-            period = float(self.period) if real and not isinstance(self.period, bool) else np.nan
-        except OverflowError:  # an integer beyond the largest double
-            period = np.inf
-        if not (np.isfinite(period) and period / n > 0):
-            raise ValueError("period must be a positive finite real whose step period/samples is not 0")
+        n = _power_of_two(self.samples, "samples", 8, error=_named)
+        fixed = lambda *_: ValueError("period must be a positive finite real whose step "
+                                      "period/samples is not 0")
+        period = _real(self.period, "period", positive=True, error=fixed)
+        if not period / n > 0:
+            raise fixed()
         object.__setattr__(self, "period", period)
-        object.__setattr__(self, "samples", int(n))
+        object.__setattr__(self, "samples", n)
         times = np.arange(self.samples) * (self.period / self.samples)
         object.__setattr__(self, "times", _frozen(times))
 

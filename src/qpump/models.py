@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
@@ -50,7 +50,8 @@ from .errors import (
     UnknownModel,
     UnknownParam,
 )
-from .matcore import DEFAULT_TOLERANCES, CycleGrid, Tolerances, _frozen, unitarity_defect, unitarize
+from .matcore import (DEFAULT_TOLERANCES, CycleGrid, Tolerances, _frozen, _named, _power_of_two,
+                      _real, unitarity_defect, unitarize)
 
 __all__ = [
     "uniform_stream",
@@ -146,8 +147,7 @@ class PumpModel:
     unitary_tol: float = DEFAULT_TOLERANCES.tol_unitary
 
     def __post_init__(self):
-        delay = _real(self.delay, "delay", error=lambda name, why: ValueError(f"{name} {why}"))
-        object.__setattr__(self, "delay", delay)
+        object.__setattr__(self, "delay", _real(self.delay, "delay", error=_named))
 
     def sample(self, times, energy: float) -> np.ndarray:
         """Certified ``(N, n, n)`` stack of S at the given times and energy E;
@@ -182,24 +182,8 @@ class PumpModel:
 
 
 # --------------------------------------------------------------------------
-# Parameter validation helpers.
+# Seeded draws of the built-in models.
 # --------------------------------------------------------------------------
-
-
-def _real(value, fieldname: str, *, positive=False, error=ConfigError) -> float:
-    """``value`` as a float: a real, finite (optionally positive) number that
-    is not a bool, numpy scalars included; otherwise ``error(fieldname, ...)``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise error(fieldname, "must be a real number")
-    try:
-        v = float(value)
-    except OverflowError:  # an integer beyond the largest double
-        v = math.inf
-    if not math.isfinite(v):
-        raise error(fieldname, "must be finite")
-    if positive and v <= 0:
-        raise error(fieldname, f"must be positive, got {v!r}")
-    return v
 
 
 def _uniform(seed: int, hi: np.ndarray) -> np.ndarray:
@@ -479,34 +463,22 @@ def build(name: str, params: Mapping[str, float] | None = None, *,
 # Configuration files.
 # --------------------------------------------------------------------------
 
-_TOP_KEYS = ("model", "params", "cycle", "energy", "tolerances", "beta")
-_REQUIRED_TOP = ("model", "params", "cycle", "energy")
 
-
-def _integer(value, fieldname: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(fieldname, "must be an integer")
+def _object(value, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """``value`` if it is a JSON object with every ``required`` key and no key
+    beyond ``optional``; otherwise a :class:`ConfigError` on ``path`` (the top
+    level's, ``""``, is named ``config``) or on its first unknown key, then
+    its first missing one, as ``path.key``."""
+    if not isinstance(value, dict):
+        raise ConfigError(path or "config", "must be an object")
+    prefix = f"{path}." if path else ""
+    for key in value:
+        if key not in required and key not in optional:
+            raise ConfigError(f"{prefix}{key}", "unknown field")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{prefix}{key}", "missing required field")
     return value
-
-
-def _power_of_two(value, fieldname: str, minimum: int = 1) -> int:
-    n = _integer(value, fieldname)
-    if n < minimum or n & (n - 1):
-        raise ConfigError(fieldname, f"must be a power of two >= {minimum}, got {n}")
-    return n
-
-
-def _section(doc: dict, key: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
-    sec = doc[key]
-    if not isinstance(sec, dict):
-        raise ConfigError(key, "must be an object")
-    for k in sec:
-        if k not in keys + optional:
-            raise ConfigError(f"{key}.{k}", "unknown field")
-    for k in keys:
-        if k not in sec:
-            raise ConfigError(f"{key}.{k}", "missing required field")
-    return sec
 
 
 @dataclass(frozen=True, eq=False)
@@ -518,10 +490,12 @@ class ModelConfig:
     ``cycle`` = {period, samples}, ``energy`` = {mu, window[, samples]},
     optional ``tolerances`` (any subset of the :class:`Tolerances` fields)
     and optional ``beta`` (inverse temperature).  Unknown keys
-    anywhere are an error.  :meth:`from_dict` checks the document's shape,
-    the sample counts, the tolerances and beta, and leaves the rest to
-    :func:`build`, whose :class:`PumpModel` it keeps as ``pump``; so a
-    config exists only for a model that builds.
+    anywhere are an error.  :meth:`from_dict` checks each object's keys
+    with one walker, the sample counts and beta with the scalar rules of
+    :mod:`qpump.matcore`, and leaves the tolerances' values to
+    :class:`Tolerances` and the rest to :func:`build`, whose
+    :class:`PumpModel` it keeps as ``pump``; so a config exists only for a
+    model that builds.
     """
 
     pump: PumpModel
@@ -533,35 +507,20 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config", "top level must be a JSON object")
-        for key in doc:
-            if key not in _TOP_KEYS:
-                raise ConfigError(key, "unknown field")
-        for key in _REQUIRED_TOP:
-            if key not in doc:
-                raise ConfigError(key, "missing required field")
-
+        _object(doc, "", ("model", "params", "cycle", "energy"), ("tolerances", "beta"))
         if not isinstance(doc["model"], str):
             raise ConfigError("model", "must be a string")
         if not isinstance(doc["params"], dict):
             raise ConfigError("params", "must be an object")
-        cycle = _section(doc, "cycle", ("period", "samples"))
-        samples = _power_of_two(cycle["samples"], "cycle.samples", minimum=8)
-        energy = _section(doc, "energy", ("mu", "window"), optional=("samples",))
+        cycle = _object(doc["cycle"], "cycle", ("period", "samples"))
+        samples = _power_of_two(cycle["samples"], "cycle.samples", 8)
+        energy = _object(doc["energy"], "energy", ("mu", "window"), ("samples",))
         _power_of_two(energy.get("samples", 1), "energy.samples")  # reserved for sweeps; not read
 
         tolerances = DEFAULT_TOLERANCES
         if "tolerances" in doc:
-            tol = doc["tolerances"]
-            if not isinstance(tol, dict):
-                raise ConfigError("tolerances", "must be an object")
-            overrides = {}
-            for k, v in tol.items():
-                if k not in {f.name for f in fields(Tolerances)}:
-                    raise ConfigError(f"tolerances.{k}", "unknown tolerance")
-                overrides[k] = _real(v, f"tolerances.{k}", positive=True)
-            tolerances = replace(tolerances, **overrides)
+            names = tuple(f.name for f in fields(Tolerances))
+            tolerances = Tolerances(**_object(doc["tolerances"], "tolerances", (), names))
 
         beta = None
         if "beta" in doc:

@@ -51,8 +51,10 @@ _POLICY = "one tolerance policy (spec 1.2)"
 _BLOCKS = "block-batched bathtub oracle"
 _LEAN = "lean bathtub trial blocks"
 _LIMIT = "the decomposition limit from the verdict"
+_RULES = "one statement per input rule"
 _LAWS = "tests/test_laws.py::"
 _BATHTUB = "tests/test_bathtub.py::"
+_MODELS = "tests/test_models.py::"
 
 MUTANTS = [
     Mutant("per-node-ratio-scale", "qpump/optimal.py",
@@ -122,6 +124,23 @@ MUTANTS = [
            "budgets > cum_w[-1]",
            (_BATHTUB + "test_greedy_edot_matches_scalar_formula",),
            _BLOCKS),
+    Mutant("power-of-two-unchecked", "qpump/matcore.py",
+           "    if value < minimum or value & (value - 1):\n",
+           "    if value < minimum:\n",
+           ("tests/test_matcore.py::test_cycle_grid_validation",
+            _MODELS + "test_config_rejects_bad_samples"),
+           _RULES),
+    Mutant("tolerances-unchecked", "qpump/matcore.py",
+           "        for f in fields(self):\n",
+           "        return\n        for f in fields(self):\n",
+           (_MODELS + "test_config_rejects_bad_tolerance_and_beta",),
+           _RULES),
+    Mutant("walker-skips-required", "qpump/models.py",
+           "    for key in required:\n        if key not in value:\n"
+           "            raise ConfigError(f\"{prefix}{key}\", \"missing required field\")\n",
+           "",
+           (_MODELS + "test_config_rejects_missing_section_field",),
+           _RULES),
 ]
 
 

@@ -1,7 +1,10 @@
-"""Every exported name resolves: star imports work and ``__all__`` lists no stale name."""
+"""Every exported name resolves: star imports work and ``__all__`` lists no stale name,
+and the README's library example runs as written."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -77,3 +80,26 @@ MODULE_SURFACES = {
 @pytest.mark.parametrize("name", MODULES)
 def test_module_surface_is_pinned(name):
     assert importlib.import_module(f"qpump.{name}").__all__ == MODULE_SURFACES[name]
+
+
+def test_readme_library_use_runs_as_its_comments_state():
+    # the first python block under *Library use*, run statement by statement;
+    # each bare expression's value is kept by the call it starts with
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    code = readme.split("\n## Library use\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    namespace, stated = {}, {}
+    for stmt in ast.parse(code).body:
+        if isinstance(stmt, ast.Expr):
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            stated[ast.get_source_segment(code, stmt.value).split("(", 1)[0]] = value
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert stated["qp.winding_charge"].tolist() == [-2, 2]
+    assert stated["qp.analyze"] == [-2, 2]
+    assert stated["qp.verify_bound"] == 0
+    pump, grid = stated["config.pump, config.grid"]
+    assert isinstance(pump, qpump.PumpModel) and isinstance(grid, qpump.CycleGrid)
+    assert namespace["samples"].shape == namespace["shifts"].shape == (256, 2, 2)
+    assert namespace["verdict"].ratios.shape == (256,)
+    instants = namespace["instants"]
+    assert instants.qdot.shape == instants.total_dissipation.shape == (256, 2)

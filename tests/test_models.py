@@ -18,7 +18,7 @@ from qpump.errors import (
     UnknownModel,
     UnknownParam,
 )
-from qpump.matcore import CycleGrid, unitarity_defect, unitarize
+from qpump.matcore import DEFAULT_TOLERANCES, CycleGrid, Tolerances, unitarity_defect, unitarize
 from qpump.models import REGISTRY, ModelConfig, PumpModel, _uniform_rows, build, uniform_stream
 from reference import (
     ENERGY_STEP_FRACTION,
@@ -571,6 +571,12 @@ def test_build_accepts_numpy_reals():
     assert model.period == 2.0 and model.energy_window == (0.5, 2.0)
     assert model.unitary_tol == float(np.float32(1e-6))
     assert all(type(x) is float for x in (model.period, *model.energy_window, model.unitary_tol))
+    # the grid and the tolerances share the config's rules, numpy scalars included
+    grid = CycleGrid(np.float32(2.0), np.int64(16))
+    assert type(grid.samples) is int and grid.samples == 16 and grid.dt == 0.125
+    tolerances = Tolerances(tol_opt=np.float32(1e-3), tol_herm=np.int64(1))
+    assert type(tolerances.tol_opt) is float and tolerances.tol_opt == float(np.float32(1e-3))
+    assert type(tolerances.tol_herm) is float and tolerances.tol_herm == 1.0
 
 
 def test_config_rejects_missing_section_field():
@@ -586,6 +592,28 @@ def test_config_rejects_bad_tolerance_and_beta():
     doc["tolerances"] = {"tol_nonsense": 1.0}
     with pytest.raises(ConfigError):
         ModelConfig.from_dict(doc)
+    # a value is checked where a Tolerances is made, so a direct call, a replace
+    # and a config fail alike, on tolerances.<field>
+    names = [f.name for f in dataclasses.fields(Tolerances)]
+    for name, bad in itertools.product(names, (0.0, math.nan, -1, True, "1e-3", None, 10**400)):
+        doc["tolerances"] = {name: bad}
+        makers = (lambda: Tolerances(**{name: bad}),
+                  lambda: dataclasses.replace(DEFAULT_TOLERANCES, **{name: bad}),
+                  lambda: ModelConfig.from_dict(doc))
+        errors = []
+        for make in makers:
+            with pytest.raises(ConfigError) as err:
+                make()
+            errors.append(err.value)
+        assert [e.field for e in errors] == [f"tolerances.{name}"] * 3, bad
+        assert len({str(e) for e in errors}) == 1
+    # the walker reports an unknown key before Tolerances sees a bad value
+    for pair in ((("tol_opt", -1.0), ("tol_nonsense", 1.0)),
+                 (("tol_nonsense", 1.0), ("tol_opt", -1.0))):
+        doc["tolerances"] = dict(pair)
+        with pytest.raises(ConfigError) as err:
+            ModelConfig.from_dict(doc)
+        assert err.value.field == "tolerances.tol_nonsense"
     doc = good_config()
     doc["beta"] = -1.0
     with pytest.raises(ConfigError):
@@ -607,6 +635,8 @@ def test_config_tolerance_overrides():
     cfg = ModelConfig.from_dict(doc)
     assert cfg.tolerances.tol_opt == 1e-5
     assert cfg.tolerances.tol_charge == 1e-8
+    assert cfg.tolerances == dataclasses.replace(DEFAULT_TOLERANCES, tol_opt=1e-5)
+    assert ModelConfig.from_dict(good_config()).tolerances is DEFAULT_TOLERANCES
 
 
 def test_config_from_file(tmp_path):

@@ -27,8 +27,11 @@ def verdict_of(model):
 
 
 def decomposition_of(model):
-    """The diagonal decomposition of ``model``'s samples at mu = 1 on GRID."""
-    return diagonal_decomposition(sample_cycle(model, 1.0, GRID), DEFAULT_TOLERANCES.tol_opt)
+    """The diagonal decomposition of ``model``'s samples at mu = 1 on GRID, at the
+    limit its verdict implies (the one ``optimality_verdict`` attempts)."""
+    tol = DEFAULT_TOLERANCES.tol_opt
+    limit = max(tol, tol * verdict_of(model).scale * GRID.period)
+    return diagonal_decomposition(sample_cycle(model, 1.0, GRID), limit)
 
 
 # ---------------------------------------------------------------- ratio
