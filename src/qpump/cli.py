@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 configuration/usage error (the message on
-standard error names the offending field), 2 numerical failure (a
-certified defect beyond its hard limit, or a verified bound violation),
-3 I/O failure.
+Exit codes: 0 success, 1 configuration/usage error (a ``ConfigError``, whose
+message on standard error names the offending field), 2 numerical failure (a
+``NumericalFailure``, a verified bound violation or any other ``PumpError``),
+3 I/O failure (an ``OSError``).
 """
 
 from __future__ import annotations
@@ -18,20 +18,9 @@ import sys
 
 import numpy as np
 
-from .bathtub import (
-    analytic_minimum,
-    greedy_minimize,
-    linear_dispersion,
-    quadratic_dispersion,
-    verify_bound,
-)
-from .errors import (
-    ConfigError,
-    EnergyOutOfWindow,
-    NumericalFailure,
-    PhaseStepTooLarge,
-    PumpError,
-)
+from .bathtub import (analytic_minimum, greedy_minimize, linear_dispersion, quadratic_dispersion,
+                      verify_bound)
+from .errors import ConfigError, NumericalFailure, PumpError
 from .models import REGISTRY, ModelConfig
 from .report import analyze, dumps, instant_document
 
@@ -189,10 +178,10 @@ def main(argv=None) -> int:
         # and serialization checks, not as numpy warnings on stderr.
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (ConfigError, EnergyOutOfWindow) as exc:
+    except ConfigError as exc:
         print(f"pump: config error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalFailure, PhaseStepTooLarge) as exc:
+    except NumericalFailure as exc:
         print(f"pump: numerical failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one family per ``pump`` exit code: 1 for
+:class:`ConfigError` (bad input; also a :class:`ValueError`), 2 for any other one."""
 
 
 class PumpError(Exception):
@@ -13,10 +14,6 @@ class SingularInput(PumpError):
     """Matrix is singular (or nearly so) where an invertible one is required."""
 
 
-class EnergyOutOfWindow(PumpError):
-    """Requested energy lies outside the model's validity window."""
-
-
 class NumericalFailure(PumpError):
     """A certified numerical invariant (unitarity, Hermiticity) failed hard."""
 
@@ -26,7 +23,7 @@ class NotOptimal(PumpError):
     off-diagonal weight above tolerance."""
 
 
-class PhaseStepTooLarge(PumpError):
+class PhaseStepTooLarge(NumericalFailure):
     """A row phase advances by pi or more between grid nodes; the winding
     count would alias.  Refine the grid."""
 
@@ -35,12 +32,17 @@ class TargetInfeasible(PumpError):
     """Requested particle flux is outside the feasible range of the grid."""
 
 
-class ConfigError(PumpError):
-    """Invalid configuration input; ``field`` names the offending entry."""
+class ConfigError(PumpError, ValueError):
+    """Invalid input; ``field`` names the offending entry by its config path
+    (``cycle.period``), so a library call and a configuration fail alike."""
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+
+
+class EnergyOutOfWindow(ConfigError):
+    """Requested energy lies outside the model's validity window."""
 
 
 class UnknownModel(ConfigError):

@@ -4,7 +4,7 @@ Stack norms and defects (Frobenius, unitarity, Hermitian part), the
 unitary polar factor, and spectral differentiation on uniform periodic
 time grids (:func:`qpump.transport.cycle_integral` is their quadrature).
 Its scalar input rules (a positive finite real, a power of two) check
-:class:`Tolerances`, :class:`CycleGrid` and :mod:`qpump.models`' configurations.
+:class:`Tolerances`, :class:`CycleGrid` and :mod:`qpump.models`' values.
 Matrices travel as plain ``(n, n)`` or ``(N, n, n)`` arrays.  Natural
 units are used across the whole package: hbar = e = 1, so Planck's
 constant is ``2*pi`` and the von Klitzing resistance ``R_K = h/e**2 = 2*pi``.
@@ -39,11 +39,6 @@ __all__ = [
 R_K = 2.0 * np.pi  #: von Klitzing resistance h/e**2 in natural units
 
 
-def _named(fieldname: str, why: str) -> ValueError:
-    """The plain error of an argument outside a configuration: ``"<field> <why>"``."""
-    return ValueError(f"{fieldname} {why}")
-
-
 def _real(value, fieldname: str, *, positive=False, error=ConfigError) -> float:
     """``value`` as a float: a real, finite (optionally positive) number that
     is not a bool, numpy scalars included; otherwise ``error(fieldname, ...)``."""
@@ -60,14 +55,14 @@ def _real(value, fieldname: str, *, positive=False, error=ConfigError) -> float:
     return v
 
 
-def _power_of_two(value, fieldname: str, minimum: int = 1, *, error=ConfigError) -> int:
+def _power_of_two(value, fieldname: str, minimum: int = 1) -> int:
     """``value`` as an int: an integer that is not a bool, numpy integers
-    included, and a power of two ``>= minimum``; otherwise ``error(fieldname, ...)``."""
+    included, and a power of two ``>= minimum``; otherwise a :class:`ConfigError`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(fieldname, "must be an integer")
+        raise ConfigError(fieldname, "must be an integer")
     value = int(value)
     if value < minimum or value & (value - 1):
-        raise error(fieldname, f"must be a power of two >= {minimum}, got {value}")
+        raise ConfigError(fieldname, f"must be a power of two >= {minimum}, got {value}")
     return value
 
 
@@ -134,8 +129,9 @@ class CycleGrid:
 
     ``samples`` must be a power of two (radix-2 FFT differentiation) and at
     least 8, ``period`` a positive finite real whose step ``period/samples``
-    is not 0; else a :class:`ValueError`.  Node i sits at ``i*period/samples``;
-    the endpoint ``t = period`` is identified with ``t = 0`` by periodicity.
+    is not 0; else a :class:`~qpump.errors.ConfigError` on ``cycle.samples``
+    or ``cycle.period``.  Node i sits at ``i*period/samples``; the endpoint
+    ``t = period`` is identified with ``t = 0`` by periodicity.
     """
 
     period: float
@@ -143,12 +139,10 @@ class CycleGrid:
     times: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = _power_of_two(self.samples, "samples", 8, error=_named)
-        fixed = lambda *_: ValueError("period must be a positive finite real whose step "
-                                      "period/samples is not 0")
-        period = _real(self.period, "period", positive=True, error=fixed)
+        n = _power_of_two(self.samples, "cycle.samples", 8)
+        period = _real(self.period, "cycle.period", positive=True)
         if not period / n > 0:
-            raise fixed()
+            raise ConfigError("cycle.period", f"{period!r} / {n} samples underflows to zero")
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "samples", n)
         times = np.arange(self.samples) * (self.period / self.samples)

@@ -41,17 +41,10 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import (
-    BadParamRange,
-    ConfigError,
-    EnergyOutOfWindow,
-    MissingParam,
-    NumericalFailure,
-    UnknownModel,
-    UnknownParam,
-)
-from .matcore import (DEFAULT_TOLERANCES, CycleGrid, Tolerances, _frozen, _named, _power_of_two,
-                      _real, unitarity_defect, unitarize)
+from .errors import (BadParamRange, ConfigError, EnergyOutOfWindow, MissingParam, NumericalFailure,
+                     UnknownModel, UnknownParam)
+from .matcore import (DEFAULT_TOLERANCES, CycleGrid, Tolerances, _frozen, _power_of_two, _real,
+                      unitarity_defect, unitarize)
 
 __all__ = [
     "uniform_stream",
@@ -122,6 +115,31 @@ def _uniform_rows(seed: int, streams: int, count: int, rows: int) -> Iterator[np
 # Model values.
 # --------------------------------------------------------------------------
 
+#: Unitarity defect a stack may carry as rounding, relative to ``||I||_F = sqrt(n)``:
+#: the gate below ``unitary_tol``.  The built-in families reach ``19 eps sqrt(n)``
+#: (``random-smooth-path``'s eigh; n <= 64, amplitudes up to 2**22).
+UNITARY_FLOOR = 64.0 * np.finfo(float).eps
+
+
+def _window(window) -> tuple[float, float]:
+    """``energy.window`` as floats ``(lo, hi)``: two finite reals, ``0 < lo < hi``."""
+    if not (isinstance(window, (list, tuple)) and len(window) == 2):
+        raise ConfigError("energy.window", "must be a two-element array [lo, hi]")
+    lo = _real(window[0], "energy.window", positive=True)
+    hi = _real(window[1], "energy.window")
+    if not lo < hi:
+        raise ConfigError("energy.window", f"must satisfy 0 < lo < hi, got [{lo!r}, {hi!r}]")
+    return lo, hi
+
+
+def _in_window(energy, window: tuple[float, float]) -> float:
+    """``energy`` as a float, a real in ``[lo, hi]``, or a :class:`ConfigError` on ``energy.mu``."""
+    energy, (lo, hi) = _real(energy, "energy.mu"), window
+    if not lo <= energy <= hi:
+        raise EnergyOutOfWindow("energy.mu",
+                                f"mu={energy!r} must lie inside window [{lo!r}, {hi!r}]")
+    return energy
+
 
 @dataclass(frozen=True, eq=False)
 class PumpModel:
@@ -133,6 +151,8 @@ class PumpModel:
     ``delay`` declares the Wigner time delay, required and exact: a real c
     means ``-i dS/dE S^dag = c I`` at every (t, E) of the window, and
     ``|c|`` is the tau of the adiabaticity parameter.
+    Construction stores ``period``, ``energy_window``, ``delay`` and ``unitary_tol`` as
+    floats, or raises a :class:`ConfigError` naming the field's config path.
     Instances are immutable and evaluation is pure, so models may be
     shared freely between threads.
     """
@@ -147,29 +167,30 @@ class PumpModel:
     unitary_tol: float = DEFAULT_TOLERANCES.tol_unitary
 
     def __post_init__(self):
-        object.__setattr__(self, "delay", _real(self.delay, "delay", error=_named))
+        object.__setattr__(self, "period", _real(self.period, "cycle.period", positive=True))
+        object.__setattr__(self, "energy_window", _window(self.energy_window))
+        object.__setattr__(self, "delay", _real(self.delay, "delay"))
+        object.__setattr__(self, "unitary_tol",
+                           _real(self.unitary_tol, "tolerances.tol_unitary", positive=True))
 
     def sample(self, times, energy: float) -> np.ndarray:
         """Certified ``(N, n, n)`` stack of S at the given times and energy E;
         raises :class:`NumericalFailure` at the first time whose matrix is
-        not finite or not unitary within ``unitary_tol``."""
-        lo, hi = self.energy_window
-        if not (lo <= energy <= hi):
-            raise EnergyOutOfWindow(
-                f"energy {energy:g} outside window [{lo:g}, {hi:g}] of model '{self.name}'"
-            )
+        not finite or not unitary within ``unitary_tol`` (at least ``UNITARY_FLOOR sqrt(n)``)."""
+        energy = _in_window(energy, self.energy_window)
         times = np.asarray(times, dtype=float)
-        stack = np.asarray(self.matrix_fn(times, float(energy)), dtype=np.complex128)
+        stack = np.asarray(self.matrix_fn(times, energy), dtype=np.complex128)
         shape = (times.shape[0], self.n_channels, self.n_channels)
         if stack.shape != shape:
             raise ValueError(f"model '{self.name}' returned shape {stack.shape}, expected {shape}")
         finite = np.isfinite(stack).all(axis=(1, 2))
         defect = unitarity_defect(stack)
-        bad = ~finite | (defect > self.unitary_tol)
+        limit = max(self.unitary_tol, UNITARY_FLOOR * math.sqrt(self.n_channels))
+        bad = ~finite | (defect > limit)
         if bad.any():
             i = int(np.argmax(bad))
             raise NumericalFailure(
-                f"unitarity defect {defect[i]:.3e} exceeds tolerance {self.unitary_tol:g}"
+                f"unitarity defect {defect[i]:.3e} exceeds tolerance {limit:g}"
                 if finite[i] else
                 f"model '{self.name}' has non-finite entries at t={times[i]:.6g}, E={energy:g}"
             )
@@ -421,26 +442,17 @@ def _parse(info: ModelInfo, params: Mapping[str, float]) -> dict[str, float]:
 
 def build(name: str, params: Mapping[str, float] | None = None, *,
           period: float = 1.0, energy_window: tuple[float, float] = (0.5, 1.5),
-          mu: float = 1.0, unitary_tol: float | None = None) -> PumpModel:
-    """Build a registered model: the one check of a config's params, period,
-    window, mu and unitary tolerance, called directly or by :class:`ModelConfig`.
+          mu: float = 1.0, unitary_tol: float = DEFAULT_TOLERANCES.tol_unitary) -> PumpModel:
+    """Build a registered model, called directly or by :class:`ModelConfig`.
 
-    Raises :class:`UnknownModel`, :class:`MissingParam`, :class:`BadParamRange`
-    or :class:`UnknownParam`, each naming the offending key, and
+    Checks the window and mu (the builder divides by mu), then the params
+    against the model's schema; :class:`PumpModel` checks the rest.  Raises
+    :class:`UnknownModel`, :class:`MissingParam`, :class:`BadParamRange` or
+    :class:`UnknownParam`, each naming the offending key, and
     :class:`ConfigError` on the other arguments, by their config fields.
     """
-    period = _real(period, "cycle.period", positive=True)
-    if not (isinstance(energy_window, (list, tuple)) and len(energy_window) == 2):
-        raise ConfigError("energy.window", "must be a two-element array [lo, hi]")
-    lo = _real(energy_window[0], "energy.window", positive=True)
-    hi = _real(energy_window[1], "energy.window")
-    if not lo < hi:
-        raise ConfigError("energy.window", f"must satisfy 0 < lo < hi, got [{lo!r}, {hi!r}]")
-    mu = _real(mu, "energy.mu")
-    if not lo <= mu <= hi:
-        raise ConfigError("energy.mu", f"mu={mu!r} must lie inside window [{lo!r}, {hi!r}]")
-    unitary_tol = _real(DEFAULT_TOLERANCES.tol_unitary if unitary_tol is None else unitary_tol,
-                        "tolerances.tol_unitary", positive=True)
+    window = _window(energy_window)
+    mu = _in_window(mu, window)
     info = REGISTRY.get(name)
     if info is None:
         known = ", ".join(sorted(REGISTRY))
@@ -451,7 +463,7 @@ def build(name: str, params: Mapping[str, float] | None = None, *,
         name=name,
         n_channels=n,
         period=period,
-        energy_window=(lo, hi),
+        energy_window=window,
         params=MappingProxyType(parsed),
         matrix_fn=matrix_fn,
         delay=delay,
@@ -489,13 +501,11 @@ class ModelConfig:
     Top-level fields: ``model`` (registry name), ``params`` (name -> real),
     ``cycle`` = {period, samples}, ``energy`` = {mu, window[, samples]},
     optional ``tolerances`` (any subset of the :class:`Tolerances` fields)
-    and optional ``beta`` (inverse temperature).  Unknown keys
-    anywhere are an error.  :meth:`from_dict` checks each object's keys
-    with one walker, the sample counts and beta with the scalar rules of
-    :mod:`qpump.matcore`, and leaves the tolerances' values to
-    :class:`Tolerances` and the rest to :func:`build`, whose
-    :class:`PumpModel` it keeps as ``pump``; so a config exists only for a
-    model that builds.
+    and optional ``beta`` (inverse temperature).  Unknown keys anywhere are
+    an error.  :meth:`from_dict` checks each object's keys with one walker,
+    the sample counts and beta with :mod:`qpump.matcore`'s scalar rules, and
+    leaves each other value to the value holding it: :class:`Tolerances`,
+    :func:`build`'s :class:`PumpModel` (kept as ``pump``) and :class:`CycleGrid`.
     """
 
     pump: PumpModel
@@ -529,9 +539,6 @@ class ModelConfig:
         pump = build(doc["model"], doc["params"], period=cycle["period"],
                      energy_window=energy["window"], mu=energy["mu"],
                      unitary_tol=tolerances.tol_unitary)
-        if not pump.period / samples > 0:
-            raise ConfigError("cycle.period",
-                              f"{pump.period!r} / {samples} samples underflows to zero")
         if samples * pump.n_channels**2 > MAX_STACK_ENTRIES:
             raise ConfigError("cycle.samples", f"{samples} samples of {pump.n_channels} "
                               f"channels exceed the {MAX_STACK_ENTRIES}-entry stack cap")

@@ -52,6 +52,7 @@ _BLOCKS = "block-batched bathtub oracle"
 _LEAN = "lean bathtub trial blocks"
 _LIMIT = "the decomposition limit from the verdict"
 _RULES = "one statement per input rule"
+_HOMES = "each input rule in the value that holds it"
 _LAWS = "tests/test_laws.py::"
 _BATHTUB = "tests/test_bathtub.py::"
 _MODELS = "tests/test_models.py::"
@@ -141,6 +142,39 @@ MUTANTS = [
            "",
            (_MODELS + "test_config_rejects_missing_section_field",),
            _RULES),
+    Mutant("pump-model-unitary-tol-unchecked", "qpump/models.py",
+           "        object.__setattr__(self, \"unitary_tol\",\n"
+           "                           _real(self.unitary_tol, \"tolerances.tol_unitary\", "
+           "positive=True))\n",
+           "",
+           (_MODELS + "test_pump_model_checks_every_field_it_certifies_with",),
+           _HOMES),
+    Mutant("window-upper-edge-dropped", "qpump/models.py",
+           "    if not lo <= energy <= hi:\n",
+           "    if not lo <= energy:\n",
+           (_MODELS + "test_energy_window_enforced",
+            _MODELS + "test_config_rejects_mu_outside_window"),
+           _HOMES),
+    Mutant("regime-ok-always-true", "qpump/report.py",
+           "None if beta is None else bool(omega * beta < 1.0 and tau < beta)",
+           "None if beta is None else True",
+           ("tests/test_cli.py::test_instant_and_analyze_agree_on_the_regime",),
+           "the regime verdict of the whole cycle"),
+    Mutant("delay-k_ell-times-mu", "qpump/models.py",
+           "    return 2, matrix, k_ell / mu  # d(loop)/dE",
+           "    return 2, matrix, k_ell * mu  # d(loop)/dE",
+           (_MODELS + "test_registry_declares_exactly_the_energy_independent_families",),
+           "the declared time delay"),
+    Mutant("shift-sdag-ds", "qpump/shift.py",
+           "1j * (ds[:k] @ s[:k].conj().swapaxes(1, 2))",
+           "1j * (s[:k].conj().swapaxes(1, 2) @ ds[:k])",
+           ("tests/test_shift.py::test_right_gauge_and_relabelling_laws",),
+           "the metamorphic laws"),
+    Mutant("cycle-integral-strided-sum", "qpump/transport.py",
+           "grid.dt * np.ascontiguousarray(rates.T).sum(axis=-1)",
+           "grid.dt * rates.sum(axis=0)",
+           ("tests/test_matcore.py::test_cycle_integral_sums_each_column_alone",),
+           "one cycle quadrature"),
 ]
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qpump import cli
+from qpump import cli, errors, report
 from qpump.cli import main
 from qpump.errors import NumericalFailure
 from qpump.matcore import DEFAULT_TOLERANCES, Tolerances
@@ -864,11 +864,17 @@ def test_extreme_tol_opt_keeps_the_contract(tmp_path, capsys, tol_opt):
     assert json.loads(out.read_text())["optimality"]["is_optimal"] is (tol_opt > 1.0)
 
 
-def test_exit_2_charge_winding_gap(tmp_path, capsys):
-    # the flux loop's charge misses its winding integers by a few ulp, which
-    # a tol_charge far below rounding level must report as a numerical failure
-    doc = dict(BASE_CONFIG, tolerances={"tol_charge": 1e-300})
-    cfg = write_config(tmp_path, doc)
+def test_exit_2_charge_winding_gap(tmp_path, capsys, monkeypatch):
+    # the flux loop's charge misses its winding integers by a few ulp, within
+    # the gate's rounding floor at any tol_charge, however far below rounding;
+    # a winding count one off is a numerical failure
+    for w, samples, tol in ((1, 256, 1e-300), (2, 64, 1e-300), (2, 64, 5e-324)):
+        doc = dict(BASE_CONFIG, params={"k_ell": 1.0, "w": w},
+                   cycle={"period": 1.0, "samples": samples}, tolerances={"tol_charge": tol})
+        cfg = write_config(tmp_path, doc)
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "ok.json")]) == 0
+    one_off = report.winding_charge
+    monkeypatch.setattr(report, "winding_charge", lambda *args: one_off(*args) + 1)
     out = tmp_path / "r.json"
     assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -1074,3 +1080,36 @@ def test_module_entry_point_matches_in_process_main(tmp_path):
                               capture_output=True, env=env, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             code, out.encode(), err.encode())
+
+
+#: The exit code and stderr prefix of each error class of qpump.errors, and of OSError.
+EXIT_CODES = {
+    "ConfigError": (1, "config error"), "EnergyOutOfWindow": (1, "config error"),
+    "UnknownModel": (1, "config error"), "MissingParam": (1, "config error"),
+    "BadParamRange": (1, "config error"), "UnknownParam": (1, "config error"),
+    "NumericalFailure": (2, "numerical failure"), "PhaseStepTooLarge": (2, "numerical failure"),
+    "PumpError": (2, "error"), "GridMismatch": (2, "error"), "SingularInput": (2, "error"),
+    "NotOptimal": (2, "error"), "TargetInfeasible": (2, "error"), "OSError": (3, "i/o failure"),
+}
+
+
+@pytest.mark.parametrize("name", EXIT_CODES)
+def test_exit_code_of_each_error_class(monkeypatch, name):
+    classes = {n: c for n, c in vars(errors).items()
+               if isinstance(c, type) and issubclass(c, errors.PumpError)}
+    assert set(classes) | {"OSError"} == set(EXIT_CODES)  # a new class needs its exit code
+    cls = classes.get(name, OSError)
+    error = cls("field", "why") if issubclass(cls, errors.ConfigError) else cls("why")
+
+    def fail(args):
+        raise error
+
+    # the parser binds each handler when it is built: build it afresh around the fake
+    monkeypatch.setattr(cli, "_cmd_models", fail)
+    cli._build_parser.cache_clear()
+    try:
+        code, out, err = run_cli(["models"])
+    finally:
+        cli._build_parser.cache_clear()
+    exit_code, prefix = EXIT_CODES[name]
+    assert (code, out, err) == (exit_code, "", f"pump: {prefix}: {error}\n")

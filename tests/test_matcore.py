@@ -48,6 +48,20 @@ def test_unitary_certification():
         model.eval(0.0, 1.0)
     # the global default gate
     assert DEFAULT_TOLERANCES.tol_unitary == 1e-10
+    # a tolerance below rounding gates at UNITARY_FLOOR sqrt(n): every built-in
+    # passes at any accepted tolerance, and no non-unitary matrix does
+    flux = build("flux-loop", {"k_ell": 1.0, "w": 2})
+    doubled = dataclasses.replace(flux, matrix_fn=lambda t, e: 2.0 * flux.matrix_fn(t, e))
+    times = np.linspace(0.0, 1.0, 16, endpoint=False)
+    for tol in (5e-324, 1e-300, 1e-16, 1e-10, 1e-3, 1.0):
+        for name, params in [("flux-loop", {"k_ell": 1.0, "w": 2}),
+                             ("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.3}),
+                             ("diagonal-times-constant", {"n": 8, "s0_seed": 5, "a3_2": 0.4}),
+                             ("random-smooth-path", {"n": 64, "seed": 3, "amplitude": 1e3})]:
+            build(name, params, unitary_tol=tol).sample(times, 1.0)
+        for bad in (model, doubled) if tol < 1e-3 else (doubled,):  # defects 2e-3, 3 sqrt(2)
+            with pytest.raises(NumericalFailure, match="unitarity defect"):
+                dataclasses.replace(bad, unitary_tol=tol).sample(times, 1.0)
 
 
 def test_hermitian_storage_is_exactly_self_adjoint():
@@ -135,7 +149,7 @@ def test_cycle_grid_validation():
             CycleGrid(1.0, bad)
     with pytest.raises(ValueError):
         CycleGrid(-1.0, 16)
-    with pytest.raises(ValueError, match="period/samples"):
+    with pytest.raises(ValueError, match="underflows to zero"):
         CycleGrid(5e-324, 8)  # the time step underflows to zero
     with pytest.raises(ValueError):
         CycleGrid(1.0, 16.0)  # must be an integer, not a float
@@ -147,7 +161,7 @@ def test_cycle_grid_period_is_any_real_but_a_bool():
         assert type(grid.period) is float and grid.period == 2.0
         assert grid.dt == 0.125
     for bad in (True, False, np.float32("nan"), np.float32(-1.0), "1.0", None, 10**400, -10**400):
-        with pytest.raises(ValueError, match="^period must be a positive finite real whose step"):
+        with pytest.raises(ValueError, match="^cycle.period: must be"):
             CycleGrid(bad, 8)
 
 

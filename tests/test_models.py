@@ -386,10 +386,36 @@ def test_a_model_must_declare_its_delay():
     with pytest.raises(TypeError, match="delay"):
         PumpModel(**given_fields)
     for bad in (None, True, 1j, "1.0", math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="^delay must be"):
+        with pytest.raises(ValueError, match="^delay: must be"):
             dataclasses.replace(model, delay=bad)
     declared = dataclasses.replace(model, delay=np.float64(-0.5))
     assert declared.delay == -0.5 and type(declared.delay) is float
+
+
+#: Each field a PumpModel certifies with, and the config path its errors name.
+MODEL_FIELDS = {"period": "cycle.period", "energy_window": "energy.window",
+                "delay": "delay", "unitary_tol": "tolerances.tol_unitary"}
+
+
+@pytest.mark.parametrize("name", MODEL_FIELDS)
+def test_pump_model_checks_every_field_it_certifies_with(name):
+    # a replace fails as a config does, on the field's config path, with an
+    # error that is a ValueError too; a delay may be 0 or negative
+    model = build("flux-loop", {"k_ell": 1.0})
+    bads = [math.nan, math.inf, -math.inf, True, "1", "1.0", None, 1j, 10**400, (1.5, 0.5)]
+    if name != "delay":
+        bads += [0.0, -1]
+    if name == "energy_window":
+        bads += [(0.0, 1.5), (0.5, math.nan), (0.5, 0.5), (0.5,), [True, 1.5]]
+    for bad in bads:
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(model, **{name: bad})
+        assert err.value.field == MODEL_FIELDS[name] and isinstance(err.value, ValueError)
+    good = {"period": np.float32(2.0), "energy_window": [np.int64(1), 2],
+            "delay": np.float64(-0.5), "unitary_tol": np.float32(1e-6)}[name]
+    stored = getattr(dataclasses.replace(model, **{name: good}), name)
+    stored = stored if name == "energy_window" else (stored,)
+    assert type(stored) is tuple and all(type(x) is float for x in stored)
 
 
 def test_replace_keeps_the_declaration():
