@@ -15,12 +15,12 @@ S-matrix side.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TargetInfeasible
+from .errors import ConfigError, TargetInfeasible
+from .matcore import _integer, _real
 from .models import _uniform_rows
 
 __all__ = [
@@ -40,6 +40,16 @@ _TWO_PI = 2.0 * np.pi
 #: Random occupations drawn per block of trials in ``verify_bound``.
 _BLOCK = 1 << 16
 
+#: Largest ``n_k``: each dispersion array and oracle row holds ``n_k`` floats.
+MAX_NK = 2**20
+
+
+def _grid_fields(k_max, n_k) -> tuple[float, int]:
+    """``(k_max, n_k)``: ``n_k`` an integer in [64, MAX_NK], then ``k_max`` a positive
+    finite real, or a :class:`ConfigError` named after the ``pump bathtub`` flag."""
+    n_k = _integer(n_k, "nk", 64, MAX_NK)
+    return _real(k_max, "kmax", positive=True), n_k
+
 
 @dataclass(frozen=True, eq=False)
 class DispersionGrid:
@@ -53,6 +63,7 @@ class DispersionGrid:
     Weights are ``w_i = eps'(k_i) * dk``, the cell's share of the energy
     measure and the grid's one record of ``eps'``: as dk > 0, the bound's
     hypothesis ``k * eps'(k) >= 0`` is checked as ``k_i * w_i >= 0``.
+    ``k_max`` and ``n_k`` follow :func:`_grid_fields`, as in both builders.
     """
 
     kind: str
@@ -63,10 +74,9 @@ class DispersionGrid:
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n_k < 64:
-            raise ValueError(f"n_k must be >= 64, got {self.n_k}")
-        if not (math.isfinite(self.k_max) and self.k_max > 0):
-            raise ValueError("k_max must be a positive finite real")
+        k_max, n_k = _grid_fields(self.k_max, self.n_k)
+        object.__setattr__(self, "k_max", k_max)
+        object.__setattr__(self, "n_k", n_k)
         # Hypotheses of the bound: eps(0) = 0 and k * eps'(k) >= 0.
         if not np.all(self.nodes * self.weights >= 0.0):
             raise ValueError("dispersion must satisfy k * eps'(k) >= 0 on all nodes")
@@ -83,28 +93,24 @@ class DispersionGrid:
         return float(self.weights.sum()) / _TWO_PI
 
 
-def _nodes(k_max: float, n_k: int) -> np.ndarray:
-    return (np.arange(int(n_k)) + 1.0) * (k_max / int(n_k))
+def _nodes(k_max, n_k) -> tuple[float, int, np.ndarray]:
+    k_max, n_k = _grid_fields(k_max, n_k)
+    return k_max, n_k, (np.arange(n_k) + 1.0) * (k_max / n_k)
 
 
 def linear_dispersion(k_max: float, n_k: int) -> DispersionGrid:
     """``eps(k) = k`` (constant weight per cell)."""
-    k = _nodes(k_max, n_k)
-    return DispersionGrid(
-        kind="linear", k_max=float(k_max), n_k=int(n_k),
-        nodes=k, eps=k, weights=np.ones_like(k) * (k_max / n_k),
-    )
+    k_max, n_k, k = _nodes(k_max, n_k)
+    return DispersionGrid(kind="linear", k_max=k_max, n_k=n_k,
+                          nodes=k, eps=k, weights=np.ones_like(k) * (k_max / n_k))
 
 
 def quadratic_dispersion(k_max: float, n_k: int, mass: float = 1.0) -> DispersionGrid:
-    """``eps(k) = k^2 / 2m``."""
-    if not mass > 0:
-        raise ValueError("mass must be positive")
-    k = _nodes(k_max, n_k)
-    return DispersionGrid(
-        kind="quadratic", k_max=float(k_max), n_k=int(n_k),
-        nodes=k, eps=0.5 * k * k / mass, weights=k / mass * (k_max / n_k),
-    )
+    """``eps(k) = k^2 / 2m``, ``mass`` a positive finite real."""
+    k_max, n_k, k = _nodes(k_max, n_k)
+    mass = _real(mass, "mass", positive=True)
+    return DispersionGrid(kind="quadratic", k_max=k_max, n_k=n_k,
+                          nodes=k, eps=0.5 * k * k / mass, weights=k / mass * (k_max / n_k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,9 +222,11 @@ def analytic_minimum(mu: float) -> tuple[float, float]:
 
 
 def thermal_step(grid: DispersionGrid, mu: float) -> Filling:
-    """Zero-temperature Fermi step ``n_i = 1[eps_i < mu]`` (``mu >= 0``)."""
-    if not mu >= 0:
-        raise ValueError("mu must be >= 0")
+    """Zero-temperature Fermi step ``n_i = 1[eps_i < mu]`` for ``0 < mu <= eps(k_max)``,
+    or a :class:`ConfigError` on ``mu``."""
+    top = float(grid.eps[-1])  # a float: mu may be an int beyond any double
+    if not 0 < mu <= top:
+        raise ConfigError("mu", f"must lie in (0, eps(k_max)] = (0, {top:g}]")
     return Filling.from_occupation(grid, (grid.eps < mu).astype(float))
 
 
@@ -256,11 +264,11 @@ def verify_bound(grid: DispersionGrid, trials: int, seed: int = 0,
     with ``trials``; the result is the same as one trial at a time.  The
     block buffer is scratch: its ``n * eps`` products are formed in place,
     and the next block is drawn over it.
+    ``trials`` (an integer >= 1), ``seed`` (an integer keeping every seed below
+    2**64) and ``mu`` are checked in that order, each a :class:`ConfigError`.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not 0 <= seed <= 2**64 - trials:
-        raise ValueError("seeds seed .. seed + trials - 1 must lie in [0, 2**64)")
+    trials = _integer(trials, "trials", 1)
+    seed = _integer(seed, "seed", 0, 2**64 - trials)
     mu = 0.5 * float(grid.eps[-1]) if mu is None else mu
     step = thermal_step(grid, mu)
 

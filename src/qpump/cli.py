@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import functools
 import itertools
-import math
 import os
 import sys
 
@@ -25,10 +24,6 @@ from .models import REGISTRY, ModelConfig
 from .report import analyze, dumps, instant_document
 
 __all__ = ["main"]
-
-#: Largest ``--nk``: each dispersion array and oracle row holds nk floats.
-MAX_NK = 2**20
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems with exit code 1."""
@@ -125,25 +120,12 @@ def _cmd_instant(args) -> int:
 
 
 def _cmd_bathtub(args) -> int:
-    if not 64 <= args.nk <= MAX_NK:
-        raise ConfigError("nk", f"must lie in [64, {MAX_NK}], got {args.nk}")
-    if not (math.isfinite(args.kmax) and args.kmax > 0):
-        raise ConfigError("kmax", "must be a positive finite real")
-    if args.trials < 1:
-        raise ConfigError("trials", "must be >= 1")
-    if args.seed < 0:
-        raise ConfigError("seed", "must be >= 0")
-    if args.seed > 2**64 - args.trials:
-        raise ConfigError("seed", f"must be <= 2**64 - trials, got {args.seed}")
+    # the grid checks nk and kmax, verify_bound trials, seed and mu, in that order
     make = linear_dispersion if args.dispersion == "linear" else quadratic_dispersion
     grid = make(args.kmax, args.nk)
-    if not 0 < args.mu <= float(grid.eps[-1]):
-        raise ConfigError(
-            "mu", f"must lie in (0, eps(k_max)] = (0, {float(grid.eps[-1]):g}]"
-        )
+    check = verify_bound(grid, args.trials, args.seed, mu=args.mu)
     greedy = greedy_minimize(grid, args.mu / (2.0 * np.pi))
     _, edot_min = analytic_minimum(args.mu)
-    check = verify_bound(grid, args.trials, args.seed, mu=args.mu)
     sys.stdout.write(dumps({
         "greedy_Edot": greedy.edot,
         "analytic_Edot": edot_min,

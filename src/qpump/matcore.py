@@ -3,8 +3,8 @@
 Stack norms and defects (Frobenius, unitarity, Hermitian part), the
 unitary polar factor, and spectral differentiation on uniform periodic
 time grids (:func:`qpump.transport.cycle_integral` is their quadrature).
-Its scalar input rules (a positive finite real, a power of two) check
-:class:`Tolerances`, :class:`CycleGrid` and :mod:`qpump.models`' values.
+Its scalar input rules (a positive finite real, an integer in a range, a power of
+two) check :class:`Tolerances`, :class:`CycleGrid` and the values of models and bathtub.
 Matrices travel as plain ``(n, n)`` or ``(N, n, n)`` arrays.  Natural
 units are used across the whole package: hbar = e = 1, so Planck's
 constant is ``2*pi`` and the von Klitzing resistance ``R_K = h/e**2 = 2*pi``.
@@ -55,12 +55,20 @@ def _real(value, fieldname: str, *, positive=False, error=ConfigError) -> float:
     return v
 
 
-def _power_of_two(value, fieldname: str, minimum: int = 1) -> int:
+def _integer(value, fieldname: str, lo=-math.inf, hi=math.inf) -> int:
     """``value`` as an int: an integer that is not a bool, numpy integers
-    included, and a power of two ``>= minimum``; otherwise a :class:`ConfigError`."""
+    included, in ``[lo, hi]``; otherwise a :class:`ConfigError`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(fieldname, "must be an integer")
     value = int(value)
+    if not lo <= value <= hi:
+        raise ConfigError(fieldname, f"must lie in [{lo}, {hi}], got {value}")
+    return value
+
+
+def _power_of_two(value, fieldname: str, minimum: int = 1) -> int:
+    """An :func:`_integer` that is a power of two ``>= minimum``, or a :class:`ConfigError`."""
+    value = _integer(value, fieldname)
     if value < minimum or value & (value - 1):
         raise ConfigError(fieldname, f"must be a power of two >= {minimum}, got {value}")
     return value

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import GridMismatch, NotOptimal, NumericalFailure, PhaseStepTooLarge
-from .matcore import R_K, CycleGrid
+from .matcore import R_K, CycleGrid, _real
 from .models import PumpModel
 from .shift import _check_period
 
@@ -177,18 +177,18 @@ def instant_report(e: np.ndarray, t: float | np.ndarray,
     One ``|E_jk|^2`` pass gives the off-diagonal weight
     ``w_j = sum_{k != j} |E_jk|^2``: the excess ``w/4pi`` and, when a finite
     positive inverse temperature ``beta`` is given, the rates
-    ``Sdot = beta w/4pi`` and ``Ndot = beta w/12pi`` (ratio exactly 3).  The
+    ``Sdot = beta w/4pi`` and ``Ndot = beta w/12pi`` (ratio exactly 3; any other
+    ``beta`` is a :class:`~qpump.errors.ConfigError` on ``beta``).  The
     residual is ``D - (R_K/2) Qdot^2`` by subtraction rather than the closed
     form ``w/4pi`` it equals, so the bound is exercised.
     """
-    if beta is not None and not 0.0 < beta < np.inf:
-        raise ValueError("beta must be positive and finite")
     mags = np.abs(e) ** 2
     weight = mags.sum(axis=-1) - _diagonal(mags)
     qdot = instantaneous_current(e)
     total = _square_diagonal(e) / _FOUR_PI
     sdot = ndot = None
     if beta is not None:
+        beta = _real(beta, "beta", positive=True)
         sdot = beta * weight / _FOUR_PI
         ndot = beta * weight / (12.0 * np.pi)
     return InstantReport(

@@ -53,6 +53,7 @@ _LEAN = "lean bathtub trial blocks"
 _LIMIT = "the decomposition limit from the verdict"
 _RULES = "one statement per input rule"
 _HOMES = "each input rule in the value that holds it"
+_BATHTUB_HOMES = "each bathtub rule in the value that holds it"
 _LAWS = "tests/test_laws.py::"
 _BATHTUB = "tests/test_bathtub.py::"
 _MODELS = "tests/test_models.py::"
@@ -155,6 +156,18 @@ MUTANTS = [
            (_MODELS + "test_energy_window_enforced",
             _MODELS + "test_config_rejects_mu_outside_window"),
            _HOMES),
+    Mutant("seed-upper-edge-dropped", "qpump/bathtub.py",
+           "    seed = _integer(seed, \"seed\", 0, 2**64 - trials)\n",
+           "    seed = _integer(seed, \"seed\", 0)\n",
+           ("tests/test_cli.py::test_bathtub_rejects_kmax_and_seed_out_of_range",
+            _BATHTUB + "test_verify_bound_seeds_up_to_two_to_the_64"),
+           _BATHTUB_HOMES),
+    Mutant("integer-rule-dropped", "qpump/matcore.py",
+           "    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):\n"
+           "        raise ConfigError(fieldname, \"must be an integer\")\n",
+           "",
+           (_BATHTUB + "test_each_rule_is_a_config_error_on_its_flag",),
+           _BATHTUB_HOMES),
     Mutant("regime-ok-always-true", "qpump/report.py",
            "None if beta is None else bool(omega * beta < 1.0 and tau < beta)",
            "None if beta is None else True",

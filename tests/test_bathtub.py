@@ -20,7 +20,7 @@ from qpump.bathtub import (
     thermal_step,
     verify_bound,
 )
-from qpump.errors import TargetInfeasible
+from qpump.errors import ConfigError, TargetInfeasible
 from qpump.models import uniform_stream
 from reference import project_to_qdot, reference_fluxes, two_sided_bound
 
@@ -69,7 +69,7 @@ def test_nan_inputs_are_rejected():
         Filling.from_occupation(grid, occ)
     with pytest.raises(ValueError, match=r"occupations must lie in \[0, 1\]"):
         project_to_qdot(grid, occ, 0.1)
-    with pytest.raises(ValueError, match="mass must be positive"):
+    with pytest.raises(ConfigError, match="^mass: must be finite"):
         quadratic_dispersion(2.0, 64, mass=np.nan)
     with pytest.raises(TargetInfeasible):
         greedy_minimize(grid, np.nan)
@@ -77,13 +77,50 @@ def test_nan_inputs_are_rejected():
         project_to_qdot(grid, np.full(64, 0.5), np.nan)
     with pytest.raises(ValueError, match="mu_minus must be >= 0"):
         two_sided_bound(np.nan, thermal_step(grid, 1.0), grid)
-    with pytest.raises(ValueError, match="mu must be >= 0"):
+    with pytest.raises(ConfigError, match=r"^mu: must lie in \(0, eps\(k_max\)\]"):
         thermal_step(grid, np.nan)
-    with pytest.raises(ValueError, match="mu must be >= 0"):
+    with pytest.raises(ConfigError, match=r"^mu: must lie in \(0, eps\(k_max\)\]"):
         verify_bound(grid, 1, mu=np.nan)
     with pytest.raises(ValueError, match="k \\* eps'\\(k\\) >= 0"):
         DispersionGrid(kind="nan", k_max=2.0, n_k=64, nodes=grid.nodes, eps=grid.eps,
                        weights=np.full(64, np.nan))
+
+
+LINEAR64 = linear_dispersion(2.0, 64)
+
+
+@pytest.mark.parametrize("call,field", [
+    (lambda: linear_dispersion(2.0, 0), "nk"),
+    (lambda: quadratic_dispersion(2.0, 0), "nk"),
+    (lambda: linear_dispersion(2.0, 64.7), "nk"),
+    (lambda: linear_dispersion(2.0, True), "nk"),
+    (lambda: linear_dispersion(2.0, bathtub.MAX_NK + 1), "nk"),
+    (lambda: linear_dispersion(0.0, 32), "nk"),
+    (lambda: quadratic_dispersion(float("inf"), 64), "kmax"),
+    (lambda: quadratic_dispersion(2.0, 64, mass=-1.0), "mass"),
+    (lambda: thermal_step(LINEAR64, 0.0), "mu"),
+    (lambda: thermal_step(LINEAR64, 1.5 * LINEAR64.eps[-1]), "mu"),
+    (lambda: thermal_step(LINEAR64, 10**400), "mu"),
+    (lambda: verify_bound(LINEAR64, 0, seed=-1), "trials"),
+    (lambda: verify_bound(LINEAR64, 2.0), "trials"),
+    (lambda: verify_bound(LINEAR64, 1, seed=-1, mu=0.0), "seed"),
+    (lambda: verify_bound(LINEAR64, 1, seed=0, mu=3.0), "mu"),
+], ids=["linear-nk-0", "quadratic-nk-0", "nk-fractional", "nk-bool", "nk-above-cap",
+        "nk-before-kmax", "kmax-inf", "mass-negative", "mu-0", "mu-above-band", "mu-beyond-double",
+        "trials-before-seed", "trials-float", "seed-before-mu", "mu-in-verify-bound"])
+def test_each_rule_is_a_config_error_on_its_flag(call, field):
+    # each pump bathtub flag's rule lives in the library value that holds it, so
+    # a library call fails as the CLI does: with a ConfigError naming the flag
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert err.value.field == field
+
+
+def test_grid_fields_are_stored_as_checked():
+    grid = DispersionGrid(kind="linear", k_max=np.int64(2), n_k=np.int32(64),
+                          nodes=np.ones(64), eps=np.ones(64), weights=np.ones(64))
+    assert type(grid.k_max) is float and type(grid.n_k) is int
+    assert linear_dispersion(np.float64(2.0), np.int64(64)).weights.sum() == 2.0
 
 
 def test_filling_clips_a_copy():

@@ -374,14 +374,25 @@ def bathtub_argv(**flags):
     return ["bathtub"] + [f"--{key}={value}" for key, value in args.items()]
 
 
-# with trials = 3, the streams seed .. seed + 2 must all lie below 2**64
+# with trials = 3, the streams seed .. seed + 2 must all lie below 2**64; mu = 3
+# lies above the linear band's top eps(k_max) = 2
 @pytest.mark.parametrize("flag,value", [("kmax", "nan"), ("kmax", "inf"), ("kmax", "-inf"),
                                         ("seed", str(2**64 - 2)), ("seed", str(2**64)),
-                                        ("seed", str(2**70)), ("nk", str(10**13))])
+                                        ("seed", str(2**70)), ("nk", str(10**13)),
+                                        ("trials", "0"), ("mu", "0"), ("mu", "3")])
 def test_bathtub_rejects_kmax_and_seed_out_of_range(capsys, flag, value):
     assert main(bathtub_argv(**{flag: value})) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and f"config error: {flag}" in captured.err
+
+
+@pytest.mark.parametrize("flags,first", [({"nk": "0", "kmax": "nan"}, "nk"),
+                                         ({"trials": "0", "mu": "nan"}, "trials"),
+                                         ({"seed": "-1", "mu": "0"}, "seed")])
+def test_bathtub_names_the_first_faulty_flag(capsys, flags, first):
+    # the flags are checked in the order nk, kmax, trials, seed, mu
+    assert main(bathtub_argv(**flags)) == 1
+    assert capsys.readouterr().err.startswith(f"pump: config error: {first}: ")
 
 
 def test_bathtub_seeds_up_to_two_to_the_64_run(capsys):

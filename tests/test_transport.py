@@ -218,11 +218,11 @@ def test_entropy_noise_regime_flags():
 @pytest.mark.parametrize("call,message", [
     (lambda: stencil_delay(build("diagonal-times-constant", {}), [0.0], 1.0, float("nan")),
      "step must be positive"),
-    (lambda: instant_report(flux_loop_shift(), 0.0, beta=float("nan")), "beta must be positive"),
+    (lambda: instant_report(flux_loop_shift(), 0.0, beta=float("nan")), "^beta: must be finite"),
     (lambda: central_derivative(lambda x: np.array([x]), 1.0, float("nan")),
      "step must be positive"),
     (lambda: instant_report(flux_loop_shift(), 0.0, beta=float("inf")),
-     "beta must be positive and finite"),
+     "^beta: must be finite"),
 ], ids=["time_delay-dE", "instant_report-beta", "central_derivative-step", "instant_report-beta-inf"])
 def test_positive_guards_reject_nan(call, message):
     with pytest.raises(ValueError, match=message):
