@@ -63,7 +63,9 @@ class DispersionGrid:
     Weights are ``w_i = eps'(k_i) * dk``, the cell's share of the energy
     measure and the grid's one record of ``eps'``: as dk > 0, the bound's
     hypothesis ``k * eps'(k) >= 0`` is checked as ``k_i * w_i >= 0``.
-    ``k_max`` and ``n_k`` follow :func:`_grid_fields`, as in both builders.
+    ``k_max`` and ``n_k`` follow :func:`_grid_fields`, as in both builders, and the
+    arrays have shape ``(n_k,)``.  A band beyond a double (the full filling's Edot or
+    ``pi Qdot^2``, or ``eps(k_max)^2/4pi``, overflows) is a :class:`ConfigError` on ``kmax``.
     """
 
     kind: str
@@ -77,9 +79,18 @@ class DispersionGrid:
         k_max, n_k = _grid_fields(self.k_max, self.n_k)
         object.__setattr__(self, "k_max", k_max)
         object.__setattr__(self, "n_k", n_k)
-        # Hypotheses of the bound: eps(0) = 0 and k * eps'(k) >= 0.
-        if not np.all(self.nodes * self.weights >= 0.0):
-            raise ValueError("dispersion must satisfy k * eps'(k) >= 0 on all nodes")
+        shapes = [np.shape(a) for a in (self.nodes, self.eps, self.weights)]
+        if shapes != [(n_k,)] * 3:
+            raise ValueError(f"nodes, eps and weights must have shape ({n_k},), got {shapes}")
+        with np.errstate(over="ignore"):  # an overflow is the ConfigError below
+            # Hypotheses of the bound: eps(0) = 0 and k * eps'(k) >= 0.
+            if not np.all(self.nodes * self.weights >= 0.0):
+                raise ValueError("dispersion must satisfy k * eps'(k) >= 0 on all nodes")
+            fluxes = [self.eps @ self.weights, np.pi * np.square(self.max_qdot),
+                      analytic_minimum(float(self.eps[-1]))[1]]
+        if not np.isfinite(fluxes).all():
+            raise ConfigError("kmax", f"{k_max!r} overflows the band: the full filling's Edot, "
+                              "its pi*Qdot^2 and eps(k_max)^2/4pi must be finite")
         for a in (self.nodes, self.eps, self.weights):
             a.setflags(write=False)
 
@@ -287,6 +298,6 @@ def verify_bound(grid: DispersionGrid, trials: int, seed: int = 0,
         greedy_gap = float((_greedy_edot(modes, _TWO_PI * qdot) - bound).max())
         greedy_gap_max = max(greedy_gap_max, greedy_gap)
 
-    step_gap = step.edot - np.pi * np.square(step.qdot)  # inf, not OverflowError, on a huge band
     return BoundCheck(trials=trials, violations=violations, max_violation=max_violation,
-                      greedy_gap_max=greedy_gap_max, step_gap=float(step_gap), mu=float(mu))
+                      greedy_gap_max=greedy_gap_max, step_gap=step.edot - np.pi * step.qdot**2,
+                      mu=float(mu))

@@ -2,26 +2,27 @@
 
 A pump model is an evaluatable family ``(t, E) -> S`` of frozen unitary
 scattering matrices, periodic in t with the pump period and defined for
-energies inside a validity window.  Four families are built in:
+energies inside a validity window: a loop over the cycle angle
+``theta = 2*pi*t/T``, which only the model forms.  Four families are built in:
 
 ``flux-loop``
     Two channels reflecting off a loop threaded by a linearly ramped
-    flux: ``S = diag(exp(i(k(E)l + Phi(t))), exp(i(k(E)l - Phi(t))))``
-    with ``Phi(t) = 2*pi*w*t/T``.  The dispersion is linear, so the loop
+    flux: ``S = diag(exp(i(k(E)l + Phi)), exp(i(k(E)l - Phi)))``
+    with ``Phi = w*theta``.  The dispersion is linear, so the loop
     length and the velocity enter only through the dimensionless phase
     ``k_ell = k(mu)*l`` at the reference chemical potential: the phase
     at energy E is ``k_ell*E/mu``.
 ``perturbed-flux-loop``
     The flux loop left-multiplied by a real rotation
-    ``R(delta*sin(2*pi*t/T))``, which mixes the channels and pulls the
+    ``R(delta*sin(theta))``, which mixes the channels and pulls the
     cycle charge off its integer value; ``delta = 0`` recovers the flux
     loop exactly.
 ``diagonal-times-constant``
-    ``S(t) = U_d(t) S0`` with ``U_d`` a diagonal unitary whose phases are
+    ``S = U_d(theta) S0`` with ``U_d`` a diagonal unitary whose phases are
     low-degree trigonometric polynomials plus integer windings, and S0 a
     fixed unitary.  Energy independent.
 ``random-smooth-path``
-    ``S(t) = exp(i H(t)) S0`` with H a Hermitian trigonometric polynomial
+    ``S = exp(i H(theta)) S0`` with H a Hermitian trigonometric polynomial
     drawn from a seeded generator.  Energy independent; intended as
     property-test fodder.
 
@@ -145,9 +146,9 @@ def _in_window(energy, window: tuple[float, float]) -> float:
 class PumpModel:
     """Evaluatable family ``(t, E) -> S`` over one period.
 
-    ``matrix_fn(times, E)`` maps a 1-D array of N times and one energy to
-    the ``(N, n, n)`` stack of scattering matrices; :meth:`sample`
-    certifies such a stack and :meth:`eval` is its one-time case.
+    ``matrix_fn(theta, E)`` maps a 1-D array of N cycle angles in ``[0, 2 pi)`` and one
+    energy to the ``(N, n, n)`` stack of S.  :meth:`sample`, the one place time enters,
+    certifies it at ``theta = 2 pi t / period``, and :meth:`eval` is its one-time case.
     ``delay`` declares the Wigner time delay, required and exact: a real c
     means ``-i dS/dE S^dag = c I`` at every (t, E) of the window, and
     ``|c|`` is the tau of the adiabaticity parameter.
@@ -179,7 +180,7 @@ class PumpModel:
         not finite or not unitary within ``unitary_tol`` (at least ``UNITARY_FLOOR sqrt(n)``)."""
         energy = _in_window(energy, self.energy_window)
         times = np.asarray(times, dtype=float)
-        stack = np.asarray(self.matrix_fn(times, energy), dtype=np.complex128)
+        stack = np.asarray(self.matrix_fn(_TWO_PI * times / self.period, energy), dtype=complex)
         shape = (times.shape[0], self.n_channels, self.n_channels)
         if stack.shape != shape:
             raise ValueError(f"model '{self.name}' returned shape {stack.shape}, expected {shape}")
@@ -236,18 +237,18 @@ def _unitary(draws: np.ndarray, n: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Built-in model builders.  Each takes the parameters its schema parsed and
-# returns (n_channels, matrix_fn, delay), delay the c of the Wigner delay c I.
+# Built-in model builders: (params, mu) -> (n_channels, matrix_fn, delay), params as
+# their schema parsed them, matrix_fn(theta, E) over the cycle angle theta in
+# [0, 2 pi) and delay the c of the Wigner delay c I.
 # --------------------------------------------------------------------------
 
 
-def _build_flux_loop(params, period, mu):
+def _build_flux_loop(params, mu):
     k_ell, w = params["k_ell"], params["w"]
 
-    def matrix(times, energy):
-        loop = k_ell * energy / mu
-        flux = _TWO_PI * w * times / period
-        out = np.zeros((times.shape[0], 2, 2), dtype=complex)
+    def matrix(theta, energy):
+        loop, flux = k_ell * energy / mu, w * theta
+        out = np.zeros((theta.shape[0], 2, 2), dtype=complex)
         out[:, 0, 0] = np.exp(1j * (loop + flux))
         out[:, 1, 1] = np.exp(1j * (loop - flux))
         return out
@@ -255,18 +256,18 @@ def _build_flux_loop(params, period, mu):
     return 2, matrix, k_ell / mu  # d(loop)/dE: the loop traversal time l/v
 
 
-def _build_perturbed_flux_loop(params, period, mu):
+def _build_perturbed_flux_loop(params, mu):
     delta = params["delta"]
-    n, base, delay = _build_flux_loop(params, period, mu)
+    n, base, delay = _build_flux_loop(params, mu)
 
     # The rotation multiplies from the left: a right factor commutes into
     # the diagonal of E and would leave every cycle charge exactly
     # quantized, defeating the point of the perturbation.
-    def matrix(times, energy):
-        angle = delta * np.sin(_TWO_PI * times / period)
+    def matrix(theta, energy):
+        angle = delta * np.sin(theta)
         c, s = np.cos(angle), np.sin(angle)
         rotation = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
-        return rotation @ base(times, energy)
+        return rotation @ base(theta, energy)
 
     return n, matrix, delay
 
@@ -278,7 +279,7 @@ _MAX_SEED = 2**53  # every seed up to it is exact as a double
 MAX_STACK_ENTRIES = 2**22
 
 
-def _build_diagonal_times_constant(params, period, mu):
+def _build_diagonal_times_constant(params, mu):
     n, s0_seed = int(params["n"]), int(params["s0_seed"])
     channels, modes = range(1, n + 1), np.arange(1, _DTC_DEGREE + 1)
     windings = np.array([params[f"w{j}"] for j in channels])
@@ -287,19 +288,18 @@ def _build_diagonal_times_constant(params, period, mu):
     s0 = (np.eye(n, dtype=complex) if s0_seed == 0
           else _unitary(_uniform(s0_seed, np.ones(2 * n * n)), n))
 
-    def matrix(times, energy):
+    def matrix(theta, energy):
         # (n, degree) @ (N, degree, 1): the one-time form's matrix-vector product,
-        # once per time, so a stack matches one-time evaluation bit for bit
-        arg = _TWO_PI * times / period
-        waves = modes[:, None] * arg[:, None, None]
-        phases = windings * arg[:, None]
+        # once per angle, so a stack matches one-time evaluation bit for bit
+        waves = modes[:, None] * theta[:, None, None]
+        phases = windings * theta[:, None]
         phases = phases + (cos_coef @ np.cos(waves))[:, :, 0] + (sin_coef @ np.sin(waves))[:, :, 0]
         return np.exp(1j * phases)[:, :, None] * s0
 
     return n, matrix, 0.0
 
 
-def _build_random_smooth_path(params, period, mu):
+def _build_random_smooth_path(params, mu):
     n, seed, degree = (int(params[key]) for key in ("n", "seed", "degree"))
 
     # One SplitMix64(seed) stream draws the constant Hermitian term, a (cos, sin)
@@ -311,9 +311,8 @@ def _build_random_smooth_path(params, period, mu):
     const, cos_terms, sin_terms = terms[0], terms[1::2], terms[2::2]
     s0 = _unitary(draws[-2 * n * n:], n)
 
-    def matrix(times, energy):
-        arg = _TWO_PI * times[:, None, None] / period
-        h = np.broadcast_to(const, (times.shape[0], n, n))
+    def matrix(theta, energy):
+        h, arg = np.broadcast_to(const, (theta.shape[0], n, n)), theta[:, None, None]
         for m in range(1, degree + 1):
             h = h + (cos_terms[m - 1] * np.cos(m * arg) + sin_terms[m - 1] * np.sin(m * arg))
         vals, vecs = np.linalg.eigh(h)
@@ -340,7 +339,7 @@ class ModelInfo:
     description: str
     n_channels: str
     params: tuple[ParamInfo, ...]  # the schema, in parse order
-    builder: Callable = field(repr=False)  # (params, period, mu) -> (n_channels, matrix_fn, delay)
+    builder: Callable = field(repr=False)  # (params, mu) -> (n, matrix_fn(theta, E), delay)
 
 
 _CHANNELS = ParamInfo("n", 2.0, "number of channels, integer in 1..64",
@@ -458,7 +457,7 @@ def build(name: str, params: Mapping[str, float] | None = None, *,
         known = ", ".join(sorted(REGISTRY))
         raise UnknownModel("model", f"unknown model '{name}'; built-ins: {known}")
     parsed = _parse(info, dict(params or {}))
-    n, matrix_fn, delay = info.builder(parsed, period, mu)
+    n, matrix_fn, delay = info.builder(parsed, mu)
     return PumpModel(
         name=name,
         n_channels=n,

@@ -54,6 +54,8 @@ _LIMIT = "the decomposition limit from the verdict"
 _RULES = "one statement per input rule"
 _HOMES = "each input rule in the value that holds it"
 _BATHTUB_HOMES = "each bathtub rule in the value that holds it"
+_PERIOD = "the model owns its period"
+_BAND = "bathtub grids a double can hold"
 _LAWS = "tests/test_laws.py::"
 _BATHTUB = "tests/test_bathtub.py::"
 _MODELS = "tests/test_models.py::"
@@ -168,6 +170,22 @@ MUTANTS = [
            "",
            (_BATHTUB + "test_each_rule_is_a_config_error_on_its_flag",),
            _BATHTUB_HOMES),
+    Mutant("angle-map-fixed-period", "qpump/models.py",
+           "self.matrix_fn(_TWO_PI * times / self.period, energy)",
+           "self.matrix_fn(_TWO_PI * times / 1.0, energy)",
+           (_MODELS + "test_replacing_the_period_rescales_time",
+            _LAWS + "test_period_scaling_law"),
+           _PERIOD),
+    Mutant("grid-shape-unchecked", "qpump/bathtub.py",
+           "        if shapes != [(n_k,)] * 3:\n",
+           "        if len(shapes) != 3:\n",
+           (_BATHTUB + "test_grid_arrays_have_shape_n_k",),
+           _BAND),
+    Mutant("band-overflow-nan-only", "qpump/bathtub.py",
+           "        if not np.isfinite(fluxes).all():\n",
+           "        if np.isnan(fluxes).any():\n",
+           ("tests/test_cli.py::test_bathtub_rejects_a_band_beyond_a_double",),
+           _BAND),
     Mutant("regime-ok-always-true", "qpump/report.py",
            "None if beta is None else bool(omega * beta < 1.0 and tau < beta)",
            "None if beta is None else True",

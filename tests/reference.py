@@ -186,11 +186,12 @@ def time_warp(period: float, amplitude: float = 0.1):
 
 
 def reparameterized(model: PumpModel, amplitude: float = 0.1) -> PumpModel:
-    """The same pump along the warped time ``t -> f(t)``; keeps ``delay``."""
-    f, _ = time_warp(model.period, amplitude)
+    """The same pump along the warped time ``t -> f(t)``, the warp of the cycle
+    angle ``theta -> f(theta)`` over the period 2 pi; keeps ``delay``."""
+    f, _ = time_warp(_TWO_PI, amplitude)
 
-    def matrix(times, energy):
-        return model.matrix_fn(f(times), energy)
+    def matrix(theta, energy):
+        return model.matrix_fn(f(theta), energy)
 
     return replace(model, name=f"{model.name}+warp", matrix_fn=matrix)
 
@@ -200,8 +201,8 @@ def left_rotated(model: PumpModel, w: np.ndarray) -> PumpModel:
     is ``W E W^dag``; keeps ``delay`` (``W c I W^dag = c I``)."""
     w = np.asarray(w, dtype=complex)
 
-    def matrix(times, energy):
-        return w @ model.matrix_fn(times, energy)
+    def matrix(theta, energy):
+        return w @ model.matrix_fn(theta, energy)
 
     return replace(model, name=f"{model.name}+left", matrix_fn=matrix)
 
@@ -213,11 +214,11 @@ def right_wobbled(model: PumpModel, delta: float) -> PumpModel:
     ``delta / w``, so the charge stays ``(-w, w)`` while ``S(t) S(t_0)^dag``
     has off-diagonal entries of size delta."""
 
-    def matrix(times, energy):
-        angle = delta * np.sin(_TWO_PI * times / model.period)
+    def matrix(theta, energy):
+        angle = delta * np.sin(theta)
         c, s = np.cos(angle), np.sin(angle)
         rotation = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
-        return model.matrix_fn(times, energy) @ rotation
+        return model.matrix_fn(theta, energy) @ rotation
 
     return replace(model, name=f"{model.name}+wobble", matrix_fn=matrix)
 
@@ -225,10 +226,10 @@ def right_wobbled(model: PumpModel, delta: float) -> PumpModel:
 def time_reversed(model: PumpModel) -> PumpModel:
     """The pump run backwards, ``S'(t) = S(T - t)``, whose energy shift is
     ``-E(T - t)``; keeps ``delay``.  On a cycle grid node i
-    maps to node -i mod N."""
+    maps to node -i mod N, as the cycle angle ``theta -> 2 pi - theta``."""
 
-    def matrix(times, energy):
-        return model.matrix_fn(model.period - times, energy)
+    def matrix(theta, energy):
+        return model.matrix_fn(_TWO_PI - theta, energy)
 
     return replace(model, name=f"{model.name}+reversed", matrix_fn=matrix)
 

@@ -116,6 +116,15 @@ def test_each_rule_is_a_config_error_on_its_flag(call, field):
     assert err.value.field == field
 
 
+@pytest.mark.parametrize("field", ["nodes", "eps", "weights"])
+@pytest.mark.parametrize("shape", [(10,), (1, 64), ()])
+def test_grid_arrays_have_shape_n_k(field, shape):
+    arrays = {"nodes": np.ones(64), "eps": np.ones(64), "weights": np.ones(64)}
+    arrays[field] = np.ones(shape)
+    with pytest.raises(ValueError, match=r"must have shape \(64,\)"):
+        DispersionGrid(kind="x", k_max=2.0, n_k=64, **arrays)
+
+
 def test_grid_fields_are_stored_as_checked():
     grid = DispersionGrid(kind="linear", k_max=np.int64(2), n_k=np.int32(64),
                           nodes=np.ones(64), eps=np.ones(64), weights=np.ones(64))

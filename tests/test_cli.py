@@ -395,6 +395,24 @@ def test_bathtub_names_the_first_faulty_flag(capsys, flags, first):
     assert capsys.readouterr().err.startswith(f"pump: config error: {first}: ")
 
 
+@pytest.mark.parametrize("dispersion,kmax,mu", [("quadratic", "1e200", "1"),
+                                                ("linear", "1e308", "1e307"),
+                                                ("linear", "1.5e154", "1.5e154")],
+                         ids=["eps-overflows", "edot-overflows", "mu-squared-overflows"])
+def test_bathtub_rejects_a_band_beyond_a_double(capsys, dispersion, kmax, mu):
+    # every flag passes its own rule, but the band's fluxes would overflow the report
+    argv = bathtub_argv(dispersion=dispersion, kmax=kmax, nk="64", mu=mu, trials="1")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("pump: config error: kmax: ")
+
+
+def test_bathtub_runs_a_band_just_inside_a_double(capsys):
+    # eps(k_max)^2 = 1.69e308 is still a double: the report is finite
+    assert main(bathtub_argv(kmax="1.3e154", nk="64", mu="1.3e154", trials="1")) == 0
+    assert strict_json(capsys.readouterr().out)["violations"] == 0
+
+
 def test_bathtub_seeds_up_to_two_to_the_64_run(capsys):
     outputs = []
     for seed in (2**63, 2**64 - 3):

@@ -300,6 +300,24 @@ def test_periodicity_all_builtins():
         assert worst < 1e-11, name
 
 
+def test_replacing_the_period_rescales_time():
+    # the model forms the cycle angle from its own period, so a replaced period
+    # runs the same loop slower, not the old loop twice
+    model = build("flux-loop", {"k_ell": 1.0})
+    slow = dataclasses.replace(model, period=2.0)
+    times = CycleGrid(1.0, 64).times
+    np.testing.assert_array_equal(slow.sample(2.0 * times, 1.0), model.sample(times, 1.0))
+
+
+def test_a_long_double_period_samples_as_its_float():
+    # the period reaches the angle as the float PumpModel stores, never as given
+    period = np.longdouble(1) / 3
+    times = CycleGrid(float(period), 64).times
+    stacks = [build("flux-loop", {"k_ell": 1.0, "w": 3}, period=p).sample(times, 1.0)
+              for p in (period, float(period))]
+    assert stacks[0].tobytes() == stacks[1].tobytes()
+
+
 def test_perturbed_delta_zero_recovers_flux_loop():
     base = build("flux-loop", {"k_ell": 1.0})
     pert = build("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.0})

@@ -1,6 +1,6 @@
 """Sampling budget: how often an analysis evaluates the model, and where.
 
-Each call of a model's batched ``matrix_fn(times, E)`` is recorded, so the
+Each call of a model's batched ``matrix_fn(theta, E)`` is recorded, so the
 tests count grid nodes, not Python calls.  ``analyze`` samples S(t, mu)
 once on the cycle grid and shares it, and the winding count of an
 optimal pump adds the half-step midpoints.  Every model declares its
@@ -57,15 +57,15 @@ def config(name, params):
 
 
 class Recorder(list):
-    """Calls of a config's model ``matrix_fn`` as (times, energy) pairs:
+    """Calls of a config's model ``matrix_fn`` as (cycle angles, energy) pairs:
     ``recorded(cfg)`` is ``cfg`` with its pump's ``matrix_fn`` wrapped to record them."""
 
     def __call__(self, cfg):
         model = cfg.pump
 
-        def matrix_fn(times, energy):
-            self.append((np.array(times), energy))
-            return model.matrix_fn(times, energy)
+        def matrix_fn(theta, energy):
+            self.append((np.array(theta), energy))
+            return model.matrix_fn(theta, energy)
 
         return dataclasses.replace(cfg, pump=dataclasses.replace(model, matrix_fn=matrix_fn))
 
@@ -82,18 +82,18 @@ def test_analyze_eval_budget(recorded, name, params, per_node, optimal):
     # only nodes off it, exactly when the pump is ``optimal``
     result = report.analyze(recorded(config(name, params)))
     assert result.verdict.is_optimal == optimal
-    assert sum(len(times) for times, _ in recorded) == per_node * SAMPLES
+    assert sum(len(theta) for theta, _ in recorded) == per_node * SAMPLES
 
-    grid = CycleGrid(1.0, SAMPLES)
-    on_grid = Counter(energy for times, energy in recorded
-                      if np.array_equal(times, grid.times))
+    grid = CycleGrid(1.0, SAMPLES)  # period 1: the angles are 2 pi times the grid's times
+    on_grid = Counter(energy for theta, energy in recorded
+                      if np.array_equal(theta, 2 * np.pi * grid.times))
     assert on_grid == Counter([MU])
-    off_grid = [(times, energy) for times, energy in recorded
-                if not np.array_equal(times, grid.times)]
+    off_grid = [(theta, energy) for theta, energy in recorded
+                if not np.array_equal(theta, 2 * np.pi * grid.times)]
     if optimal:
-        [(times, energy)] = off_grid  # the winding count's half-step midpoints
+        [(theta, energy)] = off_grid  # the winding count's half-step midpoints
         assert energy == MU
-        np.testing.assert_array_equal(times, grid.times + 0.5 * grid.dt)
+        np.testing.assert_array_equal(theta, 2 * np.pi * (grid.times + 0.5 * grid.dt))
     else:
         assert off_grid == []
 
@@ -122,7 +122,7 @@ def test_each_command_builds_the_model_once(monkeypatch, capsys, tmp_path, name,
 def test_instant_eval_budget(recorded, name, params):
     # the offset grid for the energy shift, and nothing for the declared delay
     report.instant_document(recorded(config(name, params)), 0.3)
-    assert sum(len(times) for times, _ in recorded) == SAMPLES
+    assert sum(len(theta) for theta, _ in recorded) == SAMPLES
     assert len(recorded) == 1  # one batched call
 
 
