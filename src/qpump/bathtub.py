@@ -120,8 +120,9 @@ def quadratic_dispersion(k_max: float, n_k: int, mass: float = 1.0) -> Dispersio
     """``eps(k) = k^2 / 2m``, ``mass`` a positive finite real."""
     k_max, n_k, k = _nodes(k_max, n_k)
     mass = _real(mass, "mass", positive=True)
-    return DispersionGrid(kind="quadratic", k_max=k_max, n_k=n_k,
-                          nodes=k, eps=0.5 * k * k / mass, weights=k / mass * (k_max / n_k))
+    with np.errstate(over="ignore"):  # a band beyond a double is DispersionGrid's ConfigError
+        eps, weights = 0.5 * k * k / mass, k / mass * (k_max / n_k)
+    return DispersionGrid(kind="quadratic", k_max=k_max, n_k=n_k, nodes=k, eps=eps, weights=weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,6 +299,6 @@ def verify_bound(grid: DispersionGrid, trials: int, seed: int = 0,
         greedy_gap = float((_greedy_edot(modes, _TWO_PI * qdot) - bound).max())
         greedy_gap_max = max(greedy_gap_max, greedy_gap)
 
+    step_gap = step.edot - np.pi * np.square(step.qdot)  # inf, not OverflowError, on a huge band
     return BoundCheck(trials=trials, violations=violations, max_violation=max_violation,
-                      greedy_gap_max=greedy_gap_max, step_gap=step.edot - np.pi * step.qdot**2,
-                      mu=float(mu))
+                      greedy_gap_max=greedy_gap_max, step_gap=float(step_gap), mu=float(mu))

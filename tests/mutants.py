@@ -184,7 +184,8 @@ MUTANTS = [
     Mutant("band-overflow-nan-only", "qpump/bathtub.py",
            "        if not np.isfinite(fluxes).all():\n",
            "        if np.isnan(fluxes).any():\n",
-           ("tests/test_cli.py::test_bathtub_rejects_a_band_beyond_a_double",),
+           ("tests/test_cli.py::test_bathtub_rejects_a_band_beyond_a_double",
+            _BATHTUB + "test_each_rule_is_a_config_error_on_its_flag"),
            _BAND),
     Mutant("regime-ok-always-true", "qpump/report.py",
            "None if beta is None else bool(omega * beta < 1.0 and tau < beta)",

@@ -97,6 +97,7 @@ LINEAR64 = linear_dispersion(2.0, 64)
     (lambda: linear_dispersion(2.0, bathtub.MAX_NK + 1), "nk"),
     (lambda: linear_dispersion(0.0, 32), "nk"),
     (lambda: quadratic_dispersion(float("inf"), 64), "kmax"),
+    (lambda: quadratic_dispersion(1e200, 64), "kmax"),
     (lambda: quadratic_dispersion(2.0, 64, mass=-1.0), "mass"),
     (lambda: thermal_step(LINEAR64, 0.0), "mu"),
     (lambda: thermal_step(LINEAR64, 1.5 * LINEAR64.eps[-1]), "mu"),
@@ -106,8 +107,9 @@ LINEAR64 = linear_dispersion(2.0, 64)
     (lambda: verify_bound(LINEAR64, 1, seed=-1, mu=0.0), "seed"),
     (lambda: verify_bound(LINEAR64, 1, seed=0, mu=3.0), "mu"),
 ], ids=["linear-nk-0", "quadratic-nk-0", "nk-fractional", "nk-bool", "nk-above-cap",
-        "nk-before-kmax", "kmax-inf", "mass-negative", "mu-0", "mu-above-band", "mu-beyond-double",
-        "trials-before-seed", "trials-float", "seed-before-mu", "mu-in-verify-bound"])
+        "nk-before-kmax", "kmax-inf", "kmax-band-overflows", "mass-negative", "mu-0",
+        "mu-above-band", "mu-beyond-double", "trials-before-seed", "trials-float",
+        "seed-before-mu", "mu-in-verify-bound"])
 def test_each_rule_is_a_config_error_on_its_flag(call, field):
     # each pump bathtub flag's rule lives in the library value that holds it, so
     # a library call fails as the CLI does: with a ConfigError naming the flag

@@ -378,12 +378,12 @@ STENCIL_GRID = CycleGrid(1.0, 32)
 
 
 def stencil_stacks(model, mu=1.0):
-    """``matrix_fn`` on a cycle grid at mu and at the time delay's four
+    """``matrix_fn`` at a cycle grid's angles at mu and at the time delay's four
     stencil energies mu +/- dE, mu +/- 2 dE, as raw bytes."""
     lo, hi = model.energy_window
     step = ENERGY_STEP_FRACTION * (hi - lo)
     energies = [mu, mu + step, mu - step, mu + 2.0 * step, mu - 2.0 * step]
-    return [np.asarray(model.matrix_fn(STENCIL_GRID.times, e), dtype=complex).tobytes()
+    return [np.asarray(model.matrix_fn(2 * np.pi * STENCIL_GRID.times, e), dtype=complex).tobytes()
             for e in energies]
 
 
