@@ -94,21 +94,19 @@ def diagonal_decomposition(samples: np.ndarray, limit: float) -> tuple[np.ndarra
     ``S(t_i) = diag(exp(i phases[i])) @ S0``: the pair ``(phases, S0)`` of the
     (N, n) phases, unwrapped along the cycle, and the (n, n) constant S0.
 
-    Anchors ``S0 = S(t_0)`` (any fixed gauge works; the first node is
-    canonical) and forms ``M(t_i) = S(t_i) S0^dag``.  The factorization
-    exists when every M is diagonal: then ``U_d = diag(M)`` up to
-    rounding.  Absence is a value, not an error -- ``None`` is returned
-    when any off-diagonal entry of M, or the reconstruction error, reaches
-    ``limit``, which the verdict derives from its ``tol_opt``.
+    Anchors ``S0 = S(t_0)``, which must be unitary (as :meth:`~qpump.models.PumpModel.sample`
+    certifies), and forms ``M(t_i) = S(t_i) S0^dag``.  The factorization exists when
+    every M is diagonal, ``U_d = diag(M)``; its error ``||U_d S0 - S||_F`` is then
+    ``sqrt(sum_{j != k} |M_jk|**2 + sum_j (1 - |M_jj|)**2)``, read off M alone.  Absence
+    is a value, not an error -- ``None`` is returned when any off-diagonal entry of M,
+    or that error, reaches ``limit``, which the verdict derives from its ``tol_opt``.
     """
     s0 = samples[0]
     m = np.einsum("tij,kj->tik", samples, s0.conj())
-    off = m - m * np.eye(samples.shape[-1])[None, :, :]
-    if float(np.max(np.abs(off))) >= limit:
+    size, diag = np.abs(m), range(samples.shape[-1])
+    radial = 1.0 - size[:, diag, diag]
+    size[:, diag, diag] = 0.0  # the off-diagonal |M_jk|
+    recon_error = np.sqrt((size * size).sum(axis=(1, 2)) + (radial * radial).sum(axis=1))
+    if float(np.max(size)) >= limit or float(np.max(recon_error)) >= limit:
         return None
-    phases = np.unwrap(np.angle(np.einsum("tjj->tj", m)), axis=0)
-    rebuilt = np.exp(1j * phases)[:, :, None] * s0[None, :, :]
-    recon_error = float(np.max(np.linalg.norm(rebuilt - samples, axis=(1, 2))))
-    if recon_error >= limit:
-        return None
-    return phases, s0.copy()
+    return np.unwrap(np.angle(np.einsum("tjj->tj", m)), axis=0), s0.copy()

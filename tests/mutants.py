@@ -59,6 +59,7 @@ _BAND = "bathtub grids a double can hold"
 _LAWS = "tests/test_laws.py::"
 _BATHTUB = "tests/test_bathtub.py::"
 _MODELS = "tests/test_models.py::"
+_CERTIFY = "cheaper certification passes"
 
 MUTANTS = [
     Mutant("per-node-ratio-scale", "qpump/optimal.py",
@@ -207,6 +208,18 @@ MUTANTS = [
            "grid.dt * rates.sum(axis=0)",
            ("tests/test_matcore.py::test_cycle_integral_sums_each_column_alone",),
            "one cycle quadrature"),
+    Mutant("unitarity-defect-diagonal-only", "qpump/matcore.py",
+           "        gram.reshape(n * n, -1)[:: n + 1] -= 1.0  # the diagonal, every node\n",
+           "        gram.reshape(n * n, -1)[:: n + 1] -= 1.0  # the diagonal, every node\n"
+           "        gram *= np.eye(n).reshape((n, n) + (1,) * (stack.ndim - 2))\n",
+           ("tests/test_matcore.py::test_certificate_sees_columns_that_are_not_orthogonal",
+            "tests/test_matcore.py::test_unitarity_defect_matches_the_matrix_norm"),
+           _CERTIFY),
+    Mutant("decomposition-without-radial-term", "qpump/optimal.py",
+           "(size * size).sum(axis=(1, 2)) + (radial * radial).sum(axis=1)",
+           "(size * size).sum(axis=(1, 2))",
+           ("tests/test_optimal.py::test_decomposition_needs_a_unitary_anchor",),
+           _CERTIFY),
 ]
 
 

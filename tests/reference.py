@@ -5,13 +5,16 @@ differentiation of the sampled cycle (``qpump.shift.energy_shift_cycle``),
 every per-channel observable in one pass (``qpump.transport.instant_report``),
 uniform draws by the vectorized SplitMix64 stream
 (``qpump.models.uniform_stream``), the bound by the greedy minimizer
-(``qpump.bathtub``) and the time delay by the model's declaration
-(``qpump.models.PumpModel.delay``).  The routes here reach the same numbers
-another way -- finite differences in time and in energy, row overlaps, the
-outgoing-energy moments, the scalar generator, per-row flux loops, the
-two-reservoir form of the bound -- or transform a pump so that a law of
-the energy shift can be checked (time warp, left rotation, a right-hand
-wobble, time reversal).
+(``qpump.bathtub``), the time delay by the model's declaration
+(``qpump.models.PumpModel.delay``), the unitarity defect by a channel-major
+Gram (``qpump.matcore.unitarity_defect``) and the decomposition's error from
+``M = S S0^dag`` alone (``qpump.optimal.diagonal_decomposition``).  The
+routes here reach the same numbers another way -- finite differences in time
+and in energy, row overlaps, the outgoing-energy moments, the scalar
+generator, per-row flux loops, the two-reservoir form of the bound, the
+matrix norm of ``S^dag S - I``, the rebuilt factorization -- or transform a
+pump so that a law of the energy shift can be checked (time warp, left
+rotation, a right-hand wobble, time reversal).
 No package code calls them.  They live with the tests, so the package
 ships one route per quantity while each test still compares two; from
 the package they import only the private helpers they share with it.
@@ -232,6 +235,36 @@ def time_reversed(model: PumpModel) -> PumpModel:
         return model.matrix_fn(_TWO_PI - theta, energy)
 
     return replace(model, name=f"{model.name}+reversed", matrix_fn=matrix)
+
+
+# --------------------------------------------------------------------------
+# Certification and the diagonal decomposition (qpump.matcore, qpump.optimal).
+# --------------------------------------------------------------------------
+
+
+def unitarity_defect_norm(stack: np.ndarray) -> np.ndarray:
+    """``||S^dag S - I||_F`` of each matrix of a stack by ``np.linalg.norm``."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = stack.conj().swapaxes(-1, -2) @ stack - np.eye(stack.shape[-1])
+        return np.linalg.norm(gram, axis=(-2, -1))
+
+
+def rebuilt_decomposition(samples: np.ndarray,
+                          limit: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """The diagonal decomposition judged by rebuilding it: ``None`` when an
+    off-diagonal entry of ``M = S S0^dag`` or ``||diag(exp(i phases)) S0 - S||_F``
+    at some node reaches ``limit``, else the unwrapped phases and ``S0 = S(t_0)``.
+    Needs no unitary ``S0``."""
+    s0 = samples[0]
+    m = np.einsum("tij,kj->tik", samples, s0.conj())
+    off = m - m * np.eye(samples.shape[-1])[None, :, :]
+    if float(np.max(np.abs(off))) >= limit:
+        return None
+    phases = np.unwrap(np.angle(np.einsum("tjj->tj", m)), axis=0)
+    rebuilt = np.exp(1j * phases)[:, :, None] * s0[None, :, :]
+    if float(np.max(np.linalg.norm(rebuilt - samples, axis=(1, 2)))) >= limit:
+        return None
+    return phases, s0.copy()
 
 
 # --------------------------------------------------------------------------

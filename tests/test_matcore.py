@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qpump.errors import GridMismatch, NumericalFailure, SingularInput
 from qpump.matcore import (
+    CHANNEL_MAJOR_MAX_N,
     DEFAULT_TOLERANCES,
     CycleGrid,
     hermitian_part,
@@ -18,7 +19,7 @@ from qpump.matcore import (
 )
 from qpump.models import build
 from qpump.transport import cycle_integral
-from reference import central_derivative
+from reference import central_derivative, unitarity_defect_norm
 
 
 # ---------------------------------------------------------------- certification
@@ -62,6 +63,71 @@ def test_unitary_certification():
         for bad in (model, doubled) if tol < 1e-3 else (doubled,):  # defects 2e-3, 3 sqrt(2)
             with pytest.raises(NumericalFailure, match="unitarity defect"):
                 dataclasses.replace(bad, unitary_tol=tol).sample(times, 1.0)
+
+
+def skewed(n: int, cos: float) -> np.ndarray:
+    """The n x n identity with its second column turned toward the first:
+    unit columns whose Gram is I but for ``cos`` at (0, 1) and (1, 0)."""
+    s = np.eye(n, dtype=complex)
+    s[:, 1] = 0.0
+    s[0, 1], s[1, 1] = cos, np.sqrt(1.0 - cos * cos)
+    return s
+
+
+@pytest.mark.parametrize("n", range(2, CHANNEL_MAJOR_MAX_N + 3))
+def test_certificate_sees_columns_that_are_not_orthogonal(n):
+    # every column has unit norm, so only the Gram's off-diagonal entries carry
+    # the defect sqrt(2) cos; n runs across both kernels
+    for cos in (1e-6, 0.5):
+        stack = np.stack([np.eye(n), skewed(n, cos), np.eye(n)])
+        np.testing.assert_allclose(unitarity_defect(stack), [0.0, np.sqrt(2.0) * cos, 0.0],
+                                   rtol=1e-9, atol=1e-15)
+        assert unitarity_defect(stack[1]) == pytest.approx(np.sqrt(2.0) * cos, rel=1e-9)
+        model = dataclasses.replace(
+            build("random-smooth-path", {"n": n, "seed": 1}),
+            matrix_fn=lambda theta, energy: np.broadcast_to(stack[1], (len(theta), n, n)))
+        with pytest.raises(NumericalFailure, match="unitarity defect"):
+            model.sample([0.0, 0.5], 1.0)
+
+
+def _stack(seed: int, n: int, nodes: int, kind: str) -> np.ndarray:
+    """A seeded (nodes, n, n) stack: unitary, unitary off by a relative 10**-k,
+    or Gaussian."""
+    rng = np.random.default_rng(seed)
+    gauss = rng.normal(size=(nodes, n, n)) + 1j * rng.normal(size=(nodes, n, n))
+    if kind == "gaussian":
+        return gauss
+    unitary = np.linalg.qr(gauss)[0]
+    if kind == "unitary":
+        return unitary
+    scale = 10.0 ** -rng.integers(1, 16, size=(nodes, 1, 1))
+    return unitary + scale * (rng.normal(size=(nodes, n, n)) + 1j * rng.normal(size=(nodes, n, n)))
+
+
+@given(st.integers(1, 8), st.sampled_from([1, 8, 64, 1024]), st.integers(0, 2**32 - 1),
+       st.sampled_from(["unitary", "near-unitary", "gaussian"]),
+       st.sampled_from([None, np.nan, np.inf, -np.inf, complex(np.inf, np.inf)]))
+@settings(max_examples=60, deadline=None)
+def test_unitarity_defect_matches_the_matrix_norm(n, nodes, seed, kind, bad):
+    # each Gram entry is a sum of n products, rounded by about n eps |S|^2 in
+    # either route, so the two agree within a few eps of ||S||_F^2
+    stack = _stack(seed, n, nodes, kind)
+    if bad is not None:
+        rng = np.random.default_rng(seed)
+        stack[rng.integers(nodes), rng.integers(n), rng.integers(n)] = bad
+    got, want = unitarity_defect(stack), unitarity_defect_norm(stack)
+    assert got.shape == (nodes,)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    assert np.array_equal(np.isfinite(got), finite)
+    size = np.linalg.norm(np.where(finite[:, None, None], stack, 0.0), axis=(1, 2)) ** 2
+    slack = (2 * (n + 4) * size + 4 * want) * np.finfo(float).eps
+    assert np.all(np.abs(got - want)[finite] <= slack[finite])
+    # a single matrix is certified as the one-node stack holding it
+    single = unitarity_defect(stack[0])
+    assert single.shape == ()
+    assert np.isfinite(single) == finite[0]
+    if finite[0]:
+        assert abs(single - want[0]) <= slack[0]
 
 
 def test_hermitian_storage_is_exactly_self_adjoint():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qpump.matcore import DEFAULT_TOLERANCES, CycleGrid
+from qpump.matcore import DEFAULT_TOLERANCES, CycleGrid, Tolerances
 from qpump.models import build
 from qpump.optimal import (
     diagonal_decomposition,
@@ -12,7 +12,8 @@ from qpump.optimal import (
 )
 from qpump.shift import energy_shift_cycle, sample_cycle
 from qpump.transport import instant_report
-from reference import reparameterized
+from reference import rebuilt_decomposition, reparameterized, right_wobbled
+from test_acceptance import BARELY_MOVING_DTC, STATIONARY_DTC
 from test_models import ALL_BUILTINS
 from test_shift import as_shift
 
@@ -26,12 +27,20 @@ def verdict_of(model):
     return optimality_verdict(shifts, samples, instant_report(shifts, GRID.times), GRID)
 
 
+def limit_of(model, grid=GRID, tol=DEFAULT_TOLERANCES.tol_opt):
+    """``model``'s samples at mu = 1 on ``grid`` and the decomposition limit its
+    verdict at ``tol_opt = tol`` implies (the one ``optimality_verdict`` attempts)."""
+    samples = sample_cycle(model, 1.0, grid)
+    shifts, _ = energy_shift_cycle(samples, grid)
+    verdict = optimality_verdict(shifts, samples, instant_report(shifts, grid.times), grid,
+                                 Tolerances(tol_opt=tol))
+    return samples, max(tol, tol * verdict.scale * grid.period)
+
+
 def decomposition_of(model):
     """The diagonal decomposition of ``model``'s samples at mu = 1 on GRID, at the
-    limit its verdict implies (the one ``optimality_verdict`` attempts)."""
-    tol = DEFAULT_TOLERANCES.tol_opt
-    limit = max(tol, tol * verdict_of(model).scale * GRID.period)
-    return diagonal_decomposition(sample_cycle(model, 1.0, GRID), limit)
+    limit its verdict implies."""
+    return diagonal_decomposition(*limit_of(model))
 
 
 # ---------------------------------------------------------------- ratio
@@ -169,3 +178,49 @@ def test_decomposition_flux_loop_phases():
 def test_decomposition_absent_for_perturbed():
     model = build("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.1})
     assert decomposition_of(model) is None
+
+
+def test_decomposition_needs_a_unitary_anchor():
+    # the error is read off M = S S0^dag, exact when S0 is unitary: a stack scaled
+    # by 2 has a diagonal M of modulus 4 and no decomposition (the rebuild, which
+    # compares 2 U_d S0 with itself, accepts it with a non-unitary S0)
+    model = build("diagonal-times-constant", {"n": 3, "s0_seed": 5, "w1": 1, "a2_1": 0.2})
+    samples, limit = limit_of(model)
+    assert diagonal_decomposition(samples, limit) is not None
+    assert diagonal_decomposition(2.0 * samples, limit) is None
+    assert rebuilt_decomposition(2.0 * samples, limit) is not None
+    # with S0 unitary the two rules agree on a node whose modulus drifts alone
+    drifted = samples.copy()
+    drifted[100, 1] *= 1.0 + 10.0 * limit
+    assert diagonal_decomposition(drifted, limit) is None
+    assert rebuilt_decomposition(drifted, limit) is None
+
+
+def _law_cases():
+    """The pumps of acceptance criterion 09 at the default ``tol_opt``, and the
+    explicit examples of the laws that judge optimality, at theirs."""
+    default = DEFAULT_TOLERANCES.tol_opt
+    cases = [(build(name, params), GRID, default)
+             for name, params in [*ALL_BUILTINS, STATIONARY_DTC, BARELY_MOVING_DTC]]
+    cases.append((right_wobbled(build("flux-loop", {"k_ell": 1, "w": 20}), 1e-7), GRID, default))
+    cases += [(build(*STATIONARY_DTC), CycleGrid(1.0, 64), default),
+              (build("diagonal-times-constant",
+                     {"n": 2, "s0_seed": 1, "a1_1": 1e-12, "b2_1": 2e-12}), GRID, default)]
+    for tol, delta, w, right in [(1e-3, 1e-4, 1, False), (1e-3, 3e-4, 1, False),
+                                 (1e-4, 1e-4, 20, True), (1e-8, 1e-7, 20, True),
+                                 (1e-10, 1e-7, 3, False), (1e-2, 3e-2, 3, True)]:
+        model = (right_wobbled(build("flux-loop", {"k_ell": 1.0, "w": w}), delta) if right
+                 else build("perturbed-flux-loop", {"k_ell": 1.0, "w": w, "delta": delta}))
+        cases.append((model, GRID, tol))
+    return cases
+
+
+@pytest.mark.parametrize("model, grid, tol", _law_cases())
+def test_decomposition_decides_as_the_rebuild(model, grid, tol):
+    # on certified samples the error from M alone and the rebuilt factorization's
+    # differ by rounding, so every decision at the verdict's limit is the same
+    samples, limit = limit_of(model, grid, tol)
+    got, want = diagonal_decomposition(samples, limit), rebuilt_decomposition(samples, limit)
+    assert (got is None) == (want is None), model.name
+    if got is not None:
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
