@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, TargetInfeasible
-from .matcore import _integer, _real
+from .errors import ConfigError, PumpError
+from .matcore import ROUNDING_FLOOR, _integer, _number, _real
 from .models import _uniform_rows
 
 __all__ = [
@@ -192,11 +192,11 @@ def _greedy_edot(modes: tuple[np.ndarray, ...], budgets: np.ndarray) -> np.ndarr
 
 def _feasible_budget(grid: DispersionGrid, target_qdot: float) -> float:
     """Charge budget ``2pi*target_qdot`` (the occupied share of the energy measure);
-    :class:`TargetInfeasible` when the target, NaN included, is not feasible."""
+    a :class:`~qpump.errors.PumpError` when the target, NaN included, is not feasible."""
     budget = _TWO_PI * target_qdot
     total = float(grid.weights.sum())
     if not (target_qdot >= 0 and budget <= total * (1.0 + 1e-12)):
-        raise TargetInfeasible(
+        raise PumpError(
             f"target Qdot {target_qdot!r} outside feasible range [0, {total / _TWO_PI!r}]"
         )
     return budget
@@ -234,9 +234,9 @@ def analytic_minimum(mu: float) -> tuple[float, float]:
 
 
 def thermal_step(grid: DispersionGrid, mu: float) -> Filling:
-    """Zero-temperature Fermi step ``n_i = 1[eps_i < mu]`` for ``0 < mu <= eps(k_max)``,
-    or a :class:`ConfigError` on ``mu``."""
-    top = float(grid.eps[-1])  # a float: mu may be an int beyond any double
+    """Zero-temperature Fermi step ``n_i = 1[eps_i < mu]`` for a real
+    ``0 < mu <= eps(k_max)``, or a :class:`ConfigError` on ``mu``."""
+    mu, top = _number(mu, "mu"), float(grid.eps[-1])
     if not 0 < mu <= top:
         raise ConfigError("mu", f"must lie in (0, eps(k_max)] = (0, {top:g}]")
     return Filling.from_occupation(grid, (grid.eps < mu).astype(float))
@@ -285,7 +285,7 @@ def verify_bound(grid: DispersionGrid, trials: int, seed: int = 0,
     step = thermal_step(grid, mu)
 
     modes = _sorted_modes(grid)
-    margin = 64.0 * np.finfo(float).eps * modes[4][-1] / _TWO_PI
+    margin = ROUNDING_FLOOR * modes[4][-1] / _TWO_PI
     violations = 0
     max_violation = 0.0
     greedy_gap_max = 0.0

@@ -3,8 +3,9 @@
 Stack norms and defects (Frobenius, unitarity, Hermitian part), the
 unitary polar factor, and spectral differentiation on uniform periodic
 time grids (:func:`qpump.transport.cycle_integral` is their quadrature).
-Its scalar input rules (a positive finite real, an integer in a range, a power of
-two) check :class:`Tolerances`, :class:`CycleGrid` and the values of models and bathtub.
+Its scalar input rules (a real number, or a finite and optionally positive one,
+an integer in a range, a power of two) check :class:`Tolerances`, :class:`CycleGrid`
+and the values of models, bathtub and reports.
 Matrices travel as plain ``(n, n)`` or ``(N, n, n)`` arrays.  Natural
 units are used across the whole package: hbar = e = 1, so Planck's
 constant is ``2*pi`` and the von Klitzing resistance ``R_K = h/e**2 = 2*pi``.
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatch, NumericalFailure, SingularInput
+from .errors import ConfigError, NumericalFailure, PumpError
 
 __all__ = [
     "R_K",
@@ -38,20 +39,31 @@ __all__ = [
 
 R_K = 2.0 * np.pi  #: von Klitzing resistance h/e**2 in natural units
 
+#: Rounding a certified gate absorbs below its user tolerance, relative to the scale
+#: of the quantity it gates: the unitarity defect (against ``||I||_F``), the
+#: dissipation-bound residual (against max D), an optimal pump's charge gap
+#: (against ``T max|Qdot|``) and the bathtub margin (against the full filling's Edot).
+ROUNDING_FLOOR = 64.0 * np.finfo(float).eps
 
-def _real(value, fieldname: str, *, positive=False, error=ConfigError) -> float:
-    """``value`` as a float: a real, finite (optionally positive) number that
-    is not a bool, numpy scalars included; otherwise ``error(fieldname, ...)``."""
+
+def _number(value, fieldname: str) -> float:
+    """``value`` as a float (inf beyond the largest double): a real number that is
+    not a bool, numpy scalars included; otherwise a :class:`ConfigError`."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise error(fieldname, "must be a real number")
+        raise ConfigError(fieldname, "must be a real number")
     try:
-        v = float(value)
+        return float(value)
     except OverflowError:  # an integer beyond the largest double
-        v = math.inf
+        return math.inf
+
+
+def _real(value, fieldname: str, *, positive=False) -> float:
+    """A :func:`_number` that is finite (and optionally positive), or a :class:`ConfigError`."""
+    v = _number(value, fieldname)
     if not math.isfinite(v):
-        raise error(fieldname, "must be finite")
+        raise ConfigError(fieldname, "must be finite")
     if positive and v <= 0:
-        raise error(fieldname, f"must be positive, got {v!r}")
+        raise ConfigError(fieldname, f"must be positive, got {v!r}")
     return v
 
 
@@ -213,14 +225,14 @@ def unitarize(m) -> np.ndarray:
 
     Raises
     ------
-    SingularInput
+    PumpError
         If the smallest singular value is at or below 1e-12.
     NumericalFailure
         If the factor's unitarity defect exceeds ``Tolerances.tol_unitary``.
     """
     u, s, vh = np.linalg.svd(_square_matrix(m))
     if s[-1] <= 1e-12:
-        raise SingularInput(
+        raise PumpError(
             f"smallest singular value {s[-1]:.3e} <= 1e-12; no unitary polar factor"
         )
     factor, limit = u @ vh, DEFAULT_TOLERANCES.tol_unitary
@@ -240,7 +252,7 @@ def spectral_derivative(samples: np.ndarray, grid: CycleGrid) -> np.ndarray:
     """
     n = grid.samples
     if samples.shape[0] != n:
-        raise GridMismatch(f"got {samples.shape[0]} samples for a grid of {n} nodes")
+        raise PumpError(f"got {samples.shape[0]} samples for a grid of {n} nodes")
     freq = 2j * np.pi * np.fft.fftfreq(n, d=grid.dt)
     freq[n // 2] = 0.0
     shape = (n,) + (1,) * (samples.ndim - 1)

@@ -42,10 +42,9 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import (BadParamRange, ConfigError, EnergyOutOfWindow, MissingParam, NumericalFailure,
-                     UnknownModel, UnknownParam)
-from .matcore import (DEFAULT_TOLERANCES, CycleGrid, Tolerances, _frozen, _power_of_two, _real,
-                      unitarity_defect, unitarize)
+from .errors import ConfigError, NumericalFailure
+from .matcore import (DEFAULT_TOLERANCES, ROUNDING_FLOOR, CycleGrid, Tolerances, _frozen,
+                      _power_of_two, _real, unitarity_defect, unitarize)
 
 __all__ = [
     "uniform_stream",
@@ -116,11 +115,6 @@ def _uniform_rows(seed: int, streams: int, count: int, rows: int) -> Iterator[np
 # Model values.
 # --------------------------------------------------------------------------
 
-#: Unitarity defect a stack may carry as rounding, relative to ``||I||_F = sqrt(n)``:
-#: the gate below ``unitary_tol``.  The built-in families reach ``19 eps sqrt(n)``
-#: (``random-smooth-path``'s eigh; n <= 64, amplitudes up to 2**22).
-UNITARY_FLOOR = 64.0 * np.finfo(float).eps
-
 
 def _window(window) -> tuple[float, float]:
     """``energy.window`` as floats ``(lo, hi)``: two finite reals, ``0 < lo < hi``."""
@@ -137,8 +131,7 @@ def _in_window(energy, window: tuple[float, float]) -> float:
     """``energy`` as a float, a real in ``[lo, hi]``, or a :class:`ConfigError` on ``energy.mu``."""
     energy, (lo, hi) = _real(energy, "energy.mu"), window
     if not lo <= energy <= hi:
-        raise EnergyOutOfWindow("energy.mu",
-                                f"mu={energy!r} must lie inside window [{lo!r}, {hi!r}]")
+        raise ConfigError("energy.mu", f"mu={energy!r} must lie inside window [{lo!r}, {hi!r}]")
     return energy
 
 
@@ -177,7 +170,9 @@ class PumpModel:
     def sample(self, times, energy: float) -> np.ndarray:
         """Certified ``(N, n, n)`` stack of S at the given times and energy E;
         raises :class:`NumericalFailure` at the first time whose matrix is
-        not finite or not unitary within ``unitary_tol`` (at least ``UNITARY_FLOOR sqrt(n)``)."""
+        not finite or not unitary within ``unitary_tol``, at least the rounding
+        ``ROUNDING_FLOOR sqrt(n)`` of ``||I||_F`` (the built-in families reach
+        ``19 eps sqrt(n)``: ``random-smooth-path``'s eigh, n <= 64, amplitudes up to 2**22)."""
         energy = _in_window(energy, self.energy_window)
         times = np.asarray(times, dtype=float)
         stack = np.asarray(self.matrix_fn(_TWO_PI * times / self.period, energy), dtype=complex)
@@ -186,7 +181,7 @@ class PumpModel:
             raise ValueError(f"model '{self.name}' returned shape {stack.shape}, expected {shape}")
         finite = np.isfinite(stack).all(axis=(1, 2))
         defect = unitarity_defect(stack)
-        limit = max(self.unitary_tol, UNITARY_FLOOR * math.sqrt(self.n_channels))
+        limit = max(self.unitary_tol, ROUNDING_FLOOR * math.sqrt(self.n_channels))
         bad = ~finite | (defect > limit)
         if bad.any():
             i = int(np.argmax(bad))
@@ -412,7 +407,8 @@ REGISTRY: dict[str, ModelInfo] = {
 
 def _parse(info: ModelInfo, params: Mapping[str, float]) -> dict[str, float]:
     """Every parameter ``info`` declares, in schema order, from ``params`` or its default;
-    the first faulty key raises MissingParam, BadParamRange or UnknownParam."""
+    the first faulty key, missing, out of range or unknown, raises a :class:`ConfigError`
+    on ``params.<key>``."""
     parsed: dict[str, float] = {}
     for p in info.params:
         keys = [p.name]
@@ -421,21 +417,21 @@ def _parse(info: ModelInfo, params: Mapping[str, float]) -> dict[str, float]:
                 keys = [k.replace(tag, str(i)) for k in keys for i in range(1, count + 1)]
         for key in keys:
             if key not in params and p.default is None:
-                raise MissingParam(f"params.{key}",
-                                   f"model '{info.name}' requires parameter '{key}'")
+                raise ConfigError(f"params.{key}",
+                                  f"model '{info.name}' requires parameter '{key}'")
             raw = params.get(key, p.default)
-            value = _real(raw, f"params.{key}", error=BadParamRange)
+            value = _real(raw, f"params.{key}")
             if p.integer and value != round(value):
-                raise BadParamRange(f"params.{key}", f"must be an integer, got {value!r}")
+                raise ConfigError(f"params.{key}", f"must be an integer, got {value!r}")
             if p.minimum is not None and raw < p.minimum:
-                raise BadParamRange(f"params.{key}", f"must be >= {p.minimum}, got {raw}")
+                raise ConfigError(f"params.{key}", f"must be >= {p.minimum}, got {raw}")
             if raw > p.maximum:  # the exact input: 2**53 + 1 would round onto 2**53
-                raise BadParamRange(f"params.{key}", f"must be <= {p.maximum}, got {raw}")
+                raise ConfigError(f"params.{key}", f"must be <= {p.maximum}, got {raw}")
             parsed[key] = value
     for key in params:
         if key not in parsed:
-            raise UnknownParam(f"params.{key}",
-                               f"model '{info.name}' does not understand parameter '{key}'")
+            raise ConfigError(f"params.{key}",
+                              f"model '{info.name}' does not understand parameter '{key}'")
     return parsed
 
 
@@ -445,17 +441,16 @@ def build(name: str, params: Mapping[str, float] | None = None, *,
     """Build a registered model, called directly or by :class:`ModelConfig`.
 
     Checks the window and mu (the builder divides by mu), then the params
-    against the model's schema; :class:`PumpModel` checks the rest.  Raises
-    :class:`UnknownModel`, :class:`MissingParam`, :class:`BadParamRange` or
-    :class:`UnknownParam`, each naming the offending key, and
-    :class:`ConfigError` on the other arguments, by their config fields.
+    against the model's schema; :class:`PumpModel` checks the rest.  Every fault is a
+    :class:`ConfigError` naming its config field: ``model`` for a name not in the
+    registry, ``params.<key>`` for a missing, out-of-range or unknown parameter.
     """
     window = _window(energy_window)
     mu = _in_window(mu, window)
     info = REGISTRY.get(name)
     if info is None:
         known = ", ".join(sorted(REGISTRY))
-        raise UnknownModel("model", f"unknown model '{name}'; built-ins: {known}")
+        raise ConfigError("model", f"unknown model '{name}'; built-ins: {known}")
     parsed = _parse(info, dict(params or {}))
     n, matrix_fn, delay = info.builder(parsed, mu)
     return PumpModel(

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import DEFAULT_TOLERANCES, CycleGrid, Tolerances, frobenius_norm
+from .matcore import DEFAULT_TOLERANCES, ROUNDING_FLOOR, CycleGrid, Tolerances, frobenius_norm
 from .shift import cycle_scale
-from .transport import RESIDUAL_FLOOR, InstantReport
+from .transport import InstantReport
 
 __all__ = [
     "offdiag_ratio",
@@ -75,7 +75,7 @@ def optimality_verdict(shifts: np.ndarray, samples: np.ndarray, instants: Instan
     is_optimal = max_ratio < tol_opt
     # an optimal verdict bounds the weight; the floor absorbs rounding in D - (R_K/2) Qdot^2
     saturated = instants.residual.max(axis=0) <= np.maximum(
-        RESIDUAL_FLOOR * instants.total_dissipation.max(axis=0),
+        ROUNDING_FLOOR * instants.total_dissipation.max(axis=0),
         tol_opt * scale * (tol_opt * scale) / (4.0 * np.pi))
     limit = max(tol_opt, tol_opt * scale * grid.period)
     return OptimalityVerdict(

@@ -23,6 +23,7 @@ from json.encoder import encode_basestring_ascii as _quote  # what json.dumps do
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
+from .matcore import ROUNDING_FLOOR, _number
 from .models import ModelConfig
 from .optimal import OptimalityVerdict, optimality_verdict
 from .shift import energy_shift_at, energy_shift_cycle, sample_cycle
@@ -42,10 +43,6 @@ SPEC_VERSION = "1.2"
 
 #: Above this adiabaticity parameter a warning is attached to the report.
 ADIABATICITY_WARN = 0.1
-#: Charge-winding gap an optimal cycle may carry as rounding, relative to the charge
-#: sum's size ``T max_t |Qdot_j|``: the gate below ``tol_charge``.  Resolved optimal
-#: built-ins reach ``4.4 eps`` of it (N up to 2**18, T in [1e-3, 1e3]).
-CHARGE_FLOOR = 64.0 * np.finfo(float).eps
 
 
 #: Smaller blocks go value by value: the array route's fixed cost outweighs its gain.
@@ -372,7 +369,9 @@ def analyze(config: ModelConfig) -> AnalysisResult:
         gap = float(np.max(np.abs(charge - winding)))
         # a ratio below tol_opt still leaves a charge gap second order in it
         slack = grid.period * verdict.scale * verdict.max_offdiag_ratio**2
-        floor = CHARGE_FLOOR * grid.period * float(np.abs(instants.qdot).max())
+        # rounding of the charge sum, of size T max_t |Qdot_j|: resolved optimal
+        # built-ins reach 4.4 eps of it (N up to 2**18, T in [1e-3, 1e3])
+        floor = ROUNDING_FLOOR * grid.period * float(np.abs(instants.qdot).max())
         if gap >= max(tol.tol_charge, floor) + slack:
             raise NumericalFailure(f"cycle charge differs from winding integers by {gap:.3e} "
                                    f"(max(tol_charge {tol.tol_charge:g}, rounding {floor:.3e}) "
@@ -414,11 +413,12 @@ def analyze(config: ModelConfig) -> AnalysisResult:
 def instant_document(config: ModelConfig, t: float) -> dict:
     """The ``pump instant`` document at t in [0, period): ``t``, the (n,) columns
     ``Qdot``, ``D``, ``Xs``, ``r`` (then ``Sdot``, ``Ndot`` with beta) and
-    ``regime_ok``, true without beta."""
-    model = config.pump
+    ``regime_ok``, true without beta.  ``t`` that is not a real number in that range
+    is a :class:`ConfigError` on ``t``."""
+    model, t = config.pump, _number(t, "t")
     if not (0.0 <= t < model.period):
         raise ConfigError("t", f"must lie in [0, {model.period!r}), got {t!r}")
     report = instant_report(energy_shift_at(model, t, config.mu, config.grid), t, config.beta)
     rates = {} if report.sdot is None else {"Sdot": report.sdot, "Ndot": report.ndot}
-    return {"t": float(t), "Qdot": report.qdot, "D": report.total_dissipation, "Xs": report.excess,
+    return {"t": t, "Qdot": report.qdot, "D": report.total_dissipation, "Xs": report.excess,
             "r": report.residual, **rates, "regime_ok": _regime(config)[1] is not False}

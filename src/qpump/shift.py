@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GridMismatch, NumericalFailure
+from .errors import NumericalFailure, PumpError
 from .matcore import CycleGrid, frobenius_norm, hermitian_part, spectral_derivative
 from .models import PumpModel
 
@@ -39,9 +39,9 @@ def cycle_scale(stack: np.ndarray, grid: CycleGrid, limit: float) -> float:
 
 
 def _check_period(model: PumpModel, grid: CycleGrid) -> None:
-    """:class:`GridMismatch` unless the grid's period is the model's, to 1e-12 of it."""
+    """:class:`PumpError` unless the grid's period is the model's, to 1e-12 of it."""
     if abs(grid.period - model.period) > 1e-12 * abs(model.period):
-        raise GridMismatch(f"grid period {grid.period!r} differs from the model's {model.period!r}")
+        raise PumpError(f"grid period {grid.period!r} differs from the model's {model.period!r}")
 
 
 def sample_cycle(model: PumpModel, mu: float, grid: CycleGrid) -> np.ndarray:

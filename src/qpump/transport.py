@@ -27,8 +27,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import GridMismatch, NotOptimal, NumericalFailure, PhaseStepTooLarge
-from .matcore import R_K, CycleGrid, _real
+from .errors import NumericalFailure, PumpError
+from .matcore import R_K, ROUNDING_FLOOR, CycleGrid, _real
 from .models import PumpModel
 from .shift import _check_period
 
@@ -45,11 +45,6 @@ __all__ = [
 
 _TWO_PI = 2.0 * np.pi
 _FOUR_PI = 4.0 * np.pi
-
-#: Most negative dissipation-bound residual an instant report accepts as rounding,
-#: relative to the channel's largest dissipation over the report's times.  The
-#: residual is a subtraction from D, so its rounding grows with D (and D with 1/T^2).
-RESIDUAL_FLOOR = 64.0 * np.finfo(float).eps
 
 #: Tolerance of the identity ``D = joule + excess``, relative to the channel's
 #: largest dissipation over the report's times, the residual check's scale.
@@ -85,7 +80,7 @@ def cycle_integral(rates: np.ndarray, grid: CycleGrid) -> np.ndarray:
     contiguous row, in a 1-D ``sum``'s pairwise order, so it integrates bit for bit
     as it would alone."""
     if rates.shape[0] != grid.samples:
-        raise GridMismatch(f"got {rates.shape[0]} samples for a grid of {grid.samples} nodes")
+        raise PumpError(f"got {rates.shape[0]} samples for a grid of {grid.samples} nodes")
     return grid.dt * np.ascontiguousarray(rates.T).sum(axis=-1)
 
 
@@ -98,18 +93,18 @@ def winding_charge(model: PumpModel, mu: float, grid: CycleGrid, samples: np.nda
     is split in half and the two half-overlap angles are summed: a true
     advance of pi or more -- which a single overlap would silently alias
     into (-pi, pi] -- then shows up as an out-of-range step and raises
-    :class:`PhaseStepTooLarge` instead of miscounting.
+    :class:`~qpump.errors.NumericalFailure` instead of miscounting.
 
     ``samples`` is S(t, mu) on the grid and ``verdict`` its
-    :func:`~qpump.optimal.optimality_verdict`.  Raises :class:`GridMismatch`
-    when the grid's period is not the model's, and :class:`NotOptimal`,
-    before sampling anything, when the verdict is not optimal: for a
+    :func:`~qpump.optimal.optimality_verdict`.  Raises a :class:`~qpump.errors.PumpError`
+    when the grid's period is not the model's and, before sampling anything, when
+    the verdict is not optimal: for a
     non-optimal pump the rows change direction, not just phase, and no
     integer winding exists.
     """
     _check_period(model, grid)
     if not verdict.is_optimal:
-        raise NotOptimal(
+        raise PumpError(
             f"max off-diagonal ratio {verdict.max_offdiag_ratio:.3e} fails the optimality "
             "verdict; winding numbers are defined for optimal pumps only"
         )
@@ -124,10 +119,10 @@ def winding_charge(model: PumpModel, mu: float, grid: CycleGrid, samples: np.nda
     if bad.any():
         i, j = np.argwhere(bad)[0]
         if vanish[i, j]:
-            raise PhaseStepTooLarge(
+            raise NumericalFailure(
                 f"row {j + 1} overlap vanishes across one grid interval; refine the grid"
             )
-        raise PhaseStepTooLarge(
+        raise NumericalFailure(
             f"row {j + 1} advances {steps[i, j]:.3f} rad across one grid interval "
             f"(limit pi); refine the grid"
         )
@@ -160,7 +155,8 @@ class InstantReport:
         if np.any(self.total_dissipation < 0.0):
             raise NumericalFailure("negative dissipation in instant report")
         scale = np.max(np.atleast_2d(self.total_dissipation), axis=0)  # max_t D_j
-        if np.any(self.residual < -RESIDUAL_FLOOR * scale):
+        # the residual is a subtraction from D: its rounding grows with D (and D with 1/T^2)
+        if np.any(self.residual < -ROUNDING_FLOOR * scale):
             raise NumericalFailure(
                 f"dissipation bound violated: min residual {self.residual.min():.3e}"
             )

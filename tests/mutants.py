@@ -60,6 +60,7 @@ _LAWS = "tests/test_laws.py::"
 _BATHTUB = "tests/test_bathtub.py::"
 _MODELS = "tests/test_models.py::"
 _CERTIFY = "cheaper certification passes"
+_ONE_CLASS = "one exception class per exit code"
 
 MUTANTS = [
     Mutant("per-node-ratio-scale", "qpump/optimal.py",
@@ -220,6 +221,18 @@ MUTANTS = [
            "(size * size).sum(axis=(1, 2))",
            ("tests/test_optimal.py::test_decomposition_needs_a_unitary_anchor",),
            _CERTIFY),
+    Mutant("config-fault-exits-2", "qpump/models.py",
+           "            raise ConfigError(f\"params.{key}\",\n"
+           "                              f\"model '{info.name}' does not understand",
+           "            raise NumericalFailure(f\"params.{key}: \"\n"
+           "                              f\"model '{info.name}' does not understand",
+           ("tests/test_cli.py::test_exit_1_params_fault_names_its_key",),
+           _ONE_CLASS),
+    Mutant("bathtub-mu-accepts-bool", "qpump/bathtub.py",
+           "    mu, top = _number(mu, \"mu\"), float(grid.eps[-1])\n",
+           "    top = float(grid.eps[-1])\n",
+           (_BATHTUB + "test_each_rule_is_a_config_error_on_its_flag",),
+           _ONE_CLASS),
 ]
 
 

@@ -63,7 +63,7 @@ def stencil_delay(model: PumpModel, times, mu: float, dE: float) -> np.ndarray:
     Hermitian (N, n, n) stack, by a fourth-order central difference of step
     ``dE`` at mu.  It reads S only, never the model's declared ``delay``, so
     the two can be compared; an energy outside the window raises
-    :class:`~qpump.errors.EnergyOutOfWindow`."""
+    :class:`~qpump.errors.ConfigError` on ``energy.mu``."""
     s = model.sample(times, mu)
     ds_de = central_derivative(lambda energy: model.sample(times, energy), mu, dE)
     return hermitian_part(-1j * (ds_de @ s.conj().swapaxes(1, 2)))[0]

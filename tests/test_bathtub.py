@@ -20,7 +20,7 @@ from qpump.bathtub import (
     thermal_step,
     verify_bound,
 )
-from qpump.errors import ConfigError, TargetInfeasible
+from qpump.errors import ConfigError, PumpError
 from qpump.models import uniform_stream
 from reference import project_to_qdot, reference_fluxes, two_sided_bound
 
@@ -71,9 +71,9 @@ def test_nan_inputs_are_rejected():
         project_to_qdot(grid, occ, 0.1)
     with pytest.raises(ConfigError, match="^mass: must be finite"):
         quadratic_dispersion(2.0, 64, mass=np.nan)
-    with pytest.raises(TargetInfeasible):
+    with pytest.raises(PumpError, match="outside feasible range"):
         greedy_minimize(grid, np.nan)
-    with pytest.raises(TargetInfeasible):
+    with pytest.raises(PumpError, match="outside feasible range"):
         project_to_qdot(grid, np.full(64, 0.5), np.nan)
     with pytest.raises(ValueError, match="mu_minus must be >= 0"):
         two_sided_bound(np.nan, thermal_step(grid, 1.0), grid)
@@ -106,16 +106,20 @@ LINEAR64 = linear_dispersion(2.0, 64)
     (lambda: verify_bound(LINEAR64, 2.0), "trials"),
     (lambda: verify_bound(LINEAR64, 1, seed=-1, mu=0.0), "seed"),
     (lambda: verify_bound(LINEAR64, 1, seed=0, mu=3.0), "mu"),
+    (lambda: verify_bound(LINEAR64, 3, 0, mu=True), "mu"),
+    (lambda: verify_bound(LINEAR64, 1, mu="1"), "mu"),
+    (lambda: thermal_step(LINEAR64, np.bool_(True)), "mu"),
 ], ids=["linear-nk-0", "quadratic-nk-0", "nk-fractional", "nk-bool", "nk-above-cap",
         "nk-before-kmax", "kmax-inf", "kmax-band-overflows", "mass-negative", "mu-0",
         "mu-above-band", "mu-beyond-double", "trials-before-seed", "trials-float",
-        "seed-before-mu", "mu-in-verify-bound"])
+        "seed-before-mu", "mu-in-verify-bound", "mu-bool", "mu-string", "mu-numpy-bool"])
 def test_each_rule_is_a_config_error_on_its_flag(call, field):
     # each pump bathtub flag's rule lives in the library value that holds it, so
     # a library call fails as the CLI does: with a ConfigError naming the flag
+    # (mu a real number that is not a bool, as every real flag)
     with pytest.raises(ConfigError) as err:
         call()
-    assert err.value.field == field
+    assert type(err.value) is ConfigError and err.value.field == field
 
 
 @pytest.mark.parametrize("field", ["nodes", "eps", "weights"])
@@ -169,9 +173,9 @@ def test_greedy_hits_target_flux():
 
 def test_greedy_infeasible_targets():
     grid = linear_dispersion(2.0, 128)
-    with pytest.raises(TargetInfeasible):
+    with pytest.raises(PumpError, match="outside feasible range"):
         greedy_minimize(grid, -0.1)
-    with pytest.raises(TargetInfeasible):
+    with pytest.raises(PumpError, match="outside feasible range"):
         greedy_minimize(grid, grid.max_qdot * 1.01)
 
 

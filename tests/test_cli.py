@@ -11,6 +11,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,13 +19,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpump import cli, errors, report
+from qpump.bathtub import greedy_minimize, linear_dispersion
 from qpump.cli import main
 from qpump.errors import NumericalFailure
-from qpump.matcore import DEFAULT_TOLERANCES, Tolerances
-from qpump.models import MAX_STACK_ENTRIES, ModelConfig
+from qpump.matcore import DEFAULT_TOLERANCES, CycleGrid, Tolerances, spectral_derivative, unitarize
+from qpump.models import MAX_STACK_ENTRIES, ModelConfig, PumpModel, build
 from qpump.report import (_ARRAY_MIN, _P0, _format_block, _pow10_table, _scaled, analyze, dumps,
                           format_float, instant_document)
-from qpump.transport import instant_report
+from qpump.shift import sample_cycle
+from qpump.transport import cycle_integral, instant_report, winding_charge
 from test_transport import REGIME_CASES, regime_config
 
 BASE_CONFIG = {
@@ -257,6 +260,28 @@ def test_exit_1_mu_outside_window(tmp_path, capsys):
     assert "energy.mu" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params, line", [
+    ({}, "params.k_ell: model 'flux-loop' requires parameter 'k_ell'"),
+    ({"k_ell": -0.5}, "params.k_ell: must be >= 0.0, got -0.5"),
+    ({"k_ell": True}, "params.k_ell: must be a real number"),
+    ({"k_ell": 1.0, "wobble": 2.0},
+     "params.wobble: model 'flux-loop' does not understand parameter 'wobble'"),
+], ids=["missing", "below-minimum", "bool", "unknown"])
+def test_exit_1_params_fault_names_its_key(tmp_path, params, line):
+    cfg = write_config(tmp_path, dict(BASE_CONFIG, params=params))
+    code, out, err = run_cli(["analyze", "--config", cfg, "--out", str(tmp_path / "r.json")])
+    assert (code, out, err) == (1, "", f"pump: config error: {line}\n")
+
+
+def test_exit_2_phase_step_beyond_pi(tmp_path):
+    # 40 windings on 64 nodes advance each row 2 pi 40/64 > pi per interval
+    doc = dict(BASE_CONFIG, params={"k_ell": 1.0, "w": 40}, cycle={"period": 1.0, "samples": 64})
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run_cli(["analyze", "--config", cfg, "--out", str(tmp_path / "r.json")])
+    assert (code, out, err) == (2, "", "pump: numerical failure: row 1 advances 3.927 rad "
+                                "across one grid interval (limit pi); refine the grid\n")
+
+
 def test_exit_1_seed_above_two_to_the_53(tmp_path, capsys):
     # read as a double, the seed would draw the stream of 2**53
     doc = dict(BASE_CONFIG, model="random-smooth-path", params={"seed": 2**53 + 1})
@@ -291,6 +316,20 @@ def test_exit_1_instant_at_period_end(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG)
     assert main(["instant", "--config", cfg, "--t", "1.0"]) == 1
     assert main(["instant", "--config", cfg, "--t", "0.0"]) == 0
+
+
+def test_instant_time_is_a_real_number():
+    # the package's real-number rule, as for every other value a caller passes
+    config = ModelConfig.from_dict(BASE_CONFIG)
+    for t in (True, np.bool_(False), "0.25", None):
+        with pytest.raises(errors.ConfigError) as err:
+            instant_document(config, t)
+        assert type(err.value) is errors.ConfigError
+        assert str(err.value) == "t: must be a real number"
+    for t in (0, np.float64(0.25), np.int64(0)):
+        assert type(instant_document(config, t)["t"]) is float
+    with pytest.raises(errors.ConfigError, match=r"^t: must lie in \[0, 1.0\), got nan$"):
+        instant_document(config, math.nan)
 
 
 def test_exit_1_bad_flags(capsys):
@@ -384,6 +423,15 @@ def test_bathtub_rejects_kmax_and_seed_out_of_range(capsys, flag, value):
     assert main(bathtub_argv(**{flag: value})) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and f"config error: {flag}" in captured.err
+
+
+@pytest.mark.parametrize("mu", ["nan", "inf", "-inf", "0", "3"])
+def test_bathtub_mu_outside_the_band_reads_as_the_band(capsys, mu):
+    # a float flag that is not finite is outside the band, worded as one
+    assert main(bathtub_argv(mu=mu)) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "pump: config error: mu: must lie in (0, eps(k_max)] = (0, 2]\n")
 
 
 @pytest.mark.parametrize("flags,first", [({"nk": "0", "kmax": "nan"}, "nk"),
@@ -1113,32 +1161,105 @@ def test_module_entry_point_matches_in_process_main(tmp_path):
 
 #: The exit code and stderr prefix of each error class of qpump.errors, and of OSError.
 EXIT_CODES = {
-    "ConfigError": (1, "config error"), "EnergyOutOfWindow": (1, "config error"),
-    "UnknownModel": (1, "config error"), "MissingParam": (1, "config error"),
-    "BadParamRange": (1, "config error"), "UnknownParam": (1, "config error"),
-    "NumericalFailure": (2, "numerical failure"), "PhaseStepTooLarge": (2, "numerical failure"),
-    "PumpError": (2, "error"), "GridMismatch": (2, "error"), "SingularInput": (2, "error"),
-    "NotOptimal": (2, "error"), "TargetInfeasible": (2, "error"), "OSError": (3, "i/o failure"),
+    "ConfigError": (1, "config error"), "NumericalFailure": (2, "numerical failure"),
+    "PumpError": (2, "error"), "OSError": (3, "i/o failure"),
 }
 
 
+def exit_of(error):
+    """What ``pump models`` returns and writes when its handler raises ``error``."""
+    def fail(args):
+        raise error
+
+    # the parser binds each handler when it is built: build it afresh around the fake
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_cmd_models", fail)
+        cli._build_parser.cache_clear()
+        try:
+            return run_cli(["models"])
+        finally:
+            cli._build_parser.cache_clear()
+
+
 @pytest.mark.parametrize("name", EXIT_CODES)
-def test_exit_code_of_each_error_class(monkeypatch, name):
+def test_exit_code_of_each_error_class(name):
     classes = {n: c for n, c in vars(errors).items()
                if isinstance(c, type) and issubclass(c, errors.PumpError)}
     assert set(classes) | {"OSError"} == set(EXIT_CODES)  # a new class needs its exit code
     cls = classes.get(name, OSError)
     error = cls("field", "why") if issubclass(cls, errors.ConfigError) else cls("why")
-
-    def fail(args):
-        raise error
-
-    # the parser binds each handler when it is built: build it afresh around the fake
-    monkeypatch.setattr(cli, "_cmd_models", fail)
-    cli._build_parser.cache_clear()
-    try:
-        code, out, err = run_cli(["models"])
-    finally:
-        cli._build_parser.cache_clear()
     exit_code, prefix = EXIT_CODES[name]
-    assert (code, out, err) == (exit_code, "", f"pump: {prefix}: {error}\n")
+    assert exit_of(error) == (exit_code, "", f"pump: {prefix}: {error}\n")
+
+
+FLUX = {"k_ell": 1.0}
+GRID8 = CycleGrid(1.0, 8)
+#: A model whose rows swap between grid nodes, so their overlap vanishes.
+SWAP = PumpModel("swap", 2, 1.0, (0.5, 1.5), {}, lambda theta, energy: np.broadcast_to(
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), (theta.shape[0], 2, 2)), 0.0)
+
+
+def winding_on_grid8(model, is_optimal, samples=None):
+    """``winding_charge`` of ``model`` at mu = 1 on 8 nodes, given a verdict."""
+    verdict = SimpleNamespace(is_optimal=is_optimal, max_offdiag_ratio=0.5)
+    samples = sample_cycle(model, 1.0, GRID8) if samples is None else samples
+    return winding_charge(model, 1.0, GRID8, samples, verdict)
+
+
+#: Each guard of the package's raise sites a call reaches, the class it raises and
+#: its message: a site raises the class of its exit code, not a subclass.
+RAISE_SITES = {
+    "mu-outside-window": (lambda: build("flux-loop", FLUX, mu=2.0), errors.ConfigError,
+                          "energy.mu: mu=2.0 must lie inside window [0.5, 1.5]"),
+    "unknown-model": (lambda: build("no-such-pump"), errors.ConfigError,
+                      "model: unknown model 'no-such-pump'; built-ins: diagonal-times-constant, "
+                      "flux-loop, perturbed-flux-loop, random-smooth-path"),
+    "missing-param": (lambda: build("flux-loop"), errors.ConfigError,
+                      "params.k_ell: model 'flux-loop' requires parameter 'k_ell'"),
+    "param-not-real": (lambda: build("flux-loop", {"k_ell": True}), errors.ConfigError,
+                       "params.k_ell: must be a real number"),
+    "param-not-finite": (lambda: build("flux-loop", {"k_ell": math.inf}), errors.ConfigError,
+                         "params.k_ell: must be finite"),
+    "param-not-integer": (lambda: build("flux-loop", {"k_ell": 1.0, "w": 0.5}),
+                          errors.ConfigError, "params.w: must be an integer, got 0.5"),
+    "param-below-minimum": (lambda: build("flux-loop", {"k_ell": -0.5}), errors.ConfigError,
+                            "params.k_ell: must be >= 0.0, got -0.5"),
+    "param-above-maximum": (lambda: build("random-smooth-path", {"n": 65}),
+                            errors.ConfigError, "params.n: must be <= 64, got 65"),
+    "unknown-param": (lambda: build("flux-loop", {"k_ell": 1.0, "wobble": 2.0}),
+                      errors.ConfigError,
+                      "params.wobble: model 'flux-loop' does not understand parameter 'wobble'"),
+    "phase-step-over-pi": (lambda: winding_on_grid8(build("flux-loop", {"k_ell": 0.0, "w": 5}),
+                                                    True),
+                           NumericalFailure, "row 1 advances 3.927 rad across one grid interval "
+                           "(limit pi); refine the grid"),
+    "row-overlap-vanishes": (lambda: winding_on_grid8(SWAP, True, np.tile(np.eye(2), (8, 1, 1))),
+                             NumericalFailure,
+                             "row 1 overlap vanishes across one grid interval; refine the grid"),
+    "grid-period-differs": (lambda: sample_cycle(build("flux-loop", FLUX, period=2.0), 1.0, GRID8),
+                            errors.PumpError, "grid period 1.0 differs from the model's 2.0"),
+    "derivative-of-too-few-samples": (lambda: spectral_derivative(np.zeros(4), GRID8),
+                                      errors.PumpError, "got 4 samples for a grid of 8 nodes"),
+    "integral-of-too-few-samples": (lambda: cycle_integral(np.zeros(4), GRID8),
+                                    errors.PumpError, "got 4 samples for a grid of 8 nodes"),
+    "singular-matrix": (lambda: unitarize(np.diag([1.0, 0.0])), errors.PumpError,
+                        "smallest singular value 0.000e+00 <= 1e-12; no unitary polar factor"),
+    "winding-of-non-optimal-verdict": (lambda: winding_on_grid8(build("flux-loop", FLUX), False),
+                                       errors.PumpError,
+                                       "max off-diagonal ratio 5.000e-01 fails the optimality "
+                                       "verdict; winding numbers are defined for optimal pumps "
+                                       "only"),
+    "infeasible-target": (lambda: greedy_minimize(linear_dispersion(2.0, 64), -1.0),
+                          errors.PumpError,
+                          "target Qdot -1.0 outside feasible range [0, 0.3183098861837907]"),
+}
+
+
+@pytest.mark.parametrize("site", RAISE_SITES)
+def test_each_raise_site_raises_its_exit_codes_class(site):
+    call, cls, message = RAISE_SITES[site]
+    with pytest.raises(errors.PumpError) as err:
+        call()
+    assert type(err.value) is cls and str(err.value) == message
+    exit_code, prefix = EXIT_CODES[cls.__name__]
+    assert exit_of(err.value) == (exit_code, "", f"pump: {prefix}: {message}\n")

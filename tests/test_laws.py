@@ -279,20 +279,27 @@ _scalable = st.one_of(
 
 
 @given(pump=_scalable, log_period=st.floats(-3.0, 3.0), samples=_samples)
+@example(pump=("diagonal-times-constant", {"n": 1, "s0_seed": 1, "w1": 0, "a1_1": 0.0,
+                                           "a1_2": 0.0, "b1_1": 0.0, "b1_2": 0.001}),
+         log_period=1.0, samples=256)  # gap 2.77e-14 > 1e-12 max|E| = 1.26e-14
 @settings(max_examples=80, deadline=None)  # at 20, a planted 1e-12 floor passed 4 runs of 15
 def test_period_scaling_law(pump, log_period, samples):
     # S_T(t) = S_1(t/T), the same pump run T times slower, gives
     # E_T(t) = E_1(t/T)/T, and grid node i of one is node i of the other: the
     # charge, the verdict and an optimal pump's winding are kept, and D scales
     # as 1/T^2, so the dissipation per cycle times T is.  A check whose floor
-    # is absolute rather than relative to the cycle's scale fails here.
+    # is absolute rather than relative to the cycle's scale fails here.  The
+    # shift's scale is max|E|, but no less than the FFT rounding floor nu / RTOL
+    # of the unit-period cycle, as in the time-reversal law; the charge and
+    # dissipation keep max|E|.
     name, params = pump
     period = 10.0**log_period
     grid, grid2 = CycleGrid(1.0, samples), CycleGrid(period, samples)
     e, rep, verdict, winding = analysed(build(name, params), grid)
     e2, rep2, verdict2, winding2 = analysed(build(name, params, period=period), grid2)
     scale = np.max(np.abs(e))
-    assert np.max(np.abs(e2 * period - e)) <= RTOL * scale, name
+    shift_scale = max(scale, cycle_scale(np.zeros_like(e[:1]), grid, RTOL))
+    assert np.max(np.abs(e2 * period - e)) <= RTOL * shift_scale, name
     charge, charge2 = cycle_integral(rep.qdot, grid), cycle_integral(rep2.qdot, grid2)
     assert np.max(np.abs(charge2 - charge)) <= RTOL * max(1.0, scale / (2 * np.pi)), name
     dissipation = cycle_integral(rep.total_dissipation, grid)

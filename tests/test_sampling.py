@@ -22,7 +22,7 @@ import qpump.optimal
 import qpump.report as report
 import qpump.transport as transport
 from qpump.cli import main
-from qpump.errors import NotOptimal
+from qpump.errors import PumpError
 from qpump.matcore import CycleGrid
 from qpump.models import ModelConfig
 from qpump.optimal import optimality_verdict
@@ -177,6 +177,6 @@ def test_winding_of_a_non_optimal_verdict_samples_nothing(recorded):
     verdict = optimality_verdict(shifts, samples, instant_report(shifts, grid.times), grid)
     assert not verdict.is_optimal
     recorded.clear()
-    with pytest.raises(NotOptimal):
+    with pytest.raises(PumpError, match="fails the optimality verdict"):
         winding_charge(model, MU, grid, samples, verdict)
     assert recorded == []
