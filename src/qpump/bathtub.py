@@ -116,12 +116,11 @@ def linear_dispersion(k_max: float, n_k: int) -> DispersionGrid:
                           nodes=k, eps=k, weights=np.ones_like(k) * (k_max / n_k))
 
 
-def quadratic_dispersion(k_max: float, n_k: int, mass: float = 1.0) -> DispersionGrid:
-    """``eps(k) = k^2 / 2m``, ``mass`` a positive finite real."""
+def quadratic_dispersion(k_max: float, n_k: int) -> DispersionGrid:
+    """``eps(k) = k^2 / 2`` (unit mass)."""
     k_max, n_k, k = _nodes(k_max, n_k)
-    mass = _real(mass, "mass", positive=True)
     with np.errstate(over="ignore"):  # a band beyond a double is DispersionGrid's ConfigError
-        eps, weights = 0.5 * k * k / mass, k / mass * (k_max / n_k)
+        eps, weights = 0.5 * k * k, k * (k_max / n_k)
     return DispersionGrid(kind="quadratic", k_max=k_max, n_k=n_k, nodes=k, eps=eps, weights=weights)
 
 

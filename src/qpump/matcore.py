@@ -130,19 +130,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _square_matrix(array) -> np.ndarray:
-    """Read-only complex copy of a square matrix; :class:`ValueError`
-    unless it is at least 1x1 with finite entries."""
-    a = np.array(array, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 1:
-        raise ValueError("matrix dimension must be at least 1")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return _frozen(a)
-
-
 @dataclass(frozen=True, eq=False)
 class CycleGrid:
     """Uniform time grid over one pump period.
@@ -225,19 +212,29 @@ def unitarize(m) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        Unless ``m`` is a square matrix, at least 1x1, with finite entries.
     PumpError
         If the smallest singular value is at or below 1e-12.
     NumericalFailure
-        If the factor's unitarity defect exceeds ``Tolerances.tol_unitary``.
+        Unless the factor's unitarity defect is at most ``Tolerances.tol_unitary``
+        (a NaN defect fails).
     """
-    u, s, vh = np.linalg.svd(_square_matrix(m))
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] < 1:
+        raise ValueError("matrix dimension must be at least 1")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    u, s, vh = np.linalg.svd(a)
     if s[-1] <= 1e-12:
         raise PumpError(
             f"smallest singular value {s[-1]:.3e} <= 1e-12; no unitary polar factor"
         )
     factor, limit = u @ vh, DEFAULT_TOLERANCES.tol_unitary
     defect = float(unitarity_defect(factor))
-    if defect > limit:
+    if not defect <= limit:
         raise NumericalFailure(f"unitarity defect {defect:.3e} exceeds tolerance {limit:g}")
     return _frozen(factor)
 

@@ -168,10 +168,10 @@ class PumpModel:
                            _real(self.unitary_tol, "tolerances.tol_unitary", positive=True))
 
     def sample(self, times, energy: float) -> np.ndarray:
-        """Certified ``(N, n, n)`` stack of S at the given times and energy E;
-        raises :class:`NumericalFailure` at the first time whose matrix is
-        not finite or not unitary within ``unitary_tol``, at least the rounding
-        ``ROUNDING_FLOOR sqrt(n)`` of ``||I||_F`` (the built-in families reach
+        """Certified ``(N, n, n)`` stack of S at the given times and energy E; raises
+        :class:`NumericalFailure` at the first time whose unitarity defect (not finite where
+        S is not, NaN where ``conj(z) z`` overflows) is not within ``unitary_tol``, at least
+        the rounding ``ROUNDING_FLOOR sqrt(n)`` of ``||I||_F`` (the built-in families reach
         ``19 eps sqrt(n)``: ``random-smooth-path``'s eigh, n <= 64, amplitudes up to 2**22)."""
         energy = _in_window(energy, self.energy_window)
         times = np.asarray(times, dtype=float)
@@ -179,15 +179,14 @@ class PumpModel:
         shape = (times.shape[0], self.n_channels, self.n_channels)
         if stack.shape != shape:
             raise ValueError(f"model '{self.name}' returned shape {stack.shape}, expected {shape}")
-        finite = np.isfinite(stack).all(axis=(1, 2))
         defect = unitarity_defect(stack)
         limit = max(self.unitary_tol, ROUNDING_FLOOR * math.sqrt(self.n_channels))
-        bad = ~finite | (defect > limit)
+        bad = ~(defect <= limit)
         if bad.any():
             i = int(np.argmax(bad))
             raise NumericalFailure(
                 f"unitarity defect {defect[i]:.3e} exceeds tolerance {limit:g}"
-                if finite[i] else
+                if np.isfinite(stack[i]).all() else
                 f"model '{self.name}' has non-finite entries at t={times[i]:.6g}, E={energy:g}"
             )
         return stack

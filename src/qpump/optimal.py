@@ -98,8 +98,9 @@ def diagonal_decomposition(samples: np.ndarray, limit: float) -> tuple[np.ndarra
     certifies), and forms ``M(t_i) = S(t_i) S0^dag``.  The factorization exists when
     every M is diagonal, ``U_d = diag(M)``; its error ``||U_d S0 - S||_F`` is then
     ``sqrt(sum_{j != k} |M_jk|**2 + sum_j (1 - |M_jj|)**2)``, read off M alone.  Absence
-    is a value, not an error -- ``None`` is returned when any off-diagonal entry of M,
-    or that error, reaches ``limit``, which the verdict derives from its ``tol_opt``.
+    is a value, not an error -- ``None`` is returned unless every off-diagonal entry of M,
+    and that error, stays below ``limit``, which the verdict derives from its ``tol_opt``;
+    a NaN anywhere in the samples fails that comparison.
     """
     s0 = samples[0]
     m = np.einsum("tij,kj->tik", samples, s0.conj())
@@ -107,6 +108,6 @@ def diagonal_decomposition(samples: np.ndarray, limit: float) -> tuple[np.ndarra
     radial = 1.0 - size[:, diag, diag]
     size[:, diag, diag] = 0.0  # the off-diagonal |M_jk|
     recon_error = np.sqrt((size * size).sum(axis=(1, 2)) + (radial * radial).sum(axis=1))
-    if float(np.max(size)) >= limit or float(np.max(recon_error)) >= limit:
+    if not (float(np.max(size)) < limit and float(np.max(recon_error)) < limit):
         return None
     return np.unwrap(np.angle(np.einsum("tjj->tj", m)), axis=0), s0.copy()

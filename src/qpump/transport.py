@@ -100,7 +100,8 @@ def winding_charge(model: PumpModel, mu: float, grid: CycleGrid, samples: np.nda
     when the grid's period is not the model's and, before sampling anything, when
     the verdict is not optimal: for a
     non-optimal pump the rows change direction, not just phase, and no
-    integer winding exists.
+    integer winding exists.  A row overlap that is not at least ``VANISHING_OVERLAP``
+    in modulus, NaN included, raises the vanishing-overlap :class:`NumericalFailure`.
     """
     _check_period(model, grid)
     if not verdict.is_optimal:
@@ -113,7 +114,7 @@ def winding_charge(model: PumpModel, mu: float, grid: CycleGrid, samples: np.nda
     mids = model.sample(grid.times + 0.5 * grid.dt, mu)
     z1 = np.einsum("tjk,tjk->tj", samples.conj(), mids)
     z2 = np.einsum("tjk,tjk->tj", mids.conj(), np.roll(samples, -1, axis=0))
-    vanish = np.minimum(np.abs(z1), np.abs(z2)) < VANISHING_OVERLAP
+    vanish = ~(np.minimum(np.abs(z1), np.abs(z2)) >= VANISHING_OVERLAP)
     steps = np.angle(z1) + np.angle(z2)
     bad = vanish | (np.abs(steps) >= np.pi)
     if bad.any():

@@ -61,6 +61,10 @@ _BATHTUB = "tests/test_bathtub.py::"
 _MODELS = "tests/test_models.py::"
 _CERTIFY = "cheaper certification passes"
 _ONE_CLASS = "one exception class per exit code"
+_DRAWS = "model draws from one stream pass"
+_FLOOR = "the residual floor relative to the cycle's dissipation"
+_FAIL_CLOSED = "one fail-closed comparison per certificate"
+_DRAW_TEST = (_MODELS + "test_model_draws_match_scalar_generator",)
 
 MUTANTS = [
     Mutant("per-node-ratio-scale", "qpump/optimal.py",
@@ -233,6 +237,70 @@ MUTANTS = [
            "    top = float(grid.eps[-1])\n",
            (_BATHTUB + "test_each_rule_is_a_config_error_on_its_flag",),
            _ONE_CLASS),
+    Mutant("stack-certificate-passes-nan", "qpump/models.py",
+           "        bad = ~(defect <= limit)\n",
+           "        bad = defect > limit\n",
+           (_MODELS + "test_a_nan_defect_fails_the_certificate",
+            _MODELS + "test_sample_names_the_first_failing_node_and_its_fault"),
+           _FAIL_CLOSED),
+    Mutant("decomposition-passes-nan", "qpump/optimal.py",
+           "    if not (float(np.max(size)) < limit and float(np.max(recon_error)) < limit):\n",
+           "    if float(np.max(size)) >= limit or float(np.max(recon_error)) >= limit:\n",
+           ("tests/test_optimal.py::test_decomposition_of_nan_samples_is_absent",),
+           _FAIL_CLOSED),
+    Mutant("winding-passes-nan", "qpump/transport.py",
+           "~(np.minimum(np.abs(z1), np.abs(z2)) >= VANISHING_OVERLAP)",
+           "np.minimum(np.abs(z1), np.abs(z2)) < VANISHING_OVERLAP",
+           ("tests/test_transport.py::test_winding_of_a_nan_node_raises",),
+           _FAIL_CLOSED),
+    Mutant("residual-floor-absolute", "qpump/transport.py",
+           "        if np.any(self.residual < -ROUNDING_FLOOR * scale):\n",
+           "        if np.any(self.residual < -1e-12):\n",
+           ("tests/test_transport.py::test_residual_floor_is_relative_to_the_dissipation",
+            _LAWS + "test_period_scaling_law"),
+           _FLOOR),
+    Mutant("hermitian-draw-re-im-swapped", "qpump/models.py",
+           "        h[:, j, j + 1:] = row[:, 1::2] + 1j * row[:, 2::2]\n"
+           "        h[:, j + 1:, j] = row[:, 1::2] - 1j * row[:, 2::2]\n",
+           "        h[:, j, j + 1:] = row[:, 2::2] + 1j * row[:, 1::2]\n"
+           "        h[:, j + 1:, j] = row[:, 2::2] - 1j * row[:, 1::2]\n",
+           _DRAW_TEST, _DRAWS),
+    Mutant("hermitian-draw-transposed", "qpump/models.py",
+           "        h[:, j, j + 1:] = row[:, 1::2] + 1j * row[:, 2::2]\n"
+           "        h[:, j + 1:, j] = row[:, 1::2] - 1j * row[:, 2::2]\n",
+           "        h[:, j, j + 1:] = row[:, 1::2] - 1j * row[:, 2::2]\n"
+           "        h[:, j + 1:, j] = row[:, 1::2] + 1j * row[:, 2::2]\n",
+           _DRAW_TEST, _DRAWS),
+    Mutant("hermitian-diagonal-drawn-last", "qpump/models.py",
+           "        h[:, j, j] = row[:, 0]\n"
+           "        h[:, j, j + 1:] = row[:, 1::2] + 1j * row[:, 2::2]\n"
+           "        h[:, j + 1:, j] = row[:, 1::2] - 1j * row[:, 2::2]\n",
+           "        h[:, j, j] = row[:, -1]\n"
+           "        h[:, j, j + 1:] = row[:, 0:-1:2] + 1j * row[:, 1:-1:2]\n"
+           "        h[:, j + 1:, j] = row[:, 0:-1:2] - 1j * row[:, 1:-1:2]\n",
+           _DRAW_TEST, _DRAWS),
+    Mutant("s0-draw-re-im-swapped", "qpump/models.py",
+           "unitarize(pairs[..., 0] + 1j * pairs[..., 1])",
+           "unitarize(pairs[..., 1] + 1j * pairs[..., 0])",
+           _DRAW_TEST, _DRAWS),
+    Mutant("s0-drawn-first", "qpump/models.py",
+           "    draws = _uniform(seed, np.repeat(np.append(scale, [1.0, 1.0]), n * n))\n"
+           "    terms = _hermitian_stack(draws[:-2 * n * n], n)\n"
+           "    const, cos_terms, sin_terms = terms[0], terms[1::2], terms[2::2]\n"
+           "    s0 = _unitary(draws[-2 * n * n:], n)\n",
+           "    draws = _uniform(seed, np.repeat(np.append([1.0, 1.0], scale), n * n))\n"
+           "    terms = _hermitian_stack(draws[2 * n * n:], n)\n"
+           "    const, cos_terms, sin_terms = terms[0], terms[1::2], terms[2::2]\n"
+           "    s0 = _unitary(draws[:2 * n * n], n)\n",
+           _DRAW_TEST, _DRAWS),
+    Mutant("s0-draw-column-major", "qpump/models.py",
+           "    pairs = draws.reshape(n, n, 2)\n",
+           "    pairs = draws.reshape(n, n, 2).swapaxes(0, 1)\n",
+           _DRAW_TEST, _DRAWS),
+    Mutant("cos-sin-terms-swapped", "qpump/models.py",
+           "terms[0], terms[1::2], terms[2::2]",
+           "terms[0], terms[2::2], terms[1::2]",
+           _DRAW_TEST, _DRAWS),
 ]
 
 

@@ -38,14 +38,12 @@ def test_grid_construction():
     assert np.all(np.diff(grid.nodes) > 0)
     assert np.all(grid.weights >= 0.0)
     np.testing.assert_allclose(grid.eps, grid.nodes)
-    quad = quadratic_dispersion(2.0, 128, mass=2.0)
-    np.testing.assert_allclose(quad.eps, 0.25 * quad.nodes**2)
+    quad = quadratic_dispersion(2.0, 128)
+    np.testing.assert_allclose(quad.eps, 0.5 * quad.nodes**2)
     with pytest.raises(ValueError):
         linear_dispersion(2.0, 32)
     with pytest.raises(ValueError):
         linear_dispersion(-1.0, 128)
-    with pytest.raises(ValueError):
-        quadratic_dispersion(2.0, 128, mass=0.0)
 
 
 def test_filling_fluxes():
@@ -69,8 +67,6 @@ def test_nan_inputs_are_rejected():
         Filling.from_occupation(grid, occ)
     with pytest.raises(ValueError, match=r"occupations must lie in \[0, 1\]"):
         project_to_qdot(grid, occ, 0.1)
-    with pytest.raises(ConfigError, match="^mass: must be finite"):
-        quadratic_dispersion(2.0, 64, mass=np.nan)
     with pytest.raises(PumpError, match="outside feasible range"):
         greedy_minimize(grid, np.nan)
     with pytest.raises(PumpError, match="outside feasible range"):
@@ -98,7 +94,6 @@ LINEAR64 = linear_dispersion(2.0, 64)
     (lambda: linear_dispersion(0.0, 32), "nk"),
     (lambda: quadratic_dispersion(float("inf"), 64), "kmax"),
     (lambda: quadratic_dispersion(1e200, 64), "kmax"),
-    (lambda: quadratic_dispersion(2.0, 64, mass=-1.0), "mass"),
     (lambda: thermal_step(LINEAR64, 0.0), "mu"),
     (lambda: thermal_step(LINEAR64, 1.5 * LINEAR64.eps[-1]), "mu"),
     (lambda: thermal_step(LINEAR64, 10**400), "mu"),
@@ -110,7 +105,7 @@ LINEAR64 = linear_dispersion(2.0, 64)
     (lambda: verify_bound(LINEAR64, 1, mu="1"), "mu"),
     (lambda: thermal_step(LINEAR64, np.bool_(True)), "mu"),
 ], ids=["linear-nk-0", "quadratic-nk-0", "nk-fractional", "nk-bool", "nk-above-cap",
-        "nk-before-kmax", "kmax-inf", "kmax-band-overflows", "mass-negative", "mu-0",
+        "nk-before-kmax", "kmax-inf", "kmax-band-overflows", "mu-0",
         "mu-above-band", "mu-beyond-double", "trials-before-seed", "trials-float",
         "seed-before-mu", "mu-in-verify-bound", "mu-bool", "mu-string", "mu-numpy-bool"])
 def test_each_rule_is_a_config_error_on_its_flag(call, field):

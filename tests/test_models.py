@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpump.errors import ConfigError
+from qpump.errors import ConfigError, NumericalFailure
 from qpump.matcore import DEFAULT_TOLERANCES, CycleGrid, Tolerances, unitarity_defect, unitarize
 from qpump.models import REGISTRY, ModelConfig, PumpModel, _uniform_rows, build, uniform_stream
+from qpump.report import analyze
 from reference import (
     ENERGY_STEP_FRACTION,
     SplitMix64,
@@ -251,6 +252,59 @@ def test_perturbed_unitary_on_grid():
     model = build("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.1})
     for t in CycleGrid(1.0, 64).times:
         assert unitarity_defect(model.eval(t, 1.0)) < 1e-12
+
+
+def overflowing(n: int) -> PumpModel:
+    """An n-channel identity pump whose S at t = 0 has the finite entry
+    1e200+1e200j, where ``conj(z) z`` overflows to ``inf - inf``: a NaN defect."""
+    def matrix(theta, energy):
+        out = np.broadcast_to(np.eye(n, dtype=complex), (theta.shape[0], n, n)).copy()
+        out[theta == 0.0, 0, 0] = 1e200 + 1e200j
+        return out
+
+    return PumpModel(name="overflowing", n_channels=n, period=1.0, energy_window=(0.5, 1.5),
+                     params={}, matrix_fn=matrix, delay=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 6])  # the channel-major kernel and the batched matmul
+def test_a_nan_defect_fails_the_certificate(n):
+    model = overflowing(n)
+    assert np.isnan(unitarity_defect(model.matrix_fn(np.zeros(1), 1.0))).all()
+    with pytest.raises(NumericalFailure, match="^unitarity defect nan exceeds tolerance"):
+        model.sample([0.5, 0.0], 1.0)
+    with pytest.raises(NumericalFailure, match="^unitarity defect nan"):
+        model.eval(0.0, 1.0)
+    config = ModelConfig(pump=model, grid=CycleGrid(1.0, 64), mu=1.0,
+                         tolerances=DEFAULT_TOLERANCES, beta=None, raw={})
+    with pytest.raises(NumericalFailure, match="^unitarity defect nan"):
+        analyze(config)
+    assert model.eval(0.5, 1.0).shape == (n, n)  # every other node is certified
+
+
+def test_sample_names_the_first_failing_node_and_its_fault():
+    # one comparison finds the first bad node; its own entries choose the message
+    flux = build("flux-loop", {"k_ell": 1.0})
+
+    def faulty(theta, energy):
+        out = flux.matrix_fn(theta, energy)
+        out[theta == np.pi, 1, 1] = np.nan
+        out[theta == 1.5 * np.pi] *= 2.0
+        return out
+
+    model = dataclasses.replace(flux, matrix_fn=faulty)
+    with pytest.raises(NumericalFailure, match="^model 'flux-loop' has non-finite entries "
+                                               r"at t=0\.5, E=1\.5$"):
+        model.sample([0.0, 0.5, 0.75], 1.5)
+    with pytest.raises(NumericalFailure, match=r"^unitarity defect 4\.243e\+00 exceeds"):
+        model.sample([0.0, 0.75, 0.5], 1.5)
+
+
+def test_sample_rejects_a_stack_of_the_wrong_shape():
+    flux = build("flux-loop", {"k_ell": 1.0})
+    misshapen = dataclasses.replace(flux, matrix_fn=lambda theta, energy: np.zeros((2, 2, 3)))
+    with pytest.raises(ValueError, match=r"^model 'flux-loop' returned shape \(2, 2, 3\), "
+                                         r"expected \(3, 2, 2\)$"):
+        misshapen.sample([0.0, 0.25, 0.5], 1.0)
 
 
 # ---------------------------------------------------------------- evaluation

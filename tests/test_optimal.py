@@ -196,6 +196,16 @@ def test_decomposition_needs_a_unitary_anchor():
     assert rebuilt_decomposition(drifted, limit) is None
 
 
+def test_decomposition_of_nan_samples_is_absent():
+    # every comparison with NaN is false, so the limits are met only by numbers
+    assert diagonal_decomposition(np.full((8, 2, 2), np.nan + 0j), 1e-8) is None
+    samples, limit = limit_of(build("flux-loop", {"k_ell": 1.0, "w": 2}))
+    assert diagonal_decomposition(samples, limit) is not None
+    samples = samples.copy()
+    samples[5, 0, 1] = np.nan
+    assert diagonal_decomposition(samples, limit) is None
+
+
 def _law_cases():
     """The pumps of acceptance criterion 09 at the default ``tol_opt``, and the
     explicit examples of the laws that judge optimality, at theirs."""

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpump.errors import NumericalFailure, PumpError
-from qpump.matcore import R_K, CycleGrid
+from qpump.matcore import R_K, ROUNDING_FLOOR, CycleGrid
 from qpump.models import ModelConfig, build
 from qpump.optimal import optimality_verdict
 from qpump.report import _regime
@@ -293,6 +293,19 @@ def test_winding_flux_loop():
         winding(model, CycleGrid(1.0, 8))
 
 
+def test_winding_of_a_nan_node_raises():
+    # a NaN overlap has no phase step: it fails as a vanishing one, not as a cast
+    model, grid = build("flux-loop", {"k_ell": 1.0, "w": 2}), GRID
+    samples = sample_cycle(model, 1.0, grid)
+    shifts, _ = energy_shift_cycle(samples, grid)
+    verdict = optimality_verdict(shifts, samples, instant_report(shifts, grid.times), grid)
+    samples = samples.copy()
+    samples[7, 1, 1] = np.nan
+    with pytest.raises(NumericalFailure, match="^row 2 overlap vanishes across one grid "
+                                               "interval; refine the grid$"):
+        winding_charge(model, 1.0, grid, samples, verdict)
+
+
 def test_winding_requires_optimality():
     model = build("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.1})
     with pytest.raises(PumpError, match="fails the optimality verdict"):
@@ -333,6 +346,27 @@ def test_identity_check_is_relative_to_the_channel_scale(period):
     report = instant_report(shift_stack(model, grid), grid.times)
     with pytest.raises(NumericalFailure, match="decomposition identity"):
         dataclasses.replace(report, excess=report.excess * (1.0 + 1e-9))
+
+
+@pytest.mark.parametrize("period", [1e-3, 1.0])
+def test_residual_floor_is_relative_to_the_dissipation(period):
+    # D - (R_K/2) Qdot^2 rounds at eps max D: a fast optimal pump (max D ~ 3e6 at
+    # T = 1e-3, residuals down to -9e-10) passes as a slow one does, and a residual
+    # two floors below zero fails at both periods
+    model = build("flux-loop", {"k_ell": 1.0, "w": 1}, period=period)
+    grid = CycleGrid(period, 256)
+    report = instant_report(shift_stack(model, grid), grid.times)
+    if period < 1.0:
+        assert report.residual.min() < -1e-12
+    floor = ROUNDING_FLOOR * report.total_dissipation.max(axis=0)
+    with pytest.raises(NumericalFailure, match="^dissipation bound violated"):
+        dataclasses.replace(report, residual=report.residual - 2.0 * floor)
+
+
+def test_instant_report_rejects_negative_dissipation():
+    with pytest.raises(NumericalFailure, match="^negative dissipation in instant report$"):
+        InstantReport(t=0.0, qdot=np.zeros(2), total_dissipation=np.array([0.1, -1e-300]),
+                      excess=np.array([0.1, 0.0]), residual=np.array([0.1, 0.0]))
 
 
 def test_instant_report_rejects_bound_violation():
