@@ -60,15 +60,14 @@ class DispersionGrid:
     discrete minimizers from undershooting the continuum bound and makes
     the greedy minimum converge to it at a uniform O(dk) rate; it also
     avoids k = 0, where the weight of a quadratic dispersion vanishes.
-    Weights are ``w_i = eps'(k_i) * dk``, the cell's share of the energy
-    measure and the grid's one record of ``eps'``: as dk > 0, the bound's
+    Weights are ``w_i = eps'(k_i) * dk`` (``dk = k_max/n_k``), the cell's share of
+    the energy measure and the grid's one record of ``eps'``: as dk > 0, the bound's
     hypothesis ``k * eps'(k) >= 0`` is checked as ``k_i * w_i >= 0``.
     ``k_max`` and ``n_k`` follow :func:`_grid_fields`, as in both builders, and the
     arrays have shape ``(n_k,)``.  A band beyond a double (the full filling's Edot or
     ``pi Qdot^2``, or ``eps(k_max)^2/4pi``, overflows) is a :class:`ConfigError` on ``kmax``.
     """
 
-    kind: str
     k_max: float
     n_k: int
     nodes: np.ndarray = field(repr=False)
@@ -95,10 +94,6 @@ class DispersionGrid:
             a.setflags(write=False)
 
     @property
-    def dk(self) -> float:
-        return self.k_max / self.n_k
-
-    @property
     def max_qdot(self) -> float:
         """Largest charge flux any filling can carry."""
         return float(self.weights.sum()) / _TWO_PI
@@ -112,8 +107,8 @@ def _nodes(k_max, n_k) -> tuple[float, int, np.ndarray]:
 def linear_dispersion(k_max: float, n_k: int) -> DispersionGrid:
     """``eps(k) = k`` (constant weight per cell)."""
     k_max, n_k, k = _nodes(k_max, n_k)
-    return DispersionGrid(kind="linear", k_max=k_max, n_k=n_k,
-                          nodes=k, eps=k, weights=np.ones_like(k) * (k_max / n_k))
+    return DispersionGrid(k_max=k_max, n_k=n_k, nodes=k, eps=k,
+                          weights=np.ones_like(k) * (k_max / n_k))
 
 
 def quadratic_dispersion(k_max: float, n_k: int) -> DispersionGrid:
@@ -121,7 +116,7 @@ def quadratic_dispersion(k_max: float, n_k: int) -> DispersionGrid:
     k_max, n_k, k = _nodes(k_max, n_k)
     with np.errstate(over="ignore"):  # a band beyond a double is DispersionGrid's ConfigError
         eps, weights = 0.5 * k * k, k * (k_max / n_k)
-    return DispersionGrid(kind="quadratic", k_max=k_max, n_k=n_k, nodes=k, eps=eps, weights=weights)
+    return DispersionGrid(k_max=k_max, n_k=n_k, nodes=k, eps=eps, weights=weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,33 +134,30 @@ class Filling:
 
     @classmethod
     def from_occupation(cls, grid: DispersionGrid, occupation) -> "Filling":
+        """A copy of ``occupation``, in [0, 1] up to 1e-12 (NaN is not: a ``ValueError``),
+        clipped only where an entry lies outside [0, 1], so ``-0.0`` keeps its bits."""
         n = np.array(occupation, dtype=float)
         if n.shape != (grid.n_k,):
             raise ValueError(f"occupation must have shape ({grid.n_k},), got {n.shape}")
-        qdot, edot = _clip_fluxes(grid, n[None], None)
+        lo, hi = n.min(), n.max()
+        if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):
+            raise ValueError("occupations must lie in [0, 1]")
+        if lo < 0.0 or hi > 1.0:
+            np.clip(n, 0.0, 1.0, out=n)
+        qdot, edot = _fluxes(grid, n[None], None)
         n.setflags(write=False)
         return cls(grid=grid, occupation=n, qdot=float(qdot[0]), edot=float(edot[0]))
 
 
-def _clip_fluxes(grid: DispersionGrid, n: np.ndarray,
-                 scratch: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Check that the rows of occupations ``n`` lie in [0, 1] (up to
-    1e-12), clip them in place where they do not and return each row's
-    ``(qdot, edot)``.  ``n * eps`` is formed in ``scratch``, which may be
-    ``n`` itself once its charge fluxes are taken (``None``: a new array).
-
-    Each flux is its own row-by-column product, one BLAS ``ddot`` per row,
-    the same as ``row @ weights``: one matrix-vector product over the block
-    would sum in another order.
-    """
-    lo, hi = n.min(), n.max()
-    if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):
-        raise ValueError("occupations must lie in [0, 1]")
-    if lo < 0.0 or hi > 1.0:
-        np.clip(n, 0.0, 1.0, out=n)
+def _fluxes(grid: DispersionGrid, n: np.ndarray,
+            out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of occupations ``n``'s ``(qdot, edot)``, unchecked, with ``n * eps`` in
+    ``out`` (``n`` itself, whose charge fluxes come first; ``None``: a new array).  Each
+    flux is its own row-by-column product, one BLAS ``ddot`` per row as in ``row @ weights``;
+    one matrix-vector product over the block would sum in another order."""
     w = grid.weights[:, None]
     qdot = (n[:, None, :] @ w)[:, 0, 0] / _TWO_PI
-    ne = np.multiply(n, grid.eps, out=scratch)
+    ne = np.multiply(n, grid.eps, out=out)
     edot = (ne[:, None, :] @ w)[:, 0, 0] / _TWO_PI
     return qdot, edot
 
@@ -270,11 +262,12 @@ def verify_bound(grid: DispersionGrid, trials: int, seed: int = 0,
     ``seed + trial`` and fills every mode uniformly in [0, 1).  The
     greedy minimizer is evaluated at each trial's own charge flux, and
     the thermal step at ``mu`` (default: half the band top) is checked
-    as the equality case.  Trials are drawn, checked and reduced a block
-    of about ``_BLOCK`` occupations at a time, so memory does not grow
-    with ``trials``; the result is the same as one trial at a time.  The
-    block buffer is scratch: its ``n * eps`` products are formed in place,
-    and the next block is drawn over it.
+    as the equality case.  Trials are drawn and reduced a block of about
+    ``_BLOCK`` occupations at a time, so memory does not grow with
+    ``trials``; the result is the same as one trial at a time.  A block,
+    in [0, 1) by construction, is not range-checked (the rule lives in
+    :class:`Filling`); its ``n * eps`` products are formed in place, and
+    the next block is drawn over it.
     ``trials`` (an integer >= 1), ``seed`` (an integer keeping every seed below
     2**64) and ``mu`` are checked in that order, each a :class:`ConfigError`.
     """
@@ -289,7 +282,7 @@ def verify_bound(grid: DispersionGrid, trials: int, seed: int = 0,
     max_violation = 0.0
     greedy_gap_max = 0.0
     for occ in _uniform_rows(seed, trials, grid.n_k, max(1, _BLOCK // grid.n_k)):
-        qdot, edot = _clip_fluxes(grid, occ, occ)
+        qdot, edot = _fluxes(grid, occ, occ)
         bound = np.pi * qdot**2
         gap = bound - edot
         violated = gap[gap > margin]

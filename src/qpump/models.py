@@ -168,13 +168,16 @@ class PumpModel:
                            _real(self.unitary_tol, "tolerances.tol_unitary", positive=True))
 
     def sample(self, times, energy: float) -> np.ndarray:
-        """Certified ``(N, n, n)`` stack of S at the given times and energy E; raises
+        """Certified ``(N, n, n)`` stack of S at energy E and a 1-D array of N ``times``
+        (another shape is a ``ValueError``, before ``matrix_fn`` runs); raises
         :class:`NumericalFailure` at the first time whose unitarity defect (not finite where
         S is not, NaN where ``conj(z) z`` overflows) is not within ``unitary_tol``, at least
         the rounding ``ROUNDING_FLOOR sqrt(n)`` of ``||I||_F`` (the built-in families reach
         ``19 eps sqrt(n)``: ``random-smooth-path``'s eigh, n <= 64, amplitudes up to 2**22)."""
         energy = _in_window(energy, self.energy_window)
         times = np.asarray(times, dtype=float)
+        if times.ndim != 1:
+            raise ValueError(f"times must be a 1-D array, got shape {times.shape}")
         stack = np.asarray(self.matrix_fn(_TWO_PI * times / self.period, energy), dtype=complex)
         shape = (times.shape[0], self.n_channels, self.n_channels)
         if stack.shape != shape:

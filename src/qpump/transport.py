@@ -101,7 +101,8 @@ def winding_charge(model: PumpModel, mu: float, grid: CycleGrid, samples: np.nda
     the verdict is not optimal: for a
     non-optimal pump the rows change direction, not just phase, and no
     integer winding exists.  A row overlap that is not at least ``VANISHING_OVERLAP``
-    in modulus, NaN included, raises the vanishing-overlap :class:`NumericalFailure`.
+    in modulus raises a :class:`NumericalFailure`; a NaN one, which only uncertified
+    samples give, is worded apart from "refine the grid".
     """
     _check_period(model, grid)
     if not verdict.is_optimal:
@@ -114,15 +115,17 @@ def winding_charge(model: PumpModel, mu: float, grid: CycleGrid, samples: np.nda
     mids = model.sample(grid.times + 0.5 * grid.dt, mu)
     z1 = np.einsum("tjk,tjk->tj", samples.conj(), mids)
     z2 = np.einsum("tjk,tjk->tj", mids.conj(), np.roll(samples, -1, axis=0))
-    vanish = ~(np.minimum(np.abs(z1), np.abs(z2)) >= VANISHING_OVERLAP)
+    overlap = np.minimum(np.abs(z1), np.abs(z2))
+    vanish = ~(overlap >= VANISHING_OVERLAP)
     steps = np.angle(z1) + np.angle(z2)
     bad = vanish | (np.abs(steps) >= np.pi)
     if bad.any():
         i, j = np.argwhere(bad)[0]
+        if np.isnan(overlap[i, j]):
+            raise NumericalFailure(f"row {j + 1} overlap is NaN; the samples are not certified")
         if vanish[i, j]:
-            raise NumericalFailure(
-                f"row {j + 1} overlap vanishes across one grid interval; refine the grid"
-            )
+            raise NumericalFailure(f"row {j + 1} overlap vanishes across one grid interval; "
+                                   "refine the grid")
         raise NumericalFailure(
             f"row {j + 1} advances {steps[i, j]:.3f} rad across one grid interval "
             f"(limit pi); refine the grid"

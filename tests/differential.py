@@ -48,6 +48,9 @@ CONFIGS = {
     "k_ell-1e308": _config(params={"k_ell": 1e308}),  # a non-finite report
     "period-1e-300-N-8": _config(period=1e-300, samples=8),
     "flux-w-40-N-64": _config(params={"k_ell": 1.0, "w": 40}),
+    "model-not-a-string": _config(model=5),
+    "rsp-N-32-under-resolved": _config(model="random-smooth-path", samples=32,
+                                       params={"n": 2, "seed": 3, "degree": 3, "amplitude": 2.0}),
 }
 
 _BATHTUB = {"dispersion": "linear", "kmax": "2", "nk": "100", "mu": "1", "trials": "3",

@@ -64,6 +64,7 @@ _ONE_CLASS = "one exception class per exit code"
 _DRAWS = "model draws from one stream pass"
 _FLOOR = "the residual floor relative to the cycle's dissipation"
 _FAIL_CLOSED = "one fail-closed comparison per certificate"
+_OCCUPATION = "one home for the occupation rule"
 _DRAW_TEST = (_MODELS + "test_model_draws_match_scalar_generator",)
 
 MUTANTS = [
@@ -109,8 +110,8 @@ MUTANTS = [
            (_BATHTUB + "test_block_fluxes_equal_scalar_reference",),
            _LEAN),
     Mutant("filling-product-in-place", "qpump/bathtub.py",
-           "_clip_fluxes(grid, n[None], None)",
-           "_clip_fluxes(grid, n[None], n[None])",
+           "_fluxes(grid, n[None], None)",
+           "_fluxes(grid, n[None], n[None])",
            (_BATHTUB + "test_filling_clips_a_copy",),
            _LEAN),
     Mutant("clip-dropped", "qpump/bathtub.py",
@@ -118,6 +119,12 @@ MUTANTS = [
            "        pass\n",
            (_BATHTUB + "test_filling_clips_a_copy",),
            _LEAN),
+    Mutant("occupation-range-unchecked", "qpump/bathtub.py",
+           "        if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):\n"
+           "            raise ValueError(\"occupations must lie in [0, 1]\")\n",
+           "",
+           (_BATHTUB + "test_filling_fluxes", _BATHTUB + "test_nan_inputs_are_rejected"),
+           _OCCUPATION),
     Mutant("greedy-zero-weight-marginal", "qpump/bathtub.py",
            "np.where(w[m] > 0.0,",
            "np.where(w[m] >= 0.0,",
@@ -249,10 +256,16 @@ MUTANTS = [
            ("tests/test_optimal.py::test_decomposition_of_nan_samples_is_absent",),
            _FAIL_CLOSED),
     Mutant("winding-passes-nan", "qpump/transport.py",
-           "~(np.minimum(np.abs(z1), np.abs(z2)) >= VANISHING_OVERLAP)",
-           "np.minimum(np.abs(z1), np.abs(z2)) < VANISHING_OVERLAP",
+           "    vanish = ~(overlap >= VANISHING_OVERLAP)\n",
+           "    vanish = overlap < VANISHING_OVERLAP\n",
            ("tests/test_transport.py::test_winding_of_a_nan_node_raises",),
            _FAIL_CLOSED),
+    Mutant("sample-times-shape-unchecked", "qpump/models.py",
+           "        if times.ndim != 1:\n"
+           "            raise ValueError(f\"times must be a 1-D array, got shape {times.shape}\")\n",
+           "",
+           (_MODELS + "test_sample_takes_a_1d_array_of_times",),
+           "a 1-D array of times per sample"),
     Mutant("residual-floor-absolute", "qpump/transport.py",
            "        if np.any(self.residual < -ROUNDING_FLOOR * scale):\n",
            "        if np.any(self.residual < -1e-12):\n",

@@ -33,8 +33,6 @@ TWO_PI = 2.0 * np.pi
 
 def test_grid_construction():
     grid = linear_dispersion(2.0, 128)
-    assert grid.kind == "linear"
-    assert grid.dk == 2.0 / 128
     assert np.all(np.diff(grid.nodes) > 0)
     assert np.all(grid.weights >= 0.0)
     np.testing.assert_allclose(grid.eps, grid.nodes)
@@ -51,7 +49,7 @@ def test_filling_fluxes():
     full = Filling.from_occupation(grid, np.ones(64))
     # full band: measure k_max, energy (k_max^2 + k_max*dk)/2 at right edges
     assert abs(full.qdot - 2.0 / TWO_PI) < 1e-14
-    assert abs(full.edot - (4.0 + 2.0 * grid.dk) / 2.0 / TWO_PI) < 1e-14
+    assert abs(full.edot - (4.0 + 2.0 * (2.0 / 64)) / 2.0 / TWO_PI) < 1e-14
     with pytest.raises(ValueError):
         Filling.from_occupation(grid, np.full(64, 1.5))
     with pytest.raises(ValueError):
@@ -78,7 +76,7 @@ def test_nan_inputs_are_rejected():
     with pytest.raises(ConfigError, match=r"^mu: must lie in \(0, eps\(k_max\)\]"):
         verify_bound(grid, 1, mu=np.nan)
     with pytest.raises(ValueError, match="k \\* eps'\\(k\\) >= 0"):
-        DispersionGrid(kind="nan", k_max=2.0, n_k=64, nodes=grid.nodes, eps=grid.eps,
+        DispersionGrid(k_max=2.0, n_k=64, nodes=grid.nodes, eps=grid.eps,
                        weights=np.full(64, np.nan))
 
 
@@ -123,11 +121,11 @@ def test_grid_arrays_have_shape_n_k(field, shape):
     arrays = {"nodes": np.ones(64), "eps": np.ones(64), "weights": np.ones(64)}
     arrays[field] = np.ones(shape)
     with pytest.raises(ValueError, match=r"must have shape \(64,\)"):
-        DispersionGrid(kind="x", k_max=2.0, n_k=64, **arrays)
+        DispersionGrid(k_max=2.0, n_k=64, **arrays)
 
 
 def test_grid_fields_are_stored_as_checked():
-    grid = DispersionGrid(kind="linear", k_max=np.int64(2), n_k=np.int32(64),
+    grid = DispersionGrid(k_max=np.int64(2), n_k=np.int32(64),
                           nodes=np.ones(64), eps=np.ones(64), weights=np.ones(64))
     assert type(grid.k_max) is float and type(grid.n_k) is int
     assert linear_dispersion(np.float64(2.0), np.int64(64)).weights.sum() == 2.0
@@ -239,13 +237,13 @@ def test_verify_bound_margin_is_relative_to_the_grid(monkeypatch, k_max):
     # with every energy flux cut to a tenth, every random filling breaks the
     # bound by about 90% of its Edot; on a band of tiny energies that is far
     # below any fixed figure, so the margin must scale with the grid's fluxes
-    clip = bathtub._clip_fluxes
+    clip = bathtub._fluxes
 
     def understated(grid, n, scratch):
         qdot, edot = clip(grid, n, scratch)
         return qdot, 0.1 * edot
 
-    monkeypatch.setattr(bathtub, "_clip_fluxes", understated)
+    monkeypatch.setattr(bathtub, "_fluxes", understated)
     check = verify_bound(linear_dispersion(k_max, 4096), trials=50, seed=0)
     assert check.violations == 50 and check.max_violation > 0.0
 
@@ -313,7 +311,7 @@ def understated_energies(k_max, n_k):
     keep ``eps' = 1``: the bound's hypothesis fails, so about half of the
     random fillings violate it and every reduction of the check is used."""
     grid = linear_dispersion(k_max, n_k)
-    return DispersionGrid(kind="understated", k_max=grid.k_max, n_k=grid.n_k,
+    return DispersionGrid(k_max=grid.k_max, n_k=grid.n_k,
                           nodes=grid.nodes, eps=0.5 * grid.eps, weights=grid.weights)
 
 
@@ -340,7 +338,7 @@ def test_block_fluxes_equal_scalar_reference(monkeypatch, kind, n_k):
     # Filling's are the per-row dot products of the scalar loop, bit for bit
     grid = GRIDS[kind](2.3, n_k)
     rows = max(1, _BLOCK // n_k)
-    clip = bathtub._clip_fluxes
+    clip = bathtub._fluxes
     blocks = []
 
     def recorded(grid, n, scratch):
@@ -349,7 +347,7 @@ def test_block_fluxes_equal_scalar_reference(monkeypatch, kind, n_k):
         blocks.append((occupations, qdot, edot))
         return qdot, edot
 
-    monkeypatch.setattr(bathtub, "_clip_fluxes", recorded)
+    monkeypatch.setattr(bathtub, "_fluxes", recorded)
     for trials in (1, rows, 2 * rows + 3):
         blocks.clear()
         verify_bound(grid, trials, seed=5 * trials)
@@ -372,7 +370,7 @@ def test_greedy_edot_matches_scalar_formula():
     # linear_dispersion(0.7, 100) the marginal formula is an ulp off the
     # full band's Edot, so the band top must take the full band's
     grid = quadratic_dispersion(2.0, 100)
-    flat = DispersionGrid(kind="flat", k_max=2.0, n_k=100, nodes=grid.nodes,
+    flat = DispersionGrid(k_max=2.0, n_k=100, nodes=grid.nodes,
                           eps=np.repeat(grid.eps[::4], 4),
                           weights=np.where(np.arange(100) % 3 == 0, 0.0, grid.weights))
     for g in (grid, flat, linear_dispersion(2.0, 64), linear_dispersion(0.7, 100)):
@@ -418,7 +416,7 @@ def test_full_band_is_strictly_above_bound():
     full = Filling.from_occupation(grid, np.ones(grid.n_k))
     gap = full.edot - PI * full.qdot**2
     assert gap > 0.0
-    assert abs(gap - 2.0 * grid.dk / (4 * PI)) < 1e-12
+    assert abs(gap - 2.0 * (2.0 / 1024) / (4 * PI)) < 1e-12
 
 
 def test_random_fillings_respect_bound_explicitly():

@@ -1064,8 +1064,9 @@ def test_exit_1_hostile_config_file(tmp_path, command, content):
     (dict(BASE_CONFIG, cycle={"period": 1.0, "samples": 256, "x": 1}), "cycle.x"),
     (dict(BASE_CONFIG, energy={"mu": 1.0, "window": [1.5, 0.5], "samples": 16}), "energy.window"),
     (dict(BASE_CONFIG, tolerances=[]), "tolerances"),
+    (dict(BASE_CONFIG, model=5), "model"),
 ], ids=["top-level-array", "no-cycle", "params-array", "cycle-array", "cycle-extra-key",
-        "window-reversed", "tolerances-array"])
+        "window-reversed", "tolerances-array", "model-not-a-string"])
 def test_exit_1_config_shape_names_the_field(tmp_path, command, doc, field):
     cfg = write_config(tmp_path, doc)
     report = tmp_path / "r.json"

@@ -307,6 +307,22 @@ def test_sample_rejects_a_stack_of_the_wrong_shape():
         misshapen.sample([0.0, 0.25, 0.5], 1.0)
 
 
+@pytest.mark.parametrize("family, params", [("flux-loop", {"k_ell": 1.0}),
+                                            ("diagonal-times-constant", {})])
+@pytest.mark.parametrize("times", [0.5, [[0.5]], [[0.5, 0.25]]],
+                         ids=["scalar", "1x1", "1x2"])
+def test_sample_takes_a_1d_array_of_times(family, params, times):
+    # any other shape names `times` before the builder runs, whose broadcasting
+    # might otherwise fit it (a (1, 2, 2) stack for [[0.5]]) or fail in its own words
+    calls = []
+    model = build(family, params)
+    spy = dataclasses.replace(model, matrix_fn=lambda *a: calls.append(a) or model.matrix_fn(*a))
+    with pytest.raises(ValueError, match=r"^times must be a 1-D array, got shape \("):
+        spy.sample(times, 1.0)
+    assert calls == []
+    assert spy.sample(np.array([0.5]), 1.0).shape == (1, model.n_channels, model.n_channels)
+
+
 # ---------------------------------------------------------------- evaluation
 
 

@@ -294,15 +294,15 @@ def test_winding_flux_loop():
 
 
 def test_winding_of_a_nan_node_raises():
-    # a NaN overlap has no phase step: it fails as a vanishing one, not as a cast
+    # a NaN overlap has no phase step: it fails with its own message, not as a cast
     model, grid = build("flux-loop", {"k_ell": 1.0, "w": 2}), GRID
     samples = sample_cycle(model, 1.0, grid)
     shifts, _ = energy_shift_cycle(samples, grid)
     verdict = optimality_verdict(shifts, samples, instant_report(shifts, grid.times), grid)
     samples = samples.copy()
     samples[7, 1, 1] = np.nan
-    with pytest.raises(NumericalFailure, match="^row 2 overlap vanishes across one grid "
-                                               "interval; refine the grid$"):
+    with pytest.raises(NumericalFailure, match="^row 2 overlap is NaN; the samples are not "
+                                               "certified$"):
         winding_charge(model, 1.0, grid, samples, verdict)
 
 
