@@ -10,7 +10,7 @@ entry points are re-exported here; import every other name from its module.
 from .errors import ConfigError, NumericalFailure, PumpError
 from .matcore import R_K, CycleGrid, Tolerances
 from .models import ModelConfig, PumpModel, build
-from .shift import energy_shift_cycle, sample_cycle
+from .shift import energy_shift_cycle
 from .transport import instant_report, winding_charge
 from .optimal import optimality_verdict
 from .bathtub import greedy_minimize, linear_dispersion, verify_bound

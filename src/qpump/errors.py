@@ -1,7 +1,7 @@
 """Exception types shared across the package, one class per ``pump`` exit code: 1 for
 :class:`ConfigError` (bad input; also a :class:`ValueError`), 2 for :class:`NumericalFailure`
-and for a bare :class:`PumpError`, a guard only a library call can reach (a grid that
-does not match its samples, a singular matrix, the winding of a pump that is not
+and for a bare :class:`PumpError`, a guard only a library call can reach (a grid whose
+node count does not match its samples, a singular matrix, the winding of a pump that is not
 optimal, an infeasible bathtub target)."""
 
 

@@ -141,7 +141,8 @@ class PumpModel:
 
     ``matrix_fn(theta, E)`` maps a 1-D array of N cycle angles in ``[0, 2 pi)`` and one
     energy to the ``(N, n, n)`` stack of S.  :meth:`sample`, the one place time enters,
-    certifies it at ``theta = 2 pi t / period``, and :meth:`eval` is its one-time case.
+    certifies it at ``theta = 2 pi t / period``, and :meth:`eval` is its one-time case;
+    :meth:`grid` makes the model's cycle grid, so no grid of another period meets it.
     ``delay`` declares the Wigner time delay, required and exact: a real c
     means ``-i dS/dE S^dag = c I`` at every (t, E) of the window, and
     ``|c|`` is the tau of the adiabaticity parameter.
@@ -193,6 +194,11 @@ class PumpModel:
                 f"model '{self.name}' has non-finite entries at t={times[i]:.6g}, E={energy:g}"
             )
         return stack
+
+    def grid(self, nodes: int) -> CycleGrid:
+        """The uniform grid of ``nodes`` nodes over this model's period, the one place
+        a model's grid is made (``nodes`` is checked as ``cycle.samples``)."""
+        return CycleGrid(self.period, nodes)
 
     def eval(self, t: float, energy: float) -> np.ndarray:
         """Frozen scattering matrix at time t and energy E: the read-only
@@ -501,7 +507,7 @@ class ModelConfig:
     an error.  :meth:`from_dict` checks each object's keys with one walker,
     the sample counts and beta with :mod:`qpump.matcore`'s scalar rules, and
     leaves each other value to the value holding it: :class:`Tolerances`,
-    :func:`build`'s :class:`PumpModel` (kept as ``pump``) and :class:`CycleGrid`.
+    :func:`build`'s :class:`PumpModel` (kept as ``pump``) and its :meth:`~PumpModel.grid`.
     """
 
     pump: PumpModel
@@ -540,7 +546,7 @@ class ModelConfig:
                               f"channels exceed the {MAX_STACK_ENTRIES}-entry stack cap")
         return cls(
             pump=pump,
-            grid=CycleGrid(pump.period, samples),
+            grid=pump.grid(samples),
             mu=float(energy["mu"]),  # build checked it is a finite real
             tolerances=tolerances,
             beta=beta,

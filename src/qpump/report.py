@@ -26,7 +26,7 @@ from .errors import ConfigError, NumericalFailure
 from .matcore import ROUNDING_FLOOR, _number
 from .models import ModelConfig
 from .optimal import OptimalityVerdict, optimality_verdict
-from .shift import energy_shift_at, energy_shift_cycle, sample_cycle
+from .shift import energy_shift_at, energy_shift_cycle
 from .transport import InstantReport, cycle_integral, instant_report, winding_charge
 
 __all__ = [
@@ -355,7 +355,7 @@ def analyze(config: ModelConfig) -> AnalysisResult:
     model, grid, tol, mu = config.pump, config.grid, config.tolerances, config.mu
 
     # S(t, mu) is sampled once; every stage below reuses it.
-    samples = sample_cycle(model, mu, grid)
+    samples = model.sample(grid.times, mu)
     shifts, herm_defect = energy_shift_cycle(samples, grid)
     epsilon, regime_ok = _regime(config)
 
@@ -365,7 +365,7 @@ def analyze(config: ModelConfig) -> AnalysisResult:
     charge = cycle_integral(instants.qdot, grid)
     winding = None
     if verdict.is_optimal:
-        winding = winding_charge(model, mu, grid, samples, verdict)
+        winding = winding_charge(model, mu, samples, verdict)
         gap = float(np.max(np.abs(charge - winding)))
         # a ratio below tol_opt still leaves a charge gap second order in it
         slack = grid.period * verdict.scale * verdict.max_offdiag_ratio**2
@@ -418,7 +418,8 @@ def instant_document(config: ModelConfig, t: float) -> dict:
     model, t = config.pump, _number(t, "t")
     if not (0.0 <= t < model.period):
         raise ConfigError("t", f"must lie in [0, {model.period!r}), got {t!r}")
-    report = instant_report(energy_shift_at(model, t, config.mu, config.grid), t, config.beta)
+    report = instant_report(energy_shift_at(model, t, config.mu, config.grid.samples), t,
+                            config.beta)
     rates = {} if report.sdot is None else {"Sdot": report.sdot, "Ndot": report.ndot}
     return {"t": t, "Qdot": report.qdot, "D": report.total_dissipation, "Xs": report.excess,
             "r": report.residual, **rates, "regime_ok": _regime(config)[1] is not False}

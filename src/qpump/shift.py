@@ -1,7 +1,8 @@
 """Energy-shift matrices of a pump cycle.
 
 The energy shift is the Hermitian matrix ``i dS/dt S^dag`` (hbar = 1)
-evaluated on the cycle grid with spectral time differentiation; its dual
+evaluated with spectral time differentiation on the model's cycle grid,
+:meth:`~qpump.models.PumpModel.grid`, whose period is the model's; its dual
 under t <-> E exchange is the Wigner time delay ``-i dS/dE S^dag``, which
 every model declares as ``c I`` (:attr:`~qpump.models.PumpModel.delay`),
 so no energy but mu is sampled.  Diagonal entries of the energy shift
@@ -13,14 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalFailure, PumpError
+from .errors import NumericalFailure
 from .matcore import CycleGrid, frobenius_norm, hermitian_part, spectral_derivative
 from .models import PumpModel
 
 __all__ = [
     "HARD_HERM_LIMIT",
     "cycle_scale",
-    "sample_cycle",
     "energy_shift_cycle",
     "energy_shift_at",
 ]
@@ -36,21 +36,6 @@ def cycle_scale(stack: np.ndarray, grid: CycleGrid, limit: float) -> float:
     (n, n) unitary (relative to ``||S||_F``, not ``||E||``): rounding never reaches the limit."""
     nu = 2.0**-42 * (np.pi * grid.samples / grid.period) * stack.shape[-1] ** 0.5  # 2**10 eps
     return float(max(frobenius_norm(stack).max(), min(nu / limit, np.finfo(float).max)))
-
-
-def _check_period(model: PumpModel, grid: CycleGrid) -> None:
-    """:class:`PumpError` unless the grid's period is the model's, to 1e-12 of it."""
-    if abs(grid.period - model.period) > 1e-12 * abs(model.period):
-        raise PumpError(f"grid period {grid.period!r} differs from the model's {model.period!r}")
-
-
-def sample_cycle(model: PumpModel, mu: float, grid: CycleGrid) -> np.ndarray:
-    """Sample S(t, mu) on the grid; every sample is certified unitary.
-
-    Returns an (N, n, n) complex array.
-    """
-    _check_period(model, grid)
-    return model.sample(grid.times, mu)
 
 
 def _shift_stack(s, ds, grid: CycleGrid, times) -> tuple[np.ndarray, np.ndarray]:
@@ -73,8 +58,8 @@ def _shift_stack(s, ds, grid: CycleGrid, times) -> tuple[np.ndarray, np.ndarray]
 def energy_shift_cycle(samples: np.ndarray, grid: CycleGrid) -> tuple[np.ndarray, np.ndarray]:
     """Energy shift ``i dS/dt S^dag`` at every grid time, as one stack.
 
-    ``samples`` -- S(t, mu) on the grid, as :func:`sample_cycle` returns
-    it -- is differentiated entrywise by FFT, multiplied by S^dag and
+    ``samples`` -- S(t, mu) on the grid, as ``model.sample(grid.times, mu)``
+    returns it -- is differentiated entrywise by FFT, multiplied by S^dag and
     symmetrized: the exactly Hermitian (N, n, n) shifts and their (N,) defects,
     the part :func:`~qpump.matcore.hermitian_part` discards over the :func:`cycle_scale`.
     Raises :class:`NumericalFailure` when any defect exceeds ``HARD_HERM_LIMIT``
@@ -83,13 +68,13 @@ def energy_shift_cycle(samples: np.ndarray, grid: CycleGrid) -> tuple[np.ndarray
     return _shift_stack(samples, spectral_derivative(samples, grid), grid, grid.times)
 
 
-def energy_shift_at(model: PumpModel, t: float, mu: float, grid: CycleGrid) -> np.ndarray:
+def energy_shift_at(model: PumpModel, t: float, mu: float, nodes: int) -> np.ndarray:
     """Energy shift at one arbitrary time, an exactly Hermitian (n, n) array.
 
-    Samples the cycle on the uniform grid offset so that ``t`` is its
-    first node; FFT differentiation is insensitive to the origin shift.  Its
-    defect is certified against the same cycle scale as :func:`energy_shift_cycle`'s.
+    Samples the cycle on the model's grid of ``nodes`` nodes, offset so that
+    ``t`` is its first node; FFT differentiation is insensitive to the origin shift.
+    Its defect is certified against the same cycle scale as :func:`energy_shift_cycle`'s.
     """
-    _check_period(model, grid)
+    grid = model.grid(nodes)
     s = model.sample(t + grid.times, mu)
     return _shift_stack(s, spectral_derivative(s, grid), grid, [float(t)])[0][0]

@@ -30,7 +30,6 @@ import numpy as np
 from .errors import NumericalFailure, PumpError
 from .matcore import R_K, ROUNDING_FLOOR, CycleGrid, _real
 from .models import PumpModel
-from .shift import _check_period
 
 if TYPE_CHECKING:  # optimal imports this module
     from .optimal import OptimalityVerdict
@@ -84,7 +83,7 @@ def cycle_integral(rates: np.ndarray, grid: CycleGrid) -> np.ndarray:
     return grid.dt * np.ascontiguousarray(rates.T).sum(axis=-1)
 
 
-def winding_charge(model: PumpModel, mu: float, grid: CycleGrid, samples: np.ndarray,
+def winding_charge(model: PumpModel, mu: float, samples: np.ndarray,
                    verdict: OptimalityVerdict) -> np.ndarray:
     """Integer winding of each scattering-matrix row over the cycle.
 
@@ -95,16 +94,15 @@ def winding_charge(model: PumpModel, mu: float, grid: CycleGrid, samples: np.nda
     into (-pi, pi] -- then shows up as an out-of-range step and raises
     :class:`~qpump.errors.NumericalFailure` instead of miscounting.
 
-    ``samples`` is S(t, mu) on the grid and ``verdict`` its
-    :func:`~qpump.optimal.optimality_verdict`.  Raises a :class:`~qpump.errors.PumpError`
-    when the grid's period is not the model's and, before sampling anything, when
-    the verdict is not optimal: for a
-    non-optimal pump the rows change direction, not just phase, and no
-    integer winding exists.  A row overlap that is not at least ``VANISHING_OVERLAP``
+    ``samples`` is S(t, mu) on the model's grid of ``len(samples)`` nodes and
+    ``verdict`` its :func:`~qpump.optimal.optimality_verdict`.  Raises a
+    :class:`~qpump.errors.PumpError`, before sampling anything, when the verdict is
+    not optimal: for a non-optimal pump the rows change direction, not just phase,
+    and no integer winding exists.  A row overlap that is not at least ``VANISHING_OVERLAP``
     in modulus raises a :class:`NumericalFailure`; a NaN one, which only uncertified
     samples give, is worded apart from "refine the grid".
     """
-    _check_period(model, grid)
+    grid = model.grid(len(samples))
     if not verdict.is_optimal:
         raise PumpError(
             f"max off-diagonal ratio {verdict.max_offdiag_ratio:.3e} fails the optimality "

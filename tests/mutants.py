@@ -189,6 +189,12 @@ MUTANTS = [
            (_MODELS + "test_replacing_the_period_rescales_time",
             _LAWS + "test_period_scaling_law"),
            _PERIOD),
+    Mutant("model-grid-unit-period", "qpump/models.py",
+           "CycleGrid(self.period, ",
+           "CycleGrid(1.0, ",
+           ("tests/test_shift.py::test_the_model_makes_its_grid",
+            _LAWS + "test_reparameterization_law"),
+           "the model makes its grid"),
     Mutant("grid-shape-unchecked", "qpump/bathtub.py",
            "        if shapes != [(n_k,)] * 3:\n",
            "        if len(shapes) != 3:\n",

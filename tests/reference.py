@@ -30,7 +30,7 @@ from qpump.bathtub import DispersionGrid, Filling, _feasible_budget, analytic_mi
 from qpump.errors import NumericalFailure
 from qpump.matcore import CycleGrid, hermitian_part, spectral_derivative
 from qpump.models import _GAMMA, _MIX1, _MIX2, PumpModel
-from qpump.shift import _shift_stack, sample_cycle
+from qpump.shift import _shift_stack
 from qpump.transport import _diagonal, _square_diagonal
 
 _TWO_PI = 2.0 * np.pi
@@ -91,7 +91,7 @@ def energy_shift_rows(model: PumpModel, mu: float, grid: CycleGrid) -> np.ndarra
     Returns the raw, unsymmetrized (N, n, n) array -- an independent code
     path used to cross-check the matrix route.
     """
-    s = sample_cycle(model, mu, grid)
+    s = model.sample(grid.times, mu)
     ds = spectral_derivative(s, grid)
     return 1j * np.einsum("tki,tji->tjk", s.conj(), ds)
 

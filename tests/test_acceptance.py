@@ -15,7 +15,7 @@ from qpump.matcore import DEFAULT_TOLERANCES, CycleGrid
 from qpump.models import build, uniform_stream
 from qpump.optimal import diagonal_decomposition, optimality_verdict
 from qpump.bathtub import Filling, analytic_minimum, greedy_minimize, linear_dispersion
-from qpump.shift import energy_shift_cycle, sample_cycle
+from qpump.shift import energy_shift_cycle
 from qpump.transport import (
     cycle_integral,
     instant_report,
@@ -38,7 +38,7 @@ MU = 1.0
 def sampled(model):
     """The energy-shift stack on GRID, the samples S(t, mu) it comes from
     and its instant reports: the arguments of ``optimality_verdict``."""
-    samples = sample_cycle(model, MU, GRID)
+    samples = model.sample(GRID.times, MU)
     shifts, _ = energy_shift_cycle(samples, GRID)
     return shifts, samples, instant_report(shifts, GRID.times)
 
@@ -62,7 +62,7 @@ def test_criterion_01_flux_loop_charge_quantization():
         model = build("flux-loop", {"k_ell": 1.0, "w": w})
         shifts, samples, instants = sampled(model)
         charge = cycle_integral(instants.qdot, GRID)
-        winding = winding_charge(model, MU, GRID, samples,
+        winding = winding_charge(model, MU, samples,
                                  optimality_verdict(shifts, samples, instants, GRID))
         gap = float(np.max(np.abs(charge - np.array([-w, w]))))
         ok &= gap < 1e-10 and np.array_equal(winding, [-w, w])

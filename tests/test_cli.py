@@ -26,7 +26,6 @@ from qpump.matcore import DEFAULT_TOLERANCES, CycleGrid, Tolerances, spectral_de
 from qpump.models import MAX_STACK_ENTRIES, ModelConfig, PumpModel, build
 from qpump.report import (_ARRAY_MIN, _P0, _format_block, _pow10_table, _scaled, analyze, dumps,
                           format_float, instant_document)
-from qpump.shift import sample_cycle
 from qpump.transport import cycle_integral, instant_report, winding_charge
 from test_transport import REGIME_CASES, regime_config
 
@@ -1203,8 +1202,8 @@ SWAP = PumpModel("swap", 2, 1.0, (0.5, 1.5), {}, lambda theta, energy: np.broadc
 def winding_on_grid8(model, is_optimal, samples=None):
     """``winding_charge`` of ``model`` at mu = 1 on 8 nodes, given a verdict."""
     verdict = SimpleNamespace(is_optimal=is_optimal, max_offdiag_ratio=0.5)
-    samples = sample_cycle(model, 1.0, GRID8) if samples is None else samples
-    return winding_charge(model, 1.0, GRID8, samples, verdict)
+    samples = model.sample(model.grid(8).times, 1.0) if samples is None else samples
+    return winding_charge(model, 1.0, samples, verdict)
 
 
 #: Each guard of the package's raise sites a call reaches, the class it raises and
@@ -1237,8 +1236,6 @@ RAISE_SITES = {
     "row-overlap-vanishes": (lambda: winding_on_grid8(SWAP, True, np.tile(np.eye(2), (8, 1, 1))),
                              NumericalFailure,
                              "row 1 overlap vanishes across one grid interval; refine the grid"),
-    "grid-period-differs": (lambda: sample_cycle(build("flux-loop", FLUX, period=2.0), 1.0, GRID8),
-                            errors.PumpError, "grid period 1.0 differs from the model's 2.0"),
     "derivative-of-too-few-samples": (lambda: spectral_derivative(np.zeros(4), GRID8),
                                       errors.PumpError, "got 4 samples for a grid of 8 nodes"),
     "integral-of-too-few-samples": (lambda: cycle_integral(np.zeros(4), GRID8),

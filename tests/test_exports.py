@@ -47,7 +47,7 @@ def test_package_front_is_pinned():
         "ConfigError", "NumericalFailure", "PumpError",
         "R_K", "CycleGrid", "Tolerances",
         "ModelConfig", "PumpModel", "build",
-        "energy_shift_cycle", "sample_cycle",
+        "energy_shift_cycle",
         "instant_report", "winding_charge",
         "optimality_verdict",
         "greedy_minimize", "linear_dispersion", "verify_bound",
@@ -70,8 +70,7 @@ MODULE_SURFACES = {
                 "diagonal_decomposition"],
     "report": ["SPEC_VERSION", "ADIABATICITY_WARN", "format_float", "dumps", "AnalysisResult",
                "analyze", "instant_document"],
-    "shift": ["HARD_HERM_LIMIT", "cycle_scale", "sample_cycle", "energy_shift_cycle",
-              "energy_shift_at"],
+    "shift": ["HARD_HERM_LIMIT", "cycle_scale", "energy_shift_cycle", "energy_shift_at"],
     "transport": ["instantaneous_current", "cycle_integral", "winding_charge", "InstantReport",
                   "instant_report"],
 }

@@ -35,7 +35,7 @@ from qpump.errors import NumericalFailure
 from qpump.matcore import CycleGrid, unitarize
 from qpump.models import ModelConfig, build
 from qpump.report import analyze
-from qpump.shift import cycle_scale, energy_shift_at, energy_shift_cycle, sample_cycle
+from qpump.shift import cycle_scale, energy_shift_at, energy_shift_cycle
 from qpump.transport import cycle_integral, instant_report
 from reference import (
     ENERGY_STEP_FRACTION,
@@ -82,7 +82,7 @@ _dtc = st.integers(1, 3).flatmap(lambda n: st.fixed_dictionaries({
 
 def cycle_totals(model, mu, grid):
     """Charge and dissipation per cycle of each channel, as ``analyze`` takes them."""
-    shifts, _ = energy_shift_cycle(sample_cycle(model, mu, grid), grid)
+    shifts, _ = energy_shift_cycle(model.sample(grid.times, mu), grid)
     instants = instant_report(shifts, grid.times)
     return (cycle_integral(instants.qdot, grid),
             cycle_integral(instants.total_dissipation, grid))
@@ -92,7 +92,7 @@ def cycle_totals(model, mu, grid):
 @settings(max_examples=40, deadline=None)
 def test_diagonal_times_constant_charge_and_dissipation(params, period, samples):
     model = build("diagonal-times-constant", params, period=period)
-    charge, dissipation = cycle_totals(model, 1.0, CycleGrid(period, samples))
+    charge, dissipation = cycle_totals(model, 1.0, model.grid(samples))
     for j in range(1, params["n"] + 1):
         w = params[f"w{j}"]
         a, b = (np.array([params[f"{ab}{j}_{m}"] for m in (1, 2)]) for ab in "ab")
@@ -110,7 +110,7 @@ def test_diagonal_times_constant_charge_and_dissipation(params, period, samples)
 @settings(max_examples=40, deadline=None)
 def test_flux_loop_charge_dissipation_and_time_delay(k_ell, w, period, mu, samples, t):
     model = build("flux-loop", {"k_ell": k_ell, "w": w}, period=period, mu=mu)
-    charge, dissipation = cycle_totals(model, mu, CycleGrid(period, samples))
+    charge, dissipation = cycle_totals(model, mu, model.grid(samples))
     assert np.max(np.abs(charge - [-w, w])) <= RTOL * max(1, abs(w)), charge
     expected = np.pi * w**2 / period
     scale = np.pi * max(1, w**2) / period
@@ -146,7 +146,7 @@ def test_declared_delay_matches_the_stencil(family, k_ell, w, delta, period, mu,
     declared = model.delay * np.eye(2)
     gap = np.max(np.abs(stencil_delay(model, [t * period], mu, step)[0] - declared))
     assert gap <= RTOL * k_ell / mu + floor, (gap, floor)
-    stencil = stencil_delay(model, CycleGrid(period, 16).times, mu, step)
+    stencil = stencil_delay(model, model.grid(16).times, mu, step)
     gap = abs(np.max(np.linalg.norm(stencil, ord=2, axis=(1, 2))) - abs(model.delay))
     assert gap <= RTOL * k_ell / mu + 2.0 * floor, (gap, floor)
 
@@ -187,8 +187,8 @@ def perturbed_cycle(k_ell, w, delta, period, samples, beta=None):
     scale of its dissipation per cycle."""
     model = build("perturbed-flux-loop", {"k_ell": k_ell, "w": w, "delta": delta},
                   period=period)
-    grid = CycleGrid(period, samples)
-    shifts, _ = energy_shift_cycle(sample_cycle(model, 1.0, grid), grid)
+    grid = model.grid(samples)
+    shifts, _ = energy_shift_cycle(model.sample(grid.times, 1.0), grid)
     report = instant_report(shifts, grid.times, beta=beta)
     totals = {name: cycle_integral(getattr(report, name), grid)
               for name in ("qdot", "total_dissipation", "excess", "sdot", "ndot")
@@ -256,7 +256,7 @@ def test_time_reversal_law(pump, period, samples):
     # carries that floor's rounding, not RTOL of its own size.
     name, params = pump
     model = build(name, params, period=period)
-    grid = CycleGrid(period, samples)
+    grid = model.grid(samples)
     e, rep, verdict, winding = analysed(model, grid)
     e2, rep2, verdict2, winding2 = analysed(time_reversed(model), grid)
     mirror = -np.arange(samples) % samples
@@ -294,9 +294,10 @@ def test_period_scaling_law(pump, log_period, samples):
     # dissipation keep max|E|.
     name, params = pump
     period = 10.0**log_period
-    grid, grid2 = CycleGrid(1.0, samples), CycleGrid(period, samples)
-    e, rep, verdict, winding = analysed(build(name, params), grid)
-    e2, rep2, verdict2, winding2 = analysed(build(name, params, period=period), grid2)
+    model, model2 = build(name, params), build(name, params, period=period)
+    grid, grid2 = model.grid(samples), model2.grid(samples)
+    e, rep, verdict, winding = analysed(model, grid)
+    e2, rep2, verdict2, winding2 = analysed(model2, grid2)
     scale = np.max(np.abs(e))
     shift_scale = max(scale, cycle_scale(np.zeros_like(e[:1]), grid, RTOL))
     assert np.max(np.abs(e2 * period - e)) <= RTOL * shift_scale, name
@@ -322,11 +323,11 @@ def test_reparameterization_law(pump, amplitude, period, samples):
     # 2.8e-13 of max |E|, growing with N), where 64 nodes leave 2e-8.
     name, params = pump
     model = build(name, params, period=period)
-    grid = CycleGrid(period, samples)
+    grid = model.grid(samples)
     f, fprime = time_warp(period, amplitude)
     e, rep, verdict, winding = analysed(model, grid)
     e2, rep2, verdict2, winding2 = analysed(reparameterized(model, amplitude), grid)
-    expected = [fprime(t) * energy_shift_at(model, f(t), 1.0, grid) for t in grid.times]
+    expected = [fprime(t) * energy_shift_at(model, f(t), 1.0, samples) for t in grid.times]
     scale = np.max(np.abs(e))
     assert np.max(np.abs(e2 - expected)) <= RTOL * scale, name
     charge, charge2 = (cycle_integral(r.qdot, grid) for r in (rep, rep2))
@@ -388,7 +389,7 @@ def test_optimal_pumps_meet_every_criterion(pump, period, samples):
     assert all(verdict.per_channel_saturation)
 
     model = build(name, params, period=period)
-    grid = CycleGrid(period, samples)
+    grid = model.grid(samples)
     phases, constant = verdict.decomposition
     rebuilt = np.exp(1j * phases)[:, :, None] * constant
     assert np.max(np.abs(rebuilt - model.sample(grid.times, 1.0))) <= 1e-12 * (

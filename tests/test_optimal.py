@@ -10,7 +10,7 @@ from qpump.optimal import (
     offdiag_ratio,
     optimality_verdict,
 )
-from qpump.shift import energy_shift_cycle, sample_cycle
+from qpump.shift import energy_shift_cycle
 from qpump.transport import instant_report
 from reference import rebuilt_decomposition, reparameterized, right_wobbled
 from test_acceptance import BARELY_MOVING_DTC, STATIONARY_DTC
@@ -22,7 +22,7 @@ GRID = CycleGrid(1.0, 256)
 
 def verdict_of(model):
     """The optimality verdict of ``model`` at mu = 1 on GRID."""
-    samples = sample_cycle(model, 1.0, GRID)
+    samples = model.sample(GRID.times, 1.0)
     shifts, _ = energy_shift_cycle(samples, GRID)
     return optimality_verdict(shifts, samples, instant_report(shifts, GRID.times), GRID)
 
@@ -30,7 +30,7 @@ def verdict_of(model):
 def limit_of(model, grid=GRID, tol=DEFAULT_TOLERANCES.tol_opt):
     """``model``'s samples at mu = 1 on ``grid`` and the decomposition limit its
     verdict at ``tol_opt = tol`` implies (the one ``optimality_verdict`` attempts)."""
-    samples = sample_cycle(model, 1.0, grid)
+    samples = model.sample(grid.times, 1.0)
     shifts, _ = energy_shift_cycle(samples, grid)
     verdict = optimality_verdict(shifts, samples, instant_report(shifts, grid.times), grid,
                                  Tolerances(tol_opt=tol))
@@ -76,10 +76,10 @@ def test_slow_cycles_are_judged_like_fast_ones():
     # any fixed energy at the slow periods, yet its ratios are the same
     verdicts = {}
     for period in (1.0, 1e14, 1e16):
-        grid = CycleGrid(period, 64)
         model = build("random-smooth-path", {"n": 2, "seed": 3, "amplitude": 1e-3},
                       period=period)
-        samples = sample_cycle(model, 1.0, grid)
+        grid = model.grid(64)
+        samples = model.sample(grid.times, 1.0)
         shifts, _ = energy_shift_cycle(samples, grid)
         instants = instant_report(shifts, grid.times)
         verdicts[period] = optimality_verdict(shifts, samples, instants, grid)

@@ -26,7 +26,7 @@ from qpump.errors import PumpError
 from qpump.matcore import CycleGrid
 from qpump.models import ModelConfig
 from qpump.optimal import optimality_verdict
-from qpump.shift import energy_shift_cycle, sample_cycle
+from qpump.shift import energy_shift_cycle
 from qpump.transport import instant_report, winding_charge
 
 SAMPLES = 64
@@ -171,12 +171,12 @@ def test_analyze_judges_optimality_once(ratio_calls, name, params):
 
 def test_winding_of_a_non_optimal_verdict_samples_nothing(recorded):
     model = recorded(config("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.2})).pump
-    grid = CycleGrid(1.0, SAMPLES)
-    samples = sample_cycle(model, MU, grid)
+    grid = model.grid(SAMPLES)
+    samples = model.sample(grid.times, MU)
     shifts, _ = energy_shift_cycle(samples, grid)
     verdict = optimality_verdict(shifts, samples, instant_report(shifts, grid.times), grid)
     assert not verdict.is_optimal
     recorded.clear()
     with pytest.raises(PumpError, match="fails the optimality verdict"):
-        winding_charge(model, MU, grid, samples, verdict)
+        winding_charge(model, MU, samples, verdict)
     assert recorded == []

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpump.errors import NumericalFailure, PumpError
+from qpump.errors import ConfigError, NumericalFailure
 from qpump.matcore import R_K, CycleGrid, hermitian_part, unitarize
 from qpump.models import build
 from qpump.optimal import optimality_verdict
-from qpump.shift import energy_shift_at, energy_shift_cycle, sample_cycle
+from qpump.shift import energy_shift_at, energy_shift_cycle
 from qpump.transport import instant_report, winding_charge
 from reference import (
     energy_shift_fd,
@@ -28,7 +28,7 @@ TWO_PI = 2.0 * np.pi
 
 def shift_stack(model, grid=GRID):
     """The energy-shift stack of ``model`` at mu = 1 on ``grid``."""
-    return energy_shift_cycle(sample_cycle(model, 1.0, grid), grid)[0]
+    return energy_shift_cycle(model.sample(grid.times, 1.0), grid)[0]
 
 
 def as_shift(matrix):
@@ -99,7 +99,7 @@ def test_identity_model_rows_are_zero():
 def test_hermiticity_defect_small_on_builtins():
     for name, params in ALL_BUILTINS:
         model = build(name, params)
-        for defect in energy_shift_cycle(sample_cycle(model, 1.0, GRID), GRID)[1]:
+        for defect in energy_shift_cycle(model.sample(GRID.times, 1.0), GRID)[1]:
             assert defect < 1e-8, name
 
 
@@ -109,23 +109,22 @@ def test_under_resolved_grid_fails_hard():
         shift_stack(model, CycleGrid(1.0, 8))
 
 
-def test_grid_period_must_match_model():
-    # every sampler checks the grid against the model, relative to its period
-    model = build("flux-loop", {"k_ell": 1.0}, period=2.0)
-    with pytest.raises(PumpError, match="^grid period"):
-        sample_cycle(model, 1.0, GRID)
-    tiny = build("flux-loop", {"k_ell": 1.0}, period=2e-13)
-    with pytest.raises(PumpError, match="^grid period"):
-        sample_cycle(tiny, 1.0, CycleGrid(1e-13, 64))
-    loop = build("flux-loop", {"k_ell": 1.0})
-    with pytest.raises(PumpError, match="^grid period"):
-        energy_shift_at(loop, 0.25, 1.0, CycleGrid(0.5, 64))
-    samples = sample_cycle(loop, 1.0, GRID)
-    shifts = shift_stack(loop)
-    verdict = optimality_verdict(shifts, samples, instant_report(shifts, GRID.times), GRID)
-    assert verdict.is_optimal
-    with pytest.raises(PumpError, match="^grid period"):
-        winding_charge(loop, 1.0, CycleGrid(0.5, 256), samples, verdict)
+def test_the_model_makes_its_grid():
+    # a model's grid carries the model's period, so every sampler meets the one period
+    for period in (2.0, 2e-13):
+        model = build("flux-loop", {"k_ell": 1.0, "w": 2}, period=period)
+        grid = model.grid(64)
+        assert grid.period == model.period
+        t = 0.3 * period
+        row0 = energy_shift_cycle(model.sample(t + grid.times, 1.0), grid)[0][0]
+        assert energy_shift_at(model, t, 1.0, 64).tobytes() == row0.tobytes()
+    model = build("flux-loop", {"k_ell": 1.0, "w": 2}, period=2.0)
+    grid = model.grid(64)
+    *_, verdict, winding = analysed(model, grid)
+    assert winding.tolist() == [-2, 2]
+    with pytest.raises(ConfigError) as excinfo:
+        winding_charge(model, 1.0, model.sample(grid.times[:12], 1.0), verdict)
+    assert excinfo.value.field == "cycle.samples"
 
 
 def test_finite_difference_cross_check():
@@ -142,7 +141,7 @@ def test_energy_shift_at_matches_cycle_nodes():
     model = build("random-smooth-path", {"seed": 5})
     shifts = shift_stack(model)
     for i in (0, 17, 100):
-        single = energy_shift_at(model, GRID.times[i], 1.0, GRID)
+        single = energy_shift_at(model, GRID.times[i], 1.0, GRID.samples)
         assert np.max(np.abs(single - shifts[i])) < 1e-10
 
 
@@ -259,18 +258,18 @@ def test_reparameterization_covariance():
     shifts = shift_stack(warped)
     for i in range(0, GRID.samples, 16):
         t = GRID.times[i]
-        expected = fprime(t) * energy_shift_at(model, f(t), 1.0, GRID)
+        expected = fprime(t) * energy_shift_at(model, f(t), 1.0, GRID.samples)
         assert np.max(np.abs(shifts[i] - expected)) < 1e-8
 
 
 def analysed(model, grid):
     """Energy shift, instant report, verdict and (optimal pumps only) winding
     of ``model`` at mu = 1 on ``grid``."""
-    samples = sample_cycle(model, 1.0, grid)
+    samples = model.sample(grid.times, 1.0)
     shifts, _ = energy_shift_cycle(samples, grid)
     instants = instant_report(shifts, grid.times)
     verdict = optimality_verdict(shifts, samples, instants, grid)
-    winding = winding_charge(model, 1.0, grid, samples, verdict) if verdict.is_optimal else None
+    winding = winding_charge(model, 1.0, samples, verdict) if verdict.is_optimal else None
     return shifts, instants, verdict, winding
 
 

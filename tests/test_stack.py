@@ -10,7 +10,7 @@ import numpy as np
 from qpump.matcore import CycleGrid
 from qpump.models import build
 from qpump.optimal import offdiag_ratio
-from qpump.shift import energy_shift_cycle, sample_cycle
+from qpump.shift import energy_shift_cycle
 from qpump.transport import instant_report, instantaneous_current
 from reference import outgoing_symbol
 from test_models import ALL_BUILTINS
@@ -29,7 +29,7 @@ def test_sample_equals_one_time_evals():
 def test_stack_views_and_observables_match_loop():
     for name, params in ALL_BUILTINS:
         model = build(name, params)
-        shifts, _ = energy_shift_cycle(sample_cycle(model, 1.0, GRID), GRID)
+        shifts, _ = energy_shift_cycle(model.sample(GRID.times, 1.0), GRID)
         assert shifts.shape == (GRID.samples,) + (model.n_channels,) * 2
         stacked = instant_report(shifts, GRID.times, beta=5.0)
         scale = np.linalg.norm(shifts, axis=(1, 2)).max()

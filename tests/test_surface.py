@@ -20,26 +20,26 @@ def test_tracer_wraps_and_restores_the_counted_functions():
     originals = {
         "eval": models.PumpModel.__dict__["eval"],
         "energy_shift_at": shift.energy_shift_at,
-        "sample_cycle": shift.sample_cycle,
-        "report.sample_cycle": report.sample_cycle,
+        "energy_shift_cycle": shift.energy_shift_cycle,
+        "report.energy_shift_cycle": report.energy_shift_cycle,
     }
     tracer = Tracer()
     tracer.install(qpump)
     try:
         assert models.PumpModel.__dict__["eval"] is not originals["eval"]
         assert shift.energy_shift_at is not originals["energy_shift_at"]
-        assert shift.sample_cycle is not originals["sample_cycle"]
-        assert report.sample_cycle is shift.sample_cycle
+        assert shift.energy_shift_cycle is not originals["energy_shift_cycle"]
+        assert report.energy_shift_cycle is shift.energy_shift_cycle
         model = qpump.build("flux-loop", {"k_ell": 1.0})
-        grid = qpump.CycleGrid(1.0, 8)
+        grid = model.grid(8)
         model.eval(0.0, 1.0)
-        shift.energy_shift_at(model, 0.0, 1.0, grid)
-        shift.sample_cycle(model, 1.0, grid)
-        for name in ("models.eval", "shift.energy_shift_at", "shift.sample_cycle"):
+        shift.energy_shift_at(model, 0.0, 1.0, grid.samples)
+        shift.energy_shift_cycle(model.sample(grid.times, 1.0), grid)
+        for name in ("models.eval", "shift.energy_shift_at", "shift.energy_shift_cycle"):
             assert tracer.stat(name).calls == 1, name
     finally:
         tracer.uninstall()
     assert models.PumpModel.__dict__["eval"] is originals["eval"]
     assert shift.energy_shift_at is originals["energy_shift_at"]
-    assert shift.sample_cycle is originals["sample_cycle"]
-    assert report.sample_cycle is originals["report.sample_cycle"]
+    assert shift.energy_shift_cycle is originals["energy_shift_cycle"]
+    assert report.energy_shift_cycle is originals["report.energy_shift_cycle"]

@@ -12,7 +12,7 @@ from qpump.matcore import R_K, ROUNDING_FLOOR, CycleGrid
 from qpump.models import ModelConfig, build
 from qpump.optimal import optimality_verdict
 from qpump.report import _regime
-from qpump.shift import energy_shift_cycle, sample_cycle
+from qpump.shift import energy_shift_cycle
 from qpump.transport import (
     InstantReport,
     cycle_integral,
@@ -36,7 +36,7 @@ PI = np.pi
 
 def shift_stack(model, grid=GRID):
     """The energy-shift stack of ``model`` at mu = 1 on ``grid``."""
-    return energy_shift_cycle(sample_cycle(model, 1.0, grid), grid)[0]
+    return energy_shift_cycle(model.sample(grid.times, 1.0), grid)[0]
 
 
 def charge(model, grid=GRID):
@@ -45,12 +45,14 @@ def charge(model, grid=GRID):
     return cycle_integral(instant_report(shift_stack(model, grid), grid.times).qdot, grid)
 
 
-def winding(model, grid=GRID):
-    """The winding count of ``model`` at mu = 1 on ``grid``, given its verdict."""
-    samples = sample_cycle(model, 1.0, grid)
+def winding(model, nodes=GRID.samples):
+    """The winding count of ``model`` at mu = 1 on its grid of ``nodes`` nodes, given
+    its verdict."""
+    grid = model.grid(nodes)
+    samples = model.sample(grid.times, 1.0)
     shifts, _ = energy_shift_cycle(samples, grid)
     verdict = optimality_verdict(shifts, samples, instant_report(shifts, grid.times), grid)
-    return winding_charge(model, 1.0, grid, samples, verdict)
+    return winding_charge(model, 1.0, samples, verdict)
 
 
 def random_hermitian_shift(rng, n):
@@ -288,22 +290,23 @@ def test_winding_matches_charge_on_optimal_models():
 
 def test_winding_flux_loop():
     model = build("flux-loop", {"k_ell": 0.0, "w": 5})
-    np.testing.assert_array_equal(winding(model, CycleGrid(1.0, 64)), [-5, 5])
+    np.testing.assert_array_equal(winding(model, 64), [-5, 5])
     with pytest.raises(NumericalFailure, match="advances"):
-        winding(model, CycleGrid(1.0, 8))
+        winding(model, 8)
 
 
 def test_winding_of_a_nan_node_raises():
     # a NaN overlap has no phase step: it fails with its own message, not as a cast
-    model, grid = build("flux-loop", {"k_ell": 1.0, "w": 2}), GRID
-    samples = sample_cycle(model, 1.0, grid)
+    model = build("flux-loop", {"k_ell": 1.0, "w": 2})
+    grid = model.grid(256)
+    samples = model.sample(grid.times, 1.0)
     shifts, _ = energy_shift_cycle(samples, grid)
     verdict = optimality_verdict(shifts, samples, instant_report(shifts, grid.times), grid)
     samples = samples.copy()
     samples[7, 1, 1] = np.nan
     with pytest.raises(NumericalFailure, match="^row 2 overlap is NaN; the samples are not "
                                                "certified$"):
-        winding_charge(model, 1.0, grid, samples, verdict)
+        winding_charge(model, 1.0, samples, verdict)
 
 
 def test_winding_requires_optimality():
@@ -342,7 +345,7 @@ def test_identity_check_is_relative_to_the_channel_scale(period):
     # pump (max D ~ 1e-5 at T = 1000) as on a fast one: the identity is held,
     # like the residual, to the channel's largest D, not to max(1, |D|)
     model = build("perturbed-flux-loop", {"k_ell": 1.0, "delta": 0.3, "w": 2}, period=period)
-    grid = CycleGrid(period, 256)
+    grid = model.grid(256)
     report = instant_report(shift_stack(model, grid), grid.times)
     with pytest.raises(NumericalFailure, match="decomposition identity"):
         dataclasses.replace(report, excess=report.excess * (1.0 + 1e-9))
@@ -354,7 +357,7 @@ def test_residual_floor_is_relative_to_the_dissipation(period):
     # T = 1e-3, residuals down to -9e-10) passes as a slow one does, and a residual
     # two floors below zero fails at both periods
     model = build("flux-loop", {"k_ell": 1.0, "w": 1}, period=period)
-    grid = CycleGrid(period, 256)
+    grid = model.grid(256)
     report = instant_report(shift_stack(model, grid), grid.times)
     if period < 1.0:
         assert report.residual.min() < -1e-12
