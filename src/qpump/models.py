@@ -507,15 +507,20 @@ class ModelConfig:
     an error.  :meth:`from_dict` checks each object's keys with one walker,
     the sample counts and beta with :mod:`qpump.matcore`'s scalar rules, and
     leaves each other value to the value holding it: :class:`Tolerances`,
-    :func:`build`'s :class:`PumpModel` (kept as ``pump``) and its :meth:`~PumpModel.grid`.
+    :func:`build`'s :class:`PumpModel` (kept as ``pump``) and ``grid``, which every
+    construction, ``dataclasses.replace`` included, derives as ``pump.grid(samples)``.
     """
 
     pump: PumpModel
-    grid: CycleGrid
+    samples: int
     mu: float
     tolerances: Tolerances
     beta: float | None
     raw: dict = field(repr=False)
+    grid: CycleGrid = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "grid", self.pump.grid(self.samples))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
@@ -546,7 +551,7 @@ class ModelConfig:
                               f"channels exceed the {MAX_STACK_ENTRIES}-entry stack cap")
         return cls(
             pump=pump,
-            grid=pump.grid(samples),
+            samples=samples,
             mu=float(energy["mu"]),  # build checked it is a finite real
             tolerances=tolerances,
             beta=beta,

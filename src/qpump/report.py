@@ -418,7 +418,7 @@ def instant_document(config: ModelConfig, t: float) -> dict:
     model, t = config.pump, _number(t, "t")
     if not (0.0 <= t < model.period):
         raise ConfigError("t", f"must lie in [0, {model.period!r}), got {t!r}")
-    report = instant_report(energy_shift_at(model, t, config.mu, config.grid.samples), t,
+    report = instant_report(energy_shift_at(model, t, config.mu, config.samples), t,
                             config.beta)
     rates = {} if report.sdot is None else {"Sdot": report.sdot, "Ndot": report.ndot}
     return {"t": t, "Qdot": report.qdot, "D": report.total_dissipation, "Xs": report.excess,

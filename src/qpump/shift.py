@@ -73,6 +73,7 @@ def energy_shift_at(model: PumpModel, t: float, mu: float, nodes: int) -> np.nda
 
     Samples the cycle on the model's grid of ``nodes`` nodes, offset so that
     ``t`` is its first node; FFT differentiation is insensitive to the origin shift.
+    A bad ``nodes`` is the grid's :class:`~qpump.errors.ConfigError` on ``cycle.samples``.
     Its defect is certified against the same cycle scale as :func:`energy_shift_cycle`'s.
     """
     grid = model.grid(nodes)

@@ -98,16 +98,17 @@ def winding_charge(model: PumpModel, mu: float, samples: np.ndarray,
     ``verdict`` its :func:`~qpump.optimal.optimality_verdict`.  Raises a
     :class:`~qpump.errors.PumpError`, before sampling anything, when the verdict is
     not optimal: for a non-optimal pump the rows change direction, not just phase,
-    and no integer winding exists.  A row overlap that is not at least ``VANISHING_OVERLAP``
-    in modulus raises a :class:`NumericalFailure`; a NaN one, which only uncertified
-    samples give, is worded apart from "refine the grid".
+    and no integer winding exists; only then is a bad ``len(samples)`` the grid's
+    :class:`~qpump.errors.ConfigError` on ``cycle.samples``.  A row overlap that is not
+    at least ``VANISHING_OVERLAP`` in modulus raises a :class:`NumericalFailure`; a NaN
+    one, which only uncertified samples give, is worded apart from "refine the grid".
     """
-    grid = model.grid(len(samples))
     if not verdict.is_optimal:
         raise PumpError(
             f"max off-diagonal ratio {verdict.max_offdiag_ratio:.3e} fails the optimality "
             "verdict; winding numbers are defined for optimal pumps only"
         )
+    grid = model.grid(len(samples))
 
     # Row overlaps <row j at t_i | row j at t_i + dt/2> and on to t_{i+1}.
     mids = model.sample(grid.times + 0.5 * grid.dt, mu)

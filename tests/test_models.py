@@ -274,7 +274,7 @@ def test_a_nan_defect_fails_the_certificate(n):
         model.sample([0.5, 0.0], 1.0)
     with pytest.raises(NumericalFailure, match="^unitarity defect nan"):
         model.eval(0.0, 1.0)
-    config = ModelConfig(pump=model, grid=CycleGrid(1.0, 64), mu=1.0,
+    config = ModelConfig(pump=model, samples=64, mu=1.0,
                          tolerances=DEFAULT_TOLERANCES, beta=None, raw={})
     with pytest.raises(NumericalFailure, match="^unitarity defect nan"):
         analyze(config)
@@ -564,6 +564,20 @@ def test_config_roundtrip():
     assert cfg.pump.name == "flux-loop" and cfg.pump.n_channels == 2
     assert cfg.grid.samples == 256 and cfg.grid.period == cfg.pump.period == 1.0
     assert cfg.beta is None
+
+
+def test_a_replaced_period_is_analyzed_on_the_new_period():
+    # the config derives its grid from its pump, so a replaced period brings its own
+    # grid: the same loop run twice as slowly, not half of it
+    cfg = ModelConfig.from_dict(good_config())
+    slow = dataclasses.replace(cfg, pump=dataclasses.replace(cfg.pump, period=2.0))
+    assert slow.grid.period == slow.pump.period == 2.0 and slow.grid.samples == 256
+    np.testing.assert_array_equal(slow.grid.times, 2.0 * cfg.grid.times)
+    fast, slow = analyze(cfg).document["cycle"], analyze(slow).document["cycle"]
+    assert (fast["period"], slow["period"]) == (1.0, 2.0)
+    assert fast["winding"] == slow["winding"] == [-1, 1]
+    np.testing.assert_array_equal(slow["charge"], fast["charge"])
+    np.testing.assert_array_equal(slow["dissipated_per_cycle"], 0.5 * fast["dissipated_per_cycle"])
 
 
 def test_config_rejects_unknown_top_level_key():

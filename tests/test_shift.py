@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpump.errors import ConfigError, NumericalFailure
+from qpump.errors import ConfigError, NumericalFailure, PumpError
 from qpump.matcore import R_K, CycleGrid, hermitian_part, unitarize
 from qpump.models import build
 from qpump.optimal import optimality_verdict
@@ -122,9 +122,13 @@ def test_the_model_makes_its_grid():
     grid = model.grid(64)
     *_, verdict, winding = analysed(model, grid)
     assert winding.tolist() == [-2, 2]
+    twelve = model.sample(grid.times[:12], 1.0)
     with pytest.raises(ConfigError) as excinfo:
-        winding_charge(model, 1.0, model.sample(grid.times[:12], 1.0), verdict)
+        winding_charge(model, 1.0, twelve, verdict)
     assert excinfo.value.field == "cycle.samples"
+    # the verdict is judged before the grid is built
+    with pytest.raises(PumpError, match="fails the optimality verdict"):
+        winding_charge(model, 1.0, twelve, dataclasses.replace(verdict, is_optimal=False))
 
 
 def test_finite_difference_cross_check():
